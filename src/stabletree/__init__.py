@@ -44,7 +44,6 @@ from .fields import (
     simulate_field,
 )
 from .free_group import (
-    BallSpec,
     Word,
     ball_size,
     busemann,

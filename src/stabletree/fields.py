@@ -42,7 +42,6 @@ from .free_group import (
     ball_size,
     enumerate_ball,
     identity,
-    multiply,
 )
 from .rng import substream
 from .stable import (
@@ -157,15 +156,17 @@ class MixedMovingAverage:
         tab = self.table(w)
         if not tab:
             return {}
+        lay = ball_layout(self.d, max(len(t) for t in tab))
+        vals = np.zeros(lay.size)
+        for t, v in tab.items():
+            vals[lay.word_to_index(t)] = v
         levels = {}
-        m = max(len(t) for t in tab)
-        for j in range(m + 1):
-            vals = {tab.get(t, 0.0) for t in enumerate_ball(self.d, m) if len(t) == j}
-            if len(vals) != 1:
+        for j in range(lay.n + 1):
+            level = vals[lay.depth == j]
+            if (level != level[0]).any():
                 return None
-            v = vals.pop()
-            if v != 0.0:
-                levels[j] = v
+            if level[0] != 0.0:
+                levels[j] = float(level[0])
         return levels
 
     @property
@@ -231,23 +232,17 @@ def norming_constant_exact(model: FieldModel, n: int):
     if isinstance(model, ShiftField):
         return 2 * n + 1
     if isinstance(model, MixedMovingAverage):
-        m = model.support_radius
-        if ball_size(model.d, n + m) > DEFAULT_SITE_BUDGET:
+        if ball_size(model.d, n + model.support_radius) > DEFAULT_SITE_BUDGET:
             raise ResourceBudgetError("noise ball too large for exact enumeration")
-        alpha = model.alpha
+        # noise site u takes the largest |f(w, v)|^alpha over the v with u = t v, t in E_n
+        plan = _MMAPlan(model, n)
         total = 0.0
-        for w in model.atoms:
-            tab = model.table(w)
-            mass = model.mass(w)
-            acc = 0.0
-            for u in enumerate_ball(model.d, n + m):
-                best = 0.0
-                for v, val in tab.items():
-                    # t = u v^-1 must lie in E_n for f(w, t^-1 u) = f(w, v)
-                    if len(multiply(u, v.inverse())) <= n:
-                        best = max(best, abs(val) ** alpha)
-                acc += best
-            total += mass * acc
+        for w, (_, gathers) in zip(model.atoms, plan.parts):
+            best = np.zeros(plan.noise_ball)
+            for val, idx in gathers:
+                np.maximum.at(best, idx, abs(val) ** model.alpha)
+            # a sequential sum, bit-identical to adding the sites one by one
+            total += model.mass(w) * float(np.cumsum(best)[-1])
         return total
     raise UnsupportedModelError(
         "no closed form for this model; use norming_constant_mc"
@@ -419,25 +414,28 @@ def _pareto_values(model: ParetoField, n: int, num_terms: int, rng) -> np.ndarra
 
 
 class _MMAPlan:
-    """Precomputed gather structure for exact mixed-moving-average simulation."""
+    """Gather indices for exact mixed-moving-average simulation.
+
+    ``parts`` holds, per atom w, the noise scale and one (value, idx) pair per
+    kernel entry (v, value): ``idx[k]`` is the index in E_{n+m} of t_k * v,
+    with t_k the k-th site of E_n.  The sites of E_n are the nodes of depth
+    <= n of the E_{n+m} layout, in the same canonical preorder.
+    """
 
     def __init__(self, model: MixedMovingAverage, n: int):
-        d = model.d
-        m = model.support_radius
-        self.noise_ball = ball_size(d, n + m)
-        lay = ball_layout(d, n + m)
-        sites = list(enumerate_ball(d, n))
-        self.parts = []
-        for w in model.atoms:
-            gathers = []
-            for v, val in model.table(w).items():
-                idx = np.fromiter(
-                    (lay.word_to_index(multiply(t, v)) for t in sites),
-                    dtype=np.int64,
-                    count=len(sites),
-                )
-                gathers.append((val, idx))
-            self.parts.append((model.noise_scale(w), gathers))
+        lay = ball_layout(model.d, n + model.support_radius)
+        self.noise_ball = lay.size
+        sites = np.flatnonzero(lay.depth <= n)
+        self.parts = [
+            (
+                model.noise_scale(w),
+                [
+                    (val, lay.right_translate(sites, v).astype(np.intp))
+                    for v, val in model.table(w).items()
+                ],
+            )
+            for w in model.atoms
+        ]
 
 
 def _mma_values(model: MixedMovingAverage, n: int, plan: _MMAPlan, rng) -> np.ndarray:

@@ -176,22 +176,6 @@ def ball_size(d: int, n: int) -> int:
     return 1 + num // (d - 1)
 
 
-@dataclass(frozen=True, slots=True)
-class BallSpec:
-    """A ball of radius n in the rank-d Cayley tree, with exact cardinalities."""
-
-    d: int
-    n: int
-
-    @property
-    def ball_size(self) -> int:
-        return ball_size(self.d, self.n)
-
-    @property
-    def sphere_size(self) -> int:
-        return sphere_size(self.d, self.n)
-
-
 def allowed_next_letters(d: int, last: int | None):
     """Canonical-order letters that keep a word reduced after ``last``."""
     if last is None:
@@ -207,10 +191,9 @@ def _check_budget(count: int, budget: int | None):
         )
 
 
-def enumerate_ball(d: int, n: int, budget: int | None = None):
-    """Yield all words of length <= n in canonical preorder (e first)."""
-    _check_budget(ball_size(d, n), budget)
-    yield identity(d)
+def _preorder(d: int, n: int):
+    """Letter tuples of all words of length <= n in canonical preorder (e first)."""
+    yield ()
     if n == 0:
         return
     cur: list[int] = []
@@ -224,35 +207,25 @@ def enumerate_ball(d: int, n: int, budget: int | None = None):
                 cur.pop()
             continue
         cur.append(g)
-        yield Word(d, tuple(cur))
+        yield tuple(cur)
         if len(cur) < n:
             stack.append(iter(allowed_next_letters(d, g)))
         else:
             cur.pop()
 
 
+def enumerate_ball(d: int, n: int, budget: int | None = None):
+    """Yield all words of length <= n in canonical preorder (e first)."""
+    _check_budget(ball_size(d, n), budget)
+    yield from map(functools.partial(Word, d), _preorder(d, n))
+
+
 def enumerate_sphere(d: int, n: int, budget: int | None = None):
-    """Yield all words of length exactly n in canonical (lexicographic) order."""
+    """Yield all words of length exactly n: the depth-n words of the ball preorder."""
     _check_budget(sphere_size(d, n), budget)
-    if n == 0:
-        yield identity(d)
-        return
-    cur: list[int] = []
-    stack = [iter(letters_in_order(d))]
-    while stack:
-        try:
-            g = next(stack[-1])
-        except StopIteration:
-            stack.pop()
-            if cur:
-                cur.pop()
-            continue
-        cur.append(g)
-        if len(cur) == n:
-            yield Word(d, tuple(cur))
-            cur.pop()
-        else:
-            stack.append(iter(allowed_next_letters(d, g)))
+    for letters in _preorder(d, n):
+        if len(letters) == n:
+            yield Word(d, letters)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +305,10 @@ class BallLayout:
     over the ball a handful of interval updates.  ``subtree[j]`` is the
     subtree size of a depth-j node (within the ball); the root is special
     because it has 2d children instead of 2d - 1.
+
+    The per-node arrays ``depth``, ``a1_exponent`` and the neighbour table
+    ``right_mul`` are built together on first access and are read-only,
+    since layouts are shared through the :func:`ball_layout` cache.
     """
 
     def __init__(self, d: int, n: int, budget: int | None = None):
@@ -346,53 +323,73 @@ class BallLayout:
                 sub[j] = 1 + (2 * d - 1) * sub[j + 1]
         sub[0] = self.size
         self.subtree = sub
-        self._depth = None
-        self._gen_exponent = None
+        self._arrays = None
 
     def _build_arrays(self):
+        """Fill the per-node arrays level by level, vectorised over each level.
+
+        The children of a depth-(j-1) node at index s sit at s + 1 + r * subtree[j]
+        for r = 0, 1, ...; their last letters run through the canonical order,
+        skipping the inverse of the parent's last letter (rank ^ 1).
+        """
         d, n = self.d, self.n
         depth = np.zeros(self.size, dtype=np.int16)
         expo = np.zeros(self.size, dtype=np.int32)
-        if n >= 1:
-            starts = np.array([0], dtype=np.int64)
-            lastrank = np.array([-1], dtype=np.int64)
-            kval = np.array([0], dtype=np.int64)
-            for j in range(1, n + 1):
-                sj = self.subtree[j]
-                if j == 1:
-                    ranks = np.arange(2 * d, dtype=np.int64)
-                    child = 1 + ranks * sj
-                    child = np.broadcast_to(child, (1, 2 * d)).reshape(-1)
-                    lrank = np.broadcast_to(ranks, (1, 2 * d)).reshape(-1)
-                    parentk = np.repeat(kval, 2 * d)
-                else:
-                    r = np.arange(2 * d - 1, dtype=np.int64)
-                    inv = lastrank ^ 1
-                    lrank = r[None, :] + (r[None, :] >= inv[:, None])
-                    child = starts[:, None] + 1 + r[None, :] * sj
-                    child = child.reshape(-1)
-                    lrank = lrank.reshape(-1)
-                    parentk = np.repeat(kval, 2 * d - 1)
-                knew = parentk + (lrank == 0).astype(np.int64) - (lrank == 1).astype(np.int64)
-                depth[child] = j
-                expo[child] = knew
-                starts, lastrank, kval = child, lrank, knew
-        self._depth = depth
-        self._gen_exponent = expo
+        right_mul = np.full((self.size, 2 * d), -1, dtype=np.int32)
+        starts = np.zeros(1, dtype=np.int32)
+        skip = np.full(1, 2 * d, dtype=np.int32)  # the root skips no letter
+        kval = np.zeros(1, dtype=np.int32)
+        for j in range(1, n + 1):
+            r = np.arange(2 * d if j == 1 else 2 * d - 1, dtype=np.int32)
+            lrank = r + (r >= skip[:, None])
+            child = starts[:, None] + 1 + r * self.subtree[j]
+            knew = kval[:, None] + (lrank == 0) - (lrank == 1)
+            depth[child] = j
+            expo[child] = knew
+            right_mul[starts[:, None], lrank] = child
+            right_mul[child, lrank ^ 1] = starts[:, None]
+            starts, skip, kval = child.ravel(), (lrank ^ 1).ravel(), knew.ravel()
+        for a in (depth, expo, right_mul):
+            a.setflags(write=False)
+        return depth, expo, right_mul
+
+    def _built(self):
+        if self._arrays is None:
+            self._arrays = self._build_arrays()
+        return self._arrays
 
     @property
     def depth(self) -> np.ndarray:
         """Word length of each index."""
-        if self._depth is None:
-            self._build_arrays()
-        return self._depth
+        return self._built()[0]
 
     @property
     def a1_exponent(self) -> np.ndarray:
         """Signed a_1 letter count of each index (the shift homomorphism)."""
-        if self._gen_exponent is None:
-            self._build_arrays()
-        return self._gen_exponent
+        return self._built()[1]
+
+    @property
+    def right_mul(self) -> np.ndarray:
+        """``right_mul[i, r]``: index of t_i * g for the letter g of canonical rank r.
+
+        -1 where the product leaves the ball; int32, shape (size, 2d).  The
+        parent of node i is ``right_mul[i, r ^ 1]`` for r the rank of its
+        last letter.
+        """
+        return self._built()[2]
+
+    def right_translate(self, idx, w: Word) -> np.ndarray:
+        """Indices of t * w for the nodes t at ``idx``, one table lookup per letter."""
+        if w.rank != self.d:
+            raise RankMismatchError(f"rank mismatch: {w.rank} != {self.d}")
+        out = np.asarray(idx)
+        for g in w.letters:
+            out = self.right_mul[out, letter_rank(g)]
+            if (out < 0).any():
+                raise ValueError(
+                    f"product with {format_word(w)} leaves the ball of radius {self.n}"
+                )
+        return out
 
     def word_to_index(self, w: Word) -> int:
         if len(w) > self.n:

@@ -106,6 +106,13 @@ def build_model(spec: dict):
             f"bad keys for model {variant}: missing {sorted(missing)}, unknown {sorted(extra)}",
             [f"model.{k}" for k in sorted(missing | extra)],
         )
+    try:
+        return _construct_model(variant, spec)
+    except ValueError as exc:  # out-of-range parameters, bad kernel words or masses
+        raise ConfigError(f"invalid model {variant}: {exc}", ["model"]) from exc
+
+
+def _construct_model(variant: str, spec: dict):
     d = int(spec["d"])
     alpha = float(spec["alpha"])
     if variant == "boundary":
@@ -144,9 +151,11 @@ def validate_config(cfg: ExperimentConfig):
         bad.append("reps")
     if not isinstance(cfg.seed, int):
         bad.append("seed")
+    if cfg.kind in ("pp", "limit-sample") and not float(cfg.params.get("delta", 0.5)) > 0.0:
+        bad.append("params.delta")
     if bad:
         raise ConfigError(f"invalid configuration keys: {sorted(bad)}", bad)
-    build_model(cfg.model)  # raises ConfigError on bad model blocks
+    build_model(cfg.model)  # raises ConfigError on bad model blocks and values
 
 
 def run(cfg: ExperimentConfig) -> ExperimentResult:

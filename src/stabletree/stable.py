@@ -64,12 +64,17 @@ def sample_sas(rng: np.random.Generator, alpha: float, scale: float = 1.0, size=
 
 
 def stable_tail_constant(alpha: float) -> float:
-    """c_alpha in closed form, continuous across alpha = 1."""
+    """c_alpha in closed form, continuous across alpha = 1.
+
+    (1 - alpha) / (Gamma(2 - alpha) cos(pi alpha / 2)), with the cosine
+    written as sin(pi (1 - alpha) / 2): both factors of the ratio then
+    vanish together near alpha = 1 without cancellation.
+    """
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
     if alpha == 1.0:
         return 2.0 / math.pi
-    return (1.0 - alpha) / (math.gamma(2.0 - alpha) * math.cos(math.pi * alpha / 2.0))
+    return (1.0 - alpha) / (math.gamma(2.0 - alpha) * math.sin(math.pi * (1.0 - alpha) / 2.0))
 
 
 def stable_tail_constant_quadrature(alpha: float, dps: int = 40) -> float:

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabletree.errors import ResourceBudgetError, UnsupportedModelError
 from stabletree.fields import (
+    _MMAPlan,
     BoundaryField,
     FieldSimulator,
     MixedMovingAverage,
@@ -21,7 +24,14 @@ from stabletree.fields import (
     partial_maximum,
     simulate_field,
 )
-from stabletree.free_group import ball_size, word
+from stabletree.free_group import (
+    ball_layout,
+    ball_size,
+    enumerate_ball,
+    letters_in_order,
+    multiply,
+    word,
+)
 from stabletree.rng import substream
 from stabletree.stable import SeriesConfig, sample_sas
 from stabletree.stats import two_sample_ks_pvalue
@@ -213,3 +223,95 @@ def test_shift_field_reduction():
 def test_shift_field_degenerate_maxima():
     res = maxima_experiment(ShiftField(2, 1.0), 8, 300, None, seed=521)
     assert float(np.median(res.scaled)) < 0.05
+
+
+def two_atom_kernel(alpha=1.3):
+    """A kernel that is not level-symmetric, with atoms of different supports."""
+    return MixedMovingAverage.from_tables(
+        2,
+        alpha,
+        {"a": 1.0, "b": 0.5},
+        {
+            "a": {word(2, [1]): 2.0, word(2, [-2, 1]): -0.7},
+            "b": {word(2, []): 0.4, word(2, [2, 2]): 1.1},
+        },
+    )
+
+
+def brute_norming(model, n):
+    """sum_w mass_w sum_{u in E_{n+m}} max{|f(w, v)|^alpha : u v^-1 in E_n}, word by word."""
+    total = 0.0
+    for w in model.atoms:
+        acc = 0.0
+        for u in enumerate_ball(model.d, n + model.support_radius):
+            best = 0.0
+            for v, val in model.table(w).items():
+                if len(multiply(u, v.inverse())) <= n:
+                    best = max(best, abs(val) ** model.alpha)
+            acc += best
+        total += model.mass(w) * acc
+    return total
+
+
+def brute_level_profile(model, w):
+    tab = model.table(w)
+    m = max(len(t) for t in tab)
+    levels = {}
+    for j in range(m + 1):
+        vals = {tab.get(t, 0.0) for t in enumerate_ball(model.d, m) if len(t) == j}
+        if len(vals) != 1:
+            return None
+        v = vals.pop()
+        if v != 0.0:
+            levels[j] = v
+    return levels
+
+
+def test_norming_and_level_profile_match_word_loops():
+    kernels = [
+        mma_point_mass(2, 1.0, value=-1.5),
+        mma_from_levels(2, 0.8, {0: 1.0, 1: 0.6, 2: -0.3}),
+        two_atom_kernel(),
+    ]
+    for model in kernels:
+        for n in range(0, 4):
+            assert norming_constant_exact(model, n) == brute_norming(model, n)
+        for w in model.atoms:
+            assert model.level_profile(w) == brute_level_profile(model, w)
+    assert kernels[0].level_profile("w0") == {0: -1.5}
+    assert kernels[1].level_profile("w0") == {0: 1.0, 1: 0.6, 2: -0.3}
+    assert kernels[2].level_profile("a") is None and not kernels[2].is_level_symmetric
+
+
+words_up_to_2 = st.lists(st.sampled_from(letters_in_order(2)), max_size=2).map(
+    lambda letters: word(2, letters)
+)
+tables = st.dictionaries(words_up_to_2, st.floats(-2, 2).filter(bool), min_size=1, max_size=5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(tables, tables, st.integers(0, 3))
+def test_mma_plan_matches_word_products(tab_a, tab_b, n):
+    model = MixedMovingAverage.from_tables(2, 1.0, {"a": 1.0, "b": 2.0}, {"a": tab_a, "b": tab_b})
+    lay = ball_layout(2, n + model.support_radius)
+    sites = list(enumerate_ball(2, n))
+    plan = _MMAPlan(model, n)
+    assert plan.noise_ball == lay.size
+    for w, (_, gathers) in zip(model.atoms, plan.parts):
+        assert [val for val, _ in gathers] == list(model.table(w).values())
+        for (v, _), (_, idx) in zip(model.table(w).items(), gathers):
+            expected = [lay.word_to_index(multiply(t, v)) for t in sites]
+            assert idx.tolist() == expected
+
+
+def test_sample_depths_are_read_only():
+    sim = FieldSimulator(BoundaryField(2, 1.0), 4, SeriesConfig(num_terms=50))
+    fs = sim.sample(substream(7, "ro"))
+    before = boundary_maximum(fs)
+    with pytest.raises(ValueError):
+        fs.depths[0] = 4
+    with pytest.raises(ValueError):
+        fs.depths[:] = 0
+    again = sim.sample(substream(7, "ro"))
+    assert boundary_maximum(again) == before
+    assert np.array_equal(again.depths, [len(t) for t in enumerate_ball(2, 4)])

@@ -1,10 +1,14 @@
 """Word algebra against independent oracles: naive reduction and BFS."""
 
+import functools
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabletree.errors import PrefixTooShortError, RankMismatchError, ResourceBudgetError
 from stabletree.free_group import (
-    BallSpec,
     Word,
     ball_layout,
     ball_size,
@@ -16,6 +20,7 @@ from stabletree.free_group import (
     format_word,
     identity,
     inverse,
+    letter_rank,
     letters_in_order,
     min_busemann_over_ball,
     multiply,
@@ -166,8 +171,7 @@ def test_ball_sphere_sizes():
     assert sphere_size(2, 0) == 1
     assert ball_size(3, 2) == 37
     assert sphere_size(3, 2) == 30
-    spec = BallSpec(2, 3)
-    assert spec.ball_size == 53 and spec.sphere_size == 36
+    assert ball_size(2, 3) == 53 and sphere_size(2, 3) == 36
 
 
 def test_counts_match_enumeration():
@@ -252,3 +256,77 @@ def test_parse_format_roundtrip():
     assert parse_word(2, "a1.a1^-1") == identity(2)
     with pytest.raises(ValueError):
         parse_word(2, "a3")
+
+
+@functools.lru_cache(maxsize=None)
+def ball_words(d, n):
+    return tuple(enumerate_ball(d, n))
+
+
+ranks_and_radii = st.tuples(st.sampled_from((2, 3)), st.integers(0, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ranks_and_radii, st.data())
+def test_right_mul_matches_multiply(dn, data):
+    d, n = dn
+    lay = ball_layout(d, n)
+    t = data.draw(st.sampled_from(ball_words(d, n)))
+    g = data.draw(st.sampled_from(letters_in_order(d)))
+    prod = multiply(t, Word(d, (g,)))
+    expected = lay.word_to_index(prod) if len(prod) <= n else -1
+    assert lay.right_mul[lay.word_to_index(t), letter_rank(g)] == expected
+
+
+@settings(deadline=None)
+@given(ranks_and_radii)
+def test_parent_inverts_right_mul(dn):
+    d, n = dn
+    lay = ball_layout(d, n)
+    ws = ball_words(d, n)
+    parent = np.full(lay.size, -1)
+    for i, w in enumerate(ws[1:], start=1):
+        r = letter_rank(w.letters[-1])
+        # stepping back along the last letter gives the parent
+        parent[i] = lay.right_mul[i, r ^ 1]
+        assert parent[i] == lay.word_to_index(Word(d, w.letters[:-1]))
+        assert lay.right_mul[parent[i], r] == i
+    # every in-ball neighbour is the parent or a child
+    rows, cols = np.nonzero(lay.right_mul >= 0)
+    nbr = lay.right_mul[rows, cols]
+    assert np.all((parent[nbr] == rows) | (parent[rows] == nbr))
+    assert (lay.right_mul >= 0).sum() == 2 * (lay.size - 1)
+
+
+@settings(deadline=None)
+@given(ranks_and_radii)
+def test_word_to_index_is_preorder_bijection(dn):
+    d, n = dn
+    lay = ball_layout(d, n)
+    ws = ball_words(d, n)
+    assert len(ws) == lay.size
+    assert [lay.word_to_index(w) for w in ws] == list(range(lay.size))
+    assert [len(w) for w in ws] == lay.depth.tolist()
+
+
+def test_right_translate():
+    lay = ball_layout(2, 4)
+    ws = ball_words(2, 4)
+    v = word(2, [2, -1])
+    sites = np.flatnonzero(lay.depth <= 2)
+    got = lay.right_translate(sites, v)
+    assert got.tolist() == [lay.word_to_index(multiply(ws[i], v)) for i in sites]
+    assert lay.right_translate(sites, identity(2)).tolist() == sites.tolist()
+    with pytest.raises(ValueError):
+        lay.right_translate(np.flatnonzero(lay.depth == 3), v)
+    with pytest.raises(RankMismatchError):
+        lay.right_translate(sites, word(3, [3]))
+
+
+def test_layout_arrays_read_only():
+    lay = ball_layout(2, 3)
+    for arr in (lay.depth, lay.a1_exponent, lay.right_mul):
+        assert arr.dtype in (np.int16, np.int32)
+        with pytest.raises(ValueError):
+            arr[0] = 7
+    assert lay.right_mul.dtype == np.int32

@@ -250,3 +250,32 @@ def test_cli_resource_error_exit_code(capsys):
     )
     assert code == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate-maxima", "--model", "boundary", "--d", "2", "--alpha", "3", "--n", "3", "--reps", "5", "--seed", "1"],
+        ["simulate-maxima", "--model", "boundary", "--d", "1", "--alpha", "1", "--n", "3", "--reps", "5", "--seed", "1"],
+        ["simulate-maxima", "--model", "pareto", "--theta", "0.5", "--d", "2", "--alpha", "1", "--n", "3", "--reps", "5", "--seed", "1"],
+        ["limit", "sample", "--model", "mma", "--d", "2", "--alpha", "1", "--seed", "1", "--delta", "-1"],
+        ["simulate-pp", "--model", "mma", "--d", "2", "--alpha", "1", "--n", "2", "--reps", "2", "--seed", "1", "--delta", "0"],
+    ],
+)
+def test_cli_invalid_model_values_exit_2(argv, capsys):
+    assert cli_main(argv) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_config_validation_rejects_model_and_delta_values():
+    def keys(model, params):
+        cfg = ExperimentConfig(kind="pp", model=model, n=2, reps=1, params=params)
+        with pytest.raises(ConfigError) as ei:
+            validate_config(cfg)
+        return ei.value.offending_keys
+
+    ok = {"variant": "mma", "d": 2, "alpha": 1.0}
+    assert keys(ok, {"delta": 0}) == ["params.delta"]
+    assert keys({**ok, "d": 1}, {}) == ["model"]
+    assert keys({**ok, "alpha": 2.0}, {}) == ["model"]
+    assert keys({"variant": "pareto", "d": 2, "alpha": 1.0, "theta": 0.5}, {}) == ["model"]

@@ -68,6 +68,14 @@ def test_tail_constant_continuity_at_one():
     assert abs(left - 2 / math.pi) < 1e-6 and abs(right - 2 / math.pi) < 1e-6
 
 
+def test_tail_constant_no_cancellation_near_one():
+    # the closed form's numerator and denominator both vanish at alpha = 1
+    for eps in (1e-13, 1e-15):
+        for alpha in (1.0 - eps, 1.0 + eps):
+            rel = abs(stable_tail_constant(alpha) - 2 / math.pi) / (2 / math.pi)
+            assert rel < 1e-12
+
+
 def test_frechet_cdf():
     assert frechet_cdf(1.0, 0.7) == pytest.approx(math.exp(-1))
     assert frechet_cdf(-1.0, 0.7) == 0.0
