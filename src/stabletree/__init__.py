@@ -90,7 +90,6 @@ from .subgraphs import (
     sample_anchor,
     sample_ray_path,
     subgraph_sphere_count,
-    thin_table,
 )
 
 __version__ = "0.1.0"

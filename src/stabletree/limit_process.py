@@ -28,16 +28,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .free_group import Word, enumerate_ball
+from .free_group import ball_layout, ball_size, enumerate_ball, sphere_size
 from .fields import FieldSimulator, MixedMovingAverage, SeriesConfig
 from .rng import substream
 from .subgraphs import (
-    RayPath,
+    ball_traces,
+    determining_steps,
     enumerate_ray_paths,
     membership,
+    ray_path_count,
     required_steps,
     sample_anchor,
     sample_ray_path,
+    sampled_traces,
 )
 
 EXACT_PATH_BUDGET = 50_000
@@ -55,22 +58,6 @@ class PointMeasure:
 
     def __len__(self):
         return len(self.atoms)
-
-
-@dataclass(frozen=True)
-class EnrichedAtom:
-    """One Poisson atom with its cluster randomisation.
-
-    ``level`` is |u| for off-identity sites and the sampled negative
-    anchor for the identity site; the ray path is drawn lazily, only for
-    the single level the atom actually uses.
-    """
-
-    amplitude: float
-    w: str
-    u: Word
-    level: int
-    path: RayPath
 
 
 class PiecewiseConstant:
@@ -176,53 +163,31 @@ def negative_tail_weight(m: int, d: int) -> float:
     return d / (d - 1.0) * (2.0 * d - 1.0) ** (-m)
 
 
-def _determining_steps(level: int, m: int) -> int:
-    # the subgraph's trace on E_m is decided by this many path steps
-    return (m + 1) if level >= 0 else (abs(level) + m + 1)
-
-
-def _extend_path(path: RayPath, num_steps: int) -> RayPath:
-    """Extend a path along its first admissible continuations.
-
-    The trace on the ball used for enumeration is unchanged by how the
-    path continues, so any deterministic extension is valid.
-    """
-    from .subgraphs import _next_vertices
-
-    vs = list(path.vertices)
-    while len(vs) - 1 < num_steps:
-        vs.append(_next_vertices(vs, path.level, path.rank)[0])
-    return RayPath(level=path.level, rank=path.rank, vertices=tuple(vs))
-
-
-def _restriction(path: RayPath, sites) -> frozenset:
-    return frozenset(t for t in sites if membership(t, path))
-
-
 def exact_restriction_classes(d: int, level: int, m: int, budget: int = EXACT_PATH_BUDGET):
     """Exact law of the subgraph's trace on E_m at the given anchor level.
 
-    Returns [(Fraction probability, frozenset of Words)].  Enumerates the
-    finitely many determining path prefixes, then extends each far enough
-    for the membership scans to terminate.
+    Returns [(Fraction probability, boolean mask over E_m in layout order)],
+    sorted by class size and then by the sorted member words.  Every
+    determining path prefix is equally likely, so a class's probability is
+    its share of the enumerated paths.
     """
-    sites = list(enumerate_ball(d, m))
-    need = required_steps(m, level)
-    classes: dict[frozenset, Fraction] = {}
-    for prob, path in enumerate_ray_paths(level, d, _determining_steps(level, m), budget):
-        r = _restriction(_extend_path(path, need), sites)
-        classes[r] = classes.get(r, Fraction(0)) + prob
+    paths = enumerate_ray_paths(level, d, determining_steps(level, m), budget)
+    packed = ball_traces(paths, level, d, m)
+    # one opaque item per row: a flat unique sorts bytes, not 8-bit fields
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    uniq, counts = np.unique(rows, return_counts=True)
+    masks = np.unpackbits(
+        uniq.view(np.uint8).reshape(len(uniq), -1), axis=1, count=ball_size(d, m)
+    ).astype(bool)
+    names = [str(t) for t in enumerate_ball(d, m)]
     return sorted(
-        ((p, r) for r, p in classes.items()),
-        key=lambda pr: (len(pr[1]), str(sorted(map(str, pr[1])))),
+        ((Fraction(int(c), len(paths)), mask) for c, mask in zip(counts, masks)),
+        key=lambda pr: (int(pr[1].sum()), str(sorted(names[i] for i in np.flatnonzero(pr[1])))),
     )
 
 
 def _exact_enumeration_feasible(d: int, level: int, m: int, budget: int) -> bool:
-    steps = _determining_steps(level, m)
-    anchors = 1 if level == 0 else 2 * d * (2 * d - 1) ** (abs(level) - 1)
-    free = steps if level >= 0 else max(0, steps - abs(level))
-    return anchors * (2 * d - 1) ** free <= budget
+    return ray_path_count(level, d, determining_steps(level, m)) <= budget
 
 
 @dataclass
@@ -240,17 +205,17 @@ def level_sum(
     seed: int,
     exact_budget: int = EXACT_PATH_BUDGET,
 ) -> LevelSumResult:
-    """sum over anchor levels of weight * E_xi[ func(restriction of xi to E_m) ].
+    """sum over anchor levels of weight * E_xi[ func(trace of xi on E_m) ].
 
+    ``func`` takes the trace as a boolean mask over E_m in layout order.
     Levels above the support radius m vanish because the subgraph misses
-    the support; levels <= -m share the full-ball restriction and are
-    aggregated in closed form.  Intermediate levels use exact enumeration
-    when the path space is small, otherwise common-random-number Monte
-    Carlo across levels with a batch-means CI.
+    the support; levels <= -m share the full-ball trace and are aggregated
+    in closed form.  Intermediate levels use exact enumeration when the
+    path space is small, otherwise common-random-number Monte Carlo across
+    levels with a batch-means CI.
     """
     d, m = model.d, model.support_radius
-    sites_full = frozenset(enumerate_ball(d, m))
-    total = negative_tail_weight(m, d) * func(sites_full)
+    total = negative_tail_weight(m, d) * func(np.ones(ball_size(d, m), dtype=bool))
     mc_levels = []
     for level in range(-m + 1, m + 1):
         if _exact_enumeration_feasible(d, level, m, exact_budget):
@@ -262,21 +227,36 @@ def level_sum(
             mc_levels.append(level)
     if not mc_levels:
         return LevelSumResult(value=total, ci_low=total, ci_high=total, exact=True)
-    sites = list(enumerate_ball(d, m))
-    per_sample = np.empty(mc_subgraphs)
-    for r in range(mc_subgraphs):
-        acc = 0.0
-        for level in mc_levels:
-            rng = substream(seed, "xi", r)  # same key across levels: paired draws
-            path = sample_ray_path(level, d, required_steps(m, level), rng)
-            acc += level_weight(level, d) * func(_restriction(path, sites))
-        per_sample[r] = acc
+    per_sample = np.zeros(mc_subgraphs)
+    for level in mc_levels:
+        # the same key at every level: paired draws
+        paths = [
+            sample_ray_path(level, d, required_steps(m, level), substream(seed, "xi", r))
+            for r in range(mc_subgraphs)
+        ]
+        weight = level_weight(level, d)
+        per_sample += [weight * func(mask) for mask in sampled_traces(paths, m)]
     from .stats import batch_mean_ci
 
     mean, lo, hi = batch_mean_ci(per_sample)
     return LevelSumResult(
         value=total + mean, ci_low=total + lo, ci_high=total + hi, exact=False
     )
+
+
+def _kernel_columns(model: MixedMovingAverage) -> list:
+    """Per atom w: (mass, E_m positions of k = t^-1, values f(w, t)), in table order.
+
+    ``values[mask[positions]]`` is the dense f'(w, .) over E_m restricted to
+    a trace and read in table order, the order every functional sums in.
+    """
+    lay = ball_layout(model.d, model.support_radius)
+    cols = []
+    for w in model.atoms:
+        tab = model.table(w)
+        pos = np.array([lay.word_to_index(t.inverse()) for t in tab], dtype=np.intp)
+        cols.append((model.mass(w), pos, np.array(list(tab.values()), dtype=float)))
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -287,22 +267,18 @@ def sample_limit_point_process(
     model: MixedMovingAverage,
     delta: float,
     rng: np.random.Generator,
-    u_radius_cap: int | None = None,
 ) -> PointMeasure:
     """One draw of the limit cluster process restricted to {|x| > delta}.
 
     Sites u with |u| beyond the support radius m spawn empty clusters
     (their subgraphs miss the kernel support), so the site sum is cut at m
-    exactly; ``u_radius_cap`` may widen the loop but cannot change the law.
+    exactly.  Each atom draws its amplitude, its anchor level (|u|, or the
+    geometric negative level at u = e) and one ray path for that level.
     """
     if delta <= 0:
         raise ValueError("truncation level must be > 0")
     d, alpha, m = model.d, model.alpha, model.support_radius
     amp_root = (d / (d - 1.0)) ** (1.0 / alpha)
-    # sites beyond the support radius never contribute, whatever the cap
-    cap = m
-    if u_radius_cap is not None and u_radius_cap < m:
-        raise ValueError("u_radius_cap below the support radius would truncate the law")
     atoms = []
     for w in model.atoms:
         sup = max((abs(v) for v in model.table(w).values()), default=0.0)
@@ -310,7 +286,7 @@ def sample_limit_point_process(
             continue
         mass = model.mass(w)
         support_prime = [t.inverse() for t in model.table(w)]
-        for u in enumerate_ball(d, cap):
+        for u in enumerate_ball(d, m):
             amp = amp_root if u.is_identity else 1.0
             delta0 = delta / (amp * sup)
             count = int(rng.poisson(mass * 2.0 * delta0 ** (-alpha)))
@@ -320,9 +296,8 @@ def sample_limit_point_process(
                 )
                 level = sample_anchor(d, rng) if u.is_identity else len(u)
                 path = sample_ray_path(level, d, required_steps(m, level), rng)
-                atom = EnrichedAtom(amplitude=j, w=w, u=u, level=level, path=path)
                 for k in support_prime:
-                    if membership(k, atom.path):
+                    if membership(k, path):
                         val = amp * j * model.f_prime(w, k)
                         if abs(val) > delta:
                             atoms.append(val)
@@ -337,14 +312,16 @@ def expected_atom_count(
 ) -> LevelSumResult:
     """Analytic E[number of atoms above delta] of the limit process."""
     alpha = model.alpha
+    cols = [
+        (pos, np.array([mass * 2.0 * (abs(v) / delta) ** alpha for v in vals.tolist()]))
+        for mass, pos, vals in _kernel_columns(model)
+    ]
 
-    def func(restriction) -> float:
+    def func(mask) -> float:
         acc = 0.0
-        for w in model.atoms:
-            mass = model.mass(w)
-            for t, v in model.table(w).items():
-                if t.inverse() in restriction:
-                    acc += mass * 2.0 * (abs(v) / delta) ** alpha
+        for pos, terms in cols:
+            for x in terms[mask[pos]].tolist():
+                acc += x
         return acc
 
     return level_sum(model, func, mc_subgraphs, seed)
@@ -377,22 +354,27 @@ def laplace_functional(
     expectation is exact or Monte Carlo as in :func:`level_sum`.  For a
     level-symmetric kernel the integrand does not depend on the subgraph
     and the functional is also evaluated in that reduced form, returned
-    alongside for comparison.
+    alongside for comparison.  The reduced form reads its per-level counts
+    off the exact trace classes, so it is left out (None) when some level
+    has more than ``EXACT_PATH_BUDGET`` determining paths.
     """
     alpha = model.alpha
+    cols = _kernel_columns(model)
 
-    def func(restriction) -> float:
+    def func(mask) -> float:
         acc = 0.0
-        for w in model.atoms:
-            coeffs = [
-                v for t, v in model.table(w).items() if t.inverse() in restriction
-            ]
-            acc += model.mass(w) * nu_alpha_integral(alpha, coeffs, g)
+        for mass, pos, vals in cols:
+            acc += mass * nu_alpha_integral(alpha, vals[mask[pos]].tolist(), g)
         return acc
 
     res = level_sum(model, func, mc_subgraphs, seed, exact_budget)
+    d, m = model.d, model.support_radius
+    countable = all(
+        ray_path_count(level, d, determining_steps(level, m)) <= EXACT_PATH_BUDGET
+        for level in range(-m + 1, m + 1)
+    )
     sym = None
-    if model.is_level_symmetric:
+    if model.is_level_symmetric and countable:
         sym = _laplace_level_symmetric(model, g)
     lo, hi = math.exp(-res.ci_high), math.exp(-res.ci_low)
     return LaplaceResult(
@@ -405,31 +387,21 @@ def laplace_functional(
     )
 
 
-def _sphere_counts_by_level(model: MixedMovingAverage, level: int) -> dict:
-    """|xi intersect C_j| for j <= support radius; path-independent by symmetry.
+def _sphere_counts_by_level(d: int, m: int, level: int) -> dict:
+    """{j: |xi intersect C_j|} for j <= m, exact from every trace class of the level.
 
-    Verified over a few sampled paths; positive anchors also cross-check
-    against the closed-form count.
+    The counts do not depend on the subgraph (tree symmetry); each class is
+    checked, and a disagreement raises ``ValueError``.
     """
-    d, m = model.d, model.support_radius
-    from .subgraphs import subgraph_sphere_count
-
-    counts = None
-    for probe in range(3):
-        rng = substream(99991, "levelcount", level, probe)
-        path = sample_ray_path(level, d, required_steps(m, level), rng)
-        got = {}
-        for t in enumerate_ball(d, m):
-            if membership(t, path):
-                got[len(t)] = got.get(len(t), 0) + 1
-        if counts is None:
-            counts = got
-        elif counts != got:
-            raise AssertionError("sphere counts varied across sampled subgraphs")
-    if level >= 1:
-        for j, c in counts.items():
-            assert c == subgraph_sphere_count(level, j - level, d)
-    return counts
+    depth = ball_layout(d, m).depth
+    found = {
+        tuple(np.bincount(depth[mask], minlength=m + 1).tolist())
+        for _, mask in exact_restriction_classes(d, level, m)
+    }
+    if len(found) != 1:
+        raise ValueError(f"sphere counts differ across the subgraph classes of level {level}")
+    (counts,) = found
+    return {j: c for j, c in enumerate(counts) if c}
 
 
 def _laplace_level_symmetric(model: MixedMovingAverage, g: PiecewiseConstant) -> float:
@@ -454,12 +426,10 @@ def _laplace_level_symmetric(model: MixedMovingAverage, g: PiecewiseConstant) ->
             acc += model.mass(w) * nu_alpha_integral(alpha, coeffs, g)
         return acc
 
-    full_counts = {}
-    for t in enumerate_ball(d, m):
-        full_counts[len(t)] = full_counts.get(len(t), 0) + 1
+    full_counts = {j: sphere_size(d, j) for j in range(m + 1)}
     exponent += negative_tail_weight(m, d) * term(full_counts)
     for level in range(-m + 1, m + 1):
-        exponent += level_weight(level, d) * term(_sphere_counts_by_level(model, level))
+        exponent += level_weight(level, d) * term(_sphere_counts_by_level(d, m, level))
     return math.exp(-exponent)
 
 
@@ -497,26 +467,22 @@ def maxima_constant(
     model: MixedMovingAverage,
     mc_subgraphs: int = 4000,
     seed: int = 0,
-    ell_tail_tol: float = 1e-10,
     exact_budget: int = EXACT_PATH_BUDGET,
 ) -> MaximaConstantResult:
     """The constant K with M_n / (2d-1)^(n/alpha) converging to K Z_alpha.
 
     K^alpha sums, over anchor levels, the weighted expectation of twice
     the alpha-th power of the cluster's largest kernel value on the random
-    subgraph.  The negative level tail is aggregated in closed form, so
-    ``ell_tail_tol`` is retained for interface stability only.
+    subgraph.  The negative level tail is aggregated in closed form.
     """
     alpha = model.alpha
+    cols = _kernel_columns(model)
 
-    def func(restriction) -> float:
+    def func(mask) -> float:
         acc = 0.0
-        for w in model.atoms:
-            sup = 0.0
-            for t, v in model.table(w).items():
-                if t.inverse() in restriction:
-                    sup = max(sup, abs(v))
-            acc += model.mass(w) * 2.0 * sup**alpha
+        for mass, pos, vals in cols:
+            sup = float(np.abs(vals[mask[pos]]).max(initial=0.0))
+            acc += mass * 2.0 * sup**alpha
         return acc
 
     res = level_sum(model, func, mc_subgraphs, seed, exact_budget)
@@ -546,8 +512,6 @@ def maxima_constant_level_symmetric(model: MixedMovingAverage) -> MaximaConstant
     if not model.is_level_symmetric:
         raise ValueError("kernel is not level-symmetric")
     d, alpha = model.d, model.alpha
-    from .free_group import sphere_size
-
     total = 0.0
     for w in model.atoms:
         prof = model.level_profile(w)

@@ -19,10 +19,15 @@ Membership of a vertex t is decided from a finite path: k -> d(t, v_k) - k
 decreases (in steps of 2) until the ray passes the projection of t and is
 constant afterwards, so the minimum is visible within |t| + 2|ell| + 2
 steps.
+
+Exact enumeration works on integer arrays: a path is a row of indices into
+a ``ball_layout``, and a subgraph's trace on the ball E_m is a boolean mask
+over E_m in layout order.  ``Word`` paths remain for sampling.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,6 +37,8 @@ from .errors import PathTooShortError, ResourceBudgetError
 from .free_group import (
     Word,
     allowed_next_letters,
+    ball_layout,
+    ball_size,
     distance,
     enumerate_sphere,
     identity,
@@ -119,42 +126,75 @@ def sample_ray_path(
     return RayPath(level=ell, rank=d, vertices=tuple(path))
 
 
-def enumerate_ray_paths(level: int, d: int, num_steps: int, budget: int = 200_000):
-    """All ray paths of the given length with their exact probabilities.
+def ray_path_count(level: int, d: int, num_steps: int) -> int:
+    """Number of ray paths of ``num_steps`` steps at the given anchor level.
 
-    Yields (Fraction probability, RayPath); probabilities multiply the
-    uniform choice at the anchor and at every free step, hence match
-    :func:`sample_ray_path` exactly.
+    The anchor is any vertex of C_|level|; every free step has 2d - 1
+    continuations, except the first step out of the root at level 0, which
+    has 2d.
     """
-    ell = level
-    anchors: list[tuple[Fraction, Word]]
-    if ell == 0:
-        anchors = [(Fraction(1), identity(d))]
+    if level == 0:
+        return 2 * d * (2 * d - 1) ** (num_steps - 1) if num_steps else 1
+    free = num_steps if level > 0 else max(0, num_steps + level)
+    return 2 * d * (2 * d - 1) ** (abs(level) - 1 + free)
+
+
+def ray_path_radius(level: int, num_steps: int) -> int:
+    """Largest word length met by a ray path of ``num_steps`` steps."""
+    return max(_expected_level(level, 0), _expected_level(level, num_steps))
+
+
+def enumerate_ray_paths(level: int, d: int, num_steps: int, budget: int = 200_000):
+    """All ray paths of the given length, as one int32 array of layout indices.
+
+    Row p holds (v_0, ..., v_num_steps) of path p as indices into
+    ``ball_layout(d, ray_path_radius(level, num_steps))``.  Rows come in
+    canonical order: anchors in sphere order, then every continuation in
+    canonical letter order, never stepping back to the previous vertex.
+    :func:`sample_ray_path` makes a uniform choice at the anchor and at
+    every free step, and every path has the same number of choices, so all
+    rows are equally likely.  The budget is checked before any allocation.
+    """
+    count = ray_path_count(level, d, num_steps)
+    if count > budget:
+        raise ResourceBudgetError(
+            f"{count} ray paths at level {level} exceed the budget of {budget}"
+        )
+    lay = ball_layout(d, ray_path_radius(level, num_steps))
+    depth, right_mul = lay.depth, lay.right_mul
+    if level == 0:
+        paths = np.zeros((1, 1), dtype=np.int32)
     else:
-        m = abs(ell)
-        cnt = 2 * d * (2 * d - 1) ** (m - 1)
-        if cnt > budget:
-            raise ResourceBudgetError(f"{cnt} anchor vertices exceed budget")
-        anchors = [(Fraction(1, cnt), v) for v in enumerate_sphere(d, m)]
-    stack = [(p, [v]) for p, v in anchors]
-    out_count = 0
-    while stack:
-        prob, path = stack.pop()
-        if len(path) == num_steps + 1:
-            out_count += 1
-            if out_count > budget:
-                raise ResourceBudgetError("ray-path enumeration exceeds budget")
-            yield prob, RayPath(level=ell, rank=d, vertices=tuple(path))
-            continue
-        opts = _next_vertices(path, ell, d)
-        p = prob / len(opts)
-        for v in opts:
-            stack.append((p, path + [v]))
+        paths = np.flatnonzero(depth == abs(level)).astype(np.int32)[:, None]
+    for k in range(1, num_steps + 1):
+        cur = paths[:, -1]
+        nbrs = right_mul[cur]
+        rise = np.where(nbrs >= 0, depth[nbrs] - depth[cur][:, None], 0)
+        if level < 0 and k <= -level:
+            pick = rise == -1  # the unique step towards the root
+        else:
+            pick = rise == 1
+            if k >= 2:
+                pick &= nbrs != paths[:, -2, None]
+        rows, cols = np.nonzero(pick)
+        paths = np.concatenate([paths[rows], nbrs[rows, cols][:, None]], axis=1)
+    return paths
 
 
 def required_steps(t_len: int, level: int) -> int:
     """Path length guaranteeing that membership of a length-t_len word is decided."""
     return t_len + 2 * abs(level) + 2
+
+
+def determining_steps(level: int, m: int) -> int:
+    """Path length whose prefix decides the subgraph's trace on E_m.
+
+    Once the path has passed depth m for good (step m - level for level >= 0,
+    step |level| + m otherwise) its ancestor at depth m is fixed, and
+    k -> d(t, v_k) - k is constant for every t in E_m; longer paths, up to
+    :func:`required_steps`, leave the minimum unchanged.
+    """
+    return (m + 1) if level >= 0 else (abs(level) + m + 1)
 
 
 def membership(t: Word, xi: RayPath) -> bool:
@@ -210,24 +250,79 @@ def count_sphere_members(xi: RayPath, sphere_level: int, budget: int = 500_000) 
     return sum(1 for t in enumerate_sphere(xi.rank, sphere_level) if membership(t, xi))
 
 
-def restriction_to_ball(xi: RayPath, m: int) -> frozenset:
-    """The subgraph's trace on the ball E_m, as a frozenset of Words."""
-    from .free_group import enumerate_ball
-
-    return frozenset(t for t in enumerate_ball(xi.rank, m) if membership(t, xi))
+TRACE_CHUNK = 4096  # paths per block of (paths x sites) membership temporaries
 
 
-def thin_table(f_table: dict, xi: RayPath) -> dict:
-    """Restrict a finitely supported site table to the subgraph.
+@functools.lru_cache(maxsize=8)
+def _lcp_offsets(d: int, m: int) -> np.ndarray:
+    """(S, S) int16 table |t| - 2 lcp(a, t) over the sites of E_m in layout order.
 
-    ``f_table`` maps (w, t) pairs with Word t to reals; entries with
-    t outside the subgraph are dropped, the rest are unchanged.
+    In preorder the deepest ancestor-or-self of depth <= j of a node is the
+    last node of depth <= j at or before it, so the ancestor columns come
+    from one ``searchsorted`` per depth.
     """
-    out = {}
-    for (w, t), val in f_table.items():
-        if membership(t, xi):
-            out[(w, t)] = val
+    site_depth = ball_layout(d, m).depth
+    positions = np.arange(len(site_depth))
+    lcp = np.zeros((len(site_depth), len(site_depth)), dtype=np.int16)
+    for j in range(1, m + 1):
+        at_j = np.flatnonzero(site_depth <= j)
+        anc = at_j[np.searchsorted(at_j, positions, side="right") - 1]
+        deep = site_depth >= j
+        lcp += (anc[:, None] == anc[None, :]) & deep[:, None] & deep[None, :]
+    out = site_depth[None, :] - 2 * lcp
+    out.setflags(write=False)
     return out
+
+
+def ball_traces(paths: np.ndarray, level: int, d: int, m: int) -> np.ndarray:
+    """Traces on E_m of the subgraphs of ``paths``, as packed bit rows.
+
+    ``paths`` holds layout indices as returned by :func:`enumerate_ray_paths`,
+    with at least :func:`determining_steps` steps.  t is a member iff
+    min_k d(t, v_k) - k <= 0, with d(t, v) = |t| + |v| - 2 lcp(t, v); for t in
+    E_m the lcp only sees v's ancestor at depth <= m.  Row p of the result is
+    ``np.packbits`` of the membership mask over E_m in layout order.  Paths
+    are processed in blocks of ``TRACE_CHUNK``, one int16 (block x sites)
+    running minimum per block.
+    """
+    num_steps = paths.shape[1] - 1
+    if num_steps < determining_steps(level, m):
+        raise PathTooShortError(
+            f"{num_steps} steps cannot decide the trace on E_{m} at level {level}; "
+            f"need {determining_steps(level, m)}"
+        )
+    lay = ball_layout(d, ray_path_radius(level, num_steps))
+    sites = np.flatnonzero(lay.depth <= m)
+    offsets = _lcp_offsets(d, m)
+    out = np.empty((len(paths), (len(sites) + 7) // 8), dtype=np.uint8)
+    for lo in range(0, len(paths), TRACE_CHUNK):
+        block = paths[lo : lo + TRACE_CHUNK]
+        anc = np.searchsorted(sites, block, side="right") - 1
+        best = np.full((len(block), len(sites)), np.iinfo(np.int16).max, dtype=np.int16)
+        for k in range(num_steps + 1):
+            shift = lay.depth[block[:, k]] - np.int16(k)
+            np.minimum(best, offsets[anc[:, k]] + shift[:, None], out=best)
+        out[lo : lo + TRACE_CHUNK] = np.packbits(best <= 0, axis=1)
+    return out
+
+
+def sampled_traces(paths, m: int) -> np.ndarray:
+    """Traces on E_m of sampled ``RayPath``s of one level, as boolean mask rows.
+
+    Each path's determining prefix goes through :func:`ball_traces`, so a
+    sampled path and an enumerated one give the same mask.
+    """
+    level, d = paths[0].level, paths[0].rank
+    steps = determining_steps(level, m)
+    if any(xi.level != level or xi.rank != d for xi in paths):
+        raise ValueError("paths must share their level and rank")
+    if any(xi.num_steps < steps for xi in paths):
+        raise PathTooShortError(f"paths need {steps} steps to decide the trace on E_{m}")
+    lay = ball_layout(d, ray_path_radius(level, steps))
+    rows = np.array(
+        [[lay.word_to_index(v) for v in xi.vertices[: steps + 1]] for xi in paths], dtype=np.int32
+    )
+    return np.unpackbits(ball_traces(rows, level, d, m), axis=1, count=ball_size(d, m)).astype(bool)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,27 @@
 """Cluster Poisson limit: sampling, Laplace functionals, maxima constant."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from stabletree import limit_process
+from stabletree.errors import ResourceBudgetError
 from stabletree.fields import MixedMovingAverage, mma_from_levels, mma_point_mass
-from stabletree.free_group import identity, word
+from stabletree.free_group import (
+    Word,
+    allowed_next_letters,
+    enumerate_ball,
+    enumerate_sphere,
+    identity,
+    letters_in_order,
+    word,
+)
 from stabletree.limit_process import (
     PiecewiseConstant,
     empirical_laplace,
+    exact_restriction_classes,
     expected_atom_count,
     laplace_functional,
     level_weight,
@@ -21,6 +33,13 @@ from stabletree.limit_process import (
     sample_limit_point_process,
 )
 from stabletree.rng import substream
+from stabletree.subgraphs import (
+    RayPath,
+    determining_steps,
+    membership,
+    required_steps,
+    subgraph_sphere_count,
+)
 
 
 def test_piecewise_constant_validation():
@@ -116,6 +135,14 @@ def test_laplace_level_symmetric_agreement():
     assert lap.level_symmetric_value == pytest.approx(lap.value, rel=1e-10)
 
 
+def test_laplace_level_symmetric_needs_countable_levels():
+    # d = 3, m = 3: level 3 has 93,750 determining paths, above the exact budget
+    m = mma_from_levels(3, 1.0, {0: 1.0, 1: 0.5, 2: 0.25, 3: 0.1})
+    lap = laplace_functional(m, PiecewiseConstant.threshold(1.0, 1.5), mc_subgraphs=20, seed=1)
+    assert not lap.exact
+    assert lap.level_symmetric_value is None
+
+
 def test_laplace_monte_carlo_path_matches_exact():
     m = mma_from_levels(2, 1.0, {0: 1.0, 1: 0.6})
     g = PiecewiseConstant.threshold(1.0, 1.5)
@@ -186,3 +213,86 @@ def test_limit_process_laplace_consistency():
 def test_sample_limit_delta_validation():
     with pytest.raises(ValueError):
         sample_limit_point_process(mma_point_mass(2, 1.0), 0.0, substream(1, "x"))
+
+
+def _word_path_law(d, level, m):
+    """Trace law on E_m by brute force over Word paths.
+
+    Depth-first over every determining prefix, multiplying the uniform
+    choice probabilities; each prefix is extended along its first
+    continuation to the length that ``membership`` requires.
+    """
+
+    def continuations(path):
+        cur, k = path[-1], len(path) - 1
+        if level < 0 and k < -level:
+            return [Word(d, cur.letters[:-1])]
+        if cur.is_identity:
+            back = path[-2] if len(path) >= 2 else None
+            return [Word(d, (g,)) for g in letters_in_order(d) if Word(d, (g,)) != back]
+        return [Word(d, cur.letters + (g,)) for g in allowed_next_letters(d, cur.letters[-1])]
+
+    sites = list(enumerate_ball(d, m))
+    anchors = [identity(d)] if level == 0 else list(enumerate_sphere(d, abs(level)))
+    stack = [(Fraction(1, len(anchors)), [v]) for v in anchors]
+    law = {}
+    while stack:
+        prob, path = stack.pop()
+        if len(path) <= determining_steps(level, m):
+            opts = continuations(path)
+            stack.extend((prob / len(opts), path + [v]) for v in opts)
+            continue
+        while len(path) <= required_steps(m, level):
+            path.append(continuations(path)[0])
+        xi = RayPath(level=level, rank=d, vertices=tuple(path))
+        trace = frozenset(t for t in sites if membership(t, xi))
+        law[trace] = law.get(trace, Fraction(0)) + prob
+    return law
+
+
+@pytest.mark.parametrize("d, m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_restriction_classes_match_word_oracle(d, m):
+    sites = list(enumerate_ball(d, m))
+    for level in range(-m + 1, m + 1):
+        classes = exact_restriction_classes(d, level, m)
+        assert sum(p for p, _ in classes) == 1
+        got = {frozenset(sites[i] for i in np.flatnonzero(mask)): p for p, mask in classes}
+        assert len(got) == len(classes)
+        assert got == _word_path_law(d, level, m)
+
+
+def test_restriction_classes_budget():
+    with pytest.raises(ResourceBudgetError):
+        exact_restriction_classes(2, 6, 6, budget=1000)
+
+
+def test_sphere_counts_by_level_exact():
+    for level in range(-2, 4):
+        counts = limit_process._sphere_counts_by_level(2, 3, level)
+        for j in range(4):
+            if level >= 1:
+                expected = subgraph_sphere_count(level, j - level, 2) if j >= level else 0
+            elif j <= -level:
+                expected = 4 * 3 ** (j - 1) if j else 1  # level -j covers E_j
+            else:
+                continue
+            assert counts.get(j, 0) == expected
+
+
+def test_sphere_counts_disagreement_raises(monkeypatch):
+    one, two = np.zeros(5, dtype=bool), np.zeros(5, dtype=bool)
+    one[0] = two[1] = True  # the identity against a depth-1 site
+    monkeypatch.setattr(
+        limit_process,
+        "exact_restriction_classes",
+        lambda d, level, m: [(Fraction(1, 2), one), (Fraction(1, 2), two)],
+    )
+    with pytest.raises(ValueError):
+        limit_process._sphere_counts_by_level(2, 1, 0)
+
+
+def test_limit_kx_kernel_pinned():
+    # the m = 3 kernel of the limit-kx benchmark workload
+    comp = maxima_constant_comparison(mma_from_levels(2, 1.0, {0: 1.0, 1: 0.6, 2: 0.3, 3: 0.2}))
+    assert comp["general_exact"] is True
+    assert comp["general_alpha_power"] == 30.400000000000006

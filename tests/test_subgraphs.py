@@ -1,12 +1,15 @@
 """Ray subgraphs: sampling law, membership, counts, and the anchor distribution."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stabletree.errors import PathTooShortError
-from stabletree.free_group import enumerate_sphere, identity, word
+from stabletree.errors import PathTooShortError, ResourceBudgetError
+from stabletree.free_group import ball_layout, enumerate_ball, enumerate_sphere, identity, word
 from stabletree.rng import substream
 from stabletree.stats import chi2_pvalue
 from stabletree.subgraphs import (
@@ -16,12 +19,13 @@ from stabletree.subgraphs import (
     count_sphere_members,
     enumerate_ray_paths,
     membership,
+    ray_path_count,
+    ray_path_radius,
     required_steps,
-    restriction_to_ball,
     sample_anchor,
     sample_ray_path,
+    sampled_traces,
     subgraph_sphere_count,
-    thin_table,
 )
 
 
@@ -112,29 +116,42 @@ def test_sphere_count_validation():
 
 
 def test_negative_levels_cover_small_balls():
-    # a level -j subgraph contains the whole ball E_j
-    from stabletree.free_group import enumerate_ball
-
+    # a level -j subgraph contains the whole ball E_j, and level j misses E_(j-1)
     rng = substream(406, "cover")
-    for j in (1, 2):
+    for j in (1, 2, 3):
         p = sample_ray_path(-j, 2, required_steps(j, -j), rng)
-        assert restriction_to_ball(p, j) == frozenset(enumerate_ball(2, j))
+        assert sampled_traces([p], j)[0].all()
+        q = sample_ray_path(j, 2, required_steps(j, j), rng)
+        assert not sampled_traces([q], j - 1)[0].any()
 
 
 def test_thin_table():
+    # thinning a kernel table keeps the entries whose site lies on the trace
     rng = substream(407, "thin")
-    e = identity(2)
-    table = {("w", e): 2.0}
     p_neg = sample_ray_path(-1, 2, required_steps(0, -1), rng)
-    assert thin_table(table, p_neg) == table
+    assert sampled_traces([p_neg], 0)[0].tolist() == [True]
     p_pos = sample_ray_path(1, 2, required_steps(0, 1), rng)
-    assert thin_table(table, p_pos) == {}
-    # supersets of the support leave the table unchanged
-    table2 = {("w", e): 1.0, ("w", word(2, [1])): 0.5}
+    assert sampled_traces([p_pos], 0)[0].tolist() == [False]
     p0 = sample_ray_path(0, 2, required_steps(1, 0), substream(408, "t"))
-    thinned = thin_table(table2, p0)
-    assert thinned[("w", e)] == 1.0
-    assert set(thinned) <= set(table2)
+    mask = sampled_traces([p0], 1)[0]
+    assert mask[0]  # the identity, first in layout order
+    assert mask.tolist() == [membership(t, p0) for t in enumerate_ball(2, 1)]
+    with pytest.raises(PathTooShortError):
+        sampled_traces([RayPath(level=0, rank=2, vertices=p0.vertices[:2])], 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    m=st.integers(0, 3),
+    level=st.integers(-3, 4),
+    extra=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_determining_prefix_decides_membership(d, m, level, extra, seed):
+    # the mask from the determining prefix equals membership on the longer path
+    xi = sample_ray_path(level, d, required_steps(m, level) + extra, np.random.default_rng(seed))
+    assert sampled_traces([xi], m)[0].tolist() == [membership(t, xi) for t in enumerate_ball(d, m)]
 
 
 def test_anchor_pmf_values_and_total():
@@ -181,8 +198,29 @@ def test_restriction_consistency():
 
 
 def test_enumerate_ray_paths_probabilities():
+    # rows are distinct paths in canonical order, as many as the product of the
+    # uniform choices, so each has probability 1/len; they are exactly the
+    # paths the Word sampler draws
+    rng = substream(412, "enum")
     for level in (-1, 0, 1):
-        pairs = list(enumerate_ray_paths(level, 2, 3))
-        total = sum(p for p, _ in pairs)
-        assert total == Fraction(1)
-        assert len({path.vertices for _, path in pairs}) == len(pairs)
+        rows = [tuple(r) for r in enumerate_ray_paths(level, 2, 3).tolist()]
+        assert len(set(rows)) == len(rows) == ray_path_count(level, 2, 3)
+        assert rows == sorted(rows)
+        lay = ball_layout(2, ray_path_radius(level, 3))
+        drawn = {
+            tuple(lay.word_to_index(v) for v in sample_ray_path(level, 2, 3, rng).vertices)
+            for _ in range(2000)
+        }
+        assert drawn == set(rows)
+
+
+def test_enumerate_ray_paths_budget_before_allocation():
+    # 26,244 paths over the E_9 layout (39,365 nodes): refused before the layout is built
+    ball_layout.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError):
+            enumerate_ray_paths(4, 2, 5, budget=1000)
+        assert tracemalloc.get_traced_memory()[1] < 100_000
+    finally:
+        tracemalloc.stop()
