@@ -72,13 +72,9 @@ from .limit_process import (
 )
 from .rng import substream
 from .stable import (
-    NuAlphaTruncation,
     SeriesConfig,
-    StableParams,
     frechet_cdf,
-    lepage_integral,
     sample_sas,
-    sample_truncated_prm,
     scaled_frechet_cdf,
     stable_tail_constant,
     stable_tail_constant_quadrature,

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigError, ResourceBudgetError
+from .errors import ConfigError, ResourceBudgetError, UnsupportedModelError
 from .harness import ExperimentConfig, load_f_table_file, run, selftest
 
 
@@ -118,7 +118,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except ConfigError as exc:
+    except (ConfigError, UnsupportedModelError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except ResourceBudgetError as exc:

@@ -20,9 +20,13 @@ Four models are provided.
   per unit site, matching the series convention in which the marginal
   tail per site is 2 mass |f|^alpha x^-alpha.
 
-Norming constants: norming_constant_exact returns the alpha-th power of
-the integral of the ball-maximum of |f_t|, exactly where a closed form or
-finite enumeration exists.
+Each model carries its own behaviour: the scale of the ball maximum, the
+series rms that sets the truncation, the exact norming constant, the limit
+CDF, the support radius of its kernel and its per-replication draw.
+:class:`FieldModel` holds the defaults.  Norming constants:
+norming_constant_exact returns the alpha-th power of the integral of the
+ball-maximum of |f_t|, exactly where a closed form or finite enumeration
+exists.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -48,45 +53,116 @@ from .stable import (
     SeriesConfig,
     choose_num_terms,
     lepage_remainder_bound,
+    lepage_weights,
     sample_sas,
+    scaled_frechet_cdf,
     stable_tail_constant,
 )
 
 DEFAULT_SITE_BUDGET = 1_000_000
 
 
+class FieldModel:
+    """Defaults for the field models, each of which overrides what differs.
+
+    The defaults describe a field simulated by the series, with no kernel
+    beyond the site itself, the ball-maximum scale (2d-1)^(n/alpha), and
+    neither a closed-form norming constant nor a known limit law.
+    """
+
+    exact = False  # simulated without series truncation
+    support_radius = 0  # the noise sites of E_n lie in E_(n + support_radius)
+
+    def __post_init__(self):
+        if self.d < 2:
+            raise ValueError("rank must be >= 2")
+        if not 0.0 < self.alpha < 2.0:
+            raise ValueError("alpha must lie in (0, 2)")
+
+    def scale(self, n: int) -> float:
+        """The normalisation applied to the ball maximum M_n."""
+        return (2 * self.d - 1) ** (n / self.alpha)
+
+    def f_rms(self, n: int) -> float | None:
+        """Largest rms over E_n of the series integrand.
+
+        None for models simulated exactly and for integrands without a finite
+        second moment; the remainder rule then has nothing to bound.
+        """
+        return None
+
+    def norming_constant(self, n: int):
+        """The alpha-th power of the ball-maximum norming constant, exactly."""
+        raise UnsupportedModelError("no closed form for this model; use norming_constant_mc")
+
+    def limit_cdf(self):
+        """The known limit CDF of M_n / scale(n), or None."""
+        return None
+
+    def draw(self, n: int, num_terms: int | None):
+        """A function of the generator returning one replication over E_n.
+
+        Built once per simulator, so it may hold a plan for the draws.
+        """
+        raise NotImplementedError
+
+
 @dataclass(frozen=True)
-class BoundaryField:
+class BoundaryField(FieldModel):
     d: int
     alpha: float
 
-    def __post_init__(self):
-        _check_model(self.d, self.alpha)
+    def f_rms(self, n: int) -> float:
+        return math.sqrt(_boundary_second_moment(self.d, self.alpha, n))
+
+    def norming_constant(self, n: int):
+        return (2 * self.d - 1) ** n
+
+    def limit_cdf(self):
+        return partial(scaled_frechet_cdf, alpha=self.alpha, c=stable_tail_constant(self.alpha))
+
+    def draw(self, n: int, num_terms: int):
+        return partial(_boundary_values, self, n, num_terms)
 
 
 @dataclass(frozen=True)
-class ShiftField:
+class ShiftField(FieldModel):
     d: int
     alpha: float
+    exact = True
 
-    def __post_init__(self):
-        _check_model(self.d, self.alpha)
+    def norming_constant(self, n: int):
+        # Lebesgue measure of the interval swept by the shifted unit cell
+        return 2 * n + 1
+
+    def draw(self, n: int, num_terms: int | None):
+        return partial(_shift_values, self, n)
 
 
 @dataclass(frozen=True)
-class ParetoField:
+class ParetoField(FieldModel):
     d: int
     alpha: float
     theta: float
 
     def __post_init__(self):
-        _check_model(self.d, self.alpha)
+        super().__post_init__()
         if self.theta <= self.alpha:
             raise ValueError("Pareto exponent must exceed alpha")
 
+    def scale(self, n: int) -> float:
+        return ball_size(self.d, n) ** (1.0 / self.theta)
+
+    def f_rms(self, n: int) -> float | None:
+        # E[P^2] = theta / (theta - 2), infinite for theta <= 2
+        return math.sqrt(self.theta / (self.theta - 2.0)) if self.theta > 2.0 else None
+
+    def draw(self, n: int, num_terms: int):
+        return partial(_pareto_values, self, n, num_terms)
+
 
 @dataclass(frozen=True)
-class MixedMovingAverage:
+class MixedMovingAverage(FieldModel):
     """Tabulated mixed moving average with finite site support.
 
     ``w_masses`` maps atom names of the mixing space to positive masses;
@@ -99,9 +175,10 @@ class MixedMovingAverage:
     alpha: float
     w_masses: tuple  # ((name, mass), ...) sorted
     f_table: tuple   # ((name, ((word, value), ...)), ...) sorted
+    exact = True
 
     def __post_init__(self):
-        _check_model(self.d, self.alpha)
+        super().__post_init__()
         for _, mass in self.w_masses:
             if mass <= 0:
                 raise ValueError("atom masses must be > 0")
@@ -177,15 +254,23 @@ class MixedMovingAverage:
         """Series-convention SaS scale of one site's noise: (2 mass / c_alpha)^(1/alpha)."""
         return (2.0 * self.mass(w) / stable_tail_constant(self.alpha)) ** (1.0 / self.alpha)
 
+    def norming_constant(self, n: int) -> float:
+        """The finite sum over noise sites of the max kernel value over the ball."""
+        if ball_size(self.d, n + self.support_radius) > DEFAULT_SITE_BUDGET:
+            raise ResourceBudgetError("noise ball too large for exact enumeration")
+        # noise site u takes the largest |f(w, v)|^alpha over the v with u = t v, t in E_n
+        plan = _MMAPlan(self, n)
+        total = 0.0
+        for w, (_, gathers) in zip(self.atoms, plan.parts):
+            best = np.zeros(plan.noise_ball)
+            for val, idx in gathers:
+                np.maximum.at(best, idx, abs(val) ** self.alpha)
+            # a sequential sum, bit-identical to adding the sites one by one
+            total += self.mass(w) * float(np.cumsum(best)[-1])
+        return total
 
-FieldModel = BoundaryField | ShiftField | ParetoField | MixedMovingAverage
-
-
-def _check_model(d: int, alpha: float):
-    if d < 2:
-        raise ValueError("rank must be >= 2")
-    if not 0.0 < alpha < 2.0:
-        raise ValueError("alpha must lie in (0, 2)")
+    def draw(self, n: int, num_terms: int | None):
+        return _MMAPlan(self, n)
 
 
 def mma_point_mass(d: int, alpha: float, value: float = 1.0, mass: float = 1.0) -> MixedMovingAverage:
@@ -221,32 +306,12 @@ class EstimateCI:
 def norming_constant_exact(model: FieldModel, n: int):
     """The alpha-th power of the ball-maximum norming constant, exactly.
 
-    BoundaryField: (2d-1)^n.  ShiftField: 2n+1 (Lebesgue measure of the
-    interval swept by the shifted unit cell).  MixedMovingAverage: the
+    BoundaryField: (2d-1)^n.  ShiftField: 2n+1.  MixedMovingAverage: the
     finite sum over noise sites of the max kernel value over the ball,
     enumerated exactly.  ParetoField has no closed form; use
     :func:`norming_constant_mc`.
     """
-    if isinstance(model, BoundaryField):
-        return (2 * model.d - 1) ** n
-    if isinstance(model, ShiftField):
-        return 2 * n + 1
-    if isinstance(model, MixedMovingAverage):
-        if ball_size(model.d, n + model.support_radius) > DEFAULT_SITE_BUDGET:
-            raise ResourceBudgetError("noise ball too large for exact enumeration")
-        # noise site u takes the largest |f(w, v)|^alpha over the v with u = t v, t in E_n
-        plan = _MMAPlan(model, n)
-        total = 0.0
-        for w, (_, gathers) in zip(model.atoms, plan.parts):
-            best = np.zeros(plan.noise_ball)
-            for val, idx in gathers:
-                np.maximum.at(best, idx, abs(val) ** model.alpha)
-            # a sequential sum, bit-identical to adding the sites one by one
-            total += model.mass(w) * float(np.cumsum(best)[-1])
-        return total
-    raise UnsupportedModelError(
-        "no closed form for this model; use norming_constant_mc"
-    )
+    return model.norming_constant(n)
 
 
 def norming_constant_mc(model: FieldModel, n: int, reps: int, rng: np.random.Generator) -> EstimateCI:
@@ -289,12 +354,6 @@ class FieldSample:
     depths: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    def word_values(self):
-        """Iterate (Word, value) pairs in canonical order."""
-        d = self.model.d
-        for w, v in zip(enumerate_ball(d, self.n), self.values):
-            yield w, float(v)
-
 
 def partial_maximum(sample: FieldSample) -> float:
     """max_{t in E_n} |X_t|."""
@@ -327,26 +386,20 @@ def resolve_num_terms(model: FieldModel, n: int, cfg: SeriesConfig | None) -> in
 
     Returns None for models simulated exactly (shift, mixed moving
     average).  The rule picks the smallest N whose analytic remainder
-    bound is below tail_tolerance times the natural scale (2d-1)^(n/alpha).
+    bound is below tail_tolerance times the model's scale of M_n.
     """
     cfg = cfg or SeriesConfig()
-    if isinstance(model, (ShiftField, MixedMovingAverage)):
+    if model.exact:
         return None
     if cfg.num_terms is not None:
         return int(cfg.num_terms)
-    scale = (2 * model.d - 1) ** (n / model.alpha)
-    if isinstance(model, BoundaryField):
-        f_rms = math.sqrt(_boundary_second_moment(model.d, model.alpha, n))
-        return choose_num_terms(model.alpha, f_rms, scale, tol=cfg.tail_tolerance)
-    if isinstance(model, ParetoField):
-        if model.theta <= 2.0:
-            raise UnsupportedModelError(
-                "automatic truncation needs theta > 2; set num_terms explicitly"
-            )
-        f_rms = math.sqrt(model.theta / (model.theta - 2.0))
-        scale = ball_size(model.d, n) ** (1.0 / model.theta)
-        return choose_num_terms(model.alpha, f_rms, scale, tol=cfg.tail_tolerance)
-    raise UnsupportedModelError(f"unknown model {model!r}")
+    f_rms = model.f_rms(n)
+    if f_rms is None:
+        raise UnsupportedModelError(
+            "automatic truncation needs a finite second moment (theta > 2); "
+            "set num_terms explicitly"
+        )
+    return choose_num_terms(model.alpha, f_rms, model.scale(n), tol=cfg.tail_tolerance)
 
 
 def _boundary_values(model: BoundaryField, n: int, num_terms: int, rng) -> np.ndarray:
@@ -359,30 +412,28 @@ def _boundary_values(model: BoundaryField, n: int, num_terms: int, rng) -> np.nd
     """
     d, alpha = model.d, model.alpha
     lay = ball_layout(d, n)
-    N = num_terms
-    gam = np.cumsum(rng.standard_exponential(N))
-    eps = rng.integers(0, 2, size=N) * 2 - 1
-    wts = eps * gam ** (-1.0 / alpha)
-
+    q = (2 * d - 1) ** (2.0 / alpha)
     acc = np.zeros(lay.size + 1)
-    acc[0] += wts.sum()
-    acc[lay.size] -= wts.sum()
-    if n >= 1:
-        q = (2 * d - 1) ** (2.0 / alpha)
-        b = np.empty(N, dtype=np.int64)
-        prev = rng.integers(0, 2 * d, size=N)
-        b[:] = 1 + prev * lay.subtree[1]
-        qj = 1.0
-        for j in range(n):
-            if j > 0:
-                rr = rng.integers(0, 2 * d - 1, size=N)
-                lr = rr + (rr >= (prev ^ 1))
-                b += 1 + rr * lay.subtree[j + 1]
-                prev = lr
-            val = wts * (q ** (j + 1) - qj)
-            qj = q ** (j + 1)
-            np.add.at(acc, b, val)
-            np.add.at(acc, b + lay.subtree[j + 1], -val)
+    # one block: all weights come before the rays in the stream
+    for wts in lepage_weights(rng, alpha, num_terms):
+        N = len(wts)
+        acc[0] += wts.sum()
+        acc[lay.size] -= wts.sum()
+        if n >= 1:
+            b = np.empty(N, dtype=np.int64)
+            prev = rng.integers(0, 2 * d, size=N)
+            b[:] = 1 + prev * lay.subtree[1]
+            qj = 1.0
+            for j in range(n):
+                if j > 0:
+                    rr = rng.integers(0, 2 * d - 1, size=N)
+                    lr = rr + (rr >= (prev ^ 1))
+                    b += 1 + rr * lay.subtree[j + 1]
+                    prev = lr
+                val = wts * (q ** (j + 1) - qj)
+                qj = q ** (j + 1)
+                np.add.at(acc, b, val)
+                np.add.at(acc, b + lay.subtree[j + 1], -val)
     dsum = np.cumsum(acc[:-1])
     scale = (2.0 * d - 1.0) ** (-lay.depth / alpha)
     return stable_tail_constant(alpha) ** (1.0 / alpha) * dsum * scale
@@ -395,22 +446,13 @@ def _shift_values(model: ShiftField, n: int, rng) -> np.ndarray:
 
 
 def _pareto_values(model: ParetoField, n: int, num_terms: int, rng) -> np.ndarray:
-    d, alpha, theta = model.d, model.alpha, model.theta
-    lay = ball_layout(d, n)
+    lay = ball_layout(model.d, n)
     acc = np.zeros(lay.size)
-    chunk = max(1, 5_000_000 // max(lay.size, 1))
-    offset = 0.0
-    done = 0
-    while done < num_terms:
-        b = min(chunk, num_terms - done)
-        gam = offset + np.cumsum(rng.standard_exponential(b))
-        offset = float(gam[-1])
-        eps = rng.integers(0, 2, size=b) * 2 - 1
-        wts = eps * gam ** (-1.0 / alpha)
-        pareto = rng.random((b, lay.size)) ** (-1.0 / theta)
-        acc += wts @ pareto
-        done += b
-    return stable_tail_constant(alpha) ** (1.0 / alpha) * acc
+    # blocks keep the (block x sites) matrix of Pareto draws near 5M entries
+    block = max(1, 5_000_000 // lay.size)
+    for wts in lepage_weights(rng, model.alpha, num_terms, block):
+        acc += wts @ rng.random((len(wts), lay.size)) ** (-1.0 / model.theta)
+    return stable_tail_constant(model.alpha) ** (1.0 / model.alpha) * acc
 
 
 class _MMAPlan:
@@ -424,8 +466,10 @@ class _MMAPlan:
 
     def __init__(self, model: MixedMovingAverage, n: int):
         lay = ball_layout(model.d, n + model.support_radius)
+        self.alpha = model.alpha
         self.noise_ball = lay.size
         sites = np.flatnonzero(lay.depth <= n)
+        self.num_sites = len(sites)
         self.parts = [
             (
                 model.noise_scale(w),
@@ -437,14 +481,14 @@ class _MMAPlan:
             for w in model.atoms
         ]
 
-
-def _mma_values(model: MixedMovingAverage, n: int, plan: _MMAPlan, rng) -> np.ndarray:
-    out = np.zeros(ball_size(model.d, n))
-    for scale, gathers in plan.parts:
-        z = sample_sas(rng, model.alpha, scale, size=plan.noise_ball)
-        for val, idx in gathers:
-            out += val * z[idx]
-    return out
+    def __call__(self, rng: np.random.Generator) -> np.ndarray:
+        """One exact replication over E_n: fresh noise per atom, gathered per kernel entry."""
+        out = np.zeros(self.num_sites)
+        for scale, gathers in self.parts:
+            z = sample_sas(rng, self.alpha, scale, size=self.noise_ball)
+            for val, idx in gathers:
+                out += val * z[idx]
+        return out
 
 
 class FieldSimulator:
@@ -462,37 +506,26 @@ class FieldSimulator:
         site_budget: int = DEFAULT_SITE_BUDGET,
     ):
         cfg = cfg or SeriesConfig()
-        extra = model.support_radius if isinstance(model, MixedMovingAverage) else 0
-        if ball_size(model.d, n + extra) > site_budget:
+        radius = n + model.support_radius
+        if ball_size(model.d, radius) > site_budget:
             raise ResourceBudgetError(
-                f"|E_{n + extra}| = {ball_size(model.d, n + extra)} exceeds "
-                f"site budget {site_budget}"
+                f"|E_{radius}| = {ball_size(model.d, radius)} exceeds site budget {site_budget}"
             )
         self.model = model
         self.n = n
-        self.cfg = cfg
         self.num_terms = resolve_num_terms(model, n, cfg)
-        self._plan = _MMAPlan(model, n) if isinstance(model, MixedMovingAverage) else None
+        self._draw = model.draw(n, self.num_terms)
         self.meta = {"num_terms": self.num_terms}
-        if isinstance(model, BoundaryField) and cfg.diagnostics:
-            f_rms = math.sqrt(_boundary_second_moment(model.d, model.alpha, n))
+        f_rms = model.f_rms(n)
+        if f_rms is not None:
             self.meta["remainder_bound"] = stable_tail_constant(model.alpha) ** (
                 1.0 / model.alpha
             ) * lepage_remainder_bound(self.num_terms, model.alpha, f_rms)
-        if isinstance(model, (ShiftField, MixedMovingAverage)):
+        if model.exact:
             self.meta["exact"] = True
 
     def values(self, rng: np.random.Generator) -> np.ndarray:
-        model, n = self.model, self.n
-        if isinstance(model, BoundaryField):
-            return _boundary_values(model, n, self.num_terms, rng)
-        if isinstance(model, ShiftField):
-            return _shift_values(model, n, rng)
-        if isinstance(model, ParetoField):
-            return _pareto_values(model, n, self.num_terms, rng)
-        if isinstance(model, MixedMovingAverage):
-            return _mma_values(model, n, self._plan, rng)
-        raise UnsupportedModelError(f"unknown model {model!r}")
+        return self._draw(rng)
 
     def sample(self, rng: np.random.Generator) -> FieldSample:
         lay = ball_layout(self.model.d, self.n)
@@ -527,19 +560,7 @@ def simulate_field(
 
 def scaling_constant(model: FieldModel, n: int) -> float:
     """The normalisation applied to M_n: (2d-1)^(n/alpha), or |E_n|^(1/theta)."""
-    if isinstance(model, ParetoField):
-        return ball_size(model.d, n) ** (1.0 / model.theta)
-    return (2 * model.d - 1) ** (n / model.alpha)
-
-
-def analytic_limit_cdf(model: FieldModel, n: int):
-    """The known limit CDF of M_n / scale, when the model has one."""
-    from .stable import scaled_frechet_cdf
-
-    if isinstance(model, BoundaryField):
-        c = stable_tail_constant(model.alpha)
-        return lambda x: scaled_frechet_cdf(x, model.alpha, c)
-    return None
+    return model.scale(n)
 
 
 @dataclass
@@ -560,8 +581,8 @@ class MaximaResult:
 
 
 def _maxima_chunk(payload):
-    model, n, cfg, seed, reps_slice = payload
-    sim = FieldSimulator(model, n, cfg)
+    model, n, cfg, seed, reps_slice, site_budget = payload
+    sim = FieldSimulator(model, n, cfg, site_budget)
     depth = ball_layout(model.d, n).depth
     sphere = depth == n
     out = []
@@ -588,35 +609,29 @@ def maxima_experiment(
     cfg: SeriesConfig | None,
     seed: int,
     s_grid=None,
-    limit_cdf=None,
     workers: int | None = None,
     site_budget: int = DEFAULT_SITE_BUDGET,
 ) -> MaximaResult:
     """Replicated partial maxima M_n with scaling, ECDF table and KS diagnostic.
 
     Replications are independent units on disjoint RNG streams keyed by
-    (seed, rep); the result is identical for any worker count.
+    (seed, rep); the result is identical for any worker count.  The KS
+    distance is taken against the model's limit CDF when it has one.
     """
     if reps < 2:
         raise ValueError("need at least 2 replications")
-    extra = model.support_radius if isinstance(model, MixedMovingAverage) else 0
-    if ball_size(model.d, n + extra) > site_budget:
-        raise ResourceBudgetError("site budget exceeded; raise site_budget to override")
     t0 = time.monotonic()
     cfg = cfg or SeriesConfig()
     # resolve the series length once so every worker sees the same plan
     cfg = SeriesConfig(
-        num_terms=resolve_num_terms(model, n, cfg),
-        tail_tolerance=cfg.tail_tolerance,
-        diagnostics=cfg.diagnostics,
+        num_terms=resolve_num_terms(model, n, cfg), tail_tolerance=cfg.tail_tolerance
     )
-    num_terms = cfg.num_terms
     workers = default_workers() if workers is None else max(1, workers)
     rep_ids = list(range(reps))
+    chunks = [(model, n, cfg, seed, rep_ids[i::workers], site_budget) for i in range(workers)]
     if workers == 1:
-        raw = _maxima_chunk((model, n, cfg, seed, rep_ids))
+        raw = _maxima_chunk(chunks[0])
     else:
-        chunks = [(model, n, cfg, seed, rep_ids[i::workers]) for i in range(workers)]
         raw = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_maxima_chunk, chunks):
@@ -626,8 +641,7 @@ def maxima_experiment(
     records = [(rep, bm, sm, bm / scale) for rep, bm, sm in raw]
     scaled = np.array([r[3] for r in records])
     qs = {q: float(np.quantile(scaled, q)) for q in (0.1, 0.25, 0.5, 0.75, 0.9)}
-    if limit_cdf is None:
-        limit_cdf = analytic_limit_cdf(model, n)
+    limit_cdf = model.limit_cdf()
     ecdf = None
     if s_grid is not None:
         from .stats import empirical_cdf_table
@@ -642,7 +656,7 @@ def maxima_experiment(
         n=n,
         reps=reps,
         scale=scale,
-        num_terms=num_terms,
+        num_terms=cfg.num_terms,
         records=records,
         quantiles=qs,
         ecdf=ecdf,

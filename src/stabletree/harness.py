@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, UnsupportedModelError
+from .errors import ConfigError
 from .free_group import parse_word
 from .fields import (
     BoundaryField,
@@ -153,6 +153,10 @@ def validate_config(cfg: ExperimentConfig):
         bad.append("seed")
     if cfg.kind in ("pp", "limit-sample") and not float(cfg.params.get("delta", 0.5)) > 0.0:
         bad.append("params.delta")
+    if cfg.params.get("num_terms") is not None and not int(cfg.params["num_terms"]) >= 1:
+        bad.append("params.num_terms")
+    if cfg.kind.startswith("limit-") and cfg.model.get("variant") != "mma":
+        bad.append("model")  # the limit process is derived for mixed moving averages only
     if bad:
         raise ConfigError(f"invalid configuration keys: {sorted(bad)}", bad)
     build_model(cfg.model)  # raises ConfigError on bad model blocks and values
@@ -253,8 +257,6 @@ def _run_pp(cfg: ExperimentConfig, model) -> ExperimentResult:
 def _run_limit_kx(cfg: ExperimentConfig, model) -> ExperimentResult:
     from .limit_process import maxima_constant_comparison
 
-    if not isinstance(model, MixedMovingAverage):
-        raise UnsupportedModelError("limit experiments need a mixed moving average")
     comp = maxima_constant_comparison(
         model, mc_subgraphs=int(cfg.params.get("mc_subgraphs", 4000)), seed=cfg.seed
     )
@@ -271,8 +273,6 @@ def _run_limit_kx(cfg: ExperimentConfig, model) -> ExperimentResult:
 def _run_limit_laplace(cfg: ExperimentConfig, model) -> ExperimentResult:
     from .limit_process import PiecewiseConstant, empirical_laplace, laplace_functional
 
-    if not isinstance(model, MixedMovingAverage):
-        raise UnsupportedModelError("limit experiments need a mixed moving average")
     theta = float(cfg.params.get("theta", 1.0))
     s = float(cfg.params.get("threshold", 1.0))
     g = PiecewiseConstant.threshold(theta, s)
@@ -306,8 +306,6 @@ def _run_limit_laplace(cfg: ExperimentConfig, model) -> ExperimentResult:
 def _run_limit_sample(cfg: ExperimentConfig, model) -> ExperimentResult:
     from .limit_process import sample_limit_point_process
 
-    if not isinstance(model, MixedMovingAverage):
-        raise UnsupportedModelError("limit experiments need a mixed moving average")
     delta = float(cfg.params.get("delta", 0.5))
     reps = max(1, cfg.reps)
     records = []

@@ -231,7 +231,7 @@ def level_sum(
     for level in mc_levels:
         # the same key at every level: paired draws
         paths = [
-            sample_ray_path(level, d, required_steps(m, level), substream(seed, "xi", r))
+            sample_ray_path(level, d, determining_steps(level, m), substream(seed, "xi", r))
             for r in range(mc_subgraphs)
         ]
         weight = level_weight(level, d)

@@ -12,9 +12,10 @@ governs the two-sided tail: x^alpha P(|X| > x) -> c_alpha sigma^alpha.
 
 A stable integral int f dM with probability control measure has the
 series representation  c_alpha^(1/alpha) sum_i eps_i Gamma_i^(-1/alpha)
-f(s_i)  with iid signs eps_i and Poisson arrival times Gamma_i; we expose
-it with an analytic bound on the discarded remainder so callers can pick
-the truncation level against a target scale.
+f(s_i)  with iid signs eps_i and Poisson arrival times Gamma_i.  The
+weights eps_i Gamma_i^(-1/alpha) come from one generator,
+:func:`lepage_weights`, and an analytic bound on the discarded remainder
+lets callers pick the truncation level against a target scale.
 """
 
 from __future__ import annotations
@@ -28,20 +29,6 @@ from scipy.special import gammaln
 from .errors import ResourceBudgetError
 
 
-@dataclass(frozen=True)
-class StableParams:
-    """Index of stability and scale; alpha strictly inside (0, 2)."""
-
-    alpha: float
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
-        if self.scale < 0:
-            raise ValueError("scale must be >= 0")
-
-
 def sample_sas(rng: np.random.Generator, alpha: float, scale: float = 1.0, size=None):
     """SaS(scale) variates via the Chambers-Mallows-Stuck transform.
 
@@ -53,7 +40,10 @@ def sample_sas(rng: np.random.Generator, alpha: float, scale: float = 1.0, size=
     which is SaS(1); alpha = 1 reduces to tan(U) and is handled by its own
     branch so the removable singularity never reaches 0/0.
     """
-    StableParams(alpha, scale)
+    if not 0.0 < alpha < 2.0:
+        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
+    if scale < 0:
+        raise ValueError("scale must be >= 0")
     u = rng.uniform(-math.pi / 2, math.pi / 2, size=size)
     if alpha == 1.0:
         return scale * np.tan(u)
@@ -128,7 +118,10 @@ class SeriesConfig:
 
     num_terms: int | None = None
     tail_tolerance: float = 1e-3
-    diagnostics: bool = True
+
+    def __post_init__(self):
+        if self.num_terms is not None and self.num_terms < 1:
+            raise ValueError("num_terms must be >= 1")
 
 
 def gamma_power_tail_sum(n_terms: int, a: float, exact_terms: int = 4000) -> float:
@@ -155,9 +148,13 @@ def lepage_remainder_bound(n_terms: int, alpha: float, f_rms: float, safety: flo
     An L2 computation: the remainder sum_{i>N} eps_i Gamma_i^(-1/alpha) f(s_i)
     has conditional variance at most f_rms^2 sum_{i>N} E Gamma_i^(-2/alpha);
     the bound is ``safety`` standard deviations of that, so paired-run
-    differences stay below it with large probability.
+    differences stay below it with large probability.  With N <= 2/alpha
+    the first discarded terms may have infinite variance, and the bound is
+    infinite.
     """
     a = 2.0 / alpha
+    if n_terms <= a:
+        return math.inf
     return safety * f_rms * math.sqrt(gamma_power_tail_sum(n_terms, a))
 
 
@@ -183,9 +180,6 @@ def choose_num_terms(
     lo, hi = n // 2, n
     while hi - lo > max(1, lo // 50):
         mid = (lo + hi) // 2
-        if mid <= 2.0 / alpha:
-            lo = mid
-            continue
         if lepage_remainder_bound(mid, alpha, f_rms, safety) > goal:
             lo = mid
         else:
@@ -193,91 +187,21 @@ def choose_num_terms(
     return hi
 
 
-@dataclass
-class LePageResult:
-    value: float
-    num_terms: int
-    remainder_bound: float | None
+def lepage_weights(rng: np.random.Generator, alpha: float, num_terms: int, block=None):
+    """Yield the series weights eps_i Gamma_i^(-1/alpha), i = 1..num_terms, in blocks.
 
-
-def lepage_integral(
-    f_values, alpha: float, cfg: SeriesConfig, rng: np.random.Generator
-) -> LePageResult:
-    """Truncated series for int f dM with a probability control measure.
-
-    ``f_values`` are f evaluated at iid draws from the control measure; the
-    routine supplies signs and arrival times and returns
-
-        c_alpha^(1/alpha) * sum_i eps_i Gamma_i^(-1/alpha) f_i
-
-    together with the analytic remainder bound (when diagnostics are on).
+    Each block draws its arrival-time increments, then its signs, and the
+    arrival times run on from one block to the next.  ``block=None`` yields
+    all terms as one block.  A block is drawn only when the caller asks for
+    it, so what the caller draws in between keeps its place in the stream.
     """
-    f = np.asarray(f_values, dtype=float)
-    if f.size == 0:
-        raise ValueError("need at least one series term")
-    n = f.size
-    gam = np.cumsum(rng.standard_exponential(n))
-    eps = rng.integers(0, 2, size=n) * 2 - 1
-    val = stable_tail_constant(alpha) ** (1.0 / alpha) * float(
-        np.sum(eps * gam ** (-1.0 / alpha) * f)
-    )
-    bound = None
-    if cfg.diagnostics:
-        f_rms = float(np.sqrt(np.mean(f**2)))
-        bound = stable_tail_constant(alpha) ** (1.0 / alpha) * lepage_remainder_bound(
-            n, alpha, f_rms
-        )
-    return LePageResult(value=val, num_terms=n, remainder_bound=bound)
-
-
-# ---------------------------------------------------------------------------
-# Truncated nu_alpha Poisson random measure
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NuAlphaTruncation:
-    """The symmetric power-law intensity nu_alpha restricted to |x| > epsilon.
-
-    nu_alpha(x, inf] = nu_alpha[-inf, -x) = x^-alpha, so the restricted
-    total mass is 2 epsilon^-alpha.
-    """
-
-    alpha: float
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError("alpha must lie in (0, 2)")
-        if self.epsilon <= 0:
-            raise ValueError("truncation level must be > 0")
-
-    @property
-    def restricted_mass(self) -> float:
-        return 2.0 * self.epsilon ** (-self.alpha)
-
-
-def sample_truncated_prm(
-    tr: NuAlphaTruncation, site_masses: dict, rng: np.random.Generator
-) -> list:
-    """Atoms of PRM(nu_alpha x mass) with |j| > epsilon, as (site, j) pairs.
-
-    Per site the atom count is Poisson(2 eps^-alpha * mass) and each atom is
-    j = +- eps U^(-1/alpha) (fair sign, U uniform), i.e. the normalised
-    restriction of nu_alpha.  Atoms above any level c >= eps then carry the
-    exact intensity 2 c^-alpha * mass.
-    """
-    out = []
-    for site in site_masses:
-        mass = site_masses[site]
-        if mass < 0:
-            raise ValueError("site masses must be >= 0")
-        if mass == 0:
-            continue
-        k = int(rng.poisson(tr.restricted_mass * mass))
-        if k == 0:
-            continue
-        u = rng.random(k)
-        signs = rng.integers(0, 2, size=k) * 2 - 1
-        vals = signs * tr.epsilon * u ** (-1.0 / tr.alpha)
-        out.extend((site, float(v)) for v in vals)
-    return out
+    block = block or num_terms
+    offset = 0.0
+    done = 0
+    while done < num_terms:
+        b = min(block, num_terms - done)
+        gam = offset + np.cumsum(rng.standard_exponential(b))
+        offset = float(gam[-1])
+        eps = rng.integers(0, 2, size=b) * 2 - 1
+        yield eps * gam ** (-1.0 / alpha)
+        done += b

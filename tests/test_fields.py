@@ -22,6 +22,7 @@ from stabletree.fields import (
     norming_constant_exact,
     norming_constant_mc,
     partial_maximum,
+    scaling_constant,
     simulate_field,
 )
 from stabletree.free_group import (
@@ -101,6 +102,9 @@ def test_simulation_deterministic():
         a = simulate_field(model, 3, cfg, substream(505, "det"))
         b = simulate_field(model, 3, cfg, substream(505, "det"))
         assert np.array_equal(a.values, b.values)
+        # a series this short has no finite remainder bound, but still runs
+        tiny = simulate_field(model, 3, SeriesConfig(num_terms=2), substream(505, "det"))
+        assert tiny.meta.get("remainder_bound", math.inf) == math.inf
 
 
 def test_mma_exactness_ignores_series_budget():
@@ -185,6 +189,11 @@ def test_site_budget():
         simulate_field(BoundaryField(2, 1.0), 14, None, substream(517, "big"))
     with pytest.raises(ResourceBudgetError):
         maxima_experiment(BoundaryField(2, 1.0), 14, 10, None, seed=0)
+    # |E_12| = 1,062,881 noise sites: over the default budget, within a raised one
+    with pytest.raises(ResourceBudgetError):
+        maxima_experiment(mma_point_mass(2, 1.0), 12, 2, None, seed=1)
+    res = maxima_experiment(mma_point_mass(2, 1.0), 12, 2, None, seed=1, site_budget=2_000_000)
+    assert len(res.records) == 2
 
 
 def test_maxima_experiment_boundary():
@@ -236,6 +245,37 @@ def two_atom_kernel(alpha=1.3):
             "b": {word(2, []): 0.4, word(2, [2, 2]): 1.1},
         },
     )
+
+
+PINNED_DRAWS = [
+    # (name, model factory, n, series config, num_terms, scaling constant, values at PIN_SITES)
+    ("boundary", lambda: BoundaryField(2, 1.0), 5, None, 28672, 243.0,
+     [0.7050078285695857, -1.3554705232631057, 1.425379237191039, 0.45450512181228087]),
+    ("shift", lambda: ShiftField(2, 1.3), 3, None, None, 12.619700538305079,
+     [-0.20258999721916426, 0.6473696551469849, -1.5032963013723062, -0.20258999721916426]),
+    # 25,000 terms over 485 sites run in three blocks of the series
+    ("pareto", lambda: ParetoField(2, 1.0, 3.0), 5, SeriesConfig(num_terms=25_000), 25_000,
+     7.856828007847996,
+     [31.13669199605587, 18.709904882518916, 17.032973137388584, 21.5093807105853]),
+    ("mma", two_atom_kernel, 3, None, None, 12.619700538305079,
+     [-7.669429648472467, -52.215104599585224, -12.756791886760276, 10.631871307099283]),
+]
+
+
+@pytest.mark.parametrize("name,make,n,cfg,num_terms,scale,expected", PINNED_DRAWS)
+def test_pinned_draws(name, make, n, cfg, num_terms, scale, expected):
+    # one replication per model at a fixed seed; rel 1e-12 absorbs platform ULP differences
+    model = make()
+    sim = FieldSimulator(model, n, cfg)
+    values = sim.values(substream(2024, "pin", name))
+    sites = [0, 1, len(values) // 2, len(values) - 1]
+    assert sim.num_terms == num_terms
+    assert scaling_constant(model, n) == pytest.approx(scale, rel=1e-12)
+    assert values[sites].tolist() == pytest.approx(expected, rel=1e-12)
+
+
+def test_pareto_automatic_series_length():
+    assert FieldSimulator(ParetoField(2, 1.0, 3.0), 5).num_terms == 442_368
 
 
 def brute_norming(model, n):

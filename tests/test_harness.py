@@ -145,16 +145,19 @@ def test_cli_enumerate(capsys):
 
 
 def test_cli_simulate_maxima(tmp_path, capsys):
-    code = cli_main(
-        [
-            "simulate-maxima",
-            "--model", "shift", "--d", "2", "--alpha", "1.0",
-            "--n", "4", "--reps", "30", "--seed", "5",
-            "--csv", str(tmp_path / "m.csv"), "--json", str(tmp_path / "m.json"),
-        ]
-    )
-    assert code == 0
-    assert (tmp_path / "m.csv").exists() and (tmp_path / "m.json").exists()
+    # the automatic Pareto series length at n = 4 is 917,504 terms; a fixed length keeps this fast
+    for model in (["boundary"], ["shift"], ["pareto", "--theta", "3", "--num-terms", "2000"], ["mma"]):
+        csv_path, json_path = tmp_path / f"{model[0]}.csv", tmp_path / f"{model[0]}.json"
+        code = cli_main(
+            [
+                "simulate-maxima",
+                "--model", *model, "--d", "2", "--alpha", "1.0",
+                "--n", "4", "--reps", "30", "--seed", "5",
+                "--csv", str(csv_path), "--json", str(json_path),
+            ]
+        )
+        assert code == 0, model
+        assert csv_path.exists() and json_path.exists()
     capsys.readouterr()
 
 
@@ -260,6 +263,7 @@ def test_cli_resource_error_exit_code(capsys):
         ["simulate-maxima", "--model", "pareto", "--theta", "0.5", "--d", "2", "--alpha", "1", "--n", "3", "--reps", "5", "--seed", "1"],
         ["limit", "sample", "--model", "mma", "--d", "2", "--alpha", "1", "--seed", "1", "--delta", "-1"],
         ["simulate-pp", "--model", "mma", "--d", "2", "--alpha", "1", "--n", "2", "--reps", "2", "--seed", "1", "--delta", "0"],
+        ["simulate-maxima", "--model", "pareto", "--d", "2", "--alpha", "1", "--theta", "1.5", "--n", "2", "--reps", "5", "--seed", "1"],
     ],
 )
 def test_cli_invalid_model_values_exit_2(argv, capsys):
@@ -276,6 +280,13 @@ def test_config_validation_rejects_model_and_delta_values():
 
     ok = {"variant": "mma", "d": 2, "alpha": 1.0}
     assert keys(ok, {"delta": 0}) == ["params.delta"]
+    assert keys(ok, {"num_terms": 0}) == ["params.num_terms"]
     assert keys({**ok, "d": 1}, {}) == ["model"]
     assert keys({**ok, "alpha": 2.0}, {}) == ["model"]
     assert keys({"variant": "pareto", "d": 2, "alpha": 1.0, "theta": 0.5}, {}) == ["model"]
+    # the limit experiments need a mixed moving average
+    for kind in ("limit-kx", "limit-laplace", "limit-sample"):
+        cfg = ExperimentConfig(kind=kind, model={"variant": "boundary", "d": 2, "alpha": 1.0}, reps=1)
+        with pytest.raises(ConfigError) as ei:
+            validate_config(cfg)
+        assert ei.value.offending_keys == ["model"]

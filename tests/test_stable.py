@@ -7,27 +7,23 @@ import pytest
 
 from stabletree.rng import substream
 from stabletree.stable import (
-    NuAlphaTruncation,
     SeriesConfig,
-    StableParams,
     choose_num_terms,
     frechet_cdf,
-    lepage_integral,
     lepage_remainder_bound,
+    lepage_weights,
     sample_sas,
-    sample_truncated_prm,
     scaled_frechet_cdf,
     stable_tail_constant,
     stable_tail_constant_quadrature,
 )
-from stabletree.stats import two_sample_ks_pvalue
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        StableParams(2.0)
-    with pytest.raises(ValueError):
-        StableParams(0.0)
+    rng = substream(300, "params")
+    for alpha, scale in ((2.0, 1.0), (0.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError):
+            sample_sas(rng, alpha, scale, size=3)
 
 
 def test_tiny_scale_degenerates():
@@ -85,16 +81,21 @@ def test_frechet_cdf():
     assert scaled_frechet_cdf(4.0, 1.0, 4.0) == pytest.approx(math.exp(-1))
 
 
-def test_lepage_zero_function():
-    r = lepage_integral(np.zeros(100), 1.0, SeriesConfig(), substream(304, "z"))
-    assert r.value == 0.0
-
-
-def test_lepage_exact_homogeneity():
-    f = np.linspace(0.5, 1.5, 400)
-    a = lepage_integral(f, 1.2, SeriesConfig(), substream(305, "h"))
-    b = lepage_integral(2 * f, 1.2, SeriesConfig(), substream(305, "h"))
-    assert b.value == 2 * a.value  # power-of-two scaling is exact
+def test_lepage_weights_blocks():
+    # one block draws all arrival-time increments, then all signs
+    alpha = 1.3
+    (one,) = lepage_weights(substream(304, "lw"), alpha, 50)
+    ref = substream(304, "lw")
+    gam = np.cumsum(ref.standard_exponential(50))
+    eps = ref.integers(0, 2, size=50) * 2 - 1
+    assert np.array_equal(one, eps * gam ** (-1.0 / alpha))
+    # the arrival times run on across blocks, so |weights| fall strictly throughout
+    blocks = list(lepage_weights(substream(305, "lw"), alpha, 1000, block=300))
+    assert [len(b) for b in blocks] == [300, 300, 300, 100]
+    w = np.concatenate(blocks)
+    assert np.all(np.diff(np.abs(w)) < 0)
+    assert set(np.sign(w)) == {-1.0, 1.0}
+    assert list(lepage_weights(substream(305, "lw"), alpha, 0)) == []
 
 
 def test_lepage_matches_direct_sampler():
@@ -144,49 +145,15 @@ def test_choose_num_terms_monotone():
     # the reported bound shrinks as terms are added
     for alpha in (0.7, 1.0, 1.6):
         assert lepage_remainder_bound(800, alpha, 1.0) < lepage_remainder_bound(400, alpha, 1.0)
+    # up to N = 2/alpha the discarded terms may have infinite variance
+    assert lepage_remainder_bound(2, 1.0, 1.0) == math.inf
+    assert math.isfinite(lepage_remainder_bound(3, 1.0, 1.0))
+    with pytest.raises(ValueError):
+        SeriesConfig(num_terms=0)
     from stabletree.errors import ResourceBudgetError
 
     with pytest.raises(ResourceBudgetError):
         choose_num_terms(1.0, 1.0, 10.0, tol=1e-5)  # would need ~1e9 terms
-
-
-def test_truncated_prm_intensity():
-    tr = NuAlphaTruncation(1.0, 0.1)
-    rng = substream(309, "prm")
-    counts = []
-    for _ in range(10_000):
-        atoms = sample_truncated_prm(tr, {"site": 1.0}, rng)
-        counts.append(sum(1 for _, j in atoms if abs(j) > 1.0))
-    assert abs(np.mean(counts) - 2.0) < 0.05
-
-
-def test_truncated_prm_edge_cases():
-    rng = substream(310, "prme")
-    tr = NuAlphaTruncation(1.0, 1.0)  # epsilon at the observation level
-    atoms = sample_truncated_prm(tr, {"s": 3.0}, rng)
-    assert all(abs(j) > 1.0 for _, j in atoms)
-    assert sample_truncated_prm(tr, {"s": 0.0}, rng) == []
-
-
-def test_truncated_prm_restriction_invariance():
-    # atoms above c have the same law whether epsilon = c or epsilon < c
-    rng = substream(311, "prmks")
-    c = 1.0
-    a = []
-    b = []
-    while len(a) < 10_000:
-        a.extend(
-            abs(j)
-            for _, j in sample_truncated_prm(NuAlphaTruncation(1.2, c), {"s": 40.0}, rng)
-            if abs(j) > c
-        )
-    while len(b) < 10_000:
-        b.extend(
-            abs(j)
-            for _, j in sample_truncated_prm(NuAlphaTruncation(1.2, 0.25), {"s": 3.0}, rng)
-            if abs(j) > c
-        )
-    assert two_sample_ks_pvalue(a[:10_000], b[:10_000]) > 0.01
 
 
 def test_sign_symmetry():
