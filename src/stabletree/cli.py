@@ -171,32 +171,10 @@ def _dispatch(args) -> int:
         return 0 if (rep.pairwise_disjoint and trans.pairwise_disjoint) else 1
 
     if args.command == "verify-lemma":
-        from .rng import substream
-        from .subgraphs import (
-            count_sphere_members,
-            required_steps,
-            sample_ray_path,
-            subgraph_sphere_count,
-        )
+        from .subgraphs import check_sphere_counts
 
-        rows = []
-        all_ok = True
-        for level in range(1, args.ell_max + 1):
-            for k in range(0, args.k_max + 1):
-                expected = subgraph_sphere_count(level, k, args.d)
-                ok = True
-                for s in range(args.samples):
-                    rng = substream(args.seed, "lemma", level, k, s)
-                    path = sample_ray_path(
-                        level, args.d, required_steps(level + k, level), rng
-                    )
-                    if count_sphere_members(path, level + k) != expected:
-                        ok = False
-                        break
-                rows.append(
-                    {"level": level, "k": k, "expected": expected, "all_match": ok}
-                )
-                all_ok &= ok
+        rows = check_sphere_counts(args.d, args.ell_max, args.k_max, args.samples, args.seed)
+        all_ok = all(r["all_match"] for r in rows)
         print(json.dumps({"d": args.d, "rows": rows, "passed": all_ok}, indent=2))
         return 0 if all_ok else 1
 

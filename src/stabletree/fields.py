@@ -41,13 +41,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ResourceBudgetError, UnsupportedModelError
-from .free_group import (
-    Word,
-    ball_layout,
-    ball_size,
-    enumerate_ball,
-    identity,
-)
+from .free_group import ball_layout, ball_size, enumerate_ball, identity
 from .rng import substream
 from .stable import (
     SeriesConfig,
@@ -223,10 +217,6 @@ class MixedMovingAverage(FieldModel):
         return max(
             (abs(v) for _, entries in self.f_table for _, v in entries), default=0.0
         )
-
-    def f_prime(self, w: str, k: Word) -> float:
-        """f'(w, k) = f(w, k^-1)."""
-        return self.table(w).get(k.inverse(), 0.0)
 
     def level_profile(self, w: str):
         """{|t|: value} if f(w, .) is constant on spheres, else None."""

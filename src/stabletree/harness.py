@@ -432,18 +432,11 @@ def _selftest_stable():
 def _selftest_subgraphs():
     from fractions import Fraction
 
-    from .subgraphs import anchor_pmf, anchor_pmf_tail, sample_ray_path, subgraph_sphere_count
-    from .subgraphs import count_sphere_members
+    from .subgraphs import anchor_pmf, anchor_pmf_tail, check_sphere_counts
 
     out = []
     total = sum(anchor_pmf(-j, 2) for j in range(0, 40)) + anchor_pmf_tail(-40, 2)
     out.append(_check("anchor pmf sums to 1 exactly", total == Fraction(1)))
-    rng = substream(13, "selftest-subgraphs")
-    ok = True
-    for level in (1, 2):
-        for k in range(0, 5):
-            path = sample_ray_path(level, 2, (level + k) + 2 * level + 2, rng)
-            got = count_sphere_members(path, level + k)
-            ok &= got == subgraph_sphere_count(level, k, 2)
-    out.append(_check("sphere counts match the closed form", ok))
+    rows = check_sphere_counts(2, ell_max=2, k_max=4, samples=1, seed=13)
+    out.append(_check("sphere counts match the closed form", all(r["all_match"] for r in rows)))
     return out

@@ -35,12 +35,9 @@ from .subgraphs import (
     ball_traces,
     determining_steps,
     enumerate_ray_paths,
-    membership,
     ray_path_count,
-    required_steps,
     sample_anchor,
     sample_ray_path,
-    sampled_traces,
 )
 
 EXACT_PATH_BUDGET = 50_000
@@ -229,19 +226,24 @@ def level_sum(
         return LevelSumResult(value=total, ci_low=total, ci_high=total, exact=True)
     per_sample = np.zeros(mc_subgraphs)
     for level in mc_levels:
-        # the same key at every level: paired draws
-        paths = [
-            sample_ray_path(level, d, determining_steps(level, m), substream(seed, "xi", r))
-            for r in range(mc_subgraphs)
-        ]
+        # the same stream at every level: paired draws
+        rng = substream(seed, "xi")
+        paths = sample_ray_path(level, d, determining_steps(level, m), rng, mc_subgraphs)
         weight = level_weight(level, d)
-        per_sample += [weight * func(mask) for mask in sampled_traces(paths, m)]
+        per_sample += [weight * func(mask) for mask in _masks(paths, level, d, m)]
     from .stats import batch_mean_ci
 
     mean, lo, hi = batch_mean_ci(per_sample)
     return LevelSumResult(
         value=total + mean, ci_low=total + lo, ci_high=total + hi, exact=False
     )
+
+
+def _masks(paths: np.ndarray, level: int, d: int, m: int) -> np.ndarray:
+    """Traces on E_m of the paths of one level, as boolean mask rows."""
+    return np.unpackbits(
+        ball_traces(paths, level, d, m), axis=1, count=ball_size(d, m)
+    ).astype(bool)
 
 
 def _kernel_columns(model: MixedMovingAverage) -> list:
@@ -272,36 +274,41 @@ def sample_limit_point_process(
 
     Sites u with |u| beyond the support radius m spawn empty clusters
     (their subgraphs miss the kernel support), so the site sum is cut at m
-    exactly.  Each atom draws its amplitude, its anchor level (|u|, or the
-    geometric negative level at u = e) and one ray path for that level.
+    exactly.  Per kernel atom w, with sup the largest |f(w, .)|, only
+    amplitudes j with amp |j| sup > delta can leave an atom above delta;
+    amp = (d/(d-1))^(1/alpha) at u = e and 1 elsewhere.  There are
+    Poisson(2 mass amp^alpha (sup/delta)^alpha) of them per site, and amp j
+    is a random sign times (delta/sup) U^(-1/alpha) at every site.  The
+    counts of the root and of the spheres C_1..C_m, the amplitudes and the
+    anchor levels (|u|, or the geometric negative level at u = e) are drawn
+    as arrays.  Levels <= -m cover E_m; every other level draws one batch of
+    ray paths, whose traces come from :func:`ball_traces`.
     """
     if delta <= 0:
         raise ValueError("truncation level must be > 0")
     d, alpha, m = model.d, model.alpha, model.support_radius
-    amp_root = (d / (d - 1.0)) ** (1.0 / alpha)
+    # sites per level 0..m, times amp^alpha at the root
+    weights = np.array([d / (d - 1.0)] + [float(sphere_size(d, j)) for j in range(1, m + 1)])
     atoms = []
-    for w in model.atoms:
-        sup = max((abs(v) for v in model.table(w).values()), default=0.0)
+    for mass, pos, vals in _kernel_columns(model):
+        sup = float(np.abs(vals).max(initial=0.0))
         if sup == 0.0:
             continue
-        mass = model.mass(w)
-        support_prime = [t.inverse() for t in model.table(w)]
-        for u in enumerate_ball(d, m):
-            amp = amp_root if u.is_identity else 1.0
-            delta0 = delta / (amp * sup)
-            count = int(rng.poisson(mass * 2.0 * delta0 ** (-alpha)))
-            for _ in range(count):
-                j = float(
-                    (rng.integers(0, 2) * 2 - 1) * delta0 * rng.random() ** (-1.0 / alpha)
-                )
-                level = sample_anchor(d, rng) if u.is_identity else len(u)
-                path = sample_ray_path(level, d, required_steps(m, level), rng)
-                for k in support_prime:
-                    if membership(k, path):
-                        val = amp * j * model.f_prime(w, k)
-                        if abs(val) > delta:
-                            atoms.append(val)
-    return PointMeasure(atoms=np.array(atoms, dtype=float), delta=delta)
+        counts = rng.poisson(weights * mass * 2.0 * (delta / sup) ** (-alpha))
+        total = int(counts.sum())
+        signs = rng.integers(0, 2, size=total) * 2 - 1
+        amps = signs * (delta / sup) * rng.random(total) ** (-1.0 / alpha)
+        levels = np.concatenate(
+            [sample_anchor(d, rng, counts[0]), np.repeat(np.arange(1, m + 1), counts[1:])]
+        )
+        masks = np.ones((total, ball_size(d, m)), dtype=bool)
+        for level in np.unique(levels[levels > -m]).tolist():
+            rows = np.flatnonzero(levels == level)
+            paths = sample_ray_path(level, d, determining_steps(level, m), rng, len(rows))
+            masks[rows] = _masks(paths, level, d, m)
+        values = amps[:, None] * vals[None, :]
+        atoms.append(values[masks[:, pos] & (np.abs(values) > delta)])
+    return PointMeasure(atoms=np.concatenate([np.zeros(0), *atoms]), delta=delta)
 
 
 def expected_atom_count(

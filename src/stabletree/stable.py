@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ResourceBudgetError
 
@@ -127,16 +126,19 @@ class SeriesConfig:
 def gamma_power_tail_sum(n_terms: int, a: float, exact_terms: int = 4000) -> float:
     """sum_{i > N} E[Gamma_i^(-a)] = sum_{i > N} Gamma(i-a)/Gamma(i), a in (0, 2).
 
-    Exact ratios for the first block, then an integral majorant for the
-    remainder; the result slightly overestimates, which is the safe side
-    for a remainder bound.  Requires N > a.
+    Exact ratios for the first block, from one ``lgamma`` pair and the
+    recurrence Gamma(i+1-a)/Gamma(i+1) = (i-a)/i * Gamma(i-a)/Gamma(i), then
+    an integral majorant for the remainder; the result slightly
+    overestimates, which is the safe side for a remainder bound.  Requires
+    N > a.
     """
     if a <= 1.0:
         raise ValueError("tail sum diverges for a <= 1")
     if n_terms <= a:
         raise ValueError(f"need N > a = {a}")
-    i = np.arange(n_terms + 1, n_terms + exact_terms + 1, dtype=float)
-    block = float(np.exp(gammaln(i - a) - gammaln(i)).sum())
+    first = math.exp(math.lgamma(n_terms + 1 - a) - math.lgamma(n_terms + 1))
+    i = np.arange(n_terms + 1, n_terms + exact_terms, dtype=float)
+    block = first * float(np.cumprod(np.concatenate(([1.0], (i - a) / i))).sum())
     m = n_terms + exact_terms
     tail = (m - a) ** (1.0 - a) / (a - 1.0)
     return block + tail

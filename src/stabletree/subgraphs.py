@@ -20,9 +20,11 @@ decreases (in steps of 2) until the ray passes the projection of t and is
 constant afterwards, so the minimum is visible within |t| + 2|ell| + 2
 steps.
 
-Exact enumeration works on integer arrays: a path is a row of indices into
-a ``ball_layout``, and a subgraph's trace on the ball E_m is a boolean mask
-over E_m in layout order.  ``Word`` paths remain for sampling.
+Enumeration and sampling work on integer arrays: a path is a row of
+indices into a ``ball_layout``, both grown by one continuation rule, and a
+subgraph's trace on the ball E_m is a boolean mask over E_m in layout
+order.  ``Word`` paths (``RayPath``, ``membership``) remain as the
+brute-force oracle of the sphere-count lemma and of the tests.
 """
 
 from __future__ import annotations
@@ -33,17 +35,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from .boundary import sample_boundary
 from .errors import PathTooShortError, ResourceBudgetError
-from .free_group import (
-    Word,
-    allowed_next_letters,
-    ball_layout,
-    ball_size,
-    distance,
-    enumerate_sphere,
-    identity,
-    letters_in_order,
-)
+from .free_group import Word, ball_layout, distance, enumerate_sphere, sphere_size
+from .rng import substream
 
 
 @dataclass(frozen=True)
@@ -84,48 +79,6 @@ def _expected_level(ell: int, k: int) -> int:
     return abs(ell) - k if k <= abs(ell) else k - abs(ell)
 
 
-def _next_vertices(path: list, ell: int, d: int) -> list:
-    """Admissible continuations of a partial path (self-avoidance enforced)."""
-    cur = path[-1]
-    k = len(path) - 1
-    if ell < 0 and k < abs(ell):
-        # descending phase: the geodesic to the root is unique
-        return [Word(d, cur.letters[:-1])]
-    prev = path[-2] if len(path) >= 2 else None
-    out = []
-    if cur.is_identity:
-        for g in letters_in_order(d):
-            w = Word(d, (g,))
-            if prev is None or w != prev:
-                out.append(w)
-        return out
-    for g in allowed_next_letters(d, cur.letters[-1]):
-        out.append(Word(d, cur.letters + (g,)))
-    return out
-
-
-def sample_ray_path(
-    level: int, d: int, num_steps: int, rng: np.random.Generator
-) -> RayPath:
-    """Draw a ray path of ``num_steps`` steps under the path-uniform law."""
-    if num_steps < 1:
-        raise ValueError("num_steps must be >= 1")
-    ell = level
-    if ell == 0:
-        v0 = identity(d)
-    else:
-        letters = []
-        for _ in range(abs(ell)):
-            opts = allowed_next_letters(d, letters[-1] if letters else None)
-            letters.append(opts[int(rng.integers(len(opts)))])
-        v0 = Word(d, tuple(letters))
-    path = [v0]
-    while len(path) <= num_steps:
-        opts = _next_vertices(path, ell, d)
-        path.append(opts[int(rng.integers(len(opts)))])
-    return RayPath(level=ell, rank=d, vertices=tuple(path))
-
-
 def ray_path_count(level: int, d: int, num_steps: int) -> int:
     """Number of ray paths of ``num_steps`` steps at the given anchor level.
 
@@ -144,16 +97,41 @@ def ray_path_radius(level: int, num_steps: int) -> int:
     return max(_expected_level(level, 0), _expected_level(level, num_steps))
 
 
+def _continuations(lay, level: int, paths: np.ndarray) -> np.ndarray:
+    """Admissible next vertices of partial ray paths, one row per path.
+
+    ``paths`` holds the first k vertices of each path as layout indices.
+    With k = 0 every path may start at any anchor: e at level 0, otherwise
+    every vertex of C_|level|.  After that a path steps towards the root
+    while it descends (level < 0, k <= |level|) and away from it otherwise,
+    never back to the previous vertex.  Options come in canonical order,
+    and every row has the same number of them.
+    """
+    k = paths.shape[1]
+    if k == 0:
+        anchors = np.flatnonzero(lay.depth == abs(level)).astype(np.int32)
+        return np.broadcast_to(anchors, (len(paths), len(anchors)))
+    depth, cur = lay.depth, paths[:, -1]
+    nbrs = lay.right_mul[cur]
+    rise = np.where(nbrs >= 0, depth[nbrs] - depth[cur][:, None], 0)
+    if level < 0 and k <= -level:
+        pick = rise == -1  # the unique step towards the root
+    else:
+        pick = rise == 1
+        if k >= 2:
+            pick &= nbrs != paths[:, -2, None]
+    return nbrs[pick].reshape(len(paths), -1)
+
+
 def enumerate_ray_paths(level: int, d: int, num_steps: int, budget: int = 200_000):
     """All ray paths of the given length, as one int32 array of layout indices.
 
     Row p holds (v_0, ..., v_num_steps) of path p as indices into
     ``ball_layout(d, ray_path_radius(level, num_steps))``.  Rows come in
     canonical order: anchors in sphere order, then every continuation in
-    canonical letter order, never stepping back to the previous vertex.
-    :func:`sample_ray_path` makes a uniform choice at the anchor and at
-    every free step, and every path has the same number of choices, so all
-    rows are equally likely.  The budget is checked before any allocation.
+    canonical letter order.  Every path has the same number of choices, so
+    all rows are equally likely under the path-uniform law.  The budget is
+    checked before any allocation.
     """
     count = ray_path_count(level, d, num_steps)
     if count > budget:
@@ -161,23 +139,29 @@ def enumerate_ray_paths(level: int, d: int, num_steps: int, budget: int = 200_00
             f"{count} ray paths at level {level} exceed the budget of {budget}"
         )
     lay = ball_layout(d, ray_path_radius(level, num_steps))
-    depth, right_mul = lay.depth, lay.right_mul
-    if level == 0:
-        paths = np.zeros((1, 1), dtype=np.int32)
-    else:
-        paths = np.flatnonzero(depth == abs(level)).astype(np.int32)[:, None]
-    for k in range(1, num_steps + 1):
-        cur = paths[:, -1]
-        nbrs = right_mul[cur]
-        rise = np.where(nbrs >= 0, depth[nbrs] - depth[cur][:, None], 0)
-        if level < 0 and k <= -level:
-            pick = rise == -1  # the unique step towards the root
-        else:
-            pick = rise == 1
-            if k >= 2:
-                pick &= nbrs != paths[:, -2, None]
-        rows, cols = np.nonzero(pick)
-        paths = np.concatenate([paths[rows], nbrs[rows, cols][:, None]], axis=1)
+    paths = np.empty((1, 0), dtype=np.int32)
+    for _ in range(num_steps + 1):
+        opts = _continuations(lay, level, paths)
+        paths = np.column_stack([np.repeat(paths, opts.shape[1], axis=0), opts.ravel()])
+    return paths
+
+
+def sample_ray_path(
+    level: int, d: int, num_steps: int, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """Draw ``size`` ray paths under the path-uniform law.
+
+    The anchor is uniform on C_|level| and every free step is uniform over
+    the admissible continuations: one uniform pick per row among the options
+    :func:`enumerate_ray_paths` keeps in full.  Rows have the format of
+    :func:`enumerate_ray_paths`.
+    """
+    lay = ball_layout(d, ray_path_radius(level, num_steps))
+    paths = np.empty((size, 0), dtype=np.int32)
+    for _ in range(num_steps + 1):
+        opts = _continuations(lay, level, paths)
+        pick = rng.integers(opts.shape[1], size=size)
+        paths = np.column_stack([paths, opts[np.arange(size), pick]])
     return paths
 
 
@@ -241,13 +225,58 @@ def subgraph_sphere_count(level: int, offset: int, d: int) -> int:
     return (2 * d - 1) ** (offset // 2)
 
 
-def count_sphere_members(xi: RayPath, sphere_level: int, budget: int = 500_000) -> int:
-    """|xi intersect C_s| by brute-force membership over the whole sphere."""
-    from .free_group import sphere_size
+SPHERE_COUNT_BUDGET = 500_000  # words of one sphere checked by brute-force membership
 
+
+def count_sphere_members(
+    xi: RayPath, sphere_level: int, budget: int = SPHERE_COUNT_BUDGET
+) -> int:
+    """|xi intersect C_s| by brute-force membership over the whole sphere."""
     if sphere_size(xi.rank, sphere_level) > budget:
         raise ResourceBudgetError("sphere too large for brute-force membership count")
     return sum(1 for t in enumerate_sphere(xi.rank, sphere_level) if membership(t, xi))
+
+
+def word_ray_path(level: int, d: int, num_steps: int, rng: np.random.Generator) -> RayPath:
+    """A ``Word`` path at level >= 1: the prefixes of a uniform reduced word.
+
+    v_k is the prefix of length level + k, so the anchor is uniform on
+    C_level and every step uniform over its 2d - 1 continuations: the
+    path-uniform law.
+    """
+    if level < 1:
+        raise ValueError("paths from reduced-word prefixes need level >= 1")
+    letters = sample_boundary(d, level + num_steps, rng).letters
+    return RayPath(level, d, tuple(Word(d, letters[:j]) for j in range(level, len(letters) + 1)))
+
+
+def check_sphere_counts(d: int, ell_max: int, k_max: int, samples: int, seed: int) -> list:
+    """The sphere-count lemma on sampled ``Word`` paths, by brute-force membership.
+
+    For every level in 1..ell_max and k in 0..k_max, ``samples`` paths
+    (stream ``substream(seed, "lemma", level, k, s)``) are checked for
+    |xi intersect C_level+k| = :func:`subgraph_sphere_count`.  Returns rows
+    {level, k, expected, all_match}.  The largest sphere is checked against
+    ``SPHERE_COUNT_BUDGET`` before any path is drawn.
+    """
+    largest = sphere_size(d, ell_max + k_max)
+    if largest > SPHERE_COUNT_BUDGET:
+        raise ResourceBudgetError(
+            f"sphere C_{ell_max + k_max} has {largest} words, "
+            f"above the brute-force budget of {SPHERE_COUNT_BUDGET}"
+        )
+    rows = []
+    for level in range(1, ell_max + 1):
+        for k in range(k_max + 1):
+            expected = subgraph_sphere_count(level, k, d)
+            steps = required_steps(level + k, level)
+            paths = (
+                word_ray_path(level, d, steps, substream(seed, "lemma", level, k, s))
+                for s in range(samples)
+            )
+            ok = all(count_sphere_members(xi, level + k) == expected for xi in paths)
+            rows.append({"level": level, "k": k, "expected": expected, "all_match": ok})
+    return rows
 
 
 TRACE_CHUNK = 4096  # paths per block of (paths x sites) membership temporaries
@@ -277,8 +306,8 @@ def _lcp_offsets(d: int, m: int) -> np.ndarray:
 def ball_traces(paths: np.ndarray, level: int, d: int, m: int) -> np.ndarray:
     """Traces on E_m of the subgraphs of ``paths``, as packed bit rows.
 
-    ``paths`` holds layout indices as returned by :func:`enumerate_ray_paths`,
-    with at least :func:`determining_steps` steps.  t is a member iff
+    ``paths`` holds layout indices as returned by :func:`enumerate_ray_paths`
+    and :func:`sample_ray_path`, with at least :func:`determining_steps` steps.  t is a member iff
     min_k d(t, v_k) - k <= 0, with d(t, v) = |t| + |v| - 2 lcp(t, v); for t in
     E_m the lcp only sees v's ancestor at depth <= m.  Row p of the result is
     ``np.packbits`` of the membership mask over E_m in layout order.  Paths
@@ -304,25 +333,6 @@ def ball_traces(paths: np.ndarray, level: int, d: int, m: int) -> np.ndarray:
             np.minimum(best, offsets[anc[:, k]] + shift[:, None], out=best)
         out[lo : lo + TRACE_CHUNK] = np.packbits(best <= 0, axis=1)
     return out
-
-
-def sampled_traces(paths, m: int) -> np.ndarray:
-    """Traces on E_m of sampled ``RayPath``s of one level, as boolean mask rows.
-
-    Each path's determining prefix goes through :func:`ball_traces`, so a
-    sampled path and an enumerated one give the same mask.
-    """
-    level, d = paths[0].level, paths[0].rank
-    steps = determining_steps(level, m)
-    if any(xi.level != level or xi.rank != d for xi in paths):
-        raise ValueError("paths must share their level and rank")
-    if any(xi.num_steps < steps for xi in paths):
-        raise PathTooShortError(f"paths need {steps} steps to decide the trace on E_{m}")
-    lay = ball_layout(d, ray_path_radius(level, steps))
-    rows = np.array(
-        [[lay.word_to_index(v) for v in xi.vertices[: steps + 1]] for xi in paths], dtype=np.int32
-    )
-    return np.unpackbits(ball_traces(rows, level, d, m), axis=1, count=ball_size(d, m)).astype(bool)
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +363,12 @@ def anchor_pmf_tail(k_max: int, d: int) -> Fraction:
     return Fraction(1, (2 * d - 1) ** (-k_max))
 
 
-def sample_anchor(d: int, rng: np.random.Generator) -> int:
+def sample_anchor(d: int, rng: np.random.Generator, size=None):
     """Draw from the anchor-level pmf by the exact geometric identity.
 
     P(level = -j) = p (1-p)^j with p = (2d-2)/(2d-1), so the level is the
-    negated failure count of a geometric trial.
+    negated failure count of a geometric trial.  One level, or an array of
+    ``size`` levels.
     """
     p = (2 * d - 2) / (2 * d - 1)
-    return 1 - int(rng.geometric(p))
+    return 1 - rng.geometric(p, size)

@@ -50,8 +50,8 @@ from stabletree.subgraphs import (
     membership,
     required_steps,
     sample_anchor,
-    sample_ray_path,
     subgraph_sphere_count,
+    word_ray_path,
 )
 
 
@@ -139,7 +139,7 @@ def test_a2_vertex_count_identity():
     for d in (2, 3):
         for level in (1, 2, 3, 4):
             for i in range(100):
-                path = sample_ray_path(level, d, required_steps(level + 8, level), rng)
+                path = word_ray_path(level, d, required_steps(level + 8, level), rng)
                 for k in range(0, 9):
                     expected = subgraph_sphere_count(level, k, d)
                     got = _sphere_members_via_candidates(path, level + k)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -185,6 +186,15 @@ def test_cli_verify_lemma(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"]
+
+
+def test_cli_verify_lemma_budget_exits_3_at_once(capsys):
+    # the largest sphere, C_12, has 708,588 words: above the brute-force budget
+    t0 = time.perf_counter()
+    code = cli_main(["verify-lemma", "--d", "2", "--ell-max", "4", "--k-max", "8"])
+    assert code == 3
+    assert time.perf_counter() - t0 < 0.5
+    assert "C_12" in capsys.readouterr().err
 
 
 def test_cli_verify_boundary(capsys):

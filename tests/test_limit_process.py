@@ -210,6 +210,35 @@ def test_limit_process_laplace_consistency():
     assert abs(acc / reps - ana) < 0.02
 
 
+@pytest.mark.parametrize(
+    "model, seed",
+    [
+        (  # not level-symmetric, two atoms, m = 2
+            MixedMovingAverage.from_tables(
+                2,
+                1.3,
+                {"a": 1.0, "b": 0.5},
+                {
+                    "a": {word(2, [1]): 2.0, word(2, [-2, 1]): -0.7},
+                    "b": {word(2, []): 0.4, word(2, [2, 2]): 1.1},
+                },
+            ),
+            606,
+        ),
+        (mma_from_levels(3, 1.0, {0: 1.0, 1: 0.6, 2: 0.3}), 607),
+    ],
+)
+def test_sampled_atom_count_law(model, seed):
+    # with m = 2 the anchor levels -1 and 0 at the root need sampled paths
+    delta = 0.5
+    exact = expected_atom_count(model, delta)
+    rng = substream(seed, "law")
+    counts = [len(sample_limit_point_process(model, delta, rng)) for _ in range(2000)]
+    se = np.std(counts, ddof=1) / math.sqrt(len(counts))
+    assert exact.exact
+    assert abs(np.mean(counts) - exact.value) <= 4 * se
+
+
 def test_sample_limit_delta_validation():
     with pytest.raises(ValueError):
         sample_limit_point_process(mma_point_mass(2, 1.0), 0.0, substream(1, "x"))

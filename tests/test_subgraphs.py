@@ -8,15 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabletree.boundary import sample_boundary
 from stabletree.errors import PathTooShortError, ResourceBudgetError
-from stabletree.free_group import ball_layout, enumerate_ball, enumerate_sphere, identity, word
+from stabletree.free_group import (
+    Word,
+    ball_layout,
+    ball_size,
+    enumerate_ball,
+    identity,
+    inverse,
+    multiply,
+    word,
+)
 from stabletree.rng import substream
 from stabletree.stats import chi2_pvalue
 from stabletree.subgraphs import (
     RayPath,
     anchor_pmf,
     anchor_pmf_tail,
-    count_sphere_members,
+    ball_traces,
+    check_sphere_counts,
+    determining_steps,
     enumerate_ray_paths,
     membership,
     ray_path_count,
@@ -24,32 +36,70 @@ from stabletree.subgraphs import (
     required_steps,
     sample_anchor,
     sample_ray_path,
-    sampled_traces,
     subgraph_sphere_count,
+    word_ray_path,
 )
+
+
+def _word_path(level, d, num_steps, rng):
+    """A ``Word`` ray path under the path-uniform law, at any level.
+
+    At level <= 0 take a uniform reduced word z and the anchor
+    a = (z_1..z_|level|)^-1: v_k = a z_1..z_k descends along a to e and then
+    leaves along z, never stepping back.
+    """
+    if level >= 1:
+        return word_ray_path(level, d, num_steps, rng)
+    z = sample_boundary(d, num_steps, rng).letters
+    a = inverse(Word(d, z[:-level]))
+    vertices = tuple(multiply(a, Word(d, z[:k])) for k in range(num_steps + 1))
+    return RayPath(level=level, rank=d, vertices=vertices)
+
+
+def _word_rows(rows, level, d):
+    """Index rows of one level as ``RayPath``s (the constructor checks the profile)."""
+    words = list(enumerate_ball(d, ray_path_radius(level, rows.shape[1] - 1)))
+    return [RayPath(level=level, rank=d, vertices=tuple(words[i] for i in r)) for r in rows]
+
+
+def _masks(rows, level, d, m):
+    packed = ball_traces(rows, level, d, m)
+    return np.unpackbits(packed, axis=1, count=ball_size(d, m)).astype(bool)
+
+
+def _prefix_mask(xi, m):
+    """Trace on E_m of a ``Word`` path, from its determining prefix as layout indices."""
+    steps = determining_steps(xi.level, m)
+    lay = ball_layout(xi.rank, ray_path_radius(xi.level, steps))
+    row = np.array([[lay.word_to_index(v) for v in xi.vertices[: steps + 1]]], dtype=np.int32)
+    return _masks(row, xi.level, xi.rank, m)[0]
 
 
 def test_path_level_profiles():
     rng = substream(401, "prof")
-    p0 = sample_ray_path(0, 2, 6, rng)
-    assert p0.vertices[0] == identity(2)
-    assert [len(v) for v in p0.vertices] == list(range(7))
-    p2 = sample_ray_path(2, 2, 5, rng)
-    assert [len(v) for v in p2.vertices] == [2, 3, 4, 5, 6, 7]
-    pm = sample_ray_path(-2, 2, 6, rng)
-    assert [len(v) for v in pm.vertices] == [2, 1, 0, 1, 2, 3, 4]
-    assert pm.vertices[1] == word(2, pm.vertices[0].letters[:-1])
-    assert pm.vertices[2] == identity(2)
+    paths = {}
+    for level, steps, profile in (
+        (0, 6, list(range(7))),
+        (2, 5, [2, 3, 4, 5, 6, 7]),
+        (-2, 6, [2, 1, 0, 1, 2, 3, 4]),
+    ):
+        rows = sample_ray_path(level, 2, steps, rng, 200)
+        assert rows.dtype == np.int32 and rows.shape == (200, steps + 1)
+        assert (ball_layout(2, ray_path_radius(level, steps)).depth[rows] == profile).all()
+        paths[level] = _word_rows(rows, level, 2)  # self-avoiding, adjacent steps
+    for pm in paths[-2]:  # down the geodesic to e
+        assert pm.vertices[1] == word(2, pm.vertices[0].letters[:-1])
+        assert pm.vertices[2] == identity(2)
 
 
 def test_anchor_uniform_on_sphere():
     rng = substream(402, "anchor")
-    sphere = list(enumerate_sphere(2, 2))
-    counts = {v: 0 for v in sphere}
     n = 10_000
-    for _ in range(n):
-        counts[sample_ray_path(2, 2, 1, rng).vertices[0]] += 1
-    p = chi2_pvalue(list(counts.values()), [n / len(sphere)] * len(sphere))
+    anchors = sample_ray_path(2, 2, 1, rng, n)[:, 0]
+    sphere = np.flatnonzero(ball_layout(2, ray_path_radius(2, 1)).depth == 2)
+    counts = [int(np.sum(anchors == i)) for i in sphere]
+    assert sum(counts) == n
+    p = chi2_pvalue(counts, [n / len(sphere)] * len(sphere))
     assert p > 0.01
 
 
@@ -76,7 +126,7 @@ def test_membership_stable_under_extension():
     for level in (-2, 0, 1):
         for _ in range(20):
             key = int(rng.integers(1 << 30))
-            long = sample_ray_path(level, 2, required_steps(3, level) + 6, substream(7, "p", key))
+            long = _word_path(level, 2, required_steps(3, level) + 6, substream(7, "p", key))
             short = RayPath(
                 level=level, rank=2, vertices=long.vertices[: required_steps(3, level) + 1]
             )
@@ -87,22 +137,37 @@ def test_membership_stable_under_extension():
 def test_root_membership_by_sign():
     rng = substream(404, "root")
     for level in (0, -1, -3):
-        p = sample_ray_path(level, 2, required_steps(0, level), rng)
+        p = _word_path(level, 2, required_steps(0, level), rng)
         assert membership(identity(2), p)
     for level in (1, 2):
-        p = sample_ray_path(level, 2, required_steps(0, level), rng)
+        p = _word_path(level, 2, required_steps(0, level), rng)
         assert not membership(identity(2), p)
 
 
 def test_sphere_counts_match_closed_form():
-    rng = substream(405, "lemma")
     for d in (2, 3):
-        for level in (1, 2):
-            for k in range(0, 5 if d == 2 else 4):
-                expected = subgraph_sphere_count(level, k, d)
-                for _ in range(10):
-                    p = sample_ray_path(level, d, required_steps(level + k, level), rng)
-                    assert count_sphere_members(p, level + k) == expected
+        k_max = 4 if d == 2 else 3
+        rows = check_sphere_counts(d, 2, k_max, 10, seed=405)
+        assert [(r["level"], r["k"], r["expected"]) for r in rows] == [
+            (level, k, subgraph_sphere_count(level, k, d))
+            for level in (1, 2)
+            for k in range(k_max + 1)
+        ]
+        assert all(r["all_match"] for r in rows)
+
+
+def test_word_ray_path_law():
+    # prefixes of a uniform reduced word: every level-1 path of 2 steps equally likely
+    rng = substream(413, "word-law")
+    n = 3600
+    seen = {}
+    for _ in range(n):
+        xi = word_ray_path(1, 2, 2, rng)
+        seen[xi.vertices] = seen.get(xi.vertices, 0) + 1
+    assert len(seen) == ray_path_count(1, 2, 2)
+    assert chi2_pvalue(list(seen.values()), [n / len(seen)] * len(seen)) > 0.01
+    with pytest.raises(ValueError):
+        word_ray_path(0, 2, 3, rng)
 
 
 def test_sphere_count_validation():
@@ -119,25 +184,26 @@ def test_negative_levels_cover_small_balls():
     # a level -j subgraph contains the whole ball E_j, and level j misses E_(j-1)
     rng = substream(406, "cover")
     for j in (1, 2, 3):
-        p = sample_ray_path(-j, 2, required_steps(j, -j), rng)
-        assert sampled_traces([p], j)[0].all()
-        q = sample_ray_path(j, 2, required_steps(j, j), rng)
-        assert not sampled_traces([q], j - 1)[0].any()
+        neg = sample_ray_path(-j, 2, determining_steps(-j, j), rng, 50)
+        assert _masks(neg, -j, 2, j).all()
+        pos = sample_ray_path(j, 2, determining_steps(j, j - 1), rng, 50)
+        assert not _masks(pos, j, 2, j - 1).any()
 
 
 def test_thin_table():
     # thinning a kernel table keeps the entries whose site lies on the trace
     rng = substream(407, "thin")
-    p_neg = sample_ray_path(-1, 2, required_steps(0, -1), rng)
-    assert sampled_traces([p_neg], 0)[0].tolist() == [True]
-    p_pos = sample_ray_path(1, 2, required_steps(0, 1), rng)
-    assert sampled_traces([p_pos], 0)[0].tolist() == [False]
-    p0 = sample_ray_path(0, 2, required_steps(1, 0), substream(408, "t"))
-    mask = sampled_traces([p0], 1)[0]
-    assert mask[0]  # the identity, first in layout order
-    assert mask.tolist() == [membership(t, p0) for t in enumerate_ball(2, 1)]
+    p_neg = sample_ray_path(-1, 2, determining_steps(-1, 0), rng, 20)
+    assert _masks(p_neg, -1, 2, 0).tolist() == [[True]] * 20
+    p_pos = sample_ray_path(1, 2, determining_steps(1, 0), rng, 20)
+    assert _masks(p_pos, 1, 2, 0).tolist() == [[False]] * 20
+    rows = sample_ray_path(0, 2, required_steps(1, 0), substream(408, "t"), 20)
+    masks = _masks(rows, 0, 2, 1)
+    assert masks[:, 0].all()  # the identity, first in layout order
+    for mask, p0 in zip(masks, _word_rows(rows, 0, 2)):
+        assert mask.tolist() == [membership(t, p0) for t in enumerate_ball(2, 1)]
     with pytest.raises(PathTooShortError):
-        sampled_traces([RayPath(level=0, rank=2, vertices=p0.vertices[:2])], 1)
+        ball_traces(rows[:, :2], 0, 2, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -150,8 +216,32 @@ def test_thin_table():
 )
 def test_determining_prefix_decides_membership(d, m, level, extra, seed):
     # the mask from the determining prefix equals membership on the longer path
-    xi = sample_ray_path(level, d, required_steps(m, level) + extra, np.random.default_rng(seed))
-    assert sampled_traces([xi], m)[0].tolist() == [membership(t, xi) for t in enumerate_ball(d, m)]
+    xi = _word_path(level, d, required_steps(m, level) + extra, np.random.default_rng(seed))
+    assert _prefix_mask(xi, m).tolist() == [membership(t, xi) for t in enumerate_ball(d, m)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    level=st.integers(-3, 3),
+    steps=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sampled_rows_are_enumerated_rows(d, level, steps, seed):
+    rows = sample_ray_path(level, d, steps, np.random.default_rng(seed), 50)
+    every = {tuple(r) for r in enumerate_ray_paths(level, d, steps).tolist()}
+    assert rows.dtype == np.int32 and rows.shape == (50, steps + 1)
+    assert {tuple(r) for r in rows.tolist()} <= every
+
+
+@pytest.mark.parametrize("level, steps", [(-2, 4), (0, 3), (2, 2)])
+def test_sampled_rows_uniform(level, steps):
+    every = enumerate_ray_paths(level, 2, steps)
+    n = 200 * len(every)
+    rows = sample_ray_path(level, 2, steps, substream(414, "uniform", level), n)
+    index = {tuple(r): i for i, r in enumerate(every.tolist())}
+    counts = np.bincount([index[tuple(r)] for r in rows.tolist()], minlength=len(every))
+    assert chi2_pvalue(counts.tolist(), [200.0] * len(every)) > 0.01
 
 
 def test_anchor_pmf_values_and_total():
@@ -184,11 +274,10 @@ def test_restriction_consistency():
     n = 4000
     cat_a = {}
     cat_b = {}
-    for _ in range(n):
-        long = sample_ray_path(1, 2, 3, rng_a)
+    for long in _word_rows(sample_ray_path(1, 2, 3, rng_a, n), 1, 2):
         short = long.vertices[:3]
         cat_a[short] = cat_a.get(short, 0) + 1
-        direct = sample_ray_path(1, 2, 2, rng_b)
+    for direct in _word_rows(sample_ray_path(1, 2, 2, rng_b, n), 1, 2):
         cat_b[direct.vertices] = cat_b.get(direct.vertices, 0) + 1
     keys = sorted(set(cat_a) | set(cat_b), key=str)
     assert len(keys) == 4 * 3 * 3
@@ -200,18 +289,19 @@ def test_restriction_consistency():
 def test_enumerate_ray_paths_probabilities():
     # rows are distinct paths in canonical order, as many as the product of the
     # uniform choices, so each has probability 1/len; they are exactly the
-    # paths the Word sampler draws
+    # paths the sampler draws, and the Word paths built from reduced words
     rng = substream(412, "enum")
     for level in (-1, 0, 1):
         rows = [tuple(r) for r in enumerate_ray_paths(level, 2, 3).tolist()]
         assert len(set(rows)) == len(rows) == ray_path_count(level, 2, 3)
         assert rows == sorted(rows)
+        assert {tuple(r) for r in sample_ray_path(level, 2, 3, rng, 2000).tolist()} == set(rows)
         lay = ball_layout(2, ray_path_radius(level, 3))
-        drawn = {
-            tuple(lay.word_to_index(v) for v in sample_ray_path(level, 2, 3, rng).vertices)
+        words = {
+            tuple(lay.word_to_index(v) for v in _word_path(level, 2, 3, rng).vertices)
             for _ in range(2000)
         }
-        assert drawn == set(rows)
+        assert words == set(rows)
 
 
 def test_enumerate_ray_paths_budget_before_allocation():
