@@ -34,14 +34,11 @@ from .fields import (
     MixedMovingAverage,
     ParetoField,
     ShiftField,
-    boundary_maximum,
     maxima_experiment,
     mma_from_levels,
     mma_point_mass,
     norming_constant_exact,
     norming_constant_mc,
-    partial_maximum,
-    simulate_field,
 )
 from .free_group import (
     Word,
@@ -73,7 +70,6 @@ from .limit_process import (
 from .rng import substream
 from .stable import (
     SeriesConfig,
-    frechet_cdf,
     sample_sas,
     scaled_frechet_cdf,
     stable_tail_constant,

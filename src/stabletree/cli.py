@@ -106,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=0, help="ball radius for the empirical side")
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--mc", type=int, default=4000, help="subgraph Monte Carlo samples")
     p.add_argument("--theta-g", type=float, default=1.0, help="test function height")
     p.add_argument("--threshold", type=float, default=1.0, help="test function threshold")
     p.add_argument("--csv", default=None)
@@ -220,7 +219,6 @@ def _dispatch(args) -> int:
             seed=args.seed,
             params={
                 "delta": args.delta,
-                "mc_subgraphs": args.mc,
                 "theta": args.theta_g,
                 "threshold": args.threshold,
             },

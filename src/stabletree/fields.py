@@ -345,17 +345,6 @@ class FieldSample:
     meta: dict = field(default_factory=dict)
 
 
-def partial_maximum(sample: FieldSample) -> float:
-    """max_{t in E_n} |X_t|."""
-    return float(np.max(np.abs(sample.values)))
-
-
-def boundary_maximum(sample: FieldSample) -> float:
-    """max over the interior boundary sphere C_n only; never exceeds the ball max."""
-    mask = sample.depths == sample.n
-    return float(np.max(np.abs(sample.values[mask])))
-
-
 def _boundary_second_moment(d: int, alpha: float, n: int) -> float:
     """max_{|t| <= n} E[(2d-1)^(-2 B_omega(t)/alpha)] under the boundary measure."""
     rho = (2 * d - 1) ** (2.0 / alpha)
@@ -526,22 +515,6 @@ class FieldSimulator:
             depths=lay.depth,
             meta=dict(self.meta),
         )
-
-
-def simulate_field(
-    model: FieldModel,
-    n: int,
-    cfg: SeriesConfig | None,
-    rng: np.random.Generator,
-    site_budget: int = DEFAULT_SITE_BUDGET,
-) -> FieldSample:
-    """One replication of the field over E_n.
-
-    Deterministic given (model, n, resolved series length, rng state);
-    mixed moving averages and the shift field are exact, the others use
-    the truncated series with the configured remainder rule.
-    """
-    return FieldSimulator(model, n, cfg, site_budget).sample(rng)
 
 
 # ---------------------------------------------------------------------------

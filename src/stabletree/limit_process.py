@@ -12,8 +12,11 @@ Here f'(w, k) = f(w, k^-1).
 All level sums run over anchor levels <= m only: for higher levels the
 subgraph misses the kernel support entirely.  Levels <= -m contribute a
 common, subgraph-independent term (the subgraph then covers the whole
-support ball), so the negative tail is summed in closed form; only the
-finitely many intermediate levels need subgraph enumeration or sampling.
+support ball), so the negative tail is summed in closed form.  Each of the
+2m intermediate levels is an exact expectation over the trace classes of
+its ray paths, enumerated up to the shortest prefix that decides the trace
+on E_m; a level with more than ``EXACT_PATH_BUDGET`` such paths raises
+``ResourceBudgetError`` before any level is enumerated.
 
 The Laplace functional is evaluated for piecewise-constant test functions
 vanishing near zero, with the amplitude integral done exactly piece by
@@ -28,6 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import ResourceBudgetError
 from .free_group import ball_layout, ball_size, enumerate_ball, sphere_size
 from .fields import FieldSimulator, MixedMovingAverage, SeriesConfig
 from .rng import substream
@@ -160,7 +164,7 @@ def negative_tail_weight(m: int, d: int) -> float:
     return d / (d - 1.0) * (2.0 * d - 1.0) ** (-m)
 
 
-def exact_restriction_classes(d: int, level: int, m: int, budget: int = EXACT_PATH_BUDGET):
+def exact_restriction_classes(d: int, level: int, m: int):
     """Exact law of the subgraph's trace on E_m at the given anchor level.
 
     Returns [(Fraction probability, boolean mask over E_m in layout order)],
@@ -168,7 +172,7 @@ def exact_restriction_classes(d: int, level: int, m: int, budget: int = EXACT_PA
     determining path prefix is equally likely, so a class's probability is
     its share of the enumerated paths.
     """
-    paths = enumerate_ray_paths(level, d, determining_steps(level, m), budget)
+    paths = enumerate_ray_paths(level, d, determining_steps(level, m), EXACT_PATH_BUDGET)
     packed = ball_traces(paths, level, d, m)
     # one opaque item per row: a flat unique sorts bytes, not 8-bit fields
     rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
@@ -183,60 +187,33 @@ def exact_restriction_classes(d: int, level: int, m: int, budget: int = EXACT_PA
     )
 
 
-def _exact_enumeration_feasible(d: int, level: int, m: int, budget: int) -> bool:
-    return ray_path_count(level, d, determining_steps(level, m)) <= budget
+def _exact_enumeration_feasible(d: int, level: int, m: int) -> bool:
+    return ray_path_count(level, d, determining_steps(level, m)) <= EXACT_PATH_BUDGET
 
 
-@dataclass
-class LevelSumResult:
-    value: float
-    ci_low: float
-    ci_high: float
-    exact: bool
-
-
-def level_sum(
-    model: MixedMovingAverage,
-    func,
-    mc_subgraphs: int,
-    seed: int,
-    exact_budget: int = EXACT_PATH_BUDGET,
-) -> LevelSumResult:
+def level_sum(model: MixedMovingAverage, func) -> float:
     """sum over anchor levels of weight * E_xi[ func(trace of xi on E_m) ].
 
     ``func`` takes the trace as a boolean mask over E_m in layout order.
     Levels above the support radius m vanish because the subgraph misses
     the support; levels <= -m share the full-ball trace and are aggregated
-    in closed form.  Intermediate levels use exact enumeration when the
-    path space is small, otherwise common-random-number Monte Carlo across
-    levels with a batch-means CI.
+    in closed form.  The intermediate levels are exact sums over their
+    trace classes; every level is checked against ``EXACT_PATH_BUDGET``
+    before any is enumerated.
     """
     d, m = model.d, model.support_radius
-    total = negative_tail_weight(m, d) * func(np.ones(ball_size(d, m), dtype=bool))
-    mc_levels = []
-    for level in range(-m + 1, m + 1):
-        if _exact_enumeration_feasible(d, level, m, exact_budget):
-            val = sum(
-                float(p) * func(r) for p, r in exact_restriction_classes(d, level, m, exact_budget)
+    levels = range(-m + 1, m + 1)
+    for level in levels:
+        if not _exact_enumeration_feasible(d, level, m):
+            raise ResourceBudgetError(
+                f"level {level} has more than {EXACT_PATH_BUDGET} ray paths "
+                f"deciding the trace on E_{m}"
             )
-            total += level_weight(level, d) * val
-        else:
-            mc_levels.append(level)
-    if not mc_levels:
-        return LevelSumResult(value=total, ci_low=total, ci_high=total, exact=True)
-    per_sample = np.zeros(mc_subgraphs)
-    for level in mc_levels:
-        # the same stream at every level: paired draws
-        rng = substream(seed, "xi")
-        paths = sample_ray_path(level, d, determining_steps(level, m), rng, mc_subgraphs)
-        weight = level_weight(level, d)
-        per_sample += [weight * func(mask) for mask in _masks(paths, level, d, m)]
-    from .stats import batch_mean_ci
-
-    mean, lo, hi = batch_mean_ci(per_sample)
-    return LevelSumResult(
-        value=total + mean, ci_low=total + lo, ci_high=total + hi, exact=False
-    )
+    total = negative_tail_weight(m, d) * func(np.ones(ball_size(d, m), dtype=bool))
+    for level in levels:
+        val = sum(float(p) * func(r) for p, r in exact_restriction_classes(d, level, m))
+        total += level_weight(level, d) * val
+    return total
 
 
 def _masks(paths: np.ndarray, level: int, d: int, m: int) -> np.ndarray:
@@ -311,12 +288,12 @@ def sample_limit_point_process(
     return PointMeasure(atoms=np.concatenate([np.zeros(0), *atoms]), delta=delta)
 
 
-def expected_atom_count(
-    model: MixedMovingAverage,
-    delta: float,
-    mc_subgraphs: int = 2000,
-    seed: int = 0,
-) -> LevelSumResult:
+@dataclass
+class AtomCount:
+    value: float  # E[number of atoms above delta]
+
+
+def expected_atom_count(model: MixedMovingAverage, delta: float) -> AtomCount:
     """Analytic E[number of atoms above delta] of the limit process."""
     alpha = model.alpha
     cols = [
@@ -331,7 +308,7 @@ def expected_atom_count(
                 acc += x
         return acc
 
-    return level_sum(model, func, mc_subgraphs, seed)
+    return AtomCount(value=level_sum(model, func))
 
 
 # ---------------------------------------------------------------------------
@@ -342,28 +319,16 @@ def expected_atom_count(
 class LaplaceResult:
     value: float
     exponent: float
-    ci_low: float
-    ci_high: float
-    exact: bool
     level_symmetric_value: float | None = None
 
 
-def laplace_functional(
-    model: MixedMovingAverage,
-    g: PiecewiseConstant,
-    mc_subgraphs: int = 4000,
-    seed: int = 0,
-    exact_budget: int = EXACT_PATH_BUDGET,
-) -> LaplaceResult:
+def laplace_functional(model: MixedMovingAverage, g: PiecewiseConstant) -> LaplaceResult:
     """E[exp(-N(g))] for the limit process and piecewise-constant g.
 
-    The amplitude integral per subgraph class is exact; the subgraph
-    expectation is exact or Monte Carlo as in :func:`level_sum`.  For a
-    level-symmetric kernel the integrand does not depend on the subgraph
-    and the functional is also evaluated in that reduced form, returned
-    alongside for comparison.  The reduced form reads its per-level counts
-    off the exact trace classes, so it is left out (None) when some level
-    has more than ``EXACT_PATH_BUDGET`` determining paths.
+    The amplitude integral per subgraph class and the subgraph expectation
+    (:func:`level_sum`) are both exact.  For a level-symmetric kernel the
+    integrand does not depend on the subgraph and the functional is also
+    evaluated in that reduced form, returned alongside for comparison.
     """
     alpha = model.alpha
     cols = _kernel_columns(model)
@@ -374,24 +339,9 @@ def laplace_functional(
             acc += mass * nu_alpha_integral(alpha, vals[mask[pos]].tolist(), g)
         return acc
 
-    res = level_sum(model, func, mc_subgraphs, seed, exact_budget)
-    d, m = model.d, model.support_radius
-    countable = all(
-        ray_path_count(level, d, determining_steps(level, m)) <= EXACT_PATH_BUDGET
-        for level in range(-m + 1, m + 1)
-    )
-    sym = None
-    if model.is_level_symmetric and countable:
-        sym = _laplace_level_symmetric(model, g)
-    lo, hi = math.exp(-res.ci_high), math.exp(-res.ci_low)
-    return LaplaceResult(
-        value=math.exp(-res.value),
-        exponent=res.value,
-        ci_low=lo,
-        ci_high=hi,
-        exact=res.exact,
-        level_symmetric_value=sym,
-    )
+    exponent = level_sum(model, func)
+    sym = _laplace_level_symmetric(model, g) if model.is_level_symmetric else None
+    return LaplaceResult(value=math.exp(-exponent), exponent=exponent, level_symmetric_value=sym)
 
 
 def _sphere_counts_by_level(d: int, m: int, level: int) -> dict:
@@ -465,17 +415,9 @@ def empirical_laplace(
 class MaximaConstantResult:
     value: float          # the constant itself
     alpha_power: float    # its alpha-th power (the quantity the level sum yields)
-    ci_low: float         # CI on the alpha-th power
-    ci_high: float
-    exact: bool
 
 
-def maxima_constant(
-    model: MixedMovingAverage,
-    mc_subgraphs: int = 4000,
-    seed: int = 0,
-    exact_budget: int = EXACT_PATH_BUDGET,
-) -> MaximaConstantResult:
+def maxima_constant(model: MixedMovingAverage) -> MaximaConstantResult:
     """The constant K with M_n / (2d-1)^(n/alpha) converging to K Z_alpha.
 
     K^alpha sums, over anchor levels, the weighted expectation of twice
@@ -492,16 +434,10 @@ def maxima_constant(
             acc += mass * 2.0 * sup**alpha
         return acc
 
-    res = level_sum(model, func, mc_subgraphs, seed, exact_budget)
-    if res.value <= 0:
+    total = level_sum(model, func)
+    if total <= 0:
         raise ValueError("degenerate kernel: the maxima constant vanishes")
-    return MaximaConstantResult(
-        value=res.value ** (1.0 / alpha),
-        alpha_power=res.value,
-        ci_low=res.ci_low,
-        ci_high=res.ci_high,
-        exact=res.exact,
-    )
+    return MaximaConstantResult(value=total ** (1.0 / alpha), alpha_power=total)
 
 
 def maxima_constant_level_symmetric(model: MixedMovingAverage) -> MaximaConstantResult:
@@ -537,38 +473,26 @@ def maxima_constant_level_symmetric(model: MixedMovingAverage) -> MaximaConstant
         total += mass * norm
     if total <= 0:
         raise ValueError("degenerate kernel: the maxima constant vanishes")
-    return MaximaConstantResult(
-        value=total ** (1.0 / alpha),
-        alpha_power=total,
-        ci_low=total,
-        ci_high=total,
-        exact=True,
-    )
+    return MaximaConstantResult(value=total ** (1.0 / alpha), alpha_power=total)
 
 
-def maxima_constant_comparison(
-    model: MixedMovingAverage, mc_subgraphs: int = 4000, seed: int = 0
-) -> dict:
+def maxima_constant_comparison(model: MixedMovingAverage) -> dict:
     """Evaluate both maxima-constant formulas and flag any mismatch.
 
     The general level-sum value is the designated reference; the reduced
     formula is reported with its ratio and never silently substituted.
+    Both are exact, so they agree when they match to 3e-9 relative.
     """
-    general = maxima_constant(model, mc_subgraphs=mc_subgraphs, seed=seed)
+    general = maxima_constant(model)
     out = {
         "general_alpha_power": general.alpha_power,
         "general_value": general.value,
-        "general_ci": [general.ci_low, general.ci_high],
-        "general_exact": general.exact,
+        "general_exact": True,
     }
     if model.is_level_symmetric:
         sym = maxima_constant_level_symmetric(model)
-        slack = max(
-            general.ci_high - general.alpha_power,
-            general.alpha_power - general.ci_low,
-            1e-9 * abs(general.alpha_power),
-        )
-        agree = abs(sym.alpha_power - general.alpha_power) <= 3 * slack + 1e-12
+        diff = abs(sym.alpha_power - general.alpha_power)
+        agree = diff <= 3e-9 * abs(general.alpha_power) + 1e-12
         out.update(
             {
                 "level_symmetric_alpha_power": sym.alpha_power,

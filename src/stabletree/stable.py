@@ -86,13 +86,6 @@ def stable_tail_constant_quadrature(alpha: float, dps: int = 40) -> float:
         return float(1 / (head + tail))
 
 
-def frechet_cdf(x, alpha: float):
-    """P(Z_alpha <= x) = exp(-x^-alpha) for x > 0, else 0."""
-    x = np.asarray(x, dtype=float)
-    out = np.where(x > 0, np.exp(-np.power(np.where(x > 0, x, 1.0), -alpha)), 0.0)
-    return out if out.ndim else float(out)
-
-
 def scaled_frechet_cdf(x, alpha: float, c: float):
     """CDF exp(-c x^-alpha): the law of c^(1/alpha) Z_alpha."""
     if c <= 0:

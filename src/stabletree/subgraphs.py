@@ -171,14 +171,17 @@ def required_steps(t_len: int, level: int) -> int:
 
 
 def determining_steps(level: int, m: int) -> int:
-    """Path length whose prefix decides the subgraph's trace on E_m.
+    """Shortest path length whose prefix decides the subgraph's trace on E_m.
 
-    Once the path has passed depth m for good (step m - level for level >= 0,
-    step |level| + m otherwise) its ancestor at depth m is fixed, and
-    k -> d(t, v_k) - k is constant for every t in E_m; longer paths, up to
-    :func:`required_steps`, leave the minimum unchanged.
+    The path stops when it reaches C_m for good: step m - level for
+    level >= 0 (0 once the anchor lies beyond E_m), step |level| + m
+    otherwise.  From there on every vertex lies at depth >= m and keeps
+    the same ancestor at depth m, so for every t in E_m the lcp of t and
+    v_k is fixed and k -> d(t, v_k) - k is constant; longer paths, up to
+    :func:`required_steps`, leave the minimum unchanged.  Every prefix
+    stays inside E_max(m, |level|).
     """
-    return (m + 1) if level >= 0 else (abs(level) + m + 1)
+    return max(m - level, 0) if level >= 0 else abs(level) + m
 
 
 def membership(t: Word, xi: RayPath) -> bool:

@@ -15,15 +15,12 @@ from stabletree.fields import (
     MixedMovingAverage,
     ParetoField,
     ShiftField,
-    boundary_maximum,
     maxima_experiment,
     mma_from_levels,
     mma_point_mass,
     norming_constant_exact,
     norming_constant_mc,
-    partial_maximum,
     scaling_constant,
-    simulate_field,
 )
 from stabletree.free_group import (
     ball_layout,
@@ -36,6 +33,21 @@ from stabletree.free_group import (
 from stabletree.rng import substream
 from stabletree.stable import SeriesConfig, sample_sas
 from stabletree.stats import two_sample_ks_pvalue
+
+
+def simulate_field(model, n, cfg, rng):
+    """One replication over E_n, as a ``FieldSample`` carrying the site depths."""
+    return FieldSimulator(model, n, cfg).sample(rng)
+
+
+def partial_maximum(sample):
+    """max_{t in E_n} |X_t|."""
+    return float(np.max(np.abs(sample.values)))
+
+
+def boundary_maximum(sample):
+    """max over the sphere C_n only; never exceeds the ball max."""
+    return float(np.max(np.abs(sample.values[sample.depths == sample.n])))
 
 
 def test_norming_closed_forms():

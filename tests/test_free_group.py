@@ -22,7 +22,6 @@ from stabletree.free_group import (
     inverse,
     letter_rank,
     letters_in_order,
-    min_busemann_over_ball,
     multiply,
     parse_word,
     sphere_size,
@@ -30,6 +29,8 @@ from stabletree.free_group import (
     word_sort_key,
 )
 from stabletree.rng import substream
+
+from oracles import min_busemann_over_ball
 
 
 def naive_product(u, v):

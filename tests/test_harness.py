@@ -112,9 +112,11 @@ def test_run_pp_and_limit_kinds(tmp_path):
             model={"variant": "mma", "d": 2, "alpha": 1.0, "point_mass": True},
             seed=3,
             reps=1,
+            params={"mc_subgraphs": 4000},  # still accepted, no longer read
         )
     )
     assert kx.summary["general_alpha_power"] == pytest.approx(4.0)
+    assert kx.summary["general_exact"] is True
     lap = run(
         ExperimentConfig(
             kind="limit-laplace",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stabletree import limit_process
-from stabletree.errors import ResourceBudgetError
+from stabletree.errors import PathTooShortError, ResourceBudgetError
 from stabletree.fields import MixedMovingAverage, mma_from_levels, mma_point_mass
 from stabletree.free_group import (
     Word,
@@ -35,7 +35,9 @@ from stabletree.limit_process import (
 from stabletree.rng import substream
 from stabletree.subgraphs import (
     RayPath,
+    ball_traces,
     determining_steps,
+    enumerate_ray_paths,
     membership,
     required_steps,
     subgraph_sphere_count,
@@ -77,7 +79,6 @@ def test_level_weights():
 def test_maxima_constant_point_mass():
     for alpha in (0.8, 1.0, 1.5):
         res = maxima_constant(mma_point_mass(2, alpha))
-        assert res.exact
         assert res.alpha_power == pytest.approx(4.0, abs=1e-12)
         assert res.value == pytest.approx(4.0 ** (1.0 / alpha))
     res3 = maxima_constant(mma_point_mass(3, 1.0))
@@ -122,7 +123,6 @@ def test_laplace_trivial_and_closed_form():
     theta, s = 1.3, 2.0
     lap = laplace_functional(m, PiecewiseConstant.threshold(theta, s))
     expect = math.exp(-2.0 * 2.0 * s ** (-1.0) * (1 - math.exp(-theta)))
-    assert lap.exact
     assert lap.value == pytest.approx(expect)
     assert lap.level_symmetric_value == pytest.approx(expect)
 
@@ -131,25 +131,14 @@ def test_laplace_level_symmetric_agreement():
     m = mma_from_levels(2, 1.2, {0: 1.0, 1: 0.6})
     g = PiecewiseConstant.threshold(0.9, 1.2)
     lap = laplace_functional(m, g)
-    assert lap.exact
     assert lap.level_symmetric_value == pytest.approx(lap.value, rel=1e-10)
 
 
-def test_laplace_level_symmetric_needs_countable_levels():
-    # d = 3, m = 3: level 3 has 93,750 determining paths, above the exact budget
+def test_laplace_level_symmetric_d3_m3():
+    # d = 3, m = 3: the largest level (-2) has 3,750 determining paths, all exact
     m = mma_from_levels(3, 1.0, {0: 1.0, 1: 0.5, 2: 0.25, 3: 0.1})
-    lap = laplace_functional(m, PiecewiseConstant.threshold(1.0, 1.5), mc_subgraphs=20, seed=1)
-    assert not lap.exact
-    assert lap.level_symmetric_value is None
-
-
-def test_laplace_monte_carlo_path_matches_exact():
-    m = mma_from_levels(2, 1.0, {0: 1.0, 1: 0.6})
-    g = PiecewiseConstant.threshold(1.0, 1.5)
-    exact = laplace_functional(m, g)
-    mc = laplace_functional(m, g, mc_subgraphs=6000, seed=3, exact_budget=1)
-    assert not mc.exact
-    assert exact.value == pytest.approx(mc.value, abs=3 * (mc.ci_high - mc.ci_low) + 1e-3)
+    lap = laplace_functional(m, PiecewiseConstant.threshold(1.0, 1.5))
+    assert lap.level_symmetric_value == pytest.approx(lap.value, rel=1e-10)
 
 
 def test_laplace_empirical_cross_oracle():
@@ -192,7 +181,6 @@ def test_expected_atom_count_matches_analytic():
     ana = expected_atom_count(m, 1.0)
     rng = substream(604, "cnt")
     emp = np.mean([len(sample_limit_point_process(m, 1.0, rng)) for _ in range(3000)])
-    assert ana.exact
     assert abs(emp - ana.value) < 0.15
 
 
@@ -235,7 +223,6 @@ def test_sampled_atom_count_law(model, seed):
     rng = substream(seed, "law")
     counts = [len(sample_limit_point_process(model, delta, rng)) for _ in range(2000)]
     se = np.std(counts, ddof=1) / math.sqrt(len(counts))
-    assert exact.exact
     assert abs(np.mean(counts) - exact.value) <= 4 * se
 
 
@@ -291,8 +278,28 @@ def test_restriction_classes_match_word_oracle(d, m):
 
 
 def test_restriction_classes_budget():
+    # level -5 of E_6 has 4 * 3^10 = 236,196 determining paths
     with pytest.raises(ResourceBudgetError):
-        exact_restriction_classes(2, 6, 6, budget=1000)
+        exact_restriction_classes(2, -5, 6)
+
+
+def _class_law(paths, level, d, m):
+    """{packed trace row: Fraction share of the paths}, for equally likely paths."""
+    rows = [r.tobytes() for r in ball_traces(paths, level, d, m)]
+    return {r: Fraction(rows.count(r), len(rows)) for r in set(rows)}
+
+
+@pytest.mark.parametrize("d, m", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)])
+def test_determining_steps_is_shortest(d, m):
+    # one step more decides the same classes; one step less cannot decide the trace
+    for level in range(-m + 1, m + 1):
+        steps = determining_steps(level, m)
+        classes = exact_restriction_classes(d, level, m)
+        exact = {np.packbits(mask).tobytes(): p for p, mask in classes}
+        assert _class_law(enumerate_ray_paths(level, d, steps + 1), level, d, m) == exact
+        if steps:
+            with pytest.raises(PathTooShortError):
+                ball_traces(enumerate_ray_paths(level, d, steps - 1), level, d, m)
 
 
 def test_sphere_counts_by_level_exact():
@@ -325,3 +332,35 @@ def test_limit_kx_kernel_pinned():
     comp = maxima_constant_comparison(mma_from_levels(2, 1.0, {0: 1.0, 1: 0.6, 2: 0.3, 3: 0.2}))
     assert comp["general_exact"] is True
     assert comp["general_alpha_power"] == 30.400000000000006
+
+
+def test_maxima_constant_m5_exact():
+    # every level of E_5 is enumerated: at most 26,244 determining paths per level
+    model = mma_from_levels(2, 1.0, {0: 1.0, 1: 0.6, 2: 0.3, 3: 0.2, 4: 0.1, 5: 0.05})
+    general = maxima_constant(model).alpha_power
+    assert general == pytest.approx(maxima_constant_level_symmetric(model).alpha_power, rel=1e-12)
+
+
+def test_maxima_constant_m5_letter_swap_invariance():
+    # a1 <-> a2 is a tree automorphism fixing e, so it preserves the subgraph law;
+    # on this m = 5 kernel the sup over the trace varies, so a sampled level would show
+    table = {(): 0.2, (1,): 1.0, (-2,): 0.5, (1, 2): 0.8, (2, 2, -1): 0.3,
+             (1, 1, 2, 1, 2): 0.9, (-2, -1, -2, 1, 1): 0.6}
+    swap = {1: 2, -1: -2, 2: 1, -2: -1}
+
+    def kernel(rename):
+        tab = {word(2, [rename.get(g, g) for g in k]): v for k, v in table.items()}
+        return MixedMovingAverage.from_tables(2, 1.0, {"w0": 1.0}, {"w0": tab})
+
+    plain = maxima_constant(kernel({})).alpha_power
+    assert maxima_constant(kernel(swap)).alpha_power == pytest.approx(plain, rel=1e-12)
+
+
+def test_level_sum_budget_before_enumeration(monkeypatch):
+    # level -5 of E_6 has 236,196 determining paths: refused before any level is enumerated
+    def refuse(*args):
+        raise AssertionError("exact_restriction_classes called")
+
+    monkeypatch.setattr(limit_process, "exact_restriction_classes", refuse)
+    with pytest.raises(ResourceBudgetError):
+        maxima_constant(mma_from_levels(2, 1.0, {j: 1.0 for j in range(7)}))

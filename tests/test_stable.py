@@ -9,7 +9,6 @@ from stabletree.rng import substream
 from stabletree.stable import (
     SeriesConfig,
     choose_num_terms,
-    frechet_cdf,
     lepage_remainder_bound,
     lepage_weights,
     sample_sas,
@@ -73,10 +72,11 @@ def test_tail_constant_no_cancellation_near_one():
 
 
 def test_frechet_cdf():
-    assert frechet_cdf(1.0, 0.7) == pytest.approx(math.exp(-1))
-    assert frechet_cdf(-1.0, 0.7) == 0.0
+    # c = 1 is the standard Frechet law P(Z_alpha <= x) = exp(-x^-alpha)
+    assert scaled_frechet_cdf(1.0, 0.7, 1.0) == pytest.approx(math.exp(-1))
+    assert scaled_frechet_cdf(-1.0, 0.7, 1.0) == 0.0
     xs = np.linspace(0.1, 50, 200)
-    vals = frechet_cdf(xs, 1.3)
+    vals = scaled_frechet_cdf(xs, 1.3, 1.0)
     assert np.all(np.diff(vals) >= 0) and vals[-1] > 0.97
     assert scaled_frechet_cdf(4.0, 1.0, 4.0) == pytest.approx(math.exp(-1))
 

@@ -203,7 +203,7 @@ def test_thin_table():
     for mask, p0 in zip(masks, _word_rows(rows, 0, 2)):
         assert mask.tolist() == [membership(t, p0) for t in enumerate_ball(2, 1)]
     with pytest.raises(PathTooShortError):
-        ball_traces(rows[:, :2], 0, 2, 1)
+        ball_traces(rows[:, :1], 0, 2, 1)
 
 
 @settings(max_examples=60, deadline=None)
