@@ -29,7 +29,6 @@ from .errors import (
 )
 from .fields import (
     BoundaryField,
-    FieldSample,
     FieldSimulator,
     MixedMovingAverage,
     ParetoField,

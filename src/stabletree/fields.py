@@ -35,7 +35,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -334,17 +334,6 @@ def norming_constant_mc(model: FieldModel, n: int, reps: int, rng: np.random.Gen
 # Simulation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FieldSample:
-    """Field values over the ball E_n in canonical enumeration order."""
-
-    model: FieldModel
-    n: int
-    values: np.ndarray
-    depths: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-
 def _boundary_second_moment(d: int, alpha: float, n: int) -> float:
     """max_{|t| <= n} E[(2d-1)^(-2 B_omega(t)/alpha)] under the boundary measure."""
     rho = (2 * d - 1) ** (2.0 / alpha)
@@ -505,16 +494,6 @@ class FieldSimulator:
 
     def values(self, rng: np.random.Generator) -> np.ndarray:
         return self._draw(rng)
-
-    def sample(self, rng: np.random.Generator) -> FieldSample:
-        lay = ball_layout(self.model.d, self.n)
-        return FieldSample(
-            model=self.model,
-            n=self.n,
-            values=self.values(rng),
-            depths=lay.depth,
-            meta=dict(self.meta),
-        )
 
 
 # ---------------------------------------------------------------------------

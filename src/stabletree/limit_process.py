@@ -14,9 +14,11 @@ subgraph misses the kernel support entirely.  Levels <= -m contribute a
 common, subgraph-independent term (the subgraph then covers the whole
 support ball), so the negative tail is summed in closed form.  Each of the
 2m intermediate levels is an exact expectation over the trace classes of
-its ray paths, enumerated up to the shortest prefix that decides the trace
-on E_m; a level with more than ``EXACT_PATH_BUDGET`` such paths raises
-``ResourceBudgetError`` before any level is enumerated.
+its subgraphs.  A trace depends only on the vertex where the path meets
+C_m, which is uniform there at every level, so the classes come from one
+lcp comparison per vertex of C_m (:func:`subgraphs.trace_masks`).  When
+the |E_m| x |E_m| lcp table is above ``LCP_TABLE_BUDGET`` cells,
+``ResourceBudgetError`` is raised before any level is evaluated.
 
 The Laplace functional is evaluated for piecewise-constant test functions
 vanishing near zero, with the amplitude integral done exactly piece by
@@ -36,15 +38,13 @@ from .free_group import ball_layout, ball_size, enumerate_ball, sphere_size
 from .fields import FieldSimulator, MixedMovingAverage, SeriesConfig
 from .rng import substream
 from .subgraphs import (
-    ball_traces,
-    determining_steps,
+    LCP_TABLE_BUDGET,
     enumerate_ray_paths,
-    ray_path_count,
     sample_anchor,
     sample_ray_path,
+    subgraph_sphere_count,
+    trace_masks,
 )
-
-EXACT_PATH_BUDGET = 50_000
 
 
 @dataclass
@@ -168,27 +168,26 @@ def exact_restriction_classes(d: int, level: int, m: int):
     """Exact law of the subgraph's trace on E_m at the given anchor level.
 
     Returns [(Fraction probability, boolean mask over E_m in layout order)],
-    sorted by class size and then by the sorted member words.  Every
-    determining path prefix is equally likely, so a class's probability is
-    its share of the enumerated paths.
+    sorted by class size and then by the sorted member words.  The trace
+    is decided by the path's vertex on C_m, which is uniform there, so a
+    class's probability is its share of the vertices of C_m (the level-m
+    paths of zero steps).
     """
-    paths = enumerate_ray_paths(level, d, determining_steps(level, m), EXACT_PATH_BUDGET)
-    packed = ball_traces(paths, level, d, m)
+    ends = enumerate_ray_paths(m, d, 0)[:, 0]
+    masks = trace_masks(level, ends, d, m)
+    packed = np.packbits(masks, axis=1)
     # one opaque item per row: a flat unique sorts bytes, not 8-bit fields
     rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    uniq, counts = np.unique(rows, return_counts=True)
-    masks = np.unpackbits(
-        uniq.view(np.uint8).reshape(len(uniq), -1), axis=1, count=ball_size(d, m)
-    ).astype(bool)
+    _, first, counts = np.unique(rows, return_index=True, return_counts=True)
     names = [str(t) for t in enumerate_ball(d, m)]
     return sorted(
-        ((Fraction(int(c), len(paths)), mask) for c, mask in zip(counts, masks)),
+        ((Fraction(int(c), len(ends)), masks[i]) for c, i in zip(counts, first)),
         key=lambda pr: (int(pr[1].sum()), str(sorted(names[i] for i in np.flatnonzero(pr[1])))),
     )
 
 
-def _exact_enumeration_feasible(d: int, level: int, m: int) -> bool:
-    return ray_path_count(level, d, determining_steps(level, m)) <= EXACT_PATH_BUDGET
+def _exact_enumeration_feasible(d: int, m: int) -> bool:
+    return ball_size(d, m) ** 2 <= LCP_TABLE_BUDGET
 
 
 def level_sum(model: MixedMovingAverage, func) -> float:
@@ -198,29 +197,20 @@ def level_sum(model: MixedMovingAverage, func) -> float:
     Levels above the support radius m vanish because the subgraph misses
     the support; levels <= -m share the full-ball trace and are aggregated
     in closed form.  The intermediate levels are exact sums over their
-    trace classes; every level is checked against ``EXACT_PATH_BUDGET``
-    before any is enumerated.
+    trace classes; the lcp table they share is checked against
+    ``LCP_TABLE_BUDGET`` before any level is evaluated.
     """
     d, m = model.d, model.support_radius
-    levels = range(-m + 1, m + 1)
-    for level in levels:
-        if not _exact_enumeration_feasible(d, level, m):
-            raise ResourceBudgetError(
-                f"level {level} has more than {EXACT_PATH_BUDGET} ray paths "
-                f"deciding the trace on E_{m}"
-            )
+    if not _exact_enumeration_feasible(d, m):
+        raise ResourceBudgetError(
+            f"the lcp table of E_{m} has {ball_size(d, m)}^2 cells, "
+            f"above the budget of {LCP_TABLE_BUDGET}"
+        )
     total = negative_tail_weight(m, d) * func(np.ones(ball_size(d, m), dtype=bool))
-    for level in levels:
+    for level in range(-m + 1, m + 1):
         val = sum(float(p) * func(r) for p, r in exact_restriction_classes(d, level, m))
         total += level_weight(level, d) * val
     return total
-
-
-def _masks(paths: np.ndarray, level: int, d: int, m: int) -> np.ndarray:
-    """Traces on E_m of the paths of one level, as boolean mask rows."""
-    return np.unpackbits(
-        ball_traces(paths, level, d, m), axis=1, count=ball_size(d, m)
-    ).astype(bool)
 
 
 def _kernel_columns(model: MixedMovingAverage) -> list:
@@ -258,8 +248,9 @@ def sample_limit_point_process(
     is a random sign times (delta/sup) U^(-1/alpha) at every site.  The
     counts of the root and of the spheres C_1..C_m, the amplitudes and the
     anchor levels (|u|, or the geometric negative level at u = e) are drawn
-    as arrays.  Levels <= -m cover E_m; every other level draws one batch of
-    ray paths, whose traces come from :func:`ball_traces`.
+    as arrays, and so is one uniform vertex of C_m per atom, where its
+    path meets C_m; :func:`trace_masks` turns level and vertex into the
+    trace (levels <= -m cover E_m).
     """
     if delta <= 0:
         raise ValueError("truncation level must be > 0")
@@ -278,11 +269,8 @@ def sample_limit_point_process(
         levels = np.concatenate(
             [sample_anchor(d, rng, counts[0]), np.repeat(np.arange(1, m + 1), counts[1:])]
         )
-        masks = np.ones((total, ball_size(d, m)), dtype=bool)
-        for level in np.unique(levels[levels > -m]).tolist():
-            rows = np.flatnonzero(levels == level)
-            paths = sample_ray_path(level, d, determining_steps(level, m), rng, len(rows))
-            masks[rows] = _masks(paths, level, d, m)
+        ends = sample_ray_path(m, d, 0, rng, total)[:, 0]
+        masks = trace_masks(levels, ends, d, m)
         values = amps[:, None] * vals[None, :]
         atoms.append(values[masks[:, pos] & (np.abs(values) > delta)])
     return PointMeasure(atoms=np.concatenate([np.zeros(0), *atoms]), delta=delta)
@@ -344,23 +332,6 @@ def laplace_functional(model: MixedMovingAverage, g: PiecewiseConstant) -> Lapla
     return LaplaceResult(value=math.exp(-exponent), exponent=exponent, level_symmetric_value=sym)
 
 
-def _sphere_counts_by_level(d: int, m: int, level: int) -> dict:
-    """{j: |xi intersect C_j|} for j <= m, exact from every trace class of the level.
-
-    The counts do not depend on the subgraph (tree symmetry); each class is
-    checked, and a disagreement raises ``ValueError``.
-    """
-    depth = ball_layout(d, m).depth
-    found = {
-        tuple(np.bincount(depth[mask], minlength=m + 1).tolist())
-        for _, mask in exact_restriction_classes(d, level, m)
-    }
-    if len(found) != 1:
-        raise ValueError(f"sphere counts differ across the subgraph classes of level {level}")
-    (counts,) = found
-    return {j: c for j, c in enumerate(counts) if c}
-
-
 def _laplace_level_symmetric(model: MixedMovingAverage, g: PiecewiseConstant) -> float:
     """The reduced evaluation available under level symmetry.
 
@@ -383,10 +354,14 @@ def _laplace_level_symmetric(model: MixedMovingAverage, g: PiecewiseConstant) ->
             acc += model.mass(w) * nu_alpha_integral(alpha, coeffs, g)
         return acc
 
-    full_counts = {j: sphere_size(d, j) for j in range(m + 1)}
-    exponent += negative_tail_weight(m, d) * term(full_counts)
+    def counts(level) -> dict:
+        return {
+            j: subgraph_sphere_count(level, j - level, d) for j in range(max(level, 0), m + 1)
+        }
+
+    exponent += negative_tail_weight(m, d) * term(counts(-m))
     for level in range(-m + 1, m + 1):
-        exponent += level_weight(level, d) * term(_sphere_counts_by_level(d, m, level))
+        exponent += level_weight(level, d) * term(counts(level))
     return math.exp(-exponent)
 
 

@@ -23,8 +23,11 @@ steps.
 Enumeration and sampling work on integer arrays: a path is a row of
 indices into a ``ball_layout``, both grown by one continuation rule, and a
 subgraph's trace on the ball E_m is a boolean mask over E_m in layout
-order.  ``Word`` paths (``RayPath``, ``membership``) remain as the
-brute-force oracle of the sphere-count lemma and of the tests.
+order.  The trace depends on the path only through its vertex x on C_m:
+t is a member iff |t| + ell - 2 lcp(t, x) <= 0 (:func:`trace_masks`), and
+x is uniform on C_m at every level.  ``Word`` paths (``RayPath``,
+``membership``) remain as the brute-force oracle of the sphere-count lemma
+and of the tests.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 
 from .boundary import sample_boundary
 from .errors import PathTooShortError, ResourceBudgetError
-from .free_group import Word, ball_layout, distance, enumerate_sphere, sphere_size
+from .free_group import Word, ball_layout, ball_size, distance, enumerate_sphere, sphere_size
 from .rng import substream
 
 
@@ -170,20 +173,6 @@ def required_steps(t_len: int, level: int) -> int:
     return t_len + 2 * abs(level) + 2
 
 
-def determining_steps(level: int, m: int) -> int:
-    """Shortest path length whose prefix decides the subgraph's trace on E_m.
-
-    The path stops when it reaches C_m for good: step m - level for
-    level >= 0 (0 once the anchor lies beyond E_m), step |level| + m
-    otherwise.  From there on every vertex lies at depth >= m and keeps
-    the same ancestor at depth m, so for every t in E_m the lcp of t and
-    v_k is fixed and k -> d(t, v_k) - k is constant; longer paths, up to
-    :func:`required_steps`, leave the minimum unchanged.  Every prefix
-    stays inside E_max(m, |level|).
-    """
-    return max(m - level, 0) if level >= 0 else abs(level) + m
-
-
 def membership(t: Word, xi: RayPath) -> bool:
     """Whether t belongs to the subgraph represented by the path.
 
@@ -216,15 +205,15 @@ def membership(t: Word, xi: RayPath) -> bool:
 def subgraph_sphere_count(level: int, offset: int, d: int) -> int:
     """Exact number of subgraph vertices on the sphere C_{level+offset}.
 
-    Valid for positive anchor levels: every such subgraph meets that
-    sphere in exactly (2d-1)^floor(offset/2) vertices, independently of
-    the path.  No closed form is asserted for level <= 0; use
-    :func:`count_sphere_members` there.
+    Independent of the path (see :func:`trace_masks`): a vertex t of the
+    sphere is a member iff lcp(t, x) >= (|t| + level) / 2.  The sphere is
+    covered whole when level + offset <= -level and otherwise meets the
+    subgraph in (2d-1)^floor(offset/2) vertices.
     """
-    if level < 1:
-        raise ValueError("closed-form count requires level >= 1")
-    if offset < 0:
-        raise ValueError("offset must be >= 0")
+    if offset < 0 or level + offset < 0:
+        raise ValueError("need offset >= 0 and level + offset >= 0")
+    if level + offset <= -level:
+        return sphere_size(d, level + offset)
     return (2 * d - 1) ** (offset // 2)
 
 
@@ -282,7 +271,7 @@ def check_sphere_counts(d: int, ell_max: int, k_max: int, samples: int, seed: in
     return rows
 
 
-TRACE_CHUNK = 4096  # paths per block of (paths x sites) membership temporaries
+LCP_TABLE_BUDGET = 20_000_000  # cells of the |E_m| x |E_m| lcp table
 
 
 @functools.lru_cache(maxsize=8)
@@ -291,8 +280,14 @@ def _lcp_offsets(d: int, m: int) -> np.ndarray:
 
     In preorder the deepest ancestor-or-self of depth <= j of a node is the
     last node of depth <= j at or before it, so the ancestor columns come
-    from one ``searchsorted`` per depth.
+    from one ``searchsorted`` per depth.  A table above ``LCP_TABLE_BUDGET``
+    cells raises ``ResourceBudgetError`` before anything is allocated.
     """
+    size = ball_size(d, m)
+    if size**2 > LCP_TABLE_BUDGET:
+        raise ResourceBudgetError(
+            f"the lcp table of E_{m} has {size}^2 cells, above the budget of {LCP_TABLE_BUDGET}"
+        )
     site_depth = ball_layout(d, m).depth
     positions = np.arange(len(site_depth))
     lcp = np.zeros((len(site_depth), len(site_depth)), dtype=np.int16)
@@ -306,36 +301,19 @@ def _lcp_offsets(d: int, m: int) -> np.ndarray:
     return out
 
 
-def ball_traces(paths: np.ndarray, level: int, d: int, m: int) -> np.ndarray:
-    """Traces on E_m of the subgraphs of ``paths``, as packed bit rows.
+def trace_masks(levels, ends: np.ndarray, d: int, m: int) -> np.ndarray:
+    """Traces on E_m of subgraphs at anchor ``levels`` with C_m vertices ``ends``.
 
-    ``paths`` holds layout indices as returned by :func:`enumerate_ray_paths`
-    and :func:`sample_ray_path`, with at least :func:`determining_steps` steps.  t is a member iff
-    min_k d(t, v_k) - k <= 0, with d(t, v) = |t| + |v| - 2 lcp(t, v); for t in
-    E_m the lcp only sees v's ancestor at depth <= m.  Row p of the result is
-    ``np.packbits`` of the membership mask over E_m in layout order.  Paths
-    are processed in blocks of ``TRACE_CHUNK``, one int16 (block x sites)
-    running minimum per block.
+    ``ends`` holds layout indices into ``ball_layout(d, m)`` of the vertex x
+    where each path meets C_m; ``levels`` is one level <= m or one per end.
+    Row i is the boolean mask over E_m in layout order of
+    {t : |t| + level - 2 lcp(t, x) <= 0}.  For level >= 0, k -> d(t, v_k) - k
+    is non-increasing and reaches that value at x.  For level < 0 the
+    descent reaches |t| + level for every anchor, so it covers E_|level|,
+    and the ascent reaches the value at x, which is never larger.  Levels
+    <= -m give the full ball.
     """
-    num_steps = paths.shape[1] - 1
-    if num_steps < determining_steps(level, m):
-        raise PathTooShortError(
-            f"{num_steps} steps cannot decide the trace on E_{m} at level {level}; "
-            f"need {determining_steps(level, m)}"
-        )
-    lay = ball_layout(d, ray_path_radius(level, num_steps))
-    sites = np.flatnonzero(lay.depth <= m)
-    offsets = _lcp_offsets(d, m)
-    out = np.empty((len(paths), (len(sites) + 7) // 8), dtype=np.uint8)
-    for lo in range(0, len(paths), TRACE_CHUNK):
-        block = paths[lo : lo + TRACE_CHUNK]
-        anc = np.searchsorted(sites, block, side="right") - 1
-        best = np.full((len(block), len(sites)), np.iinfo(np.int16).max, dtype=np.int16)
-        for k in range(num_steps + 1):
-            shift = lay.depth[block[:, k]] - np.int16(k)
-            np.minimum(best, offsets[anc[:, k]] + shift[:, None], out=best)
-        out[lo : lo + TRACE_CHUNK] = np.packbits(best <= 0, axis=1)
-    return out
+    return _lcp_offsets(d, m)[ends] <= -np.asarray(levels)[..., None]
 
 
 # ---------------------------------------------------------------------------

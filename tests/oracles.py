@@ -1,7 +1,10 @@
 """Test-side oracles shared by several test modules."""
 
-from stabletree.errors import PrefixTooShortError
-from stabletree.free_group import Word, allowed_next_letters
+import numpy as np
+
+from stabletree.errors import PathTooShortError, PrefixTooShortError
+from stabletree.free_group import Word, allowed_next_letters, ball_layout
+from stabletree.subgraphs import _lcp_offsets, ray_path_radius
 
 
 def min_busemann_over_ball(d: int, n: int, omega_prefix: Word) -> int:
@@ -41,3 +44,53 @@ def min_busemann_over_ball(d: int, n: int, omega_prefix: Word) -> int:
         if ray_child is not None:
             stack.append((letters + (ray_child,), c + 1, True))
     return best
+
+
+def determining_steps(level: int, m: int) -> int:
+    """Shortest path length whose prefix decides the subgraph's trace on E_m.
+
+    The path stops when it reaches C_m for good: step m - level for
+    level >= 0 (0 once the anchor lies beyond E_m), step |level| + m
+    otherwise.  From there on every vertex lies at depth >= m and keeps
+    the same ancestor at depth m, so for every t in E_m the lcp of t and
+    v_k is fixed and k -> d(t, v_k) - k is constant; longer paths, up to
+    ``required_steps``, leave the minimum unchanged.  Every prefix stays
+    inside E_max(m, |level|).
+    """
+    return max(m - level, 0) if level >= 0 else abs(level) + m
+
+
+TRACE_CHUNK = 4096  # paths per block of (paths x sites) membership temporaries
+
+
+def ball_traces(paths: np.ndarray, level: int, d: int, m: int) -> np.ndarray:
+    """Traces on E_m of the subgraphs of whole ray paths, as packed bit rows.
+
+    The path-based reference for ``trace_masks``.  ``paths`` holds layout
+    indices as returned by ``enumerate_ray_paths`` and ``sample_ray_path``,
+    with at least :func:`determining_steps` steps.  t is a member iff
+    min_k d(t, v_k) - k <= 0, with d(t, v) = |t| + |v| - 2 lcp(t, v); for t
+    in E_m the lcp only sees v's ancestor at depth <= m.  Row p of the
+    result is ``np.packbits`` of the membership mask over E_m in layout
+    order.  Paths are processed in blocks of ``TRACE_CHUNK``, one int16
+    (block x sites) running minimum per block.
+    """
+    num_steps = paths.shape[1] - 1
+    if num_steps < determining_steps(level, m):
+        raise PathTooShortError(
+            f"{num_steps} steps cannot decide the trace on E_{m} at level {level}; "
+            f"need {determining_steps(level, m)}"
+        )
+    lay = ball_layout(d, ray_path_radius(level, num_steps))
+    sites = np.flatnonzero(lay.depth <= m)
+    offsets = _lcp_offsets(d, m)
+    out = np.empty((len(paths), (len(sites) + 7) // 8), dtype=np.uint8)
+    for lo in range(0, len(paths), TRACE_CHUNK):
+        block = paths[lo : lo + TRACE_CHUNK]
+        anc = np.searchsorted(sites, block, side="right") - 1
+        best = np.full((len(block), len(sites)), np.iinfo(np.int16).max, dtype=np.int16)
+        for k in range(num_steps + 1):
+            shift = lay.depth[block[:, k]] - np.int16(k)
+            np.minimum(best, offsets[anc[:, k]] + shift[:, None], out=best)
+        out[lo : lo + TRACE_CHUNK] = np.packbits(best <= 0, axis=1)
+    return out

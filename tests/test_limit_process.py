@@ -1,17 +1,20 @@
 """Cluster Poisson limit: sampling, Laplace functionals, maxima constant."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oracles import ball_traces, determining_steps
 from stabletree import limit_process
 from stabletree.errors import PathTooShortError, ResourceBudgetError
 from stabletree.fields import MixedMovingAverage, mma_from_levels, mma_point_mass
 from stabletree.free_group import (
     Word,
     allowed_next_letters,
+    ball_layout,
     enumerate_ball,
     enumerate_sphere,
     identity,
@@ -35,8 +38,6 @@ from stabletree.limit_process import (
 from stabletree.rng import substream
 from stabletree.subgraphs import (
     RayPath,
-    ball_traces,
-    determining_steps,
     enumerate_ray_paths,
     membership,
     required_steps,
@@ -278,9 +279,37 @@ def test_restriction_classes_match_word_oracle(d, m):
 
 
 def test_restriction_classes_budget():
-    # level -5 of E_6 has 4 * 3^10 = 236,196 determining paths
+    # the lcp table of E_8 has 13,121^2 = 172M cells
     with pytest.raises(ResourceBudgetError):
-        exact_restriction_classes(2, -5, 6)
+        exact_restriction_classes(2, -7, 8)
+
+
+def _path_classes(d, level, m):
+    """The trace classes of every determining path, decided by the path oracle."""
+    paths = enumerate_ray_paths(level, d, determining_steps(level, m))
+    packed = ball_traces(paths, level, d, m)
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    uniq, counts = np.unique(rows, return_counts=True)
+    names = [str(t) for t in enumerate_ball(d, m)]
+    masks = np.unpackbits(
+        uniq.view(np.uint8).reshape(len(uniq), -1), axis=1, count=len(names)
+    ).astype(bool)
+    return sorted(
+        ((Fraction(int(c), len(paths)), mask) for c, mask in zip(counts, masks)),
+        key=lambda pr: (int(pr[1].sum()), str(sorted(names[i] for i in np.flatnonzero(pr[1])))),
+    )
+
+
+@pytest.mark.parametrize(
+    "d, m", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3)]
+)
+def test_restriction_classes_match_path_oracle(d, m):
+    # the C_m-vertex rule gives the classes of the whole determining paths, in order
+    for level in range(-m + 1, m + 1):
+        got = exact_restriction_classes(d, level, m)
+        want = _path_classes(d, level, m)
+        assert [p for p, _ in got] == [p for p, _ in want]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
 
 
 def _class_law(paths, level, d, m):
@@ -302,29 +331,17 @@ def test_determining_steps_is_shortest(d, m):
                 ball_traces(enumerate_ray_paths(level, d, steps - 1), level, d, m)
 
 
-def test_sphere_counts_by_level_exact():
-    for level in range(-2, 4):
-        counts = limit_process._sphere_counts_by_level(2, 3, level)
-        for j in range(4):
-            if level >= 1:
-                expected = subgraph_sphere_count(level, j - level, 2) if j >= level else 0
-            elif j <= -level:
-                expected = 4 * 3 ** (j - 1) if j else 1  # level -j covers E_j
-            else:
-                continue
-            assert counts.get(j, 0) == expected
-
-
-def test_sphere_counts_disagreement_raises(monkeypatch):
-    one, two = np.zeros(5, dtype=bool), np.zeros(5, dtype=bool)
-    one[0] = two[1] = True  # the identity against a depth-1 site
-    monkeypatch.setattr(
-        limit_process,
-        "exact_restriction_classes",
-        lambda d, level, m: [(Fraction(1, 2), one), (Fraction(1, 2), two)],
-    )
-    with pytest.raises(ValueError):
-        limit_process._sphere_counts_by_level(2, 1, 0)
+@pytest.mark.parametrize("d, m", [(2, 5), (3, 3), (4, 2)])
+def test_sphere_counts_by_level_exact(d, m):
+    # every class of every level meets each sphere in the closed-form count
+    depth = ball_layout(d, m).depth
+    for level in range(-m, m + 1):
+        expected = [
+            subgraph_sphere_count(level, j - level, d) if j >= max(level, 0) else 0
+            for j in range(m + 1)
+        ]
+        for _, mask in exact_restriction_classes(d, level, m):
+            assert np.bincount(depth[mask], minlength=m + 1).tolist() == expected
 
 
 def test_limit_kx_kernel_pinned():
@@ -356,11 +373,34 @@ def test_maxima_constant_m5_letter_swap_invariance():
     assert maxima_constant(kernel(swap)).alpha_power == pytest.approx(plain, rel=1e-12)
 
 
+@pytest.mark.parametrize("d, m", [(2, 6), (2, 7), (3, 4)])
+def test_maxima_constant_exact_beyond_path_enumeration(d, m):
+    # every level exact where the determining paths of level -(m-1) number 93,750 or more
+    model = mma_from_levels(d, 1.0, {j: 1.0 / (j + 1) for j in range(m + 1)})
+    general = maxima_constant(model).alpha_power
+    assert general == pytest.approx(maxima_constant_level_symmetric(model).alpha_power, rel=1e-12)
+
+
 def test_level_sum_budget_before_enumeration(monkeypatch):
-    # level -5 of E_6 has 236,196 determining paths: refused before any level is enumerated
+    # the lcp table of E_8 has 172M cells: refused before any level is enumerated
     def refuse(*args):
         raise AssertionError("exact_restriction_classes called")
 
     monkeypatch.setattr(limit_process, "exact_restriction_classes", refuse)
     with pytest.raises(ResourceBudgetError):
-        maxima_constant(mma_from_levels(2, 1.0, {j: 1.0 for j in range(7)}))
+        maxima_constant(mma_from_levels(2, 1.0, {j: 1.0 for j in range(9)}))
+
+
+def test_sampler_budget_before_table():
+    # a radius-8 kernel would need a 172M-cell int16 table: refused before it is allocated
+    model = MixedMovingAverage.from_tables(
+        2, 1.0, {"w0": 1.0}, {"w0": {identity(2): 1.0, word(2, [1] * 8): 0.5}}
+    )
+    ball_layout(2, 8)  # the 13,121-site layout is built outside the traced region
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError):
+            sample_limit_point_process(model, 0.5, substream(608, "budget"))
+        assert tracemalloc.get_traced_memory()[1] < 5_000_000
+    finally:
+        tracemalloc.stop()

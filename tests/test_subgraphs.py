@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ball_traces, determining_steps
 from stabletree.boundary import sample_boundary
 from stabletree.errors import PathTooShortError, ResourceBudgetError
 from stabletree.free_group import (
@@ -26,9 +27,7 @@ from stabletree.subgraphs import (
     RayPath,
     anchor_pmf,
     anchor_pmf_tail,
-    ball_traces,
     check_sphere_counts,
-    determining_steps,
     enumerate_ray_paths,
     membership,
     ray_path_count,
@@ -37,6 +36,7 @@ from stabletree.subgraphs import (
     sample_anchor,
     sample_ray_path,
     subgraph_sphere_count,
+    trace_masks,
     word_ray_path,
 )
 
@@ -171,8 +171,9 @@ def test_word_ray_path_law():
 
 
 def test_sphere_count_validation():
+    assert subgraph_sphere_count(0, 2, 2) == 3
     with pytest.raises(ValueError):
-        subgraph_sphere_count(0, 2, 2)
+        subgraph_sphere_count(-2, 1, 2)  # the sphere C_-1
     with pytest.raises(ValueError):
         subgraph_sphere_count(1, -1, 2)
     assert subgraph_sphere_count(1, 0, 2) == 1
@@ -218,6 +219,26 @@ def test_determining_prefix_decides_membership(d, m, level, extra, seed):
     # the mask from the determining prefix equals membership on the longer path
     xi = _word_path(level, d, required_steps(m, level) + extra, np.random.default_rng(seed))
     assert _prefix_mask(xi, m).tolist() == [membership(t, xi) for t in enumerate_ball(d, m)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    m=st.integers(0, 3),
+    level=st.integers(-5, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trace_masks_match_path_traces(d, m, level, seed):
+    # the rule on the path's vertex on C_m decides the same trace as the whole path
+    level = min(level, m)
+    steps = determining_steps(level, m)
+    rows = sample_ray_path(level, d, steps, np.random.default_rng(seed), 40)
+    sites = np.flatnonzero(ball_layout(d, ray_path_radius(level, steps)).depth <= m)
+    ends = np.searchsorted(sites, rows[:, -1])  # the last vertex, as an E_m index
+    assert (ball_layout(d, m).depth[ends] == m).all()
+    expected = _masks(rows, level, d, m).tolist()
+    assert trace_masks(level, ends, d, m).tolist() == expected
+    assert trace_masks(np.full(40, level), ends, d, m).tolist() == expected
 
 
 @settings(max_examples=60, deadline=None)
