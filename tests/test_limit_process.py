@@ -331,17 +331,17 @@ def test_determining_steps_is_shortest(d, m):
                 ball_traces(enumerate_ray_paths(level, d, steps - 1), level, d, m)
 
 
-@pytest.mark.parametrize("d, m", [(2, 5), (3, 3), (4, 2)])
-def test_sphere_counts_by_level_exact(d, m):
+def test_sphere_counts_by_level_exact():
     # every class of every level meets each sphere in the closed-form count
-    depth = ball_layout(d, m).depth
-    for level in range(-m, m + 1):
-        expected = [
-            subgraph_sphere_count(level, j - level, d) if j >= max(level, 0) else 0
-            for j in range(m + 1)
-        ]
-        for _, mask in exact_restriction_classes(d, level, m):
-            assert np.bincount(depth[mask], minlength=m + 1).tolist() == expected
+    for d, m in [(2, 5), (3, 3), (4, 2)]:
+        depth = ball_layout(d, m).depth
+        for level in range(-m, m + 1):
+            expected = [
+                subgraph_sphere_count(level, j - level, d) if j >= max(level, 0) else 0
+                for j in range(m + 1)
+            ]
+            for _, mask in exact_restriction_classes(d, level, m):
+                assert np.bincount(depth[mask], minlength=m + 1).tolist() == expected
 
 
 def test_limit_kx_kernel_pinned():
