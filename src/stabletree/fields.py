@@ -52,6 +52,7 @@ from .stable import (
     scaled_frechet_cdf,
     stable_tail_constant,
 )
+from .stats import batch_mean_ci, empirical_cdf_table, ks_distance
 
 DEFAULT_SITE_BUDGET = 1_000_000
 
@@ -324,8 +325,6 @@ def norming_constant_mc(model: FieldModel, n: int, reps: int, rng: np.random.Gen
         m = u.min(axis=1) ** (-1.0 / model.theta)  # max of Pareto = min-uniform power
         vals[done : done + b] = m**model.alpha
         done += b
-    from .stats import batch_mean_ci
-
     mean, lo, hi = batch_mean_ci(vals)
     return EstimateCI(value=mean, ci_low=lo, ci_high=hi, reps=reps)
 
@@ -586,13 +585,9 @@ def maxima_experiment(
     limit_cdf = model.limit_cdf()
     ecdf = None
     if s_grid is not None:
-        from .stats import empirical_cdf_table
-
         ecdf = empirical_cdf_table(scaled, s_grid)
     ks = None
     if limit_cdf is not None:
-        from .stats import ks_distance
-
         ks = ks_distance(scaled, limit_cdf)
     return MaximaResult(
         n=n,

@@ -27,6 +27,7 @@ piece (the intensity of |x| > u is 2 u^-alpha per unit mass).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -179,11 +180,17 @@ def exact_restriction_classes(d: int, level: int, m: int):
     # one opaque item per row: a flat unique sorts bytes, not 8-bit fields
     rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, counts = np.unique(rows, return_index=True, return_counts=True)
-    names = [str(t) for t in enumerate_ball(d, m)]
+    names = _ball_names(d, m)
     return sorted(
         ((Fraction(int(c), len(ends)), masks[i]) for c, i in zip(counts, first)),
         key=lambda pr: (int(pr[1].sum()), str(sorted(names[i] for i in np.flatnonzero(pr[1])))),
     )
+
+
+@functools.lru_cache(maxsize=8)
+def _ball_names(d: int, m: int) -> tuple:
+    """The printed words of E_m in layout order, for the class sort key."""
+    return tuple(str(t) for t in enumerate_ball(d, m))
 
 
 def _exact_enumeration_feasible(d: int, m: int) -> bool:
@@ -213,19 +220,25 @@ def level_sum(model: MixedMovingAverage, func) -> float:
     return total
 
 
-def _kernel_columns(model: MixedMovingAverage) -> list:
+@functools.lru_cache(maxsize=8)
+def _kernel_columns(model: MixedMovingAverage) -> tuple:
     """Per atom w: (mass, E_m positions of k = t^-1, values f(w, t)), in table order.
 
     ``values[mask[positions]]`` is the dense f'(w, .) over E_m restricted to
     a trace and read in table order, the order every functional sums in.
+    Built once per model; the arrays are read-only because every caller
+    shares them.
     """
     lay = ball_layout(model.d, model.support_radius)
     cols = []
     for w in model.atoms:
         tab = model.table(w)
         pos = np.array([lay.word_to_index(t.inverse()) for t in tab], dtype=np.intp)
-        cols.append((model.mass(w), pos, np.array(list(tab.values()), dtype=float)))
-    return cols
+        vals = np.array(list(tab.values()), dtype=float)
+        pos.setflags(write=False)
+        vals.setflags(write=False)
+        cols.append((model.mass(w), pos, vals))
+    return tuple(cols)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Test-side oracles shared by several test modules."""
 
 import numpy as np
+from scipy import stats as sstats
 
 from stabletree.errors import PathTooShortError, PrefixTooShortError
 from stabletree.free_group import Word, allowed_next_letters, ball_layout
@@ -94,3 +95,18 @@ def ball_traces(paths: np.ndarray, level: int, d: int, m: int) -> np.ndarray:
             np.minimum(best, offsets[anc[:, k]] + shift[:, None], out=best)
         out[lo : lo + TRACE_CHUNK] = np.packbits(best <= 0, axis=1)
     return out
+
+
+def chi2_pvalue(observed, expected) -> float:
+    """Pearson chi-square p-value; expected counts are rescaled to the sample size."""
+    obs = np.asarray(observed, dtype=float)
+    exp = np.asarray(expected, dtype=float)
+    exp = exp * obs.sum() / exp.sum()
+    if np.any(exp < 5):
+        raise ValueError("expected counts below 5; merge bins first")
+    stat = float(np.sum((obs - exp) ** 2 / exp))
+    return float(sstats.chi2.sf(stat, len(obs) - 1))
+
+
+def two_sample_ks_pvalue(a, b) -> float:
+    return float(sstats.ks_2samp(np.asarray(a), np.asarray(b)).pvalue)

@@ -42,7 +42,7 @@ from stabletree.stable import (
     stable_tail_constant,
     stable_tail_constant_quadrature,
 )
-from stabletree.stats import chi2_pvalue, ks_distance
+from stabletree.stats import ks_distance
 from stabletree.subgraphs import (
     anchor_pmf,
     anchor_pmf_tail,
@@ -53,7 +53,7 @@ from stabletree.subgraphs import (
     word_ray_path,
 )
 
-from oracles import min_busemann_over_ball
+from oracles import chi2_pvalue, min_busemann_over_ball
 
 
 def _verdict(tag, ok, detail):

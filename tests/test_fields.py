@@ -33,7 +33,8 @@ from stabletree.free_group import (
 )
 from stabletree.rng import substream
 from stabletree.stable import SeriesConfig, sample_sas
-from stabletree.stats import two_sample_ks_pvalue
+
+from oracles import two_sample_ks_pvalue
 
 
 @dataclass

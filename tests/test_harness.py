@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats as sstats
 
 from stabletree.cli import main as cli_main
 from stabletree.errors import ConfigError
@@ -17,7 +22,9 @@ from stabletree.harness import (
     validate_config,
 )
 from stabletree.rng import substream
-from stabletree.stats import batch_mean_ci, chi2_pvalue, empirical_cdf_table, ks_distance
+from stabletree.stats import batch_mean_ci, empirical_cdf_table, ks_distance
+
+from oracles import chi2_pvalue
 
 
 def test_ks_distance_on_true_cdf():
@@ -54,6 +61,57 @@ def test_batch_mean_ci_covers_mean():
     m, lo, hi = batch_mean_ci(x)
     assert lo < 3.0 < hi
     assert m == pytest.approx(np.mean(x))
+
+
+@pytest.mark.parametrize("level", [0.9, 0.95, 0.99])
+def test_clopper_pearson_bounds_match_scipy(level):
+    a = 1.0 - level
+    for n in (1, 2, 5, 50, 2000, 20000):
+        ks = sorted({0, 1, n // 3, n // 2, n - 1, n})
+        rows = empirical_cdf_table(np.arange(n), [k - 0.5 for k in ks], level=level)
+        for k, row in zip(ks, rows):
+            assert row["count"] == k
+            if k == 0:
+                assert row["ci_low"] == 0.0
+            else:
+                ref = sstats.beta.ppf(a / 2, k, n - k + 1)
+                assert row["ci_low"] == pytest.approx(ref, rel=1e-10, abs=0), (n, k)
+            if k == n:
+                assert row["ci_high"] == 1.0
+            else:
+                ref = sstats.beta.ppf(1 - a / 2, k + 1, n - k)
+                assert row["ci_high"] == pytest.approx(ref, rel=1e-10, abs=0), (n, k)
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 19, 100, 1000])
+def test_batch_mean_t_quantile_matches_scipy(df):
+    x = substream(704, "bm-t", df).normal(size=2 * (df + 1))
+    for level in (0.9, 0.95, 0.99):
+        m, lo, hi = batch_mean_ci(x, batches=df + 1, level=level)
+        se = x.reshape(df + 1, 2).mean(axis=1).std(ddof=1) / np.sqrt(df + 1)
+        t = sstats.t.ppf(0.5 + level / 2, df)
+        assert (hi - m) / se == pytest.approx(t, rel=1e-10)
+        assert (m - lo) / se == pytest.approx(t, rel=1e-10)
+
+
+# The same check runs in the console-script step of CI.
+NO_SCIPY = (
+    "import sys, stabletree.harness, stabletree.stats, stabletree.limit_process; "
+    "from stabletree.fields import BoundaryField, maxima_experiment; "
+    "r = maxima_experiment(BoundaryField(2, 1.0), 4, 50, None, 1, s_grid=[0.5, 1.0, 2.0]); "
+    "stabletree.stats.batch_mean_ci([x for *_, x in r.records]); "
+    "leaked = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+    "assert not leaked, leaked"
+)
+
+
+def test_runtime_does_not_import_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_config_validation_errors():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ball_traces, determining_steps
+from oracles import ball_traces, chi2_pvalue, determining_steps
 from stabletree.boundary import sample_boundary
 from stabletree.errors import PathTooShortError, ResourceBudgetError
 from stabletree.free_group import (
@@ -22,7 +22,6 @@ from stabletree.free_group import (
     word,
 )
 from stabletree.rng import substream
-from stabletree.stats import chi2_pvalue
 from stabletree.subgraphs import (
     RayPath,
     anchor_pmf,
