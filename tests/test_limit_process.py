@@ -232,6 +232,16 @@ def test_sample_limit_delta_validation():
         sample_limit_point_process(mma_point_mass(2, 1.0), 0.0, substream(1, "x"))
 
 
+def test_kernel_columns_built_once_and_read_only():
+    model = mma_from_levels(2, 1.0, {0: 1.0, 1: 0.6, 2: 0.3})
+    cols = limit_process._kernel_columns(model)
+    assert limit_process._kernel_columns(mma_from_levels(2, 1.0, {0: 1.0, 1: 0.6, 2: 0.3})) is cols
+    for _, pos, vals in cols:
+        for arr in (pos, vals):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
 def _word_path_law(d, level, m):
     """Trace law on E_m by brute force over Word paths.
 
