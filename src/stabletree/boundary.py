@@ -170,13 +170,6 @@ class CylinderSet:
         """Children of H_g: H_{g x} over the 2d-1 admissible next letters x."""
         return [Word(self.d, g.letters + (x,)) for x in allowed_next_letters(self.d, g.letters[-1])]
 
-    def is_disjoint_from(self, other: "CylinderSet") -> bool:
-        for a in self.words:
-            for b in other.words:
-                if is_prefix(a, b) or is_prefix(b, a):
-                    return False
-        return True
-
 
 def _image_words(t: Word, g: Word) -> list:
     """Image of the cylinder H_g under phi_t, as a list of cylinder words.

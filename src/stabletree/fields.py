@@ -36,7 +36,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -178,6 +178,19 @@ class MixedMovingAverage(FieldModel):
             if mass <= 0:
                 raise ValueError("atom masses must be > 0")
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash, taken once: it walks every table entry, and the
+        limit functionals look the model up in a cache on every call."""
+        return hash((self.d, self.alpha, self.w_masses, self.f_table))
+
+    def __getstate__(self):
+        # str hashes are salted per process, so an unpickled copy hashes afresh
+        return {k: v for k, v in vars(self).items() if k != "_hash"}
+
     @staticmethod
     def from_tables(d: int, alpha: float, w_masses: dict, f_table: dict) -> "MixedMovingAverage":
         names = sorted(w_masses)
@@ -212,12 +225,6 @@ class MixedMovingAverage(FieldModel):
             for t, _ in entries:
                 m = max(m, len(t))
         return m
-
-    @property
-    def sup_abs(self) -> float:
-        return max(
-            (abs(v) for _, entries in self.f_table for _, v in entries), default=0.0
-        )
 
     def level_profile(self, w: str):
         """{|t|: value} if f(w, .) is constant on spheres, else None."""

@@ -142,6 +142,7 @@ def load_f_table_file(path, d: int):
 
 
 def validate_config(cfg: ExperimentConfig):
+    """Check the configuration and return the model it builds."""
     bad = []
     if cfg.kind not in EXPERIMENT_KINDS:
         bad.append("kind")
@@ -159,13 +160,12 @@ def validate_config(cfg: ExperimentConfig):
         bad.append("model")  # the limit process is derived for mixed moving averages only
     if bad:
         raise ConfigError(f"invalid configuration keys: {sorted(bad)}", bad)
-    build_model(cfg.model)  # raises ConfigError on bad model blocks and values
+    return build_model(cfg.model)  # raises ConfigError on bad model blocks and values
 
 
 def run(cfg: ExperimentConfig) -> ExperimentResult:
     """Validate, dispatch, and collect one experiment."""
-    validate_config(cfg)
-    model = build_model(cfg.model)
+    model = validate_config(cfg)
     t0 = time.monotonic()
     if cfg.kind == "maxima":
         result = _run_maxima(cfg, model)
@@ -175,7 +175,7 @@ def run(cfg: ExperimentConfig) -> ExperimentResult:
         role = "pp"
     elif cfg.kind == "limit-kx":
         result = _run_limit_kx(cfg, model)
-        role = "xi"
+        role = None  # the exact level sums draw no random numbers
     elif cfg.kind == "limit-laplace":
         result = _run_limit_laplace(cfg, model)
         role = "laplace"
@@ -183,7 +183,8 @@ def run(cfg: ExperimentConfig) -> ExperimentResult:
         result = _run_limit_sample(cfg, model)
         role = "nstar"
     result.diagnostics["wall_seconds"] = time.monotonic() - t0
-    result.diagnostics["rng_streams"] = f"philox(seed={cfg.seed}, role={role!r}, rep)"
+    if role is not None:
+        result.diagnostics["rng_streams"] = f"philox(seed={cfg.seed}, role={role!r}, rep)"
     return result
 
 

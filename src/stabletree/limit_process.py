@@ -21,8 +21,9 @@ the |E_m| x |E_m| lcp table is above ``LCP_TABLE_BUDGET`` cells,
 ``ResourceBudgetError`` is raised before any level is evaluated.
 
 The Laplace functional is evaluated for piecewise-constant test functions
-vanishing near zero, with the amplitude integral done exactly piece by
-piece (the intensity of |x| > u is 2 u^-alpha per unit mass).
+vanishing near zero, with the amplitude integral done exactly by one
+sorted sweep over its breakpoints (the intensity of |x| > u is 2 u^-alpha
+per unit mass).
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ class PiecewiseConstant:
         i0 = int(np.searchsorted(self.breaks, 0.0, side="left"))
         if self.values[i0] != 0.0:
             raise ValueError("test function must vanish on a neighbourhood of 0")
-        self._zero_slot = i0
 
     @staticmethod
     def threshold(theta: float, s: float) -> "PiecewiseConstant":
@@ -99,55 +99,40 @@ class PiecewiseConstant:
         out = np.asarray(self.values)[idx]
         return out if out.ndim else float(out)
 
-    @property
-    def inner_radius(self) -> float:
-        lo = -self.breaks[self._zero_slot - 1] if self._zero_slot > 0 else math.inf
-        hi = self.breaks[self._zero_slot] if self._zero_slot < len(self.breaks) else math.inf
-        return min(lo, hi)
-
-
-def _one_sided_nu(alpha: float, a: float, b: float) -> float:
-    """nu_alpha mass of (a, b] on one side, 0 < a < b <= inf."""
-    hi = 0.0 if math.isinf(b) else b ** (-alpha)
-    return a ** (-alpha) - hi
-
 
 def nu_alpha_integral(alpha: float, coeffs, g: PiecewiseConstant) -> float:
     """integral of (1 - exp(-sum_k g(x c_k))) d nu_alpha(x), exactly.
 
-    The integrand is piecewise constant in x with breakpoints at the
-    ratios break/coefficient; each piece contributes its value times the
-    power-law mass of the piece.  Requires g to vanish near 0, which makes
-    the integral finite.
+    One sorted sweep per side s of the line.  As t grows from 0, s t c
+    leaves the piece of 0, where g vanishes, and crosses break b at
+    t = b / (s c) > 0, moving into the next piece away from 0.  Between
+    consecutive events the integrand is constant, and each piece of the
+    sweep has power-law mass t_i^-alpha - t_(i+1)^-alpha.  The events
+    carry the moves of the piece counts, whose running sums stay exact
+    integers, so h = sum_k g(s t c_k) is a sum of nonnegative terms and
+    does not cancel.
     """
-    cs = [c for c in coeffs if c != 0.0]
-    if not cs:
-        return 0.0
-
-    def side(sign: float) -> float:
-        pts = sorted(
-            {sign * b / c for b in g.breaks for c in cs if sign * b / c > 0}
-        )
-        if not pts:
-            x = 1.0
-            h = float(sum(g(sign * x * c) for c in cs))
-            if h != 0.0:
-                raise ValueError("test function does not vanish near 0")
-            return 0.0
-        total = 0.0
-        # below the first breakpoint the integrand must be 0
-        h0 = float(sum(g(sign * (pts[0] / 2.0) * c) for c in cs))
-        if h0 != 0.0:
-            raise ValueError("test function does not vanish near 0")
-        for i, a in enumerate(pts):
-            b = pts[i + 1] if i + 1 < len(pts) else math.inf
-            mid = 2.0 * a if math.isinf(b) else 0.5 * (a + b)
-            h = float(sum(g(sign * mid * c) for c in cs))
-            if h != 0.0:
-                total += (1.0 - math.exp(-h)) * _one_sided_nu(alpha, a, b)
-        return total
-
-    return side(1.0) + side(-1.0)
+    cs = np.asarray(coeffs, dtype=float)
+    cs = cs[cs != 0.0]
+    breaks = np.asarray(g.breaks)
+    values = np.asarray(g.values)
+    left = np.arange(len(breaks))[:, None]  # piece i lies left of break i, piece i + 1 right
+    total = 0.0
+    for sc in (cs, -cs):
+        t = breaks[:, None] / sc[None, :]
+        hit = t > 0
+        order = np.argsort(t[hit])
+        ts = t[hit][order]
+        leave = np.where(sc > 0, left, left + 1)[hit][order]
+        enter = np.where(sc > 0, left + 1, left)[hit][order]
+        h = np.zeros(len(ts))
+        for piece, v in enumerate(values):
+            if v != 0.0:
+                h += v * np.cumsum((enter == piece).astype(np.int64) - (leave == piece))
+        mass = ts ** (-alpha)
+        mass[:-1] -= mass[1:]  # t_i^-alpha - t_(i+1)^-alpha; the last piece reaches infinity
+        total += float(np.sum(-np.expm1(-h) * mass))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +182,15 @@ def _exact_enumeration_feasible(d: int, m: int) -> bool:
     return ball_size(d, m) ** 2 <= LCP_TABLE_BUDGET
 
 
-def level_sum(model: MixedMovingAverage, func) -> float:
-    """sum over anchor levels of weight * E_xi[ func(trace of xi on E_m) ].
+def level_sum(model: MixedMovingAverage, per_atom) -> float:
+    """sum over anchor levels of weight * E_xi[ sum_w mass(w) per_atom(f'(w, .) on xi) ].
 
-    ``func`` takes the trace as a boolean mask over E_m in layout order.
-    Levels above the support radius m vanish because the subgraph misses
-    the support; levels <= -m share the full-ball trace and are aggregated
-    in closed form.  The intermediate levels are exact sums over their
-    trace classes; the lcp table they share is checked against
+    ``per_atom`` maps one atom's kernel values, restricted to the trace
+    of xi on E_m and read in table order, to a float.  Levels above the
+    support radius m vanish because the subgraph misses the support;
+    levels <= -m share the full-ball trace and are aggregated in closed
+    form.  The intermediate levels are exact sums over their trace
+    classes; the lcp table they share is checked against
     ``LCP_TABLE_BUDGET`` before any level is evaluated.
     """
     d, m = model.d, model.support_radius
@@ -213,6 +199,14 @@ def level_sum(model: MixedMovingAverage, func) -> float:
             f"the lcp table of E_{m} has {ball_size(d, m)}^2 cells, "
             f"above the budget of {LCP_TABLE_BUDGET}"
         )
+    cols = _kernel_columns(model)
+
+    def func(mask) -> float:
+        acc = 0.0
+        for mass, pos, vals in cols:
+            acc += mass * per_atom(vals[mask[pos]])
+        return acc
+
     total = negative_tail_weight(m, d) * func(np.ones(ball_size(d, m), dtype=bool))
     for level in range(-m + 1, m + 1):
         val = sum(float(p) * func(r) for p, r in exact_restriction_classes(d, level, m))
@@ -297,19 +291,9 @@ class AtomCount:
 def expected_atom_count(model: MixedMovingAverage, delta: float) -> AtomCount:
     """Analytic E[number of atoms above delta] of the limit process."""
     alpha = model.alpha
-    cols = [
-        (pos, np.array([mass * 2.0 * (abs(v) / delta) ** alpha for v in vals.tolist()]))
-        for mass, pos, vals in _kernel_columns(model)
-    ]
-
-    def func(mask) -> float:
-        acc = 0.0
-        for pos, terms in cols:
-            for x in terms[mask[pos]].tolist():
-                acc += x
-        return acc
-
-    return AtomCount(value=level_sum(model, func))
+    return AtomCount(
+        value=level_sum(model, lambda v: 2.0 * float(np.sum((np.abs(v) / delta) ** alpha)))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +315,7 @@ def laplace_functional(model: MixedMovingAverage, g: PiecewiseConstant) -> Lapla
     integrand does not depend on the subgraph and the functional is also
     evaluated in that reduced form, returned alongside for comparison.
     """
-    alpha = model.alpha
-    cols = _kernel_columns(model)
-
-    def func(mask) -> float:
-        acc = 0.0
-        for mass, pos, vals in cols:
-            acc += mass * nu_alpha_integral(alpha, vals[mask[pos]].tolist(), g)
-        return acc
-
-    exponent = level_sum(model, func)
+    exponent = level_sum(model, lambda v: nu_alpha_integral(model.alpha, v, g))
     sym = _laplace_level_symmetric(model, g) if model.is_level_symmetric else None
     return LaplaceResult(value=math.exp(-exponent), exponent=exponent, level_symmetric_value=sym)
 
@@ -353,28 +328,24 @@ def _laplace_level_symmetric(model: MixedMovingAverage, g: PiecewiseConstant) ->
     negative tail.
     """
     d, alpha, m = model.d, model.alpha, model.support_radius
-    exponent = 0.0
-    profiles = {w: model.level_profile(w) for w in model.atoms}
+    profiles = [
+        np.array([prof.get(j, 0.0) for j in range(m + 1)])
+        for prof in map(model.level_profile, model.atoms)
+    ]
 
-    def term(counts) -> float:
+    def term(level) -> float:
+        counts = [
+            subgraph_sphere_count(level, j - level, d) if j >= max(level, 0) else 0
+            for j in range(m + 1)
+        ]
         acc = 0.0
-        for w in model.atoms:
-            coeffs = []
-            for j, mult in counts.items():
-                v = profiles[w].get(j, 0.0)
-                if v != 0.0:
-                    coeffs.extend([v] * mult)
-            acc += model.mass(w) * nu_alpha_integral(alpha, coeffs, g)
+        for w, prof in zip(model.atoms, profiles):
+            acc += model.mass(w) * nu_alpha_integral(alpha, np.repeat(prof, counts), g)
         return acc
 
-    def counts(level) -> dict:
-        return {
-            j: subgraph_sphere_count(level, j - level, d) for j in range(max(level, 0), m + 1)
-        }
-
-    exponent += negative_tail_weight(m, d) * term(counts(-m))
+    exponent = negative_tail_weight(m, d) * term(-m)
     for level in range(-m + 1, m + 1):
-        exponent += level_weight(level, d) * term(counts(level))
+        exponent += level_weight(level, d) * term(level)
     return math.exp(-exponent)
 
 
@@ -413,16 +384,7 @@ def maxima_constant(model: MixedMovingAverage) -> MaximaConstantResult:
     subgraph.  The negative level tail is aggregated in closed form.
     """
     alpha = model.alpha
-    cols = _kernel_columns(model)
-
-    def func(mask) -> float:
-        acc = 0.0
-        for mass, pos, vals in cols:
-            sup = float(np.abs(vals[mask[pos]]).max(initial=0.0))
-            acc += mass * 2.0 * sup**alpha
-        return acc
-
-    total = level_sum(model, func)
+    total = level_sum(model, lambda v: 2.0 * float(np.abs(v).max(initial=0.0)) ** alpha)
     if total <= 0:
         raise ValueError("degenerate kernel: the maxima constant vanishes")
     return MaximaConstantResult(value=total ** (1.0 / alpha), alpha_power=total)

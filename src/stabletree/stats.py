@@ -15,6 +15,7 @@ import numpy as np
 _EPS = 1e-15  # continued-fraction convergence: relative change of one factor
 _TINY = 1e-300  # keeps Lentz's recurrences away from division by zero
 _MAX_TERMS = 100_000
+_STIRLING_FROM = 20.0  # _log_beta switches to Stirling's series from here
 
 
 def ks_distance(sample, cdf) -> float:
@@ -63,7 +64,43 @@ def batch_mean_ci(samples, batches: int = 20, level: float = 0.95):
 # ---------------------------------------------------------------------------
 
 def _log_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    """log B(a, b) = lgamma(a) + lgamma(b) - lgamma(a + b).
+
+    That sum cancels once an argument is large.  From ``_STIRLING_FROM``
+    on, each large lgamma is written by Stirling's series,
+    lgamma(x) = (x - 1/2) log x - x + log(2 pi)/2 + omega(x), and the large
+    logarithms are combined before they are added.  With small <= big and
+    s = small + big,
+
+        log B = lgamma(small) - small log s + small + T,  or, once small is large too,
+        log B = log(2 pi / small)/2 - small log1p(big/small) + omega(small) + T,
+
+    where T = omega(big) - omega(s) - (big - 1/2) log1p(small/big).  Every
+    term is then of the size of the result or smaller.
+    """
+    small, big = sorted((a, b))
+    s = a + b
+    if big < _STIRLING_FROM:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(s)
+    tail = _stirling_omega(big) - _stirling_omega(s) - (big - 0.5) * math.log1p(small / big)
+    if small < _STIRLING_FROM:
+        return math.lgamma(small) - small * math.log(s) + small + tail
+    return (
+        0.5 * math.log(2.0 * math.pi / small)
+        - small * math.log1p(big / small)
+        + _stirling_omega(small)
+        + tail
+    )
+
+
+def _stirling_omega(x: float) -> float:
+    """lgamma(x) - (x - 1/2) log x + x - log(2 pi)/2, for x >= _STIRLING_FROM.
+
+    Four terms of Stirling's series; the first omitted one, 1/(1188 x^9),
+    is below 2e-15 there.
+    """
+    r = 1.0 / (x * x)
+    return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / x
 
 
 def _beta_cf(x: float, a: float, b: float) -> float:

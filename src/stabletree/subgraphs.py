@@ -72,9 +72,6 @@ class RayPath:
     def num_steps(self) -> int:
         return len(self.vertices) - 1
 
-    def contains(self, t: Word) -> bool:
-        return membership(t, self)
-
 
 def _expected_level(ell: int, k: int) -> int:
     if ell >= 0:

@@ -1,5 +1,7 @@
 """Test-side oracles shared by several test modules."""
 
+import math
+
 import numpy as np
 from scipy import stats as sstats
 
@@ -95,6 +97,28 @@ def ball_traces(paths: np.ndarray, level: int, d: int, m: int) -> np.ndarray:
             np.minimum(best, offsets[anc[:, k]] + shift[:, None], out=best)
         out[lo : lo + TRACE_CHUNK] = np.packbits(best <= 0, axis=1)
     return out
+
+
+def nu_alpha_integral_midpoints(alpha: float, coeffs, g) -> float:
+    """integral of (1 - exp(-sum_k g(x c_k))) d nu_alpha(x), piece by piece.
+
+    The reference for ``limit_process.nu_alpha_integral``.  Per side of
+    the line, the integrand is constant between consecutive ratios
+    break/coefficient; each piece is evaluated by calling g at its
+    midpoint once per coefficient and weighted by its power-law mass.
+    Quadratic in the number of coefficients.
+    """
+    cs = [c for c in coeffs if c != 0.0]
+    total = 0.0
+    for sign in (1.0, -1.0):
+        pts = sorted({sign * b / c for b in g.breaks for c in cs if sign * b / c > 0})
+        for i, a in enumerate(pts):
+            b = pts[i + 1] if i + 1 < len(pts) else math.inf
+            mid = 2.0 * a if math.isinf(b) else 0.5 * (a + b)
+            h = float(sum(g(sign * mid * c) for c in cs))
+            mass = a ** (-alpha) - (0.0 if math.isinf(b) else b ** (-alpha))
+            total += -math.expm1(-h) * mass
+    return total
 
 
 def chi2_pvalue(observed, expected) -> float:

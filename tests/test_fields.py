@@ -1,6 +1,7 @@
 """Field models: norming constants, simulation laws, maxima experiments."""
 
 import math
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,6 +145,14 @@ def test_mma_exactness_ignores_series_budget():
     b = simulate_field(m, 3, SeriesConfig(num_terms=10_000), substream(506, "ex"))
     assert np.array_equal(a.values, b.values)
     assert a.meta.get("exact") is True
+
+
+def test_mma_hash_is_cached_but_not_pickled():
+    model = mma_from_levels(2, 1.0, {0: 1.0, 1: 0.5})
+    assert hash(model) == hash(mma_from_levels(2, 1.0, {0: 1.0, 1: 0.5}))
+    # the str hashes in it are salted per process: a copy sent to a worker hashes afresh
+    copy = pickle.loads(pickle.dumps(model))
+    assert copy == model and "_hash" not in vars(copy)
 
 
 def test_mma_scaling_equivariance():

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import ball_traces, determining_steps
+from oracles import ball_traces, determining_steps, nu_alpha_integral_midpoints
 from stabletree import limit_process
 from stabletree.errors import PathTooShortError, ResourceBudgetError
 from stabletree.fields import MixedMovingAverage, mma_from_levels, mma_point_mass
@@ -49,7 +51,6 @@ def test_piecewise_constant_validation():
     g = PiecewiseConstant.threshold(2.0, 1.5)
     assert g(2.0) == 2.0 and g(-2.0) == 2.0 and g(1.0) == 0.0
     assert g(np.array([-3.0, 0.5, 3.0])).tolist() == [2.0, 0.0, 2.0]
-    assert g.inner_radius == 1.5
     with pytest.raises(ValueError):
         PiecewiseConstant((-1.0, 1.0), (1.0, 0.5, 1.0))  # nonzero around 0
     with pytest.raises(ValueError):
@@ -67,6 +68,32 @@ def test_nu_alpha_integral_closed_form():
     got2 = nu_alpha_integral(alpha, [0.5], g)
     assert got2 == pytest.approx((1 - math.exp(-theta)) * 2.0 * (s / 0.5) ** (-alpha))
     assert nu_alpha_integral(alpha, [], g) == 0.0
+
+
+# coefficient lists drawn from a small pool: repeats, zeros and both signs
+coefficient_lists = st.lists(
+    st.one_of(st.just(0.0), st.floats(0.05, 20.0), st.floats(-20.0, -0.05)), max_size=4
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=12) if pool else st.just([]))
+
+
+@st.composite
+def piecewise_functions(draw):
+    """A PiecewiseConstant with up to three breaks on each side, vanishing around 0."""
+    neg = draw(st.lists(st.floats(0.05, 10.0), max_size=3, unique=True))
+    pos = draw(st.lists(st.floats(0.05, 10.0), max_size=3, unique=True))
+    size = len(neg) + len(pos) + 1
+    values = draw(st.lists(st.floats(0.0, 5.0), min_size=size, max_size=size))
+    values[len(neg)] = 0.0
+    return PiecewiseConstant(sorted(-x for x in neg) + sorted(pos), values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(0.0, 2.0, exclude_min=True, exclude_max=True), coefficient_lists, piecewise_functions()
+)
+def test_nu_alpha_integral_matches_midpoint_oracle(alpha, coeffs, g):
+    want = nu_alpha_integral_midpoints(alpha, coeffs, g)
+    assert nu_alpha_integral(alpha, coeffs, g) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_level_weights():
