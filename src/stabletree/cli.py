@@ -30,7 +30,7 @@ def _model_spec(args) -> dict:
         spec["theta"] = args.theta
     if args.model == "mma":
         if args.f_table:
-            masses, table = load_f_table_file(args.f_table, args.d)
+            masses, table = load_f_table_file(args.f_table)
             spec["w_masses"] = masses
             spec["f_table"] = table
         else:

@@ -32,7 +32,6 @@ exists.
 from __future__ import annotations
 
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -178,19 +177,6 @@ class MixedMovingAverage(FieldModel):
             if mass <= 0:
                 raise ValueError("atom masses must be > 0")
 
-    def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """The dataclass hash, taken once: it walks every table entry, and the
-        limit functionals look the model up in a cache on every call."""
-        return hash((self.d, self.alpha, self.w_masses, self.f_table))
-
-    def __getstate__(self):
-        # str hashes are salted per process, so an unpickled copy hashes afresh
-        return {k: v for k, v in vars(self).items() if k != "_hash"}
-
     @staticmethod
     def from_tables(d: int, alpha: float, w_masses: dict, f_table: dict) -> "MixedMovingAverage":
         names = sorted(w_masses)
@@ -218,35 +204,53 @@ class MixedMovingAverage(FieldModel):
     def table(self, w: str) -> dict:
         return dict(dict(self.f_table)[w])
 
-    @property
+    @cached_property
     def support_radius(self) -> int:
-        m = 0
-        for _, entries in self.f_table:
-            for t, _ in entries:
-                m = max(m, len(t))
-        return m
+        return max((len(t) for _, entries in self.f_table for t, _ in entries), default=0)
+
+    @cached_property
+    def kernel_columns(self) -> tuple:
+        """Per atom w: (mass, E_m positions of k = t^-1, values f(w, t)), in table order.
+
+        ``values[mask[positions]]`` is the dense f'(w, .) over E_m restricted to
+        a trace and read in table order, the order every functional sums in.
+        Built once per model; the arrays are read-only because every caller
+        shares them.
+        """
+        lay = ball_layout(self.d, self.support_radius)
+        cols = []
+        for (_, mass), (_, entries) in zip(self.w_masses, self.f_table):
+            pos = np.array([lay.word_to_index(t.inverse()) for t, _ in entries], dtype=np.intp)
+            vals = np.array([v for _, v in entries], dtype=float)
+            pos.setflags(write=False)
+            vals.setflags(write=False)
+            cols.append((mass, pos, vals))
+        return tuple(cols)
+
+    @cached_property
+    def level_profiles(self) -> tuple:
+        """Per atom, in table order: {|t|: value} if f(w, .) is constant on
+        spheres, else None.  |t^-1| = |t|, so the depths of the column
+        positions are the levels."""
+        depth = ball_layout(self.d, self.support_radius).depth
+        profiles = []
+        for _, pos, vals in self.kernel_columns:
+            dense = np.zeros(len(depth))
+            dense[pos] = vals
+            spheres = [dense[depth == j] for j in range(self.support_radius + 1)]
+            if any((s != s[0]).any() for s in spheres):
+                profiles.append(None)
+            else:
+                profiles.append({j: float(s[0]) for j, s in enumerate(spheres) if s[0] != 0.0})
+        return tuple(profiles)
 
     def level_profile(self, w: str):
         """{|t|: value} if f(w, .) is constant on spheres, else None."""
-        tab = self.table(w)
-        if not tab:
-            return {}
-        lay = ball_layout(self.d, max(len(t) for t in tab))
-        vals = np.zeros(lay.size)
-        for t, v in tab.items():
-            vals[lay.word_to_index(t)] = v
-        levels = {}
-        for j in range(lay.n + 1):
-            level = vals[lay.depth == j]
-            if (level != level[0]).any():
-                return None
-            if level[0] != 0.0:
-                levels[j] = float(level[0])
-        return levels
+        return self.level_profiles[self.atoms.index(w)]
 
     @property
     def is_level_symmetric(self) -> bool:
-        return all(self.level_profile(w) is not None for w in self.atoms)
+        return all(prof is not None for prof in self.level_profiles)
 
     def noise_scale(self, w: str) -> float:
         """Series-convention SaS scale of one site's noise: (2 mass / c_alpha)^(1/alpha)."""
@@ -543,13 +547,6 @@ def _maxima_chunk(payload):
     return out
 
 
-def default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("STABLETREE_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def maxima_experiment(
     model: FieldModel,
     n: int,
@@ -557,7 +554,7 @@ def maxima_experiment(
     cfg: SeriesConfig | None,
     seed: int,
     s_grid=None,
-    workers: int | None = None,
+    workers: int = 1,
     site_budget: int = DEFAULT_SITE_BUDGET,
 ) -> MaximaResult:
     """Replicated partial maxima M_n with scaling, ECDF table and KS diagnostic.
@@ -574,7 +571,7 @@ def maxima_experiment(
     cfg = SeriesConfig(
         num_terms=resolve_num_terms(model, n, cfg), tail_tolerance=cfg.tail_tolerance
     )
-    workers = default_workers() if workers is None else max(1, workers)
+    workers = max(1, workers)
     rep_ids = list(range(reps))
     chunks = [(model, n, cfg, seed, rep_ids[i::workers], site_budget) for i in range(workers)]
     if workers == 1:

@@ -108,7 +108,7 @@ def build_model(spec: dict):
         )
     try:
         return _construct_model(variant, spec)
-    except ValueError as exc:  # out-of-range parameters, bad kernel words or masses
+    except (TypeError, ValueError) as exc:  # out-of-range or non-numeric values, bad kernel words
         raise ConfigError(f"invalid model {variant}: {exc}", ["model"]) from exc
 
 
@@ -123,6 +123,11 @@ def _construct_model(variant: str, spec: dict):
         return ParetoField(d, alpha, float(spec["theta"]))
     if spec.get("point_mass") or ("f_table" not in spec):
         return mma_point_mass(d, alpha)
+    objects = [spec.get("w_masses"), spec["f_table"]]
+    if isinstance(spec["f_table"], dict):
+        objects += spec["f_table"].values()
+    if not all(isinstance(x, dict) for x in objects):
+        raise ValueError("w_masses, f_table and every f_table entry must be JSON objects")
     masses = {str(k): float(v) for k, v in spec["w_masses"].items()}
     tables = {
         str(w): {parse_word(d, t): float(v) for t, v in tab.items()}
@@ -131,10 +136,15 @@ def _construct_model(variant: str, spec: dict):
     return MixedMovingAverage.from_tables(d, alpha, masses, tables)
 
 
-def load_f_table_file(path, d: int):
+def load_f_table_file(path):
     """JSON kernel file: {"w_masses": {name: mass}, "f_table": {name: {word: value}}}."""
-    with open(path, "r", encoding="utf8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise ConfigError(f"cannot read kernel file {path}: {exc}", ["f_table"]) from exc
+    if not isinstance(data, dict):
+        raise ConfigError("kernel file must hold a JSON object", ["f_table"])
     for key in ("w_masses", "f_table"):
         if key not in data:
             raise ConfigError(f"kernel file missing {key!r}", [key])
@@ -204,7 +214,7 @@ def _run_maxima(cfg: ExperimentConfig, model) -> ExperimentResult:
         _series_cfg(cfg),
         cfg.seed,
         s_grid=s_grid,
-        workers=cfg.params.get("workers"),
+        workers=cfg.params.get("workers") or 1,
     )
     records = [(rep, bm, sm, sc) for rep, bm, sm, sc in res.records]
     summary = {

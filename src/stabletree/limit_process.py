@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ResourceBudgetError
-from .free_group import ball_layout, ball_size, enumerate_ball, sphere_size
+from .free_group import ball_size, enumerate_ball, sphere_size
 from .fields import FieldSimulator, MixedMovingAverage, SeriesConfig
 from .rng import substream
 from .subgraphs import (
@@ -182,6 +182,18 @@ def _exact_enumeration_feasible(d: int, m: int) -> bool:
     return ball_size(d, m) ** 2 <= LCP_TABLE_BUDGET
 
 
+def _over_levels(d: int, m: int, term) -> float:
+    """weight * term(level) summed over the anchor levels that reach E_m.
+
+    Levels <= -m share one term, weighted by the closed-form negative tail;
+    the levels -m+1..m follow one by one, in that order.
+    """
+    total = negative_tail_weight(m, d) * term(-m)
+    for level in range(-m + 1, m + 1):
+        total += level_weight(level, d) * term(level)
+    return total
+
+
 def level_sum(model: MixedMovingAverage, per_atom) -> float:
     """sum over anchor levels of weight * E_xi[ sum_w mass(w) per_atom(f'(w, .) on xi) ].
 
@@ -199,40 +211,18 @@ def level_sum(model: MixedMovingAverage, per_atom) -> float:
             f"the lcp table of E_{m} has {ball_size(d, m)}^2 cells, "
             f"above the budget of {LCP_TABLE_BUDGET}"
         )
-    cols = _kernel_columns(model)
-
     def func(mask) -> float:
         acc = 0.0
-        for mass, pos, vals in cols:
+        for mass, pos, vals in model.kernel_columns:
             acc += mass * per_atom(vals[mask[pos]])
         return acc
 
-    total = negative_tail_weight(m, d) * func(np.ones(ball_size(d, m), dtype=bool))
-    for level in range(-m + 1, m + 1):
-        val = sum(float(p) * func(r) for p, r in exact_restriction_classes(d, level, m))
-        total += level_weight(level, d) * val
-    return total
+    def term(level) -> float:
+        if level == -m:
+            return func(np.ones(ball_size(d, m), dtype=bool))
+        return sum(float(p) * func(r) for p, r in exact_restriction_classes(d, level, m))
 
-
-@functools.lru_cache(maxsize=8)
-def _kernel_columns(model: MixedMovingAverage) -> tuple:
-    """Per atom w: (mass, E_m positions of k = t^-1, values f(w, t)), in table order.
-
-    ``values[mask[positions]]`` is the dense f'(w, .) over E_m restricted to
-    a trace and read in table order, the order every functional sums in.
-    Built once per model; the arrays are read-only because every caller
-    shares them.
-    """
-    lay = ball_layout(model.d, model.support_radius)
-    cols = []
-    for w in model.atoms:
-        tab = model.table(w)
-        pos = np.array([lay.word_to_index(t.inverse()) for t in tab], dtype=np.intp)
-        vals = np.array(list(tab.values()), dtype=float)
-        pos.setflags(write=False)
-        vals.setflags(write=False)
-        cols.append((model.mass(w), pos, vals))
-    return tuple(cols)
+    return _over_levels(d, m, term)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +255,7 @@ def sample_limit_point_process(
     # sites per level 0..m, times amp^alpha at the root
     weights = np.array([d / (d - 1.0)] + [float(sphere_size(d, j)) for j in range(1, m + 1)])
     atoms = []
-    for mass, pos, vals in _kernel_columns(model):
+    for mass, pos, vals in model.kernel_columns:
         sup = float(np.abs(vals).max(initial=0.0))
         if sup == 0.0:
             continue
@@ -329,8 +319,7 @@ def _laplace_level_symmetric(model: MixedMovingAverage, g: PiecewiseConstant) ->
     """
     d, alpha, m = model.d, model.alpha, model.support_radius
     profiles = [
-        np.array([prof.get(j, 0.0) for j in range(m + 1)])
-        for prof in map(model.level_profile, model.atoms)
+        np.array([prof.get(j, 0.0) for j in range(m + 1)]) for prof in model.level_profiles
     ]
 
     def term(level) -> float:
@@ -339,14 +328,11 @@ def _laplace_level_symmetric(model: MixedMovingAverage, g: PiecewiseConstant) ->
             for j in range(m + 1)
         ]
         acc = 0.0
-        for w, prof in zip(model.atoms, profiles):
-            acc += model.mass(w) * nu_alpha_integral(alpha, np.repeat(prof, counts), g)
+        for (_, mass), prof in zip(model.w_masses, profiles):
+            acc += mass * nu_alpha_integral(alpha, np.repeat(prof, counts), g)
         return acc
 
-    exponent = negative_tail_weight(m, d) * term(-m)
-    for level in range(-m + 1, m + 1):
-        exponent += level_weight(level, d) * term(level)
-    return math.exp(-exponent)
+    return math.exp(-_over_levels(d, m, term))
 
 
 def empirical_laplace(
@@ -406,9 +392,7 @@ def maxima_constant_level_symmetric(model: MixedMovingAverage) -> MaximaConstant
         raise ValueError("kernel is not level-symmetric")
     d, alpha = model.d, model.alpha
     total = 0.0
-    for w in model.atoms:
-        prof = model.level_profile(w)
-        mass = model.mass(w)
+    for (_, mass), prof in zip(model.w_masses, model.level_profiles):
         if not prof:
             continue
         mmax = max(prof)

@@ -296,6 +296,24 @@ def test_cli_kernel_file(tmp_path, capsys):
     assert abs(payload["empirical"] - payload["analytic"]) < 0.1
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,  # no file at the path
+        '{"w_masses": {"w0": 1}, "f_table": {"w0"',
+        '{"w_masses": {"w0": 1}, "f_table": {"w0": ["e"]}}',
+    ],
+    ids=["missing", "truncated", "entry-not-object"],
+)
+def test_cli_bad_kernel_file_exit_2(tmp_path, content, capsys):
+    path = tmp_path / "kernel.json"
+    if content is not None:
+        path.write_text(content)
+    argv = ["limit", "kx", "--model", "mma", "--d", "2", "--alpha", "1.0", "--seed", "1"]
+    assert cli_main(argv + ["--f-table", str(path)]) == 2
+    assert "configuration error: " in capsys.readouterr().err
+
+
 def test_cli_simulate_pp(tmp_path, capsys):
     code = cli_main(
         [

@@ -14,6 +14,7 @@ from stabletree import limit_process
 from stabletree.errors import PathTooShortError, ResourceBudgetError
 from stabletree.fields import MixedMovingAverage, mma_from_levels, mma_point_mass
 from stabletree.free_group import (
+    BallLayout,
     Word,
     allowed_next_letters,
     ball_layout,
@@ -261,12 +262,27 @@ def test_sample_limit_delta_validation():
 
 def test_kernel_columns_built_once_and_read_only():
     model = mma_from_levels(2, 1.0, {0: 1.0, 1: 0.6, 2: 0.3})
-    cols = limit_process._kernel_columns(model)
-    assert limit_process._kernel_columns(mma_from_levels(2, 1.0, {0: 1.0, 1: 0.6, 2: 0.3})) is cols
+    cols = model.kernel_columns
+    assert model.kernel_columns is cols
     for _, pos, vals in cols:
         for arr in (pos, vals):
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+
+def test_comparison_indexes_each_kernel_entry_once(monkeypatch):
+    calls = []
+    lookup = BallLayout.word_to_index
+
+    def counted(self, w):
+        calls.append(w)
+        return lookup(self, w)
+
+    monkeypatch.setattr(BallLayout, "word_to_index", counted)
+    model = mma_from_levels(2, 1.0, {0: 1, 1: 0.6, 2: 0.3})
+    comp = maxima_constant_comparison(model)
+    assert comp["formulas_agree"]
+    assert len(calls) == sum(len(entries) for _, entries in model.f_table) == 17
 
 
 def _word_path_law(d, level, m):
