@@ -54,6 +54,7 @@ from .stable import (
 from .stats import batch_mean_ci, empirical_cdf_table, ks_distance
 
 DEFAULT_SITE_BUDGET = 1_000_000
+RAY_BLOCK = 1_000_000  # ray letters drawn per group of levels in a boundary-field draw
 
 
 class FieldModel:
@@ -103,6 +104,14 @@ class FieldModel:
 
 @dataclass(frozen=True)
 class BoundaryField(FieldModel):
+    """The boundary-action field, simulated by the series with shared rays.
+
+    ``draw`` returns a :class:`_BoundaryPlan`, which fixes the per-level
+    increments, subtree widths and depth scale once per simulator; each
+    replication then draws the weights and the rays and sums one difference
+    array.
+    """
+
     d: int
     alpha: float
 
@@ -116,7 +125,7 @@ class BoundaryField(FieldModel):
         return partial(scaled_frechet_cdf, alpha=self.alpha, c=stable_tail_constant(self.alpha))
 
     def draw(self, n: int, num_terms: int):
-        return partial(_boundary_values, self, n, num_terms)
+        return _BoundaryPlan(self, n, num_terms)
 
 
 @dataclass(frozen=True)
@@ -176,6 +185,10 @@ class MixedMovingAverage(FieldModel):
         for _, mass in self.w_masses:
             if mass <= 0:
                 raise ValueError("atom masses must be > 0")
+
+    def __reduce__(self):
+        # rebuild from the tables, so a pickle never carries the cached arrays
+        return type(self), (self.d, self.alpha, self.w_masses, self.f_table)
 
     @staticmethod
     def from_tables(d: int, alpha: float, w_masses: dict, f_table: dict) -> "MixedMovingAverage":
@@ -380,41 +393,78 @@ def resolve_num_terms(model: FieldModel, n: int, cfg: SeriesConfig | None) -> in
     return choose_num_terms(model.alpha, f_rms, model.scale(n), tol=cfg.tail_tolerance)
 
 
-def _boundary_values(model: BoundaryField, n: int, num_terms: int, rng) -> np.ndarray:
-    """One replication of the boundary field over E_n (canonical order).
+class _BoundaryPlan:
+    """Draw plan for the boundary field over E_n, built once per simulator.
 
     Shared rays: every site uses the same atoms (Gamma_i, eps_i, omega_i).
-    Each ray contributes (2d-1)^(2 c / alpha) on the nested subtree ranges
-    of its prefixes (c = confluent length), accumulated with a difference
-    array; the canonical preorder makes every subtree one contiguous range.
+    A site whose confluent length with omega_i is c receives
+    (2d-1)^(2c/alpha), the sum over the prefixes of omega_i of length
+    j <= c of the increments q^j - q^(j-1), q = (2d-1)^(2/alpha).  The
+    canonical preorder makes the subtree of every prefix one contiguous
+    range, so a replication is one difference array: the weight sum s at 0,
+    then per level j every +val_j at the prefix starts b_j and every -val_j
+    at b_j + subtree[j], added in that order by ``np.add.at``.  The plan
+    fixes the increments, the subtree widths and the scale
+    c_alpha^(1/alpha) (2d-1)^(-|t|/alpha).
+
+    A draw takes all LePage weights first, then the rays as (levels, N)
+    matrices of child ranks: 2d choices for the first letter, 2d - 1 for
+    each later one.  Bounded integers are drawn element by element, so one
+    matrix is the same stream as one call per level.  The child of rank r
+    of the node at index b sits at b + 1 + r * subtree[j], so a cumulative
+    sum down the matrix gives the prefix starts.
     """
-    d, alpha = model.d, model.alpha
-    lay = ball_layout(d, n)
-    q = (2 * d - 1) ** (2.0 / alpha)
-    acc = np.zeros(lay.size + 1)
-    # one block: all weights come before the rays in the stream
-    for wts in lepage_weights(rng, alpha, num_terms):
-        N = len(wts)
-        acc[0] += wts.sum()
-        acc[lay.size] -= wts.sum()
-        if n >= 1:
-            b = np.empty(N, dtype=np.int64)
-            prev = rng.integers(0, 2 * d, size=N)
-            b[:] = 1 + prev * lay.subtree[1]
-            qj = 1.0
-            for j in range(n):
-                if j > 0:
-                    rr = rng.integers(0, 2 * d - 1, size=N)
-                    lr = rr + (rr >= (prev ^ 1))
-                    b += 1 + rr * lay.subtree[j + 1]
-                    prev = lr
-                val = wts * (q ** (j + 1) - qj)
-                qj = q ** (j + 1)
-                np.add.at(acc, b, val)
-                np.add.at(acc, b + lay.subtree[j + 1], -val)
-    dsum = np.cumsum(acc[:-1])
-    scale = (2.0 * d - 1.0) ** (-lay.depth / alpha)
-    return stable_tail_constant(alpha) ** (1.0 / alpha) * dsum * scale
+
+    def __init__(self, model: BoundaryField, n: int, num_terms: int):
+        if num_terms < 1:
+            raise ValueError("the series needs at least one term")
+        d, alpha = model.d, model.alpha
+        lay = ball_layout(d, n)
+        self.alpha = alpha
+        self.n = n
+        self.num_terms = num_terms
+        self.size = lay.size
+        self.letters = 2 * d
+        q = (2 * d - 1) ** (2.0 / alpha)
+        self.increments = np.array([q ** (j + 1) - q**j for j in range(n)])[:, None]
+        self.widths = np.array(lay.subtree[1 : n + 1], dtype=np.intp)[:, None]
+        self.const = stable_tail_constant(alpha) ** (1.0 / alpha)
+        self.depth_scale = (2.0 * d - 1.0) ** (-lay.depth / alpha)
+        self.depth_scale.setflags(write=False)
+        # groups of levels keep the update buffers near 2 * RAY_BLOCK entries;
+        # every draw reuses them, so a plan serves one draw at a time
+        self.group = max(1, min(n, RAY_BLOCK // num_terms))
+        self.idx = np.empty((self.group, 2, num_terms), dtype=np.intp)
+        self.upd = np.empty((self.group, 2, num_terms))
+
+    def __call__(self, rng: np.random.Generator) -> np.ndarray:
+        """One replication over E_n, in canonical order."""
+        (wts,) = lepage_weights(rng, self.alpha, self.num_terms)
+        acc = np.zeros(self.size + 1)  # the last bin takes the ends of the last subtrees
+        acc[0] = wts.sum()
+        prev = 0  # the prefix starts of the level before: the root
+        for lo in range(0, self.n, self.group):
+            hi = min(lo + self.group, self.n)
+            idx, upd = self.idx[: hi - lo], self.upd[: hi - lo]
+            starts = idx[:, 0]
+            first = int(lo == 0)  # the root has 2d children, every other node 2d - 1
+            if first:
+                starts[0] = rng.integers(0, self.letters, size=len(wts))
+            starts[first:] = rng.integers(0, self.letters - 1, size=(hi - lo - first, len(wts)))
+            starts *= self.widths[lo:hi]
+            starts += 1
+            for row in starts:  # row by row: a cumsum down the strided columns is slower
+                row += prev
+                prev = row
+            np.add(starts, self.widths[lo:hi], out=idx[:, 1])
+            np.multiply(wts, self.increments[lo:hi], out=upd[:, 0])
+            np.negative(upd[:, 0], out=upd[:, 1])
+            np.add.at(acc, idx.ravel(), upd.ravel())
+            prev = prev.copy()  # the next group overwrites the buffer
+        out = np.cumsum(acc[:-1])
+        out *= self.const
+        out *= self.depth_scale
+        return out
 
 
 def _shift_values(model: ShiftField, n: int, rng) -> np.ndarray:
@@ -535,15 +585,11 @@ class MaximaResult:
 def _maxima_chunk(payload):
     model, n, cfg, seed, reps_slice, site_budget = payload
     sim = FieldSimulator(model, n, cfg, site_budget)
-    depth = ball_layout(model.d, n).depth
-    sphere = depth == n
+    sphere = np.flatnonzero(ball_layout(model.d, n).depth == n)
     out = []
     for rep in reps_slice:
-        rng = substream(seed, "maxima", rep)
-        values = sim.values(rng)
-        ball_max = float(np.max(np.abs(values)))
-        sphere_max = float(np.max(np.abs(values[sphere])))
-        out.append((rep, ball_max, sphere_max))
+        mags = np.abs(sim.values(substream(seed, "maxima", rep)))
+        out.append((rep, float(mags.max()), float(mags[sphere].max())))
     return out
 
 

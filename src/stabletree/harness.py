@@ -170,7 +170,18 @@ def validate_config(cfg: ExperimentConfig):
         bad.append("model")  # the limit process is derived for mixed moving averages only
     if bad:
         raise ConfigError(f"invalid configuration keys: {sorted(bad)}", bad)
-    return build_model(cfg.model)  # raises ConfigError on bad model blocks and values
+    model = build_model(cfg.model)  # raises ConfigError on bad model blocks and values
+    if cfg.kind in ("maxima", "pp"):
+        try:  # (2d-1)^(n/alpha) and the series rms leave the float range at small alpha
+            model.scale(cfg.n)
+            model.f_rms(cfg.n)
+        except OverflowError as exc:
+            raise ConfigError(
+                f"alpha = {model.alpha} is too small for n = {cfg.n}: the scale of M_n or the "
+                "series rms overflows a float",
+                ["model.alpha", "n"],
+            ) from exc
+    return model
 
 
 def run(cfg: ExperimentConfig) -> ExperimentResult:

@@ -7,6 +7,7 @@ from scipy import stats as sstats
 
 from stabletree.errors import PathTooShortError, PrefixTooShortError
 from stabletree.free_group import Word, allowed_next_letters, ball_layout
+from stabletree.stable import lepage_weights, stable_tail_constant
 from stabletree.subgraphs import _lcp_offsets, ray_path_radius
 
 
@@ -97,6 +98,42 @@ def ball_traces(paths: np.ndarray, level: int, d: int, m: int) -> np.ndarray:
             np.minimum(best, offsets[anc[:, k]] + shift[:, None], out=best)
         out[lo : lo + TRACE_CHUNK] = np.packbits(best <= 0, axis=1)
     return out
+
+
+def boundary_values_reference(model, n: int, num_terms: int, rng) -> np.ndarray:
+    """One replication of the boundary field over E_n, ray letter by ray letter.
+
+    The loop reference for the boundary draw plan, consuming the stream in
+    the same order: all LePage weights, then one batch of child ranks per
+    level.  It tracks each ray's last letter, which the offsets never read,
+    and adds every difference-array update with ``np.add.at``.
+    """
+    d, alpha = model.d, model.alpha
+    lay = ball_layout(d, n)
+    q = (2 * d - 1) ** (2.0 / alpha)
+    acc = np.zeros(lay.size + 1)
+    for wts in lepage_weights(rng, alpha, num_terms):
+        N = len(wts)
+        acc[0] += wts.sum()
+        acc[lay.size] -= wts.sum()
+        if n >= 1:
+            b = np.empty(N, dtype=np.int64)
+            prev = rng.integers(0, 2 * d, size=N)
+            b[:] = 1 + prev * lay.subtree[1]
+            qj = 1.0
+            for j in range(n):
+                if j > 0:
+                    rr = rng.integers(0, 2 * d - 1, size=N)
+                    lr = rr + (rr >= (prev ^ 1))
+                    b += 1 + rr * lay.subtree[j + 1]
+                    prev = lr
+                val = wts * (q ** (j + 1) - qj)
+                qj = q ** (j + 1)
+                np.add.at(acc, b, val)
+                np.add.at(acc, b + lay.subtree[j + 1], -val)
+    dsum = np.cumsum(acc[:-1])
+    scale = (2.0 * d - 1.0) ** (-lay.depth / alpha)
+    return stable_tail_constant(alpha) ** (1.0 / alpha) * dsum * scale
 
 
 def nu_alpha_integral_midpoints(alpha: float, coeffs, g) -> float:

@@ -163,9 +163,10 @@ def test_a3_anchor_distribution():
     n = 100_000
     draws = np.array([sample_anchor(2, rng) for _ in range(n)])
     kmin = -9
-    obs = [int(np.sum(draws == -j)) for j in range(0, -kmin)] + [int(np.sum(draws <= kmin + 1))]
+    # disjoint bins: one per level 0, -1, ..., kmin + 1, then the tail <= kmin
+    obs = [int(np.sum(draws == -j)) for j in range(0, -kmin)] + [int(np.sum(draws <= kmin))]
     exp = [float(anchor_pmf(-j, 2)) * n for j in range(0, -kmin)] + [
-        float(anchor_pmf_tail(kmin + 1, 2)) * n
+        float(anchor_pmf_tail(kmin, 2)) * n
     ]
     p = chi2_pvalue(obs, exp)
     _verdict(

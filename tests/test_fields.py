@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabletree import fields
 from stabletree.errors import ResourceBudgetError, UnsupportedModelError
 from stabletree.fields import (
     _MMAPlan,
@@ -35,7 +36,7 @@ from stabletree.free_group import (
 from stabletree.rng import substream
 from stabletree.stable import SeriesConfig, sample_sas
 
-from oracles import two_sample_ks_pvalue
+from oracles import boundary_values_reference, two_sample_ks_pvalue
 
 
 @dataclass
@@ -149,10 +150,15 @@ def test_mma_exactness_ignores_series_budget():
 
 def test_mma_hash_and_pickle_ignore_derived_arrays():
     model = mma_from_levels(2, 1.0, {0: 1.0, 1: 0.5})
-    model.kernel_columns  # worker processes receive the model with its derived arrays
-    assert hash(model) == hash(mma_from_levels(2, 1.0, {0: 1.0, 1: 0.5}))
+    model.kernel_columns, model.level_profiles  # workers receive the model after this
+    fresh = mma_from_levels(2, 1.0, {0: 1.0, 1: 0.5})
+    assert hash(model) == hash(fresh)
+    # the pickle carries the tables only, and the copy rebuilds read-only arrays
+    assert len(pickle.dumps(model)) == len(pickle.dumps(fresh))
     copy = pickle.loads(pickle.dumps(model))
     assert copy == model and hash(copy) == hash(model)
+    for _, pos, vals in copy.kernel_columns:
+        assert not pos.flags.writeable and not vals.flags.writeable
 
 
 def test_mma_scaling_equivariance():
@@ -190,6 +196,24 @@ def test_boundary_field_marginal_is_sas_unit():
     ref = sample_sas(substream(512, "margref"), 1.0, 1.0, size=80_000)
     for idx in (0, 1, 7):
         assert two_sample_ks_pvalue(vals[:, idx], ref) > 0.01
+
+
+@pytest.mark.parametrize(
+    "d,n,num_terms,alpha",
+    [(2, 8, 1072, 1.0), (2, 3, 50, 1.3), (2, 1, 20, 0.7), (2, 0, 10, 1.0), (3, 6, 300, 1.0)],
+)
+@pytest.mark.parametrize("ray_block", [fields.RAY_BLOCK, 2 * 1072, 1])
+def test_boundary_plan_matches_loop_reference(d, n, num_terms, alpha, ray_block, monkeypatch):
+    # same values bit for bit, and the same random numbers consumed, whether the
+    # levels are drawn in one group, in groups of two (n = 8) or one by one
+    monkeypatch.setattr(fields, "RAY_BLOCK", ray_block)
+    model = BoundaryField(d, alpha)
+    plan = model.draw(n, num_terms)
+    for rep in range(5):
+        rng_plan, rng_ref = substream(530, "plan", rep), substream(530, "plan", rep)
+        got = plan(rng_plan)
+        assert np.array_equal(got, boundary_values_reference(model, n, num_terms, rng_ref))
+        assert repr(rng_plan.bit_generator.state) == repr(rng_ref.bit_generator.state)
 
 
 def test_boundary_field_left_stationarity():
@@ -247,9 +271,10 @@ def test_maxima_experiment_boundary():
 
 
 def test_maxima_experiment_worker_invariance():
-    a = maxima_experiment(ShiftField(2, 1.0), 4, 40, None, seed=519, workers=1)
-    b = maxima_experiment(ShiftField(2, 1.0), 4, 40, None, seed=519, workers=2)
-    assert a.records == b.records
+    for model, n in ((ShiftField(2, 1.0), 4), (BoundaryField(2, 1.0), 5)):
+        a = maxima_experiment(model, n, 40, None, seed=519, workers=1)
+        b = maxima_experiment(model, n, 40, None, seed=519, workers=2)
+        assert a.records == b.records
 
 
 def test_shift_field_reduction():

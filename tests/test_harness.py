@@ -353,6 +353,10 @@ def test_cli_resource_error_exit_code(capsys):
         ["limit", "sample", "--model", "mma", "--d", "2", "--alpha", "1", "--seed", "1", "--delta", "-1"],
         ["simulate-pp", "--model", "mma", "--d", "2", "--alpha", "1", "--n", "2", "--reps", "2", "--seed", "1", "--delta", "0"],
         ["simulate-maxima", "--model", "pareto", "--d", "2", "--alpha", "1", "--theta", "1.5", "--n", "2", "--reps", "5", "--seed", "1"],
+        # (2d-1)^(n/alpha) overflows a float: a configuration error, not a tolerance failure
+        ["simulate-maxima", "--model", "mma", "--d", "2", "--alpha", "0.01", "--n", "8", "--reps", "5", "--seed", "1"],
+        ["simulate-pp", "--model", "mma", "--d", "2", "--alpha", "0.01", "--n", "8", "--reps", "2", "--seed", "1"],
+        ["simulate-maxima", "--model", "boundary", "--d", "2", "--alpha", "0.02", "--n", "8", "--reps", "5", "--seed", "1"],
     ],
 )
 def test_cli_invalid_model_values_exit_2(argv, capsys):
@@ -373,6 +377,7 @@ def test_config_validation_rejects_model_and_delta_values():
     assert keys({**ok, "d": 1}, {}) == ["model"]
     assert keys({**ok, "alpha": 2.0}, {}) == ["model"]
     assert keys({"variant": "pareto", "d": 2, "alpha": 1.0, "theta": 0.5}, {}) == ["model"]
+    assert keys({**ok, "alpha": 0.002}, {}) == ["model.alpha", "n"]  # 3^(2/0.002) overflows
     # the limit experiments need a mixed moving average
     for kind in ("limit-kx", "limit-laplace", "limit-sample"):
         cfg = ExperimentConfig(kind=kind, model={"variant": "boundary", "d": 2, "alpha": 1.0}, reps=1)

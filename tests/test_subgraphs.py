@@ -279,10 +279,11 @@ def test_anchor_sampler_chi2():
     draws = np.array([sample_anchor(2, rng) for _ in range(n)])
     assert np.all(draws <= 0)
     kmin = -8
+    # disjoint bins: one per level 0, -1, ..., kmin + 1, then the tail <= kmin
     obs = [int(np.sum(draws == -j)) for j in range(0, -kmin)]
-    obs.append(int(np.sum(draws <= kmin + 1)))
+    obs.append(int(np.sum(draws <= kmin)))
     exp = [float(anchor_pmf(-j, 2)) * n for j in range(0, -kmin)]
-    exp.append(float(anchor_pmf_tail(kmin + 1, 2)) * n)
+    exp.append(float(anchor_pmf_tail(kmin, 2)) * n)
     assert chi2_pvalue(obs, exp) > 0.01
 
 
