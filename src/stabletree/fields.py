@@ -490,6 +490,9 @@ class _MMAPlan:
     kernel entry (v, value): ``idx[k]`` is the index in E_{n+m} of t_k * v,
     with t_k the k-th site of E_n.  The sites of E_n are the nodes of depth
     <= n of the E_{n+m} layout, in the same canonical preorder.
+
+    Every draw fills the plan's noise and gather buffers in place, so a plan
+    serves one draw at a time; the field it returns is a fresh array.
     """
 
     def __init__(self, model: MixedMovingAverage, n: int):
@@ -508,14 +511,21 @@ class _MMAPlan:
             )
             for w in model.atoms
         ]
+        self.noise = np.empty(self.noise_ball)
+        self.gathered = np.empty(self.num_sites)
 
     def __call__(self, rng: np.random.Generator) -> np.ndarray:
         """One exact replication over E_n: fresh noise per atom, gathered per kernel entry."""
         out = np.zeros(self.num_sites)
+        tmp = self.gathered
         for scale, gathers in self.parts:
-            z = sample_sas(rng, self.alpha, scale, size=self.noise_ball)
+            z = sample_sas(rng, self.alpha, scale, size=self.noise_ball, out=self.noise)
             for val, idx in gathers:
-                out += val * z[idx]
+                # the indices lie in E_{n+m} by construction; mode="raise" would
+                # gather through a temporary copy
+                np.take(z, idx, out=tmp, mode="clip")
+                tmp *= val
+                out += tmp
         return out
 
 

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ResourceBudgetError
+from .errors import ConfigError, ResourceBudgetError
 from .free_group import ball_size, enumerate_ball, sphere_size
 from .fields import FieldSimulator, MixedMovingAverage, SeriesConfig
 from .rng import substream
@@ -305,7 +305,17 @@ def laplace_functional(model: MixedMovingAverage, g: PiecewiseConstant) -> Lapla
     integrand does not depend on the subgraph and the functional is also
     evaluated in that reduced form, returned alongside for comparison.
     """
-    exponent = level_sum(model, lambda v: nu_alpha_integral(model.alpha, v, g))
+    # Tied sweep events carry zero mass, so the integral depends only on the
+    # multiset of coefficients: the classes of a level share few of them.
+    integrals = {}
+
+    def per_atom(v) -> float:
+        key = np.sort(v).tobytes()
+        if key not in integrals:
+            integrals[key] = nu_alpha_integral(model.alpha, v, g)
+        return integrals[key]
+
+    exponent = level_sum(model, per_atom)
     sym = _laplace_level_symmetric(model, g) if model.is_level_symmetric else None
     return LaplaceResult(value=math.exp(-exponent), exponent=exponent, level_symmetric_value=sym)
 
@@ -371,9 +381,7 @@ def maxima_constant(model: MixedMovingAverage) -> MaximaConstantResult:
     """
     alpha = model.alpha
     total = level_sum(model, lambda v: 2.0 * float(np.abs(v).max(initial=0.0)) ** alpha)
-    if total <= 0:
-        raise ValueError("degenerate kernel: the maxima constant vanishes")
-    return MaximaConstantResult(value=total ** (1.0 / alpha), alpha_power=total)
+    return _from_alpha_power(total, alpha)
 
 
 def maxima_constant_level_symmetric(model: MixedMovingAverage) -> MaximaConstantResult:
@@ -405,9 +413,21 @@ def maxima_constant_level_symmetric(model: MixedMovingAverage) -> MaximaConstant
             if rj > 0:
                 norm += sphere_size(d, j) * (2.0 * rj) ** alpha
         total += mass * norm
+    return _from_alpha_power(total, alpha)
+
+
+def _from_alpha_power(total: float, alpha: float) -> MaximaConstantResult:
+    """K from K^alpha.  A K beyond the float range (small alpha) is a
+    configuration error, not a traceback."""
     if total <= 0:
         raise ValueError("degenerate kernel: the maxima constant vanishes")
-    return MaximaConstantResult(value=total ** (1.0 / alpha), alpha_power=total)
+    try:
+        value = total ** (1.0 / alpha)
+    except OverflowError as exc:
+        raise ConfigError(
+            f"the maxima constant {total:.6g}^(1/{alpha}) overflows a float", ["model.alpha"]
+        ) from exc
+    return MaximaConstantResult(value=value, alpha_power=total)
 
 
 def maxima_constant_comparison(model: MixedMovingAverage) -> dict:

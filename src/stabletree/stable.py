@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ResourceBudgetError
 
 
-def sample_sas(rng: np.random.Generator, alpha: float, scale: float = 1.0, size=None):
+def sample_sas(rng: np.random.Generator, alpha: float, scale: float = 1.0, size=None, out=None):
     """SaS(scale) variates via the Chambers-Mallows-Stuck transform.
 
     U uniform on (-pi/2, pi/2) and E standard exponential give
@@ -38,18 +38,31 @@ def sample_sas(rng: np.random.Generator, alpha: float, scale: float = 1.0, size=
 
     which is SaS(1); alpha = 1 reduces to tan(U) and is handled by its own
     branch so the removable singularity never reaches 0/0.
+
+    ``out``, a float64 array of shape ``size``, receives the variates and
+    is returned: the same values and the same stream as without it.  At
+    alpha = 1 the draw then allocates nothing.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
     if scale < 0:
         raise ValueError("scale must be >= 0")
-    u = rng.uniform(-math.pi / 2, math.pi / 2, size=size)
+    if out is None:
+        u = rng.uniform(-math.pi / 2, math.pi / 2, size=size)
+    elif out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array, got {out.dtype}")
+    else:
+        # -pi/2 + pi * random() is the double rng.uniform(-pi/2, pi/2) returns
+        u = rng.random(size, out=out)  # a size other than out.shape raises ValueError
+        u *= math.pi
+        u += -math.pi / 2
+        size = out.shape
     if alpha == 1.0:
-        return scale * np.tan(u)
+        return np.multiply(scale, np.tan(u, out=out), out=out)
     e = rng.standard_exponential(size=size)
     x = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
     x = x * (np.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha)
-    return scale * x
+    return np.multiply(scale, x, out=out)
 
 
 def stable_tail_constant(alpha: float) -> float:

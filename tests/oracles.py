@@ -7,7 +7,7 @@ from scipy import stats as sstats
 
 from stabletree.errors import PathTooShortError, PrefixTooShortError
 from stabletree.free_group import Word, allowed_next_letters, ball_layout
-from stabletree.stable import lepage_weights, stable_tail_constant
+from stabletree.stable import lepage_weights, sample_sas, stable_tail_constant
 from stabletree.subgraphs import _lcp_offsets, ray_path_radius
 
 
@@ -134,6 +134,21 @@ def boundary_values_reference(model, n: int, num_terms: int, rng) -> np.ndarray:
     dsum = np.cumsum(acc[:-1])
     scale = (2.0 * d - 1.0) ** (-lay.depth / alpha)
     return stable_tail_constant(alpha) ** (1.0 / alpha) * dsum * scale
+
+
+def mma_values_reference(plan, rng) -> np.ndarray:
+    """One mixed-moving-average replication from a plan's gather tables.
+
+    The loop reference for the buffered MMA draw: fresh noise per atom and
+    a fresh gathered array per kernel entry, consuming the stream in the
+    same order.
+    """
+    out = np.zeros(plan.num_sites)
+    for scale, gathers in plan.parts:
+        z = sample_sas(rng, plan.alpha, scale, size=plan.noise_ball)
+        for val, idx in gathers:
+            out += val * z[idx]
+    return out
 
 
 def nu_alpha_integral_midpoints(alpha: float, coeffs, g) -> float:

@@ -36,7 +36,7 @@ from stabletree.free_group import (
 from stabletree.rng import substream
 from stabletree.stable import SeriesConfig, sample_sas
 
-from oracles import boundary_values_reference, two_sample_ks_pvalue
+from oracles import boundary_values_reference, mma_values_reference, two_sample_ks_pvalue
 
 
 @dataclass
@@ -310,6 +310,29 @@ def two_atom_kernel(alpha=1.3):
             "b": {word(2, []): 0.4, word(2, [2, 2]): 1.1},
         },
     )
+
+
+@pytest.mark.parametrize(
+    "make,n",
+    [
+        (lambda: mma_from_levels(2, 1.0, {0: 1.0, 1: 0.6, 2: 0.3}), 8),
+        (lambda: two_atom_kernel(1.3), 4),
+        (lambda: mma_point_mass(2, 0.7), 5),
+    ],
+)
+def test_mma_plan_matches_loop_reference(make, n):
+    # the buffered draw gives the loop's values bit for bit and consumes the
+    # same stream; a returned field does not share the plan's buffers
+    plan = make().draw(n, None)
+    before = None
+    for rep in range(5):
+        rng_plan, rng_ref = substream(531, "plan", rep), substream(531, "plan", rep)
+        got = plan(rng_plan)
+        assert np.array_equal(got, mma_values_reference(plan, rng_ref))
+        assert repr(rng_plan.bit_generator.state) == repr(rng_ref.bit_generator.state)
+        if before is not None:
+            assert np.array_equal(before[0], before[1])
+        before = (got, got.copy())
 
 
 PINNED_DRAWS = [

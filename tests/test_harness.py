@@ -14,6 +14,7 @@ from scipy import stats as sstats
 
 from stabletree.cli import main as cli_main
 from stabletree.errors import ConfigError
+from stabletree.free_group import enumerate_ball, format_word
 from stabletree.harness import (
     ExperimentConfig,
     build_model,
@@ -357,9 +358,18 @@ def test_cli_resource_error_exit_code(capsys):
         ["simulate-maxima", "--model", "mma", "--d", "2", "--alpha", "0.01", "--n", "8", "--reps", "5", "--seed", "1"],
         ["simulate-pp", "--model", "mma", "--d", "2", "--alpha", "0.01", "--n", "8", "--reps", "2", "--seed", "1"],
         ["simulate-maxima", "--model", "boundary", "--d", "2", "--alpha", "0.02", "--n", "8", "--reps", "5", "--seed", "1"],
+        # the maxima constant K = (K^alpha)^(1/alpha) overflows a float
+        ["limit", "kx", "--model", "mma", "--d", "2", "--alpha", "0.005", "--seed", "1", "--f-table", "KX_KERNEL"],
     ],
 )
-def test_cli_invalid_model_values_exit_2(argv, capsys):
+def test_cli_invalid_model_values_exit_2(argv, tmp_path, capsys):
+    if "KX_KERNEL" in argv:
+        # the limit-kx benchmark kernel, f(t) = levels[|t|]
+        levels = {0: 1.0, 1: 0.6, 2: 0.3, 3: 0.2}
+        table = {format_word(t): levels[len(t)] for t in enumerate_ball(2, 3)}
+        path = tmp_path / "kx.json"
+        path.write_text(json.dumps({"w_masses": {"w0": 1.0}, "f_table": {"w0": table}}))
+        argv = [str(path) if a == "KX_KERNEL" else a for a in argv]
     assert cli_main(argv) == 2
     assert "configuration error" in capsys.readouterr().err
 

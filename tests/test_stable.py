@@ -25,6 +25,22 @@ def test_params_validation():
             sample_sas(rng, alpha, scale, size=3)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.3, 1.9])
+def test_sample_sas_into_out(alpha):
+    # filling out= gives the allocating call's values bit for bit and leaves the
+    # same stream: -pi/2 + pi * random() is rng.uniform(-pi/2, pi/2)
+    key = ("out", int(alpha * 10))
+    rng_new, rng_out = substream(310, *key), substream(310, *key)
+    out = np.empty(50_000)
+    got = sample_sas(rng_out, alpha, 1.7, size=len(out), out=out)
+    assert got is out
+    assert np.array_equal(got, sample_sas(rng_new, alpha, 1.7, size=len(out)))
+    assert repr(rng_out.bit_generator.state) == repr(rng_new.bit_generator.state)
+    for bad in (np.empty(49_999), np.empty(len(out), dtype=np.float32)):
+        with pytest.raises(ValueError):
+            sample_sas(rng_out, alpha, 1.7, size=len(out), out=bad)
+
+
 def test_tiny_scale_degenerates():
     rng = substream(301, "tiny")
     x = sample_sas(rng, 1.2, 1e-12, size=1000)
