@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -633,6 +632,8 @@ def maxima_experiment(
     if workers == 1:
         raw = _maxima_chunk(chunks[0])
     else:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: it loads multiprocessing
+
         raw = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_maxima_chunk, chunks):

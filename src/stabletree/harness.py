@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,11 +65,60 @@ class ExperimentConfig:
         }
 
 
+class AtomRecords(Sequence):
+    """Point-process records kept as one float64 array of atoms per replication.
+
+    Reads as the rows ``(rep, atom)``, replication by replication and each
+    block in its stored order; ``len`` is the row count.  The blocks are
+    read-only views.
+    """
+
+    def __init__(self, blocks):
+        self.blocks = []
+        for block in blocks:
+            view = np.asarray(block, dtype=np.float64).view()
+            view.flags.writeable = False
+            self.blocks.append(view)
+        self._starts = np.cumsum([0] + [len(b) for b in self.blocks])
+
+    def __len__(self):
+        return int(self._starts[-1])
+
+    def __getitem__(self, i):
+        i = range(len(self))[operator.index(i)]
+        rep = int(np.searchsorted(self._starts, i, side="right")) - 1
+        return rep, float(self.blocks[rep][i - self._starts[rep]])
+
+    def __iter__(self):
+        for rep, block in enumerate(self.blocks):
+            for atom in block.tolist():
+                yield rep, atom
+
+    def __eq__(self, other):
+        if not isinstance(other, AtomRecords):
+            return NotImplemented
+        return len(self.blocks) == len(other.blocks) and all(
+            np.array_equal(a, b) for a, b in zip(self.blocks, other.blocks)
+        )
+
+    def write_rows(self, fh):
+        """Write the rows as csv.writer would, one write per replication.
+
+        csv writes a float as its repr, a list's repr joins the same reprs
+        with ", ", and no float repr contains ", ", so each block's text is
+        its list repr with every separator turned into a row break.
+        """
+        for rep, block in enumerate(self.blocks):
+            if len(block):
+                lead = f"{rep},"
+                fh.write(lead + repr(block.tolist())[1:-1].replace(", ", "\r\n" + lead) + "\r\n")
+
+
 @dataclass
 class ExperimentResult:
     config: dict
     columns: list
-    records: list
+    records: Sequence
     summary: dict
     passed: bool | None
     diagnostics: dict
@@ -76,8 +127,10 @@ class ExperimentResult:
         with open(path, "w", newline="", encoding="utf8") as fh:
             w = csv.writer(fh)
             w.writerow(self.columns)
-            for row in self.records:
-                w.writerow(row)
+            if isinstance(self.records, AtomRecords):
+                self.records.write_rows(fh)
+            else:
+                w.writerows(self.records)
 
     def write_json(self, path):
         payload = {
@@ -227,7 +280,6 @@ def _run_maxima(cfg: ExperimentConfig, model) -> ExperimentResult:
         s_grid=s_grid,
         workers=cfg.params.get("workers") or 1,
     )
-    records = [(rep, bm, sm, sc) for rep, bm, sm, sc in res.records]
     summary = {
         "scale": res.scale,
         "num_terms": res.num_terms,
@@ -242,7 +294,7 @@ def _run_maxima(cfg: ExperimentConfig, model) -> ExperimentResult:
     return ExperimentResult(
         config=cfg.to_jsonable(),
         columns=["rep", "ball_max", "sphere_max", "scaled_ball_max"],
-        records=records,
+        records=res.records,
         summary=summary,
         passed=passed,
         diagnostics={"elapsed_seconds": res.elapsed_seconds},
@@ -253,13 +305,11 @@ def _run_pp(cfg: ExperimentConfig, model) -> ExperimentResult:
     delta = float(cfg.params.get("delta", 0.5))
     sim = FieldSimulator(model, cfg.n, _series_cfg(cfg))
     scale = scaling_constant(model, cfg.n)
-    records = []
-    counts = []
+    blocks = []
     for rep in range(cfg.reps):
         values = sim.values(substream(cfg.seed, "pp", rep)) / scale
-        atoms = values[np.abs(values) > delta]
-        counts.append(len(atoms))
-        records.extend((rep, float(a)) for a in np.sort(atoms)[::-1])
+        blocks.append(np.sort(values[np.abs(values) > delta])[::-1])
+    counts = [len(b) for b in blocks]
     summary = {
         "delta": delta,
         "scale": scale,
@@ -269,7 +319,7 @@ def _run_pp(cfg: ExperimentConfig, model) -> ExperimentResult:
     return ExperimentResult(
         config=cfg.to_jsonable(),
         columns=["rep", "scaled_atom"],
-        records=records,
+        records=AtomRecords(blocks),
         summary=summary,
         passed=None,
         diagnostics={},
@@ -325,17 +375,15 @@ def _run_limit_sample(cfg: ExperimentConfig, model) -> ExperimentResult:
 
     delta = float(cfg.params.get("delta", 0.5))
     reps = max(1, cfg.reps)
-    records = []
-    counts = []
+    blocks = []
     for rep in range(reps):
         pm = sample_limit_point_process(model, delta, substream(cfg.seed, "nstar", rep))
-        counts.append(len(pm))
-        records.extend((rep, float(a)) for a in np.sort(pm.atoms)[::-1])
-    summary = {"delta": delta, "mean_atoms": float(np.mean(counts))}
+        blocks.append(np.sort(pm.atoms)[::-1])
+    summary = {"delta": delta, "mean_atoms": float(np.mean([len(b) for b in blocks]))}
     return ExperimentResult(
         config=cfg.to_jsonable(),
         columns=["rep", "atom"],
-        records=records,
+        records=AtomRecords(blocks),
         summary=summary,
         passed=None,
         diagnostics={},

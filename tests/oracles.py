@@ -1,5 +1,6 @@
 """Test-side oracles shared by several test modules."""
 
+import csv
 import math
 
 import numpy as np
@@ -186,3 +187,17 @@ def chi2_pvalue(observed, expected) -> float:
 
 def two_sample_ks_pvalue(a, b) -> float:
     return float(sstats.ks_2samp(np.asarray(a), np.asarray(b)).pvalue)
+
+
+def atom_rows_reference(blocks) -> list:
+    """The (rep, atom) tuples the pp and limit-sample runs stored, one per atom."""
+    return [(rep, float(a)) for rep, block in enumerate(blocks) for a in block]
+
+
+def write_csv_reference(path, columns, records):
+    """Row-by-row csv.writer: the reference for ``ExperimentResult.write_csv``."""
+    with open(path, "w", newline="", encoding="utf8") as fh:
+        w = csv.writer(fh)
+        w.writerow(columns)
+        for row in records:
+            w.writerow(row)

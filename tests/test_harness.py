@@ -1,6 +1,7 @@
 """Statistics helpers, configuration validation, run dispatch, and the CLI."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -16,7 +17,9 @@ from stabletree.cli import main as cli_main
 from stabletree.errors import ConfigError
 from stabletree.free_group import enumerate_ball, format_word
 from stabletree.harness import (
+    AtomRecords,
     ExperimentConfig,
+    ExperimentResult,
     build_model,
     run,
     selftest,
@@ -25,7 +28,7 @@ from stabletree.harness import (
 from stabletree.rng import substream
 from stabletree.stats import batch_mean_ci, empirical_cdf_table, ks_distance
 
-from oracles import chi2_pvalue
+from oracles import atom_rows_reference, chi2_pvalue, write_csv_reference
 
 
 def test_ks_distance_on_true_cdf():
@@ -95,7 +98,7 @@ def test_batch_mean_t_quantile_matches_scipy(df):
         assert (m - lo) / se == pytest.approx(t, rel=1e-12)
 
 
-# The same check runs in the console-script step of CI.
+# The console-script step of CI runs both checks in one line.
 NO_SCIPY = (
     "import sys, stabletree.harness, stabletree.stats, stabletree.limit_process; "
     "from stabletree.fields import BoundaryField, maxima_experiment; "
@@ -104,15 +107,28 @@ NO_SCIPY = (
     "leaked = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
     "assert not leaked, leaked"
 )
+NO_PROCESS_POOL = (
+    "import sys, stabletree.harness, stabletree.stats, stabletree.limit_process; "
+    "leaked = [m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')]; "
+    "assert not leaked, leaked"
+)
 
 
-def test_runtime_does_not_import_scipy():
+def _run_fresh_interpreter(code):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_runtime_does_not_import_scipy():
+    _run_fresh_interpreter(NO_SCIPY)
+
+
+def test_runtime_does_not_import_process_pool():
+    _run_fresh_interpreter(NO_PROCESS_POOL)
 
 
 def test_config_validation_errors():
@@ -189,6 +205,60 @@ def test_run_pp_and_limit_kinds(tmp_path):
         )
     )
     assert lap.passed is True
+
+
+POINT_MASS = {"variant": "mma", "d": 2, "alpha": 1.0, "point_mass": True}
+SMALL_ATOM_RUNS = {
+    "pp": ExperimentConfig(kind="pp", model=POINT_MASS, n=3, reps=10, seed=9, params={"delta": 0.5}),
+    "limit-sample": ExperimentConfig(
+        kind="limit-sample", model=POINT_MASS, reps=20, seed=7, params={"delta": 0.5}
+    ),
+}
+
+
+def _assert_csv_matches_row_writer(result, rows, tmp_path):
+    assert list(result.records) == rows
+    result.write_csv(tmp_path / "out.csv")
+    write_csv_reference(tmp_path / "ref.csv", result.columns, rows)
+    out = (tmp_path / "out.csv").read_bytes()
+    assert out == (tmp_path / "ref.csv").read_bytes()
+    assert len(result.records) == out.count(b"\r\n") - 1
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_ATOM_RUNS))
+def test_atom_records_csv_matches_row_writer(kind, tmp_path):
+    res = run(SMALL_ATOM_RUNS[kind])
+    assert isinstance(res.records, AtomRecords)
+    rows = atom_rows_reference(res.records.blocks)
+    assert len(rows) > 0
+    out = _assert_csv_matches_row_writer(res, rows, tmp_path)
+    if kind == "limit-sample":  # written by the row-by-row csv.writer before AtomRecords
+        digest = "f0d49dcb19ecc318d5ac6ed69e8649f009752d880b590ef8f88062c4bfcfd801"
+        assert hashlib.sha256(out).hexdigest() == digest
+
+
+def test_atom_records_edge_values(tmp_path):
+    blocks = [
+        np.array([1e16, 123456789.0, 1e-05, 5e-324, -0.0]),
+        np.array([]),
+        np.array([np.inf]),
+        np.array([np.inf, 2.5, -1e16, -np.inf]),
+        np.array([]),
+    ]
+    res = ExperimentResult(
+        config={}, columns=["rep", "atom"], records=AtomRecords(blocks),
+        summary={}, passed=None, diagnostics={},
+    )
+    rows = atom_rows_reference(blocks)
+    assert len(res.records) == len(rows) == 10
+    _assert_csv_matches_row_writer(res, rows, tmp_path)
+    assert [res.records[i] for i in range(-10, 10)] == rows + rows
+    with pytest.raises(IndexError):
+        res.records[10]
+    assert res.records == AtomRecords([b.copy() for b in blocks])
+    assert res.records != AtomRecords(blocks[:-1])
+    assert not any(b.flags.writeable for b in res.records.blocks)
 
 
 def test_selftest_scopes():
