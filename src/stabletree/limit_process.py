@@ -14,11 +14,11 @@ subgraph misses the kernel support entirely.  Levels <= -m contribute a
 common, subgraph-independent term (the subgraph then covers the whole
 support ball), so the negative tail is summed in closed form.  Each of the
 2m intermediate levels is an exact expectation over the trace classes of
-its subgraphs.  A trace depends only on the vertex where the path meets
-C_m, which is uniform there at every level, so the classes come from one
-lcp comparison per vertex of C_m (:func:`subgraphs.trace_masks`).  When
-the |E_m| x |E_m| lcp table is above ``LCP_TABLE_BUDGET`` cells,
-``ResourceBudgetError`` is raised before any level is evaluated.
+its subgraphs: the vertex where the path meets C_m is uniform there, and
+only its ancestor on C_K, K = clip(ceil((m + level)/2), 0, m), matters, so
+a level has |C_K| classes of probability 1/|C_K| (one class table per
+(d, m), :func:`subgraphs.trace_class_table`).  Above ``CLASS_TABLE_BUDGET``
+cells, ``ResourceBudgetError`` is raised before any level is evaluated.
 
 The Laplace functional is evaluated for piecewise-constant test functions
 vanishing near zero, with the amplitude integral done exactly by one
@@ -28,23 +28,23 @@ per unit mass).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, ResourceBudgetError
-from .free_group import ball_size, enumerate_ball, sphere_size
+from .errors import ConfigError
+from .free_group import sphere_size
 from .fields import FieldSimulator, MixedMovingAverage, SeriesConfig
 from .rng import substream
 from .subgraphs import (
-    LCP_TABLE_BUDGET,
-    enumerate_ray_paths,
+    _exact_enumeration_feasible,
+    class_table_budget_error,
     sample_anchor,
     sample_ray_path,
     subgraph_sphere_count,
+    trace_class_table,
     trace_masks,
 )
 
@@ -153,33 +153,14 @@ def negative_tail_weight(m: int, d: int) -> float:
 def exact_restriction_classes(d: int, level: int, m: int):
     """Exact law of the subgraph's trace on E_m at the given anchor level.
 
-    Returns [(Fraction probability, boolean mask over E_m in layout order)],
-    sorted by class size and then by the sorted member words.  The trace
-    is decided by the path's vertex on C_m, which is uniform there, so a
-    class's probability is its share of the vertices of C_m (the level-m
-    paths of zero steps).
+    Returns [(Fraction probability, read-only boolean mask over E_m in
+    layout order)]: the level's rows of :func:`subgraphs.trace_class_table`,
+    one per vertex of C_K, each of probability 1/|C_K|.  The table raises
+    ``ResourceBudgetError`` above ``CLASS_TABLE_BUDGET`` cells.
     """
-    ends = enumerate_ray_paths(m, d, 0)[:, 0]
-    masks = trace_masks(level, ends, d, m)
-    packed = np.packbits(masks, axis=1)
-    # one opaque item per row: a flat unique sorts bytes, not 8-bit fields
-    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, counts = np.unique(rows, return_index=True, return_counts=True)
-    names = _ball_names(d, m)
-    return sorted(
-        ((Fraction(int(c), len(ends)), masks[i]) for c, i in zip(counts, first)),
-        key=lambda pr: (int(pr[1].sum()), str(sorted(names[i] for i in np.flatnonzero(pr[1])))),
-    )
-
-
-@functools.lru_cache(maxsize=8)
-def _ball_names(d: int, m: int) -> tuple:
-    """The printed words of E_m in layout order, for the class sort key."""
-    return tuple(str(t) for t in enumerate_ball(d, m))
-
-
-def _exact_enumeration_feasible(d: int, m: int) -> bool:
-    return ball_size(d, m) ** 2 <= LCP_TABLE_BUDGET
+    rows, bounds, _ = trace_class_table(d, m)
+    i = max(level, -m) + m
+    return [(Fraction(1, bounds[i + 1] - bounds[i]), r) for r in rows[bounds[i] : bounds[i + 1]]]
 
 
 def _over_levels(d: int, m: int, term) -> float:
@@ -202,15 +183,12 @@ def level_sum(model: MixedMovingAverage, per_atom) -> float:
     support radius m vanish because the subgraph misses the support;
     levels <= -m share the full-ball trace and are aggregated in closed
     form.  The intermediate levels are exact sums over their trace
-    classes; the lcp table they share is checked against
-    ``LCP_TABLE_BUDGET`` before any level is evaluated.
+    classes; the class table they share is checked against
+    ``CLASS_TABLE_BUDGET`` before any level is evaluated.
     """
     d, m = model.d, model.support_radius
     if not _exact_enumeration_feasible(d, m):
-        raise ResourceBudgetError(
-            f"the lcp table of E_{m} has {ball_size(d, m)}^2 cells, "
-            f"above the budget of {LCP_TABLE_BUDGET}"
-        )
+        raise class_table_budget_error(d, m)
     def func(mask) -> float:
         acc = 0.0
         for mass, pos, vals in model.kernel_columns:
@@ -218,8 +196,6 @@ def level_sum(model: MixedMovingAverage, per_atom) -> float:
         return acc
 
     def term(level) -> float:
-        if level == -m:
-            return func(np.ones(ball_size(d, m), dtype=bool))
         return sum(float(p) * func(r) for p, r in exact_restriction_classes(d, level, m))
 
     return _over_levels(d, m, term)
@@ -247,11 +223,13 @@ def sample_limit_point_process(
     anchor levels (|u|, or the geometric negative level at u = e) are drawn
     as arrays, and so is one uniform vertex of C_m per atom, where its
     path meets C_m; :func:`trace_masks` turns level and vertex into the
-    trace (levels <= -m cover E_m).
+    trace at the kernel's sites; the class-table budget is checked first.
     """
     if delta <= 0:
         raise ValueError("truncation level must be > 0")
     d, alpha, m = model.d, model.alpha, model.support_radius
+    if not _exact_enumeration_feasible(d, m):
+        raise class_table_budget_error(d, m)
     # sites per level 0..m, times amp^alpha at the root
     weights = np.array([d / (d - 1.0)] + [float(sphere_size(d, j)) for j in range(1, m + 1)])
     atoms = []
@@ -267,9 +245,8 @@ def sample_limit_point_process(
             [sample_anchor(d, rng, counts[0]), np.repeat(np.arange(1, m + 1), counts[1:])]
         )
         ends = sample_ray_path(m, d, 0, rng, total)[:, 0]
-        masks = trace_masks(levels, ends, d, m)
         values = amps[:, None] * vals[None, :]
-        atoms.append(values[masks[:, pos] & (np.abs(values) > delta)])
+        atoms.append(values[trace_masks(levels, ends, d, m, pos) & (np.abs(values) > delta)])
     return PointMeasure(atoms=np.concatenate([np.zeros(0), *atoms]), delta=delta)
 
 

@@ -24,10 +24,10 @@ Enumeration and sampling work on integer arrays: a path is a row of
 indices into a ``ball_layout``, both grown by one continuation rule, and a
 subgraph's trace on the ball E_m is a boolean mask over E_m in layout
 order.  The trace depends on the path only through its vertex x on C_m:
-t is a member iff |t| + ell - 2 lcp(t, x) <= 0 (:func:`trace_masks`), and
-x is uniform on C_m at every level.  ``Word`` paths (``RayPath``,
-``membership``) remain as the brute-force oracle of the sphere-count lemma
-and of the tests.
+t is a member iff |t| + ell - 2 lcp(t, x) <= 0, x is uniform on C_m, and
+only x's ancestor on C_K, K = clip(ceil((m + ell)/2), 0, m), matters: one
+class table per (d, m) holds every level (:func:`trace_masks`).  ``Word``
+paths (``RayPath``, ``membership``) remain the brute-force sphere-count oracle.
 """
 
 from __future__ import annotations
@@ -268,49 +268,71 @@ def check_sphere_counts(d: int, ell_max: int, k_max: int, samples: int, seed: in
     return rows
 
 
-LCP_TABLE_BUDGET = 20_000_000  # cells of the |E_m| x |E_m| lcp table
+CLASS_TABLE_BUDGET = 40_000_000  # boolean cells of one (d, m) trace-class table
+
+
+def _exact_enumeration_feasible(d: int, m: int) -> bool:
+    """Whether the (2|E_m| - 1) x |E_m| trace-class table fits ``CLASS_TABLE_BUDGET``."""
+    size = ball_size(d, m)
+    return (2 * size - 1) * size <= CLASS_TABLE_BUDGET
+
+
+def class_table_budget_error(d: int, m: int) -> ResourceBudgetError:
+    cells = f"{2 * ball_size(d, m) - 1} x {ball_size(d, m)} cells"
+    return ResourceBudgetError(f"the class table of E_{m} has {cells}, over {CLASS_TABLE_BUDGET:,}")
 
 
 @functools.lru_cache(maxsize=8)
-def _lcp_offsets(d: int, m: int) -> np.ndarray:
-    """(S, S) int16 table |t| - 2 lcp(a, t) over the sites of E_m in layout order.
+def trace_class_table(d: int, m: int):
+    """Read-only (rows, bounds, row_of): the trace classes on E_m of levels -m..m.
 
-    In preorder the deepest ancestor-or-self of depth <= j of a node is the
-    last node of depth <= j at or before it, so the ancestor columns come
-    from one ``searchsorted`` per depth.  A table above ``LCP_TABLE_BUDGET``
-    cells raises ``ResourceBudgetError`` before anything is allocated.
+    From lcp = K = clip(ceil((m + ell)/2), 0, m) on, 2 lcp - ell >= m, so
+    the trace {t : |t| <= 2 lcp(t, x) - ell} depends on x only through its
+    ancestor a on C_K.  ``rows[bounds[i]:bounds[i + 1]]`` are the classes
+    of level i - m, one per a in preorder; ``row_of[i, x]`` is the row of
+    the C_m vertex x.  Levels 2K - m - 1 and 2K - m share K, and lcp(t, a)
+    adds one on subtree(a) to that of a's parent.  Raises before any
+    allocation when above ``CLASS_TABLE_BUDGET`` cells.
     """
-    size = ball_size(d, m)
-    if size**2 > LCP_TABLE_BUDGET:
-        raise ResourceBudgetError(
-            f"the lcp table of E_{m} has {size}^2 cells, above the budget of {LCP_TABLE_BUDGET}"
-        )
-    site_depth = ball_layout(d, m).depth
-    positions = np.arange(len(site_depth))
-    lcp = np.zeros((len(site_depth), len(site_depth)), dtype=np.int16)
-    for j in range(1, m + 1):
-        at_j = np.flatnonzero(site_depth <= j)
-        anc = at_j[np.searchsorted(at_j, positions, side="right") - 1]
-        deep = site_depth >= j
-        lcp += (anc[:, None] == anc[None, :]) & deep[:, None] & deep[None, :]
-    out = site_depth[None, :] - 2 * lcp
-    out.setflags(write=False)
-    return out
+    if not _exact_enumeration_feasible(d, m):
+        raise class_table_budget_error(d, m)
+    lay = ball_layout(d, m)
+    ends = enumerate_ray_paths(m, d, 0)[:, 0]  # C_m in preorder, as level-m paths
+    rows = np.empty((2 * lay.size - 1, lay.size), dtype=bool)
+    row_of = np.zeros((2 * m + 1, lay.size), dtype=np.int32)
+    bounds = [0]
+    lcp = np.zeros((1, lay.size), dtype=np.int8)  # lcp(t, a) for the vertices a of C_k
+    for k in range(m + 1):
+        on_k = np.flatnonzero(lay.depth == k)
+        if k:
+            lcp = np.repeat(lcp, len(on_k) // len(lcp), axis=0)
+            lcp[np.arange(len(on_k))[:, None], on_k[:, None] + np.arange(lay.subtree[k])] += 1
+        for level in (2 * k - m - 1, 2 * k - m) if k else (-m,):
+            rows[bounds[-1] : bounds[-1] + len(on_k)] = lay.depth + level <= 2 * lcp
+            # each subtree of C_k holds a run of len(ends) // len(on_k) vertices of C_m
+            row_of[level + m, ends] = bounds[-1] + np.arange(len(ends)) // (len(ends) // len(on_k))
+            bounds.append(bounds[-1] + len(on_k))
+    rows.setflags(write=False)
+    row_of.setflags(write=False)
+    return rows, tuple(bounds), row_of
 
 
-def trace_masks(levels, ends: np.ndarray, d: int, m: int) -> np.ndarray:
+def trace_masks(levels, ends: np.ndarray, d: int, m: int, sites=None) -> np.ndarray:
     """Traces on E_m of subgraphs at anchor ``levels`` with C_m vertices ``ends``.
 
     ``ends`` holds layout indices into ``ball_layout(d, m)`` of the vertex x
     where each path meets C_m; ``levels`` is one level <= m or one per end.
-    Row i is the boolean mask over E_m in layout order of
-    {t : |t| + level - 2 lcp(t, x) <= 0}.  For level >= 0, k -> d(t, v_k) - k
-    is non-increasing and reaches that value at x.  For level < 0 the
-    descent reaches |t| + level for every anchor, so it covers E_|level|,
-    and the ascent reaches the value at x, which is never larger.  Levels
-    <= -m give the full ball.
+    Row i is the boolean mask over E_m in layout order (or its columns
+    ``sites``) of {t : |t| + level - 2 lcp(t, x) <= 0}: the row of x's
+    ancestor on C_K in :func:`trace_class_table`.  For level >= 0,
+    k -> d(t, v_k) - k is non-increasing and reaches that value at x.  For
+    level < 0 the descent reaches |t| + level for every anchor, so it
+    covers E_|level|, and the ascent reaches the value at x, which is never
+    larger.  Levels <= -m give the full ball.
     """
-    return _lcp_offsets(d, m)[ends] <= -np.asarray(levels)[..., None]
+    rows, _, row_of = trace_class_table(d, m)
+    row = np.asarray(row_of[np.maximum(levels, -m) + m, ends])[..., None]
+    return rows[row, np.arange(rows.shape[1]) if sites is None else sites]
 
 
 # ---------------------------------------------------------------------------

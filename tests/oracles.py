@@ -1,15 +1,16 @@
 """Test-side oracles shared by several test modules."""
 
 import csv
+import functools
 import math
 
 import numpy as np
 from scipy import stats as sstats
 
-from stabletree.errors import PathTooShortError, PrefixTooShortError
-from stabletree.free_group import Word, allowed_next_letters, ball_layout
+from stabletree.errors import PathTooShortError, PrefixTooShortError, ResourceBudgetError
+from stabletree.free_group import Word, allowed_next_letters, ball_layout, ball_size
 from stabletree.stable import lepage_weights, sample_sas, stable_tail_constant
-from stabletree.subgraphs import _lcp_offsets, ray_path_radius
+from stabletree.subgraphs import ray_path_radius
 
 
 def min_busemann_over_ball(d: int, n: int, omega_prefix: Word) -> int:
@@ -63,6 +64,36 @@ def determining_steps(level: int, m: int) -> int:
     inside E_max(m, |level|).
     """
     return max(m - level, 0) if level >= 0 else abs(level) + m
+
+
+LCP_TABLE_BUDGET = 20_000_000  # cells of the |E_m| x |E_m| lcp table
+
+
+@functools.lru_cache(maxsize=8)
+def _lcp_offsets(d: int, m: int) -> np.ndarray:
+    """(S, S) int16 table |t| - 2 lcp(a, t) over the sites of E_m in layout order.
+
+    In preorder the deepest ancestor-or-self of depth <= j of a node is the
+    last node of depth <= j at or before it, so the ancestor columns come
+    from one ``searchsorted`` per depth.  A table above ``LCP_TABLE_BUDGET``
+    cells raises ``ResourceBudgetError`` before anything is allocated.
+    """
+    size = ball_size(d, m)
+    if size**2 > LCP_TABLE_BUDGET:
+        raise ResourceBudgetError(
+            f"the lcp table of E_{m} has {size}^2 cells, above the budget of {LCP_TABLE_BUDGET}"
+        )
+    site_depth = ball_layout(d, m).depth
+    positions = np.arange(len(site_depth))
+    lcp = np.zeros((len(site_depth), len(site_depth)), dtype=np.int16)
+    for j in range(1, m + 1):
+        at_j = np.flatnonzero(site_depth <= j)
+        anc = at_j[np.searchsorted(at_j, positions, side="right") - 1]
+        deep = site_depth >= j
+        lcp += (anc[:, None] == anc[None, :]) & deep[:, None] & deep[None, :]
+    out = site_depth[None, :] - 2 * lcp
+    out.setflags(write=False)
+    return out
 
 
 TRACE_CHUNK = 4096  # paths per block of (paths x sites) membership temporaries

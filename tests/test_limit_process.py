@@ -45,6 +45,7 @@ from stabletree.subgraphs import (
     membership,
     required_steps,
     subgraph_sphere_count,
+    trace_masks,
 )
 
 
@@ -332,7 +333,7 @@ def test_restriction_classes_match_word_oracle(d, m):
 
 
 def test_restriction_classes_budget():
-    # the lcp table of E_8 has 13,121^2 = 172M cells
+    # the trace-class table of E_8 has 26,241 x 13,121 = 344M cells
     with pytest.raises(ResourceBudgetError):
         exact_restriction_classes(2, -7, 8)
 
@@ -385,23 +386,69 @@ def test_determining_steps_is_shortest(d, m):
 
 
 def test_sphere_counts_by_level_exact():
-    # every class of every level meets each sphere in the closed-form count
+    # every class of every level meets each sphere in the closed-form count; a level
+    # has one class per vertex of C_K, and a C_m vertex takes its C_K ancestor's class
     for d, m in [(2, 5), (3, 3), (4, 2)]:
         depth = ball_layout(d, m).depth
+        ends = np.flatnonzero(depth == m)
         for level in range(-m, m + 1):
             expected = [
                 subgraph_sphere_count(level, j - level, d) if j >= max(level, 0) else 0
                 for j in range(m + 1)
             ]
-            for _, mask in exact_restriction_classes(d, level, m):
+            classes = exact_restriction_classes(d, level, m)
+            for _, mask in classes:
                 assert np.bincount(depth[mask], minlength=m + 1).tolist() == expected
+            on_k = np.flatnonzero(depth == min(max(0, math.ceil((m + level) / 2)), m))
+            assert [p for p, _ in classes] == [Fraction(1, len(on_k))] * len(on_k)
+            # in preorder the ancestor on C_K is the last vertex of C_K at or before x
+            ancestor = np.searchsorted(on_k, ends, side="right") - 1
+            masks = trace_masks(level, ends, d, m)
+            assert all(np.array_equal(masks[i], classes[a][1]) for i, a in enumerate(ancestor))
 
 
-def test_limit_kx_kernel_pinned():
-    # the m = 3 kernel of the limit-kx benchmark workload
-    comp = maxima_constant_comparison(mma_from_levels(2, 1.0, {0: 1.0, 1: 0.6, 2: 0.3, 3: 0.2}))
+def _m5_kernel(rename=None):
+    # an m = 5 kernel whose sup over the trace varies, with its letters renamed
+    table = {(): 0.2, (1,): 1.0, (-2,): 0.5, (1, 2): 0.8, (2, 2, -1): 0.3,
+             (1, 1, 2, 1, 2): 0.9, (-2, -1, -2, 1, 1): 0.6}
+    rename = rename or {}
+    tab = {word(2, [rename.get(g, g) for g in k]): v for k, v in table.items()}
+    return MixedMovingAverage.from_tables(2, 1.0, {"w0": 1.0}, {"w0": tab})
+
+
+def _two_atom_ci_kernel():
+    # the two-atom kernel file of the CI console-script step
+    tables = {"a": {(): 1.0, (1,): 0.5}, "b": {(): -0.8, (-2,): 0.3}}
+    return MixedMovingAverage.from_tables(
+        2, 1.0, {"a": 1.0, "b": 0.5},
+        {w: {word(2, k): v for k, v in tab.items()} for w, tab in tables.items()},
+    )
+
+
+def _general_alpha_power(model):
+    comp = maxima_constant_comparison(model)
     assert comp["general_exact"] is True
-    assert comp["general_alpha_power"] == 30.400000000000006
+    return comp["general_alpha_power"]
+
+
+@pytest.mark.parametrize(
+    "kernel, functional, pinned",
+    [
+        # the m = 3 kernel of the limit-kx benchmark workload
+        (lambda: mma_from_levels(2, 1.0, {0: 1.0, 1: 0.6, 2: 0.3, 3: 0.2}),
+         _general_alpha_power, 30.400000000000006),
+        (_m5_kernel, lambda k: maxima_constant(k).alpha_power, 14.340740740740742),
+        (_two_atom_ci_kernel, _general_alpha_power, 6.8999999999999995),
+        (_two_atom_ci_kernel, lambda k: expected_atom_count(k, 0.1).value, 82.0),
+        (_two_atom_ci_kernel,
+         lambda k: laplace_functional(k, PiecewiseConstant.threshold(1.0, 0.5)).exponent,
+         9.327878522464653),
+    ],
+    ids=["limit-kx", "letter-swap-m5", "two-atom-kx", "two-atom-count", "two-atom-laplace"],
+)
+def test_limit_kx_kernel_pinned(kernel, functional, pinned):
+    # exact level sums are bit-reproducible, level-symmetric kernel or not
+    assert functional(kernel()) == pinned
 
 
 def test_maxima_constant_m5_exact():
@@ -414,16 +461,9 @@ def test_maxima_constant_m5_exact():
 def test_maxima_constant_m5_letter_swap_invariance():
     # a1 <-> a2 is a tree automorphism fixing e, so it preserves the subgraph law;
     # on this m = 5 kernel the sup over the trace varies, so a sampled level would show
-    table = {(): 0.2, (1,): 1.0, (-2,): 0.5, (1, 2): 0.8, (2, 2, -1): 0.3,
-             (1, 1, 2, 1, 2): 0.9, (-2, -1, -2, 1, 1): 0.6}
     swap = {1: 2, -1: -2, 2: 1, -2: -1}
-
-    def kernel(rename):
-        tab = {word(2, [rename.get(g, g) for g in k]): v for k, v in table.items()}
-        return MixedMovingAverage.from_tables(2, 1.0, {"w0": 1.0}, {"w0": tab})
-
-    plain = maxima_constant(kernel({})).alpha_power
-    assert maxima_constant(kernel(swap)).alpha_power == pytest.approx(plain, rel=1e-12)
+    plain = maxima_constant(_m5_kernel()).alpha_power
+    assert maxima_constant(_m5_kernel(swap)).alpha_power == pytest.approx(plain, rel=1e-12)
 
 
 @pytest.mark.parametrize("d, m", [(2, 6), (2, 7), (3, 4)])
@@ -435,7 +475,7 @@ def test_maxima_constant_exact_beyond_path_enumeration(d, m):
 
 
 def test_level_sum_budget_before_enumeration(monkeypatch):
-    # the lcp table of E_8 has 172M cells: refused before any level is enumerated
+    # the trace-class table of E_8 has 344M cells: refused before any level is enumerated
     def refuse(*args):
         raise AssertionError("exact_restriction_classes called")
 
@@ -445,7 +485,7 @@ def test_level_sum_budget_before_enumeration(monkeypatch):
 
 
 def test_sampler_budget_before_table():
-    # a radius-8 kernel would need a 172M-cell int16 table: refused before it is allocated
+    # a radius-8 kernel would need a 344M-cell class table: refused before it is allocated
     model = MixedMovingAverage.from_tables(
         2, 1.0, {"w0": 1.0}, {"w0": {identity(2): 1.0, word(2, [1] * 8): 0.5}}
     )
