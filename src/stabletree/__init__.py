@@ -36,7 +36,6 @@ from .fields import (
     maxima_experiment,
     mma_from_levels,
     mma_point_mass,
-    norming_constant_exact,
     norming_constant_mc,
 )
 from .free_group import (

@@ -21,12 +21,11 @@ Four models are provided.
   tail per site is 2 mass |f|^alpha x^-alpha.
 
 Each model carries its own behaviour: the scale of the ball maximum, the
-series rms that sets the truncation, the exact norming constant, the limit
-CDF, the support radius of its kernel and its per-replication draw.
-:class:`FieldModel` holds the defaults.  Norming constants:
-norming_constant_exact returns the alpha-th power of the integral of the
-ball-maximum of |f_t|, exactly where a closed form or finite enumeration
-exists.
+series rms that sets the truncation, the exact norming constant (the
+alpha-th power of the integral of the ball-maximum of |f_t|, where a
+closed form or finite enumeration exists), the limit CDF, the support
+radius of its kernel and its per-replication draw.  :class:`FieldModel`
+holds the defaults.
 """
 
 from __future__ import annotations
@@ -315,17 +314,6 @@ class EstimateCI:
     ci_low: float
     ci_high: float
     reps: int
-
-
-def norming_constant_exact(model: FieldModel, n: int):
-    """The alpha-th power of the ball-maximum norming constant, exactly.
-
-    BoundaryField: (2d-1)^n.  ShiftField: 2n+1.  MixedMovingAverage: the
-    finite sum over noise sites of the max kernel value over the ball,
-    enumerated exactly.  ParetoField has no closed form; use
-    :func:`norming_constant_mc`.
-    """
-    return model.norming_constant(n)
 
 
 def norming_constant_mc(model: FieldModel, n: int, reps: int, rng: np.random.Generator) -> EstimateCI:

@@ -123,12 +123,7 @@ def inverse(u: Word) -> Word:
 def distance(u: Word, v: Word) -> int:
     """Graph distance on the Cayley tree: |u^-1 v|."""
     _check_ranks(u, v)
-    a, b = u.letters, v.letters
-    c = 0
-    m = min(len(a), len(b))
-    while c < m and a[c] == b[c]:
-        c += 1
-    return len(a) + len(b) - 2 * c
+    return len(u) + len(v) - 2 * common_prefix_length(u, v)
 
 
 def common_prefix_length(u: Word, v: Word) -> int:

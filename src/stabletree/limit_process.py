@@ -244,7 +244,7 @@ def sample_limit_point_process(
         levels = np.concatenate(
             [sample_anchor(d, rng, counts[0]), np.repeat(np.arange(1, m + 1), counts[1:])]
         )
-        ends = sample_ray_path(m, d, 0, rng, total)[:, 0]
+        ends = sample_ray_path(m, d, rng, total)
         values = amps[:, None] * vals[None, :]
         atoms.append(values[trace_masks(levels, ends, d, m, pos) & (np.abs(values) > delta)])
     return PointMeasure(atoms=np.concatenate([np.zeros(0), *atoms]), delta=delta)

@@ -20,14 +20,15 @@ decreases (in steps of 2) until the ray passes the projection of t and is
 constant afterwards, so the minimum is visible within |t| + 2|ell| + 2
 steps.
 
-Enumeration and sampling work on integer arrays: a path is a row of
-indices into a ``ball_layout``, both grown by one continuation rule, and a
-subgraph's trace on the ball E_m is a boolean mask over E_m in layout
-order.  The trace depends on the path only through its vertex x on C_m:
-t is a member iff |t| + ell - 2 lcp(t, x) <= 0, x is uniform on C_m, and
-only x's ancestor on C_K, K = clip(ceil((m + ell)/2), 0, m), matters: one
-class table per (d, m) holds every level (:func:`trace_masks`).  ``Word``
-paths (``RayPath``, ``membership``) remain the brute-force sphere-count oracle.
+Enumeration and sampling work on the vertex x where a path meets C_m.
+A subgraph's trace on the ball E_m is a boolean mask over E_m in layout
+order, and it depends on the path only through x: t is a member iff
+|t| + ell - 2 lcp(t, x) <= 0, and x is uniform on C_m at every level.  So
+:func:`enumerate_ray_paths` lists C_m and :func:`sample_ray_path` draws
+from it, as layout indices.  Only x's ancestor on C_K,
+K = clip(ceil((m + ell)/2), 0, m), matters: one class table per (d, m)
+holds every level (:func:`trace_masks`).  ``Word`` paths (``RayPath``,
+``membership``) remain the brute-force sphere-count oracle.
 """
 
 from __future__ import annotations
@@ -68,10 +69,6 @@ class RayPath:
             if distance(a, b) != 1:
                 raise ValueError("consecutive path vertices must be adjacent")
 
-    @property
-    def num_steps(self) -> int:
-        return len(self.vertices) - 1
-
 
 def _expected_level(ell: int, k: int) -> int:
     if ell >= 0:
@@ -79,90 +76,26 @@ def _expected_level(ell: int, k: int) -> int:
     return abs(ell) - k if k <= abs(ell) else k - abs(ell)
 
 
-def ray_path_count(level: int, d: int, num_steps: int) -> int:
-    """Number of ray paths of ``num_steps`` steps at the given anchor level.
+def enumerate_ray_paths(m: int, d: int) -> np.ndarray:
+    """C_m in canonical preorder, as int32 indices into ``ball_layout(d, m)``.
 
-    The anchor is any vertex of C_|level|; every free step has 2d - 1
-    continuations, except the first step out of the root at level 0, which
-    has 2d.
+    These are the vertices where ray paths meet C_m.  A subgraph's trace on
+    E_m depends on its path only through that vertex, which is uniform on
+    C_m at every anchor level (:func:`trace_masks`).
     """
-    if level == 0:
-        return 2 * d * (2 * d - 1) ** (num_steps - 1) if num_steps else 1
-    free = num_steps if level > 0 else max(0, num_steps + level)
-    return 2 * d * (2 * d - 1) ** (abs(level) - 1 + free)
+    return np.flatnonzero(ball_layout(d, m).depth == m).astype(np.int32)
 
 
-def ray_path_radius(level: int, num_steps: int) -> int:
-    """Largest word length met by a ray path of ``num_steps`` steps."""
-    return max(_expected_level(level, 0), _expected_level(level, num_steps))
+def sample_ray_path(m: int, d: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw the C_m vertices of ``size`` ray paths, uniform on C_m.
 
-
-def _continuations(lay, level: int, paths: np.ndarray) -> np.ndarray:
-    """Admissible next vertices of partial ray paths, one row per path.
-
-    ``paths`` holds the first k vertices of each path as layout indices.
-    With k = 0 every path may start at any anchor: e at level 0, otherwise
-    every vertex of C_|level|.  After that a path steps towards the root
-    while it descends (level < 0, k <= |level|) and away from it otherwise,
-    never back to the previous vertex.  Options come in canonical order,
-    and every row has the same number of them.
+    The rows of :func:`enumerate_ray_paths`, picked by one bounded-integer
+    draw of ``size`` values.  The list of C_m is built here, not by
+    :func:`enumerate_ray_paths`, so that the rows ``perfbench/tracer.py``
+    counts as enumerated come from enumerations only.
     """
-    k = paths.shape[1]
-    if k == 0:
-        anchors = np.flatnonzero(lay.depth == abs(level)).astype(np.int32)
-        return np.broadcast_to(anchors, (len(paths), len(anchors)))
-    depth, cur = lay.depth, paths[:, -1]
-    nbrs = lay.right_mul[cur]
-    rise = np.where(nbrs >= 0, depth[nbrs] - depth[cur][:, None], 0)
-    if level < 0 and k <= -level:
-        pick = rise == -1  # the unique step towards the root
-    else:
-        pick = rise == 1
-        if k >= 2:
-            pick &= nbrs != paths[:, -2, None]
-    return nbrs[pick].reshape(len(paths), -1)
-
-
-def enumerate_ray_paths(level: int, d: int, num_steps: int, budget: int = 200_000):
-    """All ray paths of the given length, as one int32 array of layout indices.
-
-    Row p holds (v_0, ..., v_num_steps) of path p as indices into
-    ``ball_layout(d, ray_path_radius(level, num_steps))``.  Rows come in
-    canonical order: anchors in sphere order, then every continuation in
-    canonical letter order.  Every path has the same number of choices, so
-    all rows are equally likely under the path-uniform law.  The budget is
-    checked before any allocation.
-    """
-    count = ray_path_count(level, d, num_steps)
-    if count > budget:
-        raise ResourceBudgetError(
-            f"{count} ray paths at level {level} exceed the budget of {budget}"
-        )
-    lay = ball_layout(d, ray_path_radius(level, num_steps))
-    paths = np.empty((1, 0), dtype=np.int32)
-    for _ in range(num_steps + 1):
-        opts = _continuations(lay, level, paths)
-        paths = np.column_stack([np.repeat(paths, opts.shape[1], axis=0), opts.ravel()])
-    return paths
-
-
-def sample_ray_path(
-    level: int, d: int, num_steps: int, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Draw ``size`` ray paths under the path-uniform law.
-
-    The anchor is uniform on C_|level| and every free step is uniform over
-    the admissible continuations: one uniform pick per row among the options
-    :func:`enumerate_ray_paths` keeps in full.  Rows have the format of
-    :func:`enumerate_ray_paths`.
-    """
-    lay = ball_layout(d, ray_path_radius(level, num_steps))
-    paths = np.empty((size, 0), dtype=np.int32)
-    for _ in range(num_steps + 1):
-        opts = _continuations(lay, level, paths)
-        pick = rng.integers(opts.shape[1], size=size)
-        paths = np.column_stack([paths, opts[np.arange(size), pick]])
-    return paths
+    ends = np.flatnonzero(ball_layout(d, m).depth == m).astype(np.int32)
+    return ends[rng.integers(len(ends), size=size)]
 
 
 def required_steps(t_len: int, level: int) -> int:
@@ -179,11 +112,11 @@ def membership(t: Word, xi: RayPath) -> bool:
     """
     if t.rank != xi.rank:
         raise ValueError("rank mismatch")
-    if xi.num_steps < required_steps(len(t), xi.level):
+    steps, need = len(xi.vertices) - 1, required_steps(len(t), xi.level)
+    if steps < need:
         raise PathTooShortError(
-            f"path with {xi.num_steps} steps cannot decide membership of a "
-            f"length-{len(t)} word at level {xi.level}; "
-            f"need {required_steps(len(t), xi.level)}"
+            f"path with {steps} steps cannot decide membership of a "
+            f"length-{len(t)} word at level {xi.level}; need {need}"
         )
     best = None
     prev = None
@@ -226,7 +159,7 @@ def count_sphere_members(
     return sum(1 for t in enumerate_sphere(xi.rank, sphere_level) if membership(t, xi))
 
 
-def word_ray_path(level: int, d: int, num_steps: int, rng: np.random.Generator) -> RayPath:
+def word_ray_path(level: int, d: int, steps: int, rng: np.random.Generator) -> RayPath:
     """A ``Word`` path at level >= 1: the prefixes of a uniform reduced word.
 
     v_k is the prefix of length level + k, so the anchor is uniform on
@@ -235,7 +168,7 @@ def word_ray_path(level: int, d: int, num_steps: int, rng: np.random.Generator) 
     """
     if level < 1:
         raise ValueError("paths from reduced-word prefixes need level >= 1")
-    letters = sample_boundary(d, level + num_steps, rng).letters
+    letters = sample_boundary(d, level + steps, rng).letters
     return RayPath(level, d, tuple(Word(d, letters[:j]) for j in range(level, len(letters) + 1)))
 
 
@@ -297,7 +230,7 @@ def trace_class_table(d: int, m: int):
     if not _exact_enumeration_feasible(d, m):
         raise class_table_budget_error(d, m)
     lay = ball_layout(d, m)
-    ends = enumerate_ray_paths(m, d, 0)[:, 0]  # C_m in preorder, as level-m paths
+    ends = enumerate_ray_paths(m, d)  # C_m in preorder
     rows = np.empty((2 * lay.size - 1, lay.size), dtype=bool)
     row_of = np.zeros((2 * m + 1, lay.size), dtype=np.int32)
     bounds = [0]

@@ -10,7 +10,7 @@ from scipy import stats as sstats
 from stabletree.errors import PathTooShortError, PrefixTooShortError, ResourceBudgetError
 from stabletree.free_group import Word, allowed_next_letters, ball_layout, ball_size
 from stabletree.stable import lepage_weights, sample_sas, stable_tail_constant
-from stabletree.subgraphs import ray_path_radius
+from stabletree.subgraphs import _expected_level
 
 
 def min_busemann_over_ball(d: int, n: int, omega_prefix: Word) -> int:
@@ -66,6 +66,94 @@ def determining_steps(level: int, m: int) -> int:
     return max(m - level, 0) if level >= 0 else abs(level) + m
 
 
+def ray_path_count(level: int, d: int, num_steps: int) -> int:
+    """Number of ray paths of ``num_steps`` steps at the given anchor level.
+
+    The anchor is any vertex of C_|level|; every free step has 2d - 1
+    continuations, except the first step out of the root at level 0, which
+    has 2d.
+    """
+    if level == 0:
+        return 2 * d * (2 * d - 1) ** (num_steps - 1) if num_steps else 1
+    free = num_steps if level > 0 else max(0, num_steps + level)
+    return 2 * d * (2 * d - 1) ** (abs(level) - 1 + free)
+
+
+def ray_path_radius(level: int, num_steps: int) -> int:
+    """Largest word length met by a ray path of ``num_steps`` steps."""
+    return max(_expected_level(level, 0), _expected_level(level, num_steps))
+
+
+def _continuations(lay, level: int, paths: np.ndarray) -> np.ndarray:
+    """Admissible next vertices of partial ray paths, one row per path.
+
+    ``paths`` holds the first k vertices of each path as layout indices.
+    With k = 0 every path may start at any anchor: e at level 0, otherwise
+    every vertex of C_|level|.  After that a path steps towards the root
+    while it descends (level < 0, k <= |level|) and away from it otherwise,
+    never back to the previous vertex.  Options come in canonical order,
+    and every row has the same number of them.
+    """
+    k = paths.shape[1]
+    if k == 0:
+        anchors = np.flatnonzero(lay.depth == abs(level)).astype(np.int32)
+        return np.broadcast_to(anchors, (len(paths), len(anchors)))
+    depth, cur = lay.depth, paths[:, -1]
+    nbrs = lay.right_mul[cur]
+    rise = np.where(nbrs >= 0, depth[nbrs] - depth[cur][:, None], 0)
+    if level < 0 and k <= -level:
+        pick = rise == -1  # the unique step towards the root
+    else:
+        pick = rise == 1
+        if k >= 2:
+            pick &= nbrs != paths[:, -2, None]
+    return nbrs[pick].reshape(len(paths), -1)
+
+
+def enumerate_ray_paths_reference(level: int, d: int, num_steps: int, budget: int = 200_000):
+    """All ray paths of the given length, as one int32 array of layout indices.
+
+    The multi-step path reference: the program lists only the C_m vertices
+    where paths end (``subgraphs.enumerate_ray_paths``).  Row p holds
+    (v_0, ..., v_num_steps) of path p as indices into
+    ``ball_layout(d, ray_path_radius(level, num_steps))``.  Rows come in
+    canonical order: anchors in sphere order, then every continuation in
+    canonical letter order.  Every path has the same number of choices, so
+    all rows are equally likely under the path-uniform law.  The budget is
+    checked before any allocation.
+    """
+    count = ray_path_count(level, d, num_steps)
+    if count > budget:
+        raise ResourceBudgetError(
+            f"{count} ray paths at level {level} exceed the budget of {budget}"
+        )
+    lay = ball_layout(d, ray_path_radius(level, num_steps))
+    paths = np.empty((1, 0), dtype=np.int32)
+    for _ in range(num_steps + 1):
+        opts = _continuations(lay, level, paths)
+        paths = np.column_stack([np.repeat(paths, opts.shape[1], axis=0), opts.ravel()])
+    return paths
+
+
+def sample_ray_path_reference(
+    level: int, d: int, num_steps: int, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """Draw ``size`` ray paths under the path-uniform law.
+
+    The anchor is uniform on C_|level| and every free step is uniform over
+    the admissible continuations: one uniform pick per row among the options
+    :func:`enumerate_ray_paths_reference` keeps in full.  Rows have the format of
+    :func:`enumerate_ray_paths_reference`.
+    """
+    lay = ball_layout(d, ray_path_radius(level, num_steps))
+    paths = np.empty((size, 0), dtype=np.int32)
+    for _ in range(num_steps + 1):
+        opts = _continuations(lay, level, paths)
+        pick = rng.integers(opts.shape[1], size=size)
+        paths = np.column_stack([paths, opts[np.arange(size), pick]])
+    return paths
+
+
 LCP_TABLE_BUDGET = 20_000_000  # cells of the |E_m| x |E_m| lcp table
 
 
@@ -103,7 +191,8 @@ def ball_traces(paths: np.ndarray, level: int, d: int, m: int) -> np.ndarray:
     """Traces on E_m of the subgraphs of whole ray paths, as packed bit rows.
 
     The path-based reference for ``trace_masks``.  ``paths`` holds layout
-    indices as returned by ``enumerate_ray_paths`` and ``sample_ray_path``,
+    indices as returned by :func:`enumerate_ray_paths_reference` and
+    :func:`sample_ray_path_reference`,
     with at least :func:`determining_steps` steps.  t is a member iff
     min_k d(t, v_k) - k <= 0, with d(t, v) = |t| + |v| - 2 lcp(t, v); for t
     in E_m the lcp only sees v's ancestor at depth <= m.  Row p of the

@@ -19,7 +19,6 @@ from stabletree.fields import (
     maxima_experiment,
     mma_from_levels,
     mma_point_mass,
-    norming_constant_exact,
     norming_constant_mc,
 )
 from stabletree.free_group import (
@@ -197,9 +196,9 @@ def test_a4_dominant_ray_identity():
 def test_a5_norming_constants():
     ok = True
     for n in range(0, 11):
-        ok &= norming_constant_exact(BoundaryField(2, 1.0), n) == 3**n
-        ok &= norming_constant_exact(BoundaryField(3, 1.0), n) == 5**n
-        ok &= norming_constant_exact(ShiftField(2, 1.0), n) == 2 * n + 1
+        ok &= BoundaryField(2, 1.0).norming_constant(n) == 3**n
+        ok &= BoundaryField(3, 1.0).norming_constant(n) == 5**n
+        ok &= ShiftField(2, 1.0).norming_constant(n) == 2 * n + 1
     est = norming_constant_mc(ParetoField(2, 1.0, 3.0), 4, 10_000, substream(2026, "a5"))
     ratio = est.value / ball_size(2, 4) ** (1.0 / 3.0)
     target = math.gamma(2.0 / 3.0)

@@ -21,7 +21,6 @@ from stabletree.fields import (
     maxima_experiment,
     mma_from_levels,
     mma_point_mass,
-    norming_constant_exact,
     norming_constant_mc,
     scaling_constant,
 )
@@ -73,12 +72,12 @@ def boundary_maximum(sample):
 
 def test_norming_closed_forms():
     for n in range(0, 11):
-        assert norming_constant_exact(BoundaryField(2, 1.0), n) == 3**n
-        assert norming_constant_exact(BoundaryField(3, 0.7), n) == 5**n
-        assert norming_constant_exact(ShiftField(2, 1.3), n) == 2 * n + 1
-    assert norming_constant_exact(mma_point_mass(2, 1.0), 2) == ball_size(2, 2)
+        assert BoundaryField(2, 1.0).norming_constant(n) == 3**n
+        assert BoundaryField(3, 0.7).norming_constant(n) == 5**n
+        assert ShiftField(2, 1.3).norming_constant(n) == 2 * n + 1
+    assert mma_point_mass(2, 1.0).norming_constant(2) == ball_size(2, 2)
     with pytest.raises(UnsupportedModelError):
-        norming_constant_exact(ParetoField(2, 1.0, 3.0), 3)
+        ParetoField(2, 1.0, 3.0).norming_constant(3)
 
 
 def test_norming_mma_shifted_kernel():
@@ -86,7 +85,7 @@ def test_norming_mma_shifted_kernel():
     m = MixedMovingAverage.from_tables(
         2, 1.0, {"w0": 1.0}, {"w0": {word(2, [1, 2]): 2.0}}
     )
-    assert norming_constant_exact(m, 3) == pytest.approx(2.0 * ball_size(2, 3))
+    assert m.norming_constant(3) == pytest.approx(2.0 * ball_size(2, 3))
 
 
 def test_pareto_norming_mc():
@@ -403,7 +402,7 @@ def test_norming_and_level_profile_match_word_loops():
     ]
     for model in kernels:
         for n in range(0, 4):
-            assert norming_constant_exact(model, n) == brute_norming(model, n)
+            assert model.norming_constant(n) == brute_norming(model, n)
         for w in model.atoms:
             assert model.level_profile(w) == brute_level_profile(model, w)
     assert kernels[0].level_profile("w0") == {0: -1.5}

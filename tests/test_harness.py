@@ -208,11 +208,26 @@ def test_run_pp_and_limit_kinds(tmp_path):
 
 
 POINT_MASS = {"variant": "mma", "d": 2, "alpha": 1.0, "point_mass": True}
+LEVELS_M3 = {  # f(t) = levels[|t|] on E_3: every atom draws a vertex of C_3
+    "variant": "mma", "d": 2, "alpha": 1.0, "w_masses": {"w0": 1.0},
+    "f_table": {
+        "w0": {format_word(t): (1.0, 0.6, 0.3, 0.2)[len(t)] for t in enumerate_ball(2, 3)}
+    },
+}
 SMALL_ATOM_RUNS = {
     "pp": ExperimentConfig(kind="pp", model=POINT_MASS, n=3, reps=10, seed=9, params={"delta": 0.5}),
     "limit-sample": ExperimentConfig(
         kind="limit-sample", model=POINT_MASS, reps=20, seed=7, params={"delta": 0.5}
     ),
+    "limit-sample-m3": ExperimentConfig(
+        kind="limit-sample", model=LEVELS_M3, reps=20, seed=7, params={"delta": 0.5}
+    ),
+}
+ATOM_CSV_SHA256 = {
+    # written by the row-by-row csv.writer before AtomRecords
+    "limit-sample": "f0d49dcb19ecc318d5ac6ed69e8649f009752d880b590ef8f88062c4bfcfd801",
+    # written when the C_m vertex was the first column of a multi-step path draw
+    "limit-sample-m3": "920f7f35a1af6c87aa147ee0675d06f6f0f7fcd3f3afe335eaada56643501783",
 }
 
 
@@ -233,9 +248,8 @@ def test_atom_records_csv_matches_row_writer(kind, tmp_path):
     rows = atom_rows_reference(res.records.blocks)
     assert len(rows) > 0
     out = _assert_csv_matches_row_writer(res, rows, tmp_path)
-    if kind == "limit-sample":  # written by the row-by-row csv.writer before AtomRecords
-        digest = "f0d49dcb19ecc318d5ac6ed69e8649f009752d880b590ef8f88062c4bfcfd801"
-        assert hashlib.sha256(out).hexdigest() == digest
+    if kind in ATOM_CSV_SHA256:
+        assert hashlib.sha256(out).hexdigest() == ATOM_CSV_SHA256[kind]
 
 
 def test_atom_records_edge_values(tmp_path):

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ball_traces, determining_steps, nu_alpha_integral_midpoints
+from oracles import (
+    ball_traces,
+    determining_steps,
+    enumerate_ray_paths_reference,
+    nu_alpha_integral_midpoints,
+)
 from stabletree import limit_process
 from stabletree.errors import PathTooShortError, ResourceBudgetError
 from stabletree.fields import MixedMovingAverage, mma_from_levels, mma_point_mass
@@ -41,7 +46,6 @@ from stabletree.limit_process import (
 from stabletree.rng import substream
 from stabletree.subgraphs import (
     RayPath,
-    enumerate_ray_paths,
     membership,
     required_steps,
     subgraph_sphere_count,
@@ -340,7 +344,7 @@ def test_restriction_classes_budget():
 
 def _path_classes(d, level, m):
     """The trace classes of every determining path, decided by the path oracle."""
-    paths = enumerate_ray_paths(level, d, determining_steps(level, m))
+    paths = enumerate_ray_paths_reference(level, d, determining_steps(level, m))
     packed = ball_traces(paths, level, d, m)
     rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     uniq, counts = np.unique(rows, return_counts=True)
@@ -379,10 +383,10 @@ def test_determining_steps_is_shortest(d, m):
         steps = determining_steps(level, m)
         classes = exact_restriction_classes(d, level, m)
         exact = {np.packbits(mask).tobytes(): p for p, mask in classes}
-        assert _class_law(enumerate_ray_paths(level, d, steps + 1), level, d, m) == exact
+        assert _class_law(enumerate_ray_paths_reference(level, d, steps + 1), level, d, m) == exact
         if steps:
             with pytest.raises(PathTooShortError):
-                ball_traces(enumerate_ray_paths(level, d, steps - 1), level, d, m)
+                ball_traces(enumerate_ray_paths_reference(level, d, steps - 1), level, d, m)
 
 
 def test_sphere_counts_by_level_exact():

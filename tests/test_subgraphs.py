@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ball_traces, chi2_pvalue, determining_steps
+from oracles import (
+    ball_traces,
+    chi2_pvalue,
+    determining_steps,
+    enumerate_ray_paths_reference,
+    ray_path_count,
+    ray_path_radius,
+    sample_ray_path_reference,
+)
 from stabletree.boundary import sample_boundary
 from stabletree.errors import PathTooShortError, ResourceBudgetError
 from stabletree.free_group import (
@@ -29,8 +37,6 @@ from stabletree.subgraphs import (
     check_sphere_counts,
     enumerate_ray_paths,
     membership,
-    ray_path_count,
-    ray_path_radius,
     required_steps,
     sample_anchor,
     sample_ray_path,
@@ -82,7 +88,7 @@ def test_path_level_profiles():
         (2, 5, [2, 3, 4, 5, 6, 7]),
         (-2, 6, [2, 1, 0, 1, 2, 3, 4]),
     ):
-        rows = sample_ray_path(level, 2, steps, rng, 200)
+        rows = sample_ray_path_reference(level, 2, steps, rng, 200)
         assert rows.dtype == np.int32 and rows.shape == (200, steps + 1)
         assert (ball_layout(2, ray_path_radius(level, steps)).depth[rows] == profile).all()
         paths[level] = _word_rows(rows, level, 2)  # self-avoiding, adjacent steps
@@ -94,12 +100,26 @@ def test_path_level_profiles():
 def test_anchor_uniform_on_sphere():
     rng = substream(402, "anchor")
     n = 10_000
-    anchors = sample_ray_path(2, 2, 1, rng, n)[:, 0]
-    sphere = np.flatnonzero(ball_layout(2, ray_path_radius(2, 1)).depth == 2)
+    anchors = sample_ray_path(2, 2, rng, n)
+    sphere = np.flatnonzero(ball_layout(2, 2).depth == 2)
     counts = [int(np.sum(anchors == i)) for i in sphere]
     assert sum(counts) == n
     p = chi2_pvalue(counts, [n / len(sphere)] * len(sphere))
     assert p > 0.01
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_sphere_ends_match_zero_step_paths(d, m):
+    # C_m and its draws are the oracle's zero-step level-m paths, on the same stream
+    ends = enumerate_ray_paths(m, d)
+    assert ends.dtype == np.int32
+    assert np.array_equal(ends, enumerate_ray_paths_reference(m, d, 0)[:, 0])
+    rng, ref = substream(415, "ends", d, m), substream(415, "ends", d, m)
+    got = sample_ray_path(m, d, rng, 500)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, sample_ray_path_reference(m, d, 0, ref, 500)[:, 0])
+    np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
 
 
 def test_path_validation():
@@ -184,20 +204,20 @@ def test_negative_levels_cover_small_balls():
     # a level -j subgraph contains the whole ball E_j, and level j misses E_(j-1)
     rng = substream(406, "cover")
     for j in (1, 2, 3):
-        neg = sample_ray_path(-j, 2, determining_steps(-j, j), rng, 50)
+        neg = sample_ray_path_reference(-j, 2, determining_steps(-j, j), rng, 50)
         assert _masks(neg, -j, 2, j).all()
-        pos = sample_ray_path(j, 2, determining_steps(j, j - 1), rng, 50)
+        pos = sample_ray_path_reference(j, 2, determining_steps(j, j - 1), rng, 50)
         assert not _masks(pos, j, 2, j - 1).any()
 
 
 def test_thin_table():
     # thinning a kernel table keeps the entries whose site lies on the trace
     rng = substream(407, "thin")
-    p_neg = sample_ray_path(-1, 2, determining_steps(-1, 0), rng, 20)
+    p_neg = sample_ray_path_reference(-1, 2, determining_steps(-1, 0), rng, 20)
     assert _masks(p_neg, -1, 2, 0).tolist() == [[True]] * 20
-    p_pos = sample_ray_path(1, 2, determining_steps(1, 0), rng, 20)
+    p_pos = sample_ray_path_reference(1, 2, determining_steps(1, 0), rng, 20)
     assert _masks(p_pos, 1, 2, 0).tolist() == [[False]] * 20
-    rows = sample_ray_path(0, 2, required_steps(1, 0), substream(408, "t"), 20)
+    rows = sample_ray_path_reference(0, 2, required_steps(1, 0), substream(408, "t"), 20)
     masks = _masks(rows, 0, 2, 1)
     assert masks[:, 0].all()  # the identity, first in layout order
     for mask, p0 in zip(masks, _word_rows(rows, 0, 2)):
@@ -231,7 +251,7 @@ def test_trace_masks_match_path_traces(d, m, level, seed):
     # the rule on the path's vertex on C_m decides the same trace as the whole path
     level = min(level, m)
     steps = determining_steps(level, m)
-    rows = sample_ray_path(level, d, steps, np.random.default_rng(seed), 40)
+    rows = sample_ray_path_reference(level, d, steps, np.random.default_rng(seed), 40)
     sites = np.flatnonzero(ball_layout(d, ray_path_radius(level, steps)).depth <= m)
     ends = np.searchsorted(sites, rows[:, -1])  # the last vertex, as an E_m index
     assert (ball_layout(d, m).depth[ends] == m).all()
@@ -248,17 +268,17 @@ def test_trace_masks_match_path_traces(d, m, level, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_sampled_rows_are_enumerated_rows(d, level, steps, seed):
-    rows = sample_ray_path(level, d, steps, np.random.default_rng(seed), 50)
-    every = {tuple(r) for r in enumerate_ray_paths(level, d, steps).tolist()}
+    rows = sample_ray_path_reference(level, d, steps, np.random.default_rng(seed), 50)
+    every = {tuple(r) for r in enumerate_ray_paths_reference(level, d, steps).tolist()}
     assert rows.dtype == np.int32 and rows.shape == (50, steps + 1)
     assert {tuple(r) for r in rows.tolist()} <= every
 
 
 @pytest.mark.parametrize("level, steps", [(-2, 4), (0, 3), (2, 2)])
 def test_sampled_rows_uniform(level, steps):
-    every = enumerate_ray_paths(level, 2, steps)
+    every = enumerate_ray_paths_reference(level, 2, steps)
     n = 200 * len(every)
-    rows = sample_ray_path(level, 2, steps, substream(414, "uniform", level), n)
+    rows = sample_ray_path_reference(level, 2, steps, substream(414, "uniform", level), n)
     index = {tuple(r): i for i, r in enumerate(every.tolist())}
     counts = np.bincount([index[tuple(r)] for r in rows.tolist()], minlength=len(every))
     assert chi2_pvalue(counts.tolist(), [200.0] * len(every)) > 0.01
@@ -295,10 +315,10 @@ def test_restriction_consistency():
     n = 4000
     cat_a = {}
     cat_b = {}
-    for long in _word_rows(sample_ray_path(1, 2, 3, rng_a, n), 1, 2):
+    for long in _word_rows(sample_ray_path_reference(1, 2, 3, rng_a, n), 1, 2):
         short = long.vertices[:3]
         cat_a[short] = cat_a.get(short, 0) + 1
-    for direct in _word_rows(sample_ray_path(1, 2, 2, rng_b, n), 1, 2):
+    for direct in _word_rows(sample_ray_path_reference(1, 2, 2, rng_b, n), 1, 2):
         cat_b[direct.vertices] = cat_b.get(direct.vertices, 0) + 1
     keys = sorted(set(cat_a) | set(cat_b), key=str)
     assert len(keys) == 4 * 3 * 3
@@ -313,10 +333,11 @@ def test_enumerate_ray_paths_probabilities():
     # paths the sampler draws, and the Word paths built from reduced words
     rng = substream(412, "enum")
     for level in (-1, 0, 1):
-        rows = [tuple(r) for r in enumerate_ray_paths(level, 2, 3).tolist()]
+        rows = [tuple(r) for r in enumerate_ray_paths_reference(level, 2, 3).tolist()]
         assert len(set(rows)) == len(rows) == ray_path_count(level, 2, 3)
         assert rows == sorted(rows)
-        assert {tuple(r) for r in sample_ray_path(level, 2, 3, rng, 2000).tolist()} == set(rows)
+        drawn = sample_ray_path_reference(level, 2, 3, rng, 2000)
+        assert {tuple(r) for r in drawn.tolist()} == set(rows)
         lay = ball_layout(2, ray_path_radius(level, 3))
         words = {
             tuple(lay.word_to_index(v) for v in _word_path(level, 2, 3, rng).vertices)
@@ -331,7 +352,7 @@ def test_enumerate_ray_paths_budget_before_allocation():
     tracemalloc.start()
     try:
         with pytest.raises(ResourceBudgetError):
-            enumerate_ray_paths(4, 2, 5, budget=1000)
+            enumerate_ray_paths_reference(4, 2, 5, budget=1000)
         assert tracemalloc.get_traced_memory()[1] < 100_000
     finally:
         tracemalloc.stop()
