@@ -34,7 +34,6 @@ from .fields import (
     ParetoField,
     ShiftField,
     maxima_experiment,
-    mma_from_levels,
     mma_point_mass,
     norming_constant_mc,
 )
@@ -67,7 +66,6 @@ from .limit_process import (
 )
 from .rng import substream
 from .stable import (
-    SeriesConfig,
     sample_sas,
     scaled_frechet_cdf,
     stable_tail_constant,

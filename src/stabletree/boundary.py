@@ -166,10 +166,6 @@ class CylinderSet:
     def measure(self) -> Fraction:
         return sum((cylinder_measure(w) for w in self.words), Fraction(0))
 
-    def refine_word(self, g: Word) -> list:
-        """Children of H_g: H_{g x} over the 2d-1 admissible next letters x."""
-        return [Word(self.d, g.letters + (x,)) for x in allowed_next_letters(self.d, g.letters[-1])]
-
 
 def _image_words(t: Word, g: Word) -> list:
     """Image of the cylinder H_g under phi_t, as a list of cylinder words.

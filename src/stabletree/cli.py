@@ -13,6 +13,8 @@ import sys
 from .errors import ConfigError, ResourceBudgetError, UnsupportedModelError
 from .harness import ExperimentConfig, load_f_table_file, run, selftest
 
+_CHECKS = ("enumerate", "verify-boundary", "verify-lemma")  # the commands that run no experiment
+
 
 def _add_model_args(p, variants=("boundary", "shift", "pareto", "mma")):
     p.add_argument("--model", choices=variants, required=True)
@@ -118,6 +120,11 @@ def main(argv=None) -> int:
     try:
         return _dispatch(args)
     except (ConfigError, UnsupportedModelError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # a check's bad argument: rank < 2, radius < 0, nothing to check
+        if args.command not in _CHECKS:  # in an experiment it is a fault: keep the traceback
+            raise
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except ResourceBudgetError as exc:

@@ -38,10 +38,9 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import ResourceBudgetError, UnsupportedModelError
-from .free_group import ball_layout, ball_size, enumerate_ball, identity
+from .free_group import ball_layout, ball_size, identity
 from .rng import substream
 from .stable import (
-    SeriesConfig,
     choose_num_terms,
     lepage_remainder_bound,
     lepage_weights,
@@ -51,7 +50,7 @@ from .stable import (
 )
 from .stats import batch_mean_ci, empirical_cdf_table, ks_distance
 
-DEFAULT_SITE_BUDGET = 1_000_000
+DEFAULT_SITE_BUDGET = 1_000_000  # largest noise ball E_(n + support radius), in sites
 RAY_BLOCK = 1_000_000  # ray letters drawn per group of levels in a boundary-field draw
 
 
@@ -255,10 +254,6 @@ class MixedMovingAverage(FieldModel):
                 profiles.append({j: float(s[0]) for j, s in enumerate(spheres) if s[0] != 0.0})
         return tuple(profiles)
 
-    def level_profile(self, w: str):
-        """{|t|: value} if f(w, .) is constant on spheres, else None."""
-        return self.level_profiles[self.atoms.index(w)]
-
     @property
     def is_level_symmetric(self) -> bool:
         return all(prof is not None for prof in self.level_profiles)
@@ -291,17 +286,6 @@ def mma_point_mass(d: int, alpha: float, value: float = 1.0, mass: float = 1.0) 
     return MixedMovingAverage.from_tables(
         d, alpha, {"w0": mass}, {"w0": {identity(d): value}}
     )
-
-
-def mma_from_levels(d: int, alpha: float, levels: dict, mass: float = 1.0) -> MixedMovingAverage:
-    """Level-symmetric kernel f(t) = levels[|t|] (absent levels are 0)."""
-    m = max(levels) if levels else 0
-    tab = {}
-    for t in enumerate_ball(d, m):
-        v = levels.get(len(t), 0.0)
-        if v != 0.0:
-            tab[t] = v
-    return MixedMovingAverage.from_tables(d, alpha, {"w0": mass}, {"w0": tab})
 
 
 # ---------------------------------------------------------------------------
@@ -359,25 +343,27 @@ def _boundary_second_moment(d: int, alpha: float, n: int) -> float:
     return best
 
 
-def resolve_num_terms(model: FieldModel, n: int, cfg: SeriesConfig | None) -> int | None:
-    """Series length for the model, from the config or the remainder rule.
+def resolve_num_terms(model: FieldModel, n: int, num_terms: int | None) -> int | None:
+    """The series length for the model over E_n: ``num_terms``, or else the fixed rule.
 
-    Returns None for models simulated exactly (shift, mixed moving
-    average).  The rule picks the smallest N whose analytic remainder
-    bound is below tail_tolerance times the model's scale of M_n.
+    The one place a length is checked and chosen: ``num_terms < 1`` is a
+    ``ValueError``, exactly simulated models (shift, mixed moving average) get
+    None, and the rule picks the smallest N whose remainder bound is below
+    ``TAIL_TOLERANCE`` times the model's scale of M_n.
     """
-    cfg = cfg or SeriesConfig()
+    if num_terms is not None and num_terms < 1:
+        raise ValueError("num_terms must be >= 1")
     if model.exact:
         return None
-    if cfg.num_terms is not None:
-        return int(cfg.num_terms)
+    if num_terms is not None:
+        return int(num_terms)
     f_rms = model.f_rms(n)
     if f_rms is None:
         raise UnsupportedModelError(
             "automatic truncation needs a finite second moment (theta > 2); "
             "set num_terms explicitly"
         )
-    return choose_num_terms(model.alpha, f_rms, model.scale(n), tol=cfg.tail_tolerance)
+    return choose_num_terms(model.alpha, f_rms, model.scale(n))
 
 
 class _BoundaryPlan:
@@ -403,8 +389,6 @@ class _BoundaryPlan:
     """
 
     def __init__(self, model: BoundaryField, n: int, num_terms: int):
-        if num_terms < 1:
-            raise ValueError("the series needs at least one term")
         d, alpha = model.d, model.alpha
         lay = ball_layout(d, n)
         self.alpha = alpha
@@ -519,26 +503,22 @@ class _MMAPlan:
 class FieldSimulator:
     """Reusable per-model simulation plan for repeated replications.
 
-    Resolves the series length once and precomputes gather structures, so
-    replication loops pay only the per-draw cost.
+    Resolves ``num_terms`` (None: the fixed rule) once and precomputes
+    gather structures, so replication loops pay only the per-draw cost.
+    Above ``DEFAULT_SITE_BUDGET`` sites in E_(n + support radius) it raises
+    ``ResourceBudgetError``.
     """
 
-    def __init__(
-        self,
-        model: FieldModel,
-        n: int,
-        cfg: SeriesConfig | None = None,
-        site_budget: int = DEFAULT_SITE_BUDGET,
-    ):
-        cfg = cfg or SeriesConfig()
+    def __init__(self, model: FieldModel, n: int, num_terms: int | None = None):
         radius = n + model.support_radius
-        if ball_size(model.d, radius) > site_budget:
+        sites = ball_size(model.d, radius)
+        if sites > DEFAULT_SITE_BUDGET:
             raise ResourceBudgetError(
-                f"|E_{radius}| = {ball_size(model.d, radius)} exceeds site budget {site_budget}"
+                f"|E_{radius}| = {sites} exceeds site budget {DEFAULT_SITE_BUDGET}"
             )
         self.model = model
         self.n = n
-        self.num_terms = resolve_num_terms(model, n, cfg)
+        self.num_terms = resolve_num_terms(model, n, num_terms)
         self._draw = model.draw(n, self.num_terms)
         self.meta = {"num_terms": self.num_terms}
         f_rms = model.f_rms(n)
@@ -580,8 +560,8 @@ class MaximaResult:
 
 
 def _maxima_chunk(payload):
-    model, n, cfg, seed, reps_slice, site_budget = payload
-    sim = FieldSimulator(model, n, cfg, site_budget)
+    model, n, num_terms, seed, reps_slice = payload
+    sim = FieldSimulator(model, n, num_terms)
     sphere = np.flatnonzero(ball_layout(model.d, n).depth == n)
     out = []
     for rep in reps_slice:
@@ -594,29 +574,25 @@ def maxima_experiment(
     model: FieldModel,
     n: int,
     reps: int,
-    cfg: SeriesConfig | None,
+    num_terms: int | None,
     seed: int,
     s_grid=None,
     workers: int = 1,
-    site_budget: int = DEFAULT_SITE_BUDGET,
 ) -> MaximaResult:
     """Replicated partial maxima M_n with scaling, ECDF table and KS diagnostic.
 
     Replications are independent units on disjoint RNG streams keyed by
     (seed, rep); the result is identical for any worker count.  The KS
     distance is taken against the model's limit CDF when it has one.
+    ``num_terms`` is resolved once, here, and every worker gets the int.
     """
     if reps < 2:
         raise ValueError("need at least 2 replications")
     t0 = time.monotonic()
-    cfg = cfg or SeriesConfig()
-    # resolve the series length once so every worker sees the same plan
-    cfg = SeriesConfig(
-        num_terms=resolve_num_terms(model, n, cfg), tail_tolerance=cfg.tail_tolerance
-    )
+    num_terms = resolve_num_terms(model, n, num_terms)
     workers = max(1, workers)
     rep_ids = list(range(reps))
-    chunks = [(model, n, cfg, seed, rep_ids[i::workers], site_budget) for i in range(workers)]
+    chunks = [(model, n, num_terms, seed, rep_ids[i::workers]) for i in range(workers)]
     if workers == 1:
         raw = _maxima_chunk(chunks[0])
     else:
@@ -642,7 +618,7 @@ def maxima_experiment(
         n=n,
         reps=reps,
         scale=scale,
-        num_terms=cfg.num_terms,
+        num_terms=num_terms,
         records=records,
         quantiles=qs,
         ecdf=ecdf,

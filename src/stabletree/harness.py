@@ -24,7 +24,6 @@ from .fields import (
     BoundaryField,
     MixedMovingAverage,
     ParetoField,
-    SeriesConfig,
     ShiftField,
     maxima_experiment,
     mma_point_mass,
@@ -34,6 +33,7 @@ from .fields import (
 from .rng import substream
 
 EXPERIMENT_KINDS = ("maxima", "pp", "limit-kx", "limit-laplace", "limit-sample")
+_MIN_REPS = {"maxima": 2, "pp": 1, "limit-laplace": 1, "limit-sample": 1}
 
 _MODEL_KEYS = {
     "boundary": {"required": {"d", "alpha"}, "optional": set()},
@@ -211,7 +211,7 @@ def validate_config(cfg: ExperimentConfig):
         bad.append("kind")
     if cfg.kind in ("maxima", "pp") and cfg.n < 0:
         bad.append("n")
-    if cfg.kind in ("maxima", "pp", "limit-laplace") and cfg.reps < 1:
+    if cfg.reps < _MIN_REPS.get(cfg.kind, 0):
         bad.append("reps")
     if not isinstance(cfg.seed, int):
         bad.append("seed")
@@ -219,6 +219,11 @@ def validate_config(cfg: ExperimentConfig):
         bad.append("params.delta")
     if cfg.params.get("num_terms") is not None and not int(cfg.params["num_terms"]) >= 1:
         bad.append("params.num_terms")
+    if cfg.kind == "limit-laplace":  # the test function theta * 1(|x| > threshold)
+        if not float(cfg.params.get("theta", 1.0)) >= 0.0:
+            bad.append("params.theta")
+        if not float(cfg.params.get("threshold", 1.0)) > 0.0:
+            bad.append("params.threshold")
     if cfg.kind.startswith("limit-") and cfg.model.get("variant") != "mma":
         bad.append("model")  # the limit process is derived for mixed moving averages only
     if bad:
@@ -262,20 +267,13 @@ def run(cfg: ExperimentConfig) -> ExperimentResult:
     return result
 
 
-def _series_cfg(cfg: ExperimentConfig) -> SeriesConfig:
-    return SeriesConfig(
-        num_terms=cfg.params.get("num_terms"),
-        tail_tolerance=float(cfg.params.get("tail_tolerance", 1e-3)),
-    )
-
-
 def _run_maxima(cfg: ExperimentConfig, model) -> ExperimentResult:
     s_grid = cfg.params.get("s_grid")
     res = maxima_experiment(
         model,
         cfg.n,
         cfg.reps,
-        _series_cfg(cfg),
+        cfg.params.get("num_terms"),
         cfg.seed,
         s_grid=s_grid,
         workers=cfg.params.get("workers") or 1,
@@ -303,7 +301,7 @@ def _run_maxima(cfg: ExperimentConfig, model) -> ExperimentResult:
 
 def _run_pp(cfg: ExperimentConfig, model) -> ExperimentResult:
     delta = float(cfg.params.get("delta", 0.5))
-    sim = FieldSimulator(model, cfg.n, _series_cfg(cfg))
+    sim = FieldSimulator(model, cfg.n, cfg.params.get("num_terms"))
     scale = scaling_constant(model, cfg.n)
     blocks = []
     for rep in range(cfg.reps):
@@ -374,9 +372,8 @@ def _run_limit_sample(cfg: ExperimentConfig, model) -> ExperimentResult:
     from .limit_process import sample_limit_point_process
 
     delta = float(cfg.params.get("delta", 0.5))
-    reps = max(1, cfg.reps)
     blocks = []
-    for rep in range(reps):
+    for rep in range(cfg.reps):
         pm = sample_limit_point_process(model, delta, substream(cfg.seed, "nstar", rep))
         blocks.append(np.sort(pm.atoms)[::-1])
     summary = {"delta": delta, "mean_atoms": float(np.mean([len(b) for b in blocks]))}

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .free_group import sphere_size
-from .fields import FieldSimulator, MixedMovingAverage, SeriesConfig
+from .fields import FieldSimulator, MixedMovingAverage
 from .rng import substream
 from .subgraphs import (
     _exact_enumeration_feasible,
@@ -55,9 +55,6 @@ class PointMeasure:
 
     atoms: np.ndarray
     delta: float
-
-    def count_above(self, c: float) -> int:
-        return int(np.sum(np.abs(self.atoms) > c))
 
     def __len__(self):
         return len(self.atoms)
@@ -330,7 +327,7 @@ def empirical_laplace(
     seed: int,
 ) -> float:
     """Mean of exp(-N_n(g)) over simulated fields, N_n the scaled point process."""
-    sim = FieldSimulator(model, n, SeriesConfig())
+    sim = FieldSimulator(model, n)
     scale = (2.0 * model.d - 1.0) ** (-n / model.alpha)
     acc = 0.0
     for rep in range(reps):

@@ -14,18 +14,22 @@ A stable integral int f dM with probability control measure has the
 series representation  c_alpha^(1/alpha) sum_i eps_i Gamma_i^(-1/alpha)
 f(s_i)  with iid signs eps_i and Poisson arrival times Gamma_i.  The
 weights eps_i Gamma_i^(-1/alpha) come from one generator,
-:func:`lepage_weights`, and an analytic bound on the discarded remainder
-lets callers pick the truncation level against a target scale.
+:func:`lepage_weights`; the series length is either given or set by one
+fixed rule, :func:`choose_num_terms`, from the module constants below.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ResourceBudgetError
+
+TAIL_TOLERANCE = 1e-3  # remainder bound over target scale that the rule reaches
+SAFETY = 3.0  # standard deviations of the discarded tail in the remainder bound
+MAX_TERMS = 5_000_000  # longest series the rule may choose
+EXACT_TERMS = 4000  # Gamma ratios summed exactly before the integral majorant
 
 
 def sample_sas(rng: np.random.Generator, alpha: float, scale: float = 1.0, size=None, out=None):
@@ -112,27 +116,10 @@ def scaled_frechet_cdf(x, alpha: float, c: float):
 # Series (LePage) representation with remainder control
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SeriesConfig:
-    """Truncation control for series simulation.
-
-    ``num_terms=None`` lets the caller-side policy choose the number of
-    terms from the remainder rule; ``tail_tolerance`` is the target ratio
-    of remainder bound to the experiment's natural scale.
-    """
-
-    num_terms: int | None = None
-    tail_tolerance: float = 1e-3
-
-    def __post_init__(self):
-        if self.num_terms is not None and self.num_terms < 1:
-            raise ValueError("num_terms must be >= 1")
-
-
-def gamma_power_tail_sum(n_terms: int, a: float, exact_terms: int = 4000) -> float:
+def gamma_power_tail_sum(n_terms: int, a: float) -> float:
     """sum_{i > N} E[Gamma_i^(-a)] = sum_{i > N} Gamma(i-a)/Gamma(i), a in (0, 2).
 
-    Exact ratios for the first block, from one ``lgamma`` pair and the
+    Exact ratios for the first ``EXACT_TERMS``, from one ``lgamma`` pair and the
     recurrence Gamma(i+1-a)/Gamma(i+1) = (i-a)/i * Gamma(i-a)/Gamma(i), then
     an integral majorant for the remainder; the result slightly
     overestimates, which is the safe side for a remainder bound.  Requires
@@ -143,19 +130,19 @@ def gamma_power_tail_sum(n_terms: int, a: float, exact_terms: int = 4000) -> flo
     if n_terms <= a:
         raise ValueError(f"need N > a = {a}")
     first = math.exp(math.lgamma(n_terms + 1 - a) - math.lgamma(n_terms + 1))
-    i = np.arange(n_terms + 1, n_terms + exact_terms, dtype=float)
+    i = np.arange(n_terms + 1, n_terms + EXACT_TERMS, dtype=float)
     block = first * float(np.cumprod(np.concatenate(([1.0], (i - a) / i))).sum())
-    m = n_terms + exact_terms
+    m = n_terms + EXACT_TERMS
     tail = (m - a) ** (1.0 - a) / (a - 1.0)
     return block + tail
 
 
-def lepage_remainder_bound(n_terms: int, alpha: float, f_rms: float, safety: float = 3.0) -> float:
+def lepage_remainder_bound(n_terms: int, alpha: float, f_rms: float) -> float:
     """Deterministic bound on the discarded series remainder.
 
     An L2 computation: the remainder sum_{i>N} eps_i Gamma_i^(-1/alpha) f(s_i)
     has conditional variance at most f_rms^2 sum_{i>N} E Gamma_i^(-2/alpha);
-    the bound is ``safety`` standard deviations of that, so paired-run
+    the bound is ``SAFETY`` standard deviations of that, so paired-run
     differences stay below it with large probability.  With N <= 2/alpha
     the first discarded terms may have infinite variance, and the bound is
     infinite.
@@ -163,32 +150,23 @@ def lepage_remainder_bound(n_terms: int, alpha: float, f_rms: float, safety: flo
     a = 2.0 / alpha
     if n_terms <= a:
         return math.inf
-    return safety * f_rms * math.sqrt(gamma_power_tail_sum(n_terms, a))
+    return SAFETY * f_rms * math.sqrt(gamma_power_tail_sum(n_terms, a))
 
 
-def choose_num_terms(
-    alpha: float,
-    f_rms: float,
-    target_scale: float,
-    tol: float = 1e-3,
-    safety: float = 3.0,
-    max_terms: int = 5_000_000,
-) -> int:
-    """Smallest N (up to rounding) with remainder bound < tol * target_scale."""
-    goal = tol * target_scale
+def choose_num_terms(alpha: float, f_rms: float, target_scale: float) -> int:
+    """Smallest N (up to rounding) with remainder bound < TAIL_TOLERANCE * target_scale."""
+    goal = TAIL_TOLERANCE * target_scale
     if goal <= 0:
-        raise ValueError("target scale and tolerance must be positive")
+        raise ValueError("target scale must be positive")
     n = max(16, int(2.0 / alpha) + 2)
-    while lepage_remainder_bound(n, alpha, f_rms, safety) > goal:
+    while lepage_remainder_bound(n, alpha, f_rms) > goal:
         n *= 2
-        if n > max_terms:
-            raise ResourceBudgetError(
-                f"remainder rule needs more than {max_terms} series terms"
-            )
+        if n > MAX_TERMS:
+            raise ResourceBudgetError(f"remainder rule needs more than {MAX_TERMS} series terms")
     lo, hi = n // 2, n
     while hi - lo > max(1, lo // 50):
         mid = (lo + hi) // 2
-        if lepage_remainder_bound(mid, alpha, f_rms, safety) > goal:
+        if lepage_remainder_bound(mid, alpha, f_rms) > goal:
             lo = mid
         else:
             hi = mid

@@ -179,8 +179,14 @@ def check_sphere_counts(d: int, ell_max: int, k_max: int, samples: int, seed: in
     (stream ``substream(seed, "lemma", level, k, s)``) are checked for
     |xi intersect C_level+k| = :func:`subgraph_sphere_count`.  Returns rows
     {level, k, expected, all_match}.  The largest sphere is checked against
-    ``SPHERE_COUNT_BUDGET`` before any path is drawn.
+    ``SPHERE_COUNT_BUDGET`` before any path is drawn.  A call that would
+    check nothing (``ell_max < 1``, ``k_max < 0`` or ``samples < 1``) is a
+    ``ValueError``.
     """
+    if ell_max < 1 or k_max < 0 or samples < 1:
+        raise ValueError(
+            f"need ell_max >= 1, k_max >= 0 and samples >= 1, got {ell_max}, {k_max}, {samples}"
+        )
     largest = sphere_size(d, ell_max + k_max)
     if largest > SPHERE_COUNT_BUDGET:
         raise ResourceBudgetError(

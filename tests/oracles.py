@@ -8,7 +8,14 @@ import numpy as np
 from scipy import stats as sstats
 
 from stabletree.errors import PathTooShortError, PrefixTooShortError, ResourceBudgetError
-from stabletree.free_group import Word, allowed_next_letters, ball_layout, ball_size
+from stabletree.fields import MixedMovingAverage
+from stabletree.free_group import (
+    Word,
+    allowed_next_letters,
+    ball_layout,
+    ball_size,
+    enumerate_ball,
+)
 from stabletree.stable import lepage_weights, sample_sas, stable_tail_constant
 from stabletree.subgraphs import _expected_level
 
@@ -50,6 +57,17 @@ def min_busemann_over_ball(d: int, n: int, omega_prefix: Word) -> int:
         if ray_child is not None:
             stack.append((letters + (ray_child,), c + 1, True))
     return best
+
+
+def mma_from_levels(d: int, alpha: float, levels: dict, mass: float = 1.0) -> MixedMovingAverage:
+    """Level-symmetric kernel f(t) = levels[|t|] (absent levels are 0)."""
+    m = max(levels) if levels else 0
+    tab = {}
+    for t in enumerate_ball(d, m):
+        v = levels.get(len(t), 0.0)
+        if v != 0.0:
+            tab[t] = v
+    return MixedMovingAverage.from_tables(d, alpha, {"w0": mass}, {"w0": tab})
 
 
 def determining_steps(level: int, m: int) -> int:

@@ -17,7 +17,6 @@ from stabletree.fields import (
     ParetoField,
     ShiftField,
     maxima_experiment,
-    mma_from_levels,
     mma_point_mass,
     norming_constant_mc,
 )
@@ -37,7 +36,6 @@ from stabletree.limit_process import (
 )
 from stabletree.rng import substream
 from stabletree.stable import (
-    SeriesConfig,
     stable_tail_constant,
     stable_tail_constant_quadrature,
 )
@@ -52,7 +50,7 @@ from stabletree.subgraphs import (
     word_ray_path,
 )
 
-from oracles import chi2_pvalue, min_busemann_over_ball
+from oracles import chi2_pvalue, min_busemann_over_ball, mma_from_levels
 
 
 def _verdict(tag, ok, detail):
@@ -213,7 +211,7 @@ def test_a5_norming_constants():
 
 def test_a6_boundary_frechet_limit():
     t0 = time.monotonic()
-    res = maxima_experiment(BoundaryField(2, 1.0), 7, 1000, SeriesConfig(), seed=2026)
+    res = maxima_experiment(BoundaryField(2, 1.0), 7, 1000, None, seed=2026)
     elapsed = time.monotonic() - t0
     c = 2.0 / math.pi
     ks = ks_distance(res.scaled, lambda x: np.exp(-c / np.maximum(x, 1e-300)))

@@ -18,6 +18,7 @@ from stabletree.boundary import (
 from stabletree.errors import PrefixTooShortError
 from stabletree.free_group import (
     Word,
+    allowed_next_letters,
     enumerate_sphere,
     identity,
     letters_in_order,
@@ -44,8 +45,7 @@ def test_measure_additivity_and_refinement():
         depth = int(rng.integers(1, 4))
         om = sample_boundary(2, depth, rng)
         g = om.prefix()
-        cs = CylinderSet.from_words(2, [g])
-        children = cs.refine_word(g)
+        children = [Word(2, g.letters + (x,)) for x in allowed_next_letters(2, g.letters[-1])]
         refined = CylinderSet.from_words(2, children)
         assert refined.measure == cylinder_measure(g)
         assert sum(cylinder_measure(c) for c in children) == cylinder_measure(g)

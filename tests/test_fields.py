@@ -19,7 +19,6 @@ from stabletree.fields import (
     ParetoField,
     ShiftField,
     maxima_experiment,
-    mma_from_levels,
     mma_point_mass,
     norming_constant_mc,
     scaling_constant,
@@ -33,9 +32,14 @@ from stabletree.free_group import (
     word,
 )
 from stabletree.rng import substream
-from stabletree.stable import SeriesConfig, sample_sas
+from stabletree.stable import sample_sas
 
-from oracles import boundary_values_reference, mma_values_reference, two_sample_ks_pvalue
+from oracles import (
+    boundary_values_reference,
+    mma_from_levels,
+    mma_values_reference,
+    two_sample_ks_pvalue,
+)
 
 
 @dataclass
@@ -55,9 +59,9 @@ def sample_field(sim, rng):
     return FieldSample(sim.model, sim.n, sim.values(rng), depths, dict(sim.meta))
 
 
-def simulate_field(model, n, cfg, rng):
+def simulate_field(model, n, num_terms, rng):
     """One replication over E_n, as a ``FieldSample`` carrying the site depths."""
-    return sample_field(FieldSimulator(model, n, cfg), rng)
+    return sample_field(FieldSimulator(model, n, num_terms), rng)
 
 
 def partial_maximum(sample):
@@ -130,19 +134,18 @@ def test_simulation_deterministic():
         ParetoField(2, 1.0, 3.0),
         mma_point_mass(2, 0.9),
     ):
-        cfg = SeriesConfig(num_terms=300)
-        a = simulate_field(model, 3, cfg, substream(505, "det"))
-        b = simulate_field(model, 3, cfg, substream(505, "det"))
+        a = simulate_field(model, 3, 300, substream(505, "det"))
+        b = simulate_field(model, 3, 300, substream(505, "det"))
         assert np.array_equal(a.values, b.values)
         # a series this short has no finite remainder bound, but still runs
-        tiny = simulate_field(model, 3, SeriesConfig(num_terms=2), substream(505, "det"))
+        tiny = simulate_field(model, 3, 2, substream(505, "det"))
         assert tiny.meta.get("remainder_bound", math.inf) == math.inf
 
 
 def test_mma_exactness_ignores_series_budget():
     m = mma_point_mass(2, 1.0)
-    a = simulate_field(m, 3, SeriesConfig(num_terms=10), substream(506, "ex"))
-    b = simulate_field(m, 3, SeriesConfig(num_terms=10_000), substream(506, "ex"))
+    a = simulate_field(m, 3, 10, substream(506, "ex"))
+    b = simulate_field(m, 3, 10_000, substream(506, "ex"))
     assert np.array_equal(a.values, b.values)
     assert a.meta.get("exact") is True
 
@@ -189,8 +192,7 @@ def test_mma_point_mass_is_iid_noise():
 def test_boundary_field_marginal_is_sas_unit():
     # the derivative integrates to 1, so every site is SaS(1)
     model = BoundaryField(2, 1.0)
-    cfg = SeriesConfig(num_terms=2500)
-    sim = FieldSimulator(model, 2, cfg)
+    sim = FieldSimulator(model, 2, 2500)
     vals = np.array([sim.values(substream(511, "marg", r)) for r in range(3000)])
     ref = sample_sas(substream(512, "margref"), 1.0, 1.0, size=80_000)
     for idx in (0, 1, 7):
@@ -220,8 +222,7 @@ def test_boundary_field_left_stationarity():
     from stabletree.free_group import ball_layout, multiply
 
     model = BoundaryField(2, 1.0)
-    cfg = SeriesConfig(num_terms=2500)
-    sim = FieldSimulator(model, 3, cfg)
+    sim = FieldSimulator(model, 3, 2500)
     lay = ball_layout(2, 3)
     t = word(2, [2, 1])
     s = word(2, [1])
@@ -233,7 +234,7 @@ def test_boundary_field_left_stationarity():
 def test_boundary_field_peak_site():
     # the strongest site follows the dominant ray: value (2d-1)^(n/alpha) x weight
     model = BoundaryField(2, 1.0)
-    fs = simulate_field(model, 6, SeriesConfig(num_terms=4000), substream(514, "peak"))
+    fs = simulate_field(model, 6, 4000, substream(514, "peak"))
     assert partial_maximum(fs) >= boundary_maximum(fs) * 0.999999
     assert fs.meta["remainder_bound"] < 1e-3 * 3**6 * 10
 
@@ -252,16 +253,14 @@ def test_site_budget():
         simulate_field(BoundaryField(2, 1.0), 14, None, substream(517, "big"))
     with pytest.raises(ResourceBudgetError):
         maxima_experiment(BoundaryField(2, 1.0), 14, 10, None, seed=0)
-    # |E_12| = 1,062,881 noise sites: over the default budget, within a raised one
+    # |E_12| = 1,062,881 noise sites: over the budget
     with pytest.raises(ResourceBudgetError):
         maxima_experiment(mma_point_mass(2, 1.0), 12, 2, None, seed=1)
-    res = maxima_experiment(mma_point_mass(2, 1.0), 12, 2, None, seed=1, site_budget=2_000_000)
-    assert len(res.records) == 2
 
 
 def test_maxima_experiment_boundary():
     res = maxima_experiment(
-        BoundaryField(2, 1.0), 5, 250, SeriesConfig(), seed=518, s_grid=[0.5, 1, 2, 4]
+        BoundaryField(2, 1.0), 5, 250, None, seed=518, s_grid=[0.5, 1, 2, 4]
     )
     assert res.ks_distance is not None and res.ks_distance < 0.15
     assert all(bm >= sm for _, bm, sm, _ in res.records)
@@ -335,13 +334,13 @@ def test_mma_plan_matches_loop_reference(make, n):
 
 
 PINNED_DRAWS = [
-    # (name, model factory, n, series config, num_terms, scaling constant, values at PIN_SITES)
+    # (name, model factory, n, num_terms argument, resolved num_terms, scale, values at PIN_SITES)
     ("boundary", lambda: BoundaryField(2, 1.0), 5, None, 28672, 243.0,
      [0.7050078285695857, -1.3554705232631057, 1.425379237191039, 0.45450512181228087]),
     ("shift", lambda: ShiftField(2, 1.3), 3, None, None, 12.619700538305079,
      [-0.20258999721916426, 0.6473696551469849, -1.5032963013723062, -0.20258999721916426]),
     # 25,000 terms over 485 sites run in three blocks of the series
-    ("pareto", lambda: ParetoField(2, 1.0, 3.0), 5, SeriesConfig(num_terms=25_000), 25_000,
+    ("pareto", lambda: ParetoField(2, 1.0, 3.0), 5, 25_000, 25_000,
      7.856828007847996,
      [31.13669199605587, 18.709904882518916, 17.032973137388584, 21.5093807105853]),
     ("mma", two_atom_kernel, 3, None, None, 12.619700538305079,
@@ -349,11 +348,11 @@ PINNED_DRAWS = [
 ]
 
 
-@pytest.mark.parametrize("name,make,n,cfg,num_terms,scale,expected", PINNED_DRAWS)
-def test_pinned_draws(name, make, n, cfg, num_terms, scale, expected):
+@pytest.mark.parametrize("name,make,n,terms_arg,num_terms,scale,expected", PINNED_DRAWS)
+def test_pinned_draws(name, make, n, terms_arg, num_terms, scale, expected):
     # one replication per model at a fixed seed; rel 1e-12 absorbs platform ULP differences
     model = make()
-    sim = FieldSimulator(model, n, cfg)
+    sim = FieldSimulator(model, n, terms_arg)
     values = sim.values(substream(2024, "pin", name))
     sites = [0, 1, len(values) // 2, len(values) - 1]
     assert sim.num_terms == num_terms
@@ -363,6 +362,25 @@ def test_pinned_draws(name, make, n, cfg, num_terms, scale, expected):
 
 def test_pareto_automatic_series_length():
     assert FieldSimulator(ParetoField(2, 1.0, 3.0), 5).num_terms == 442_368
+
+
+@pytest.mark.parametrize("alpha,num_terms", [(1.0, 1072), (1.2, 66_560), (1.3, 1_425_408)])
+def test_boundary_automatic_series_length(alpha, num_terms):
+    assert fields.resolve_num_terms(BoundaryField(2, alpha), 8, None) == num_terms
+
+
+@pytest.mark.parametrize("model", [BoundaryField(2, 1.0), ParetoField(2, 1.0, 3.0)])
+def test_series_needs_one_term(model):
+    with pytest.raises(ValueError):
+        FieldSimulator(model, 3, 0)
+
+
+def test_maxima_experiment_searches_the_rule_once(monkeypatch):
+    calls = []
+    rule = fields.choose_num_terms
+    monkeypatch.setattr(fields, "choose_num_terms", lambda *args: calls.append(args) or rule(*args))
+    res = maxima_experiment(BoundaryField(2, 1.0), 4, 3, None, seed=1, workers=1)
+    assert len(calls) == 1 and res.num_terms == rule(*calls[0])
 
 
 def brute_norming(model, n):
@@ -403,11 +421,12 @@ def test_norming_and_level_profile_match_word_loops():
     for model in kernels:
         for n in range(0, 4):
             assert model.norming_constant(n) == brute_norming(model, n)
-        for w in model.atoms:
-            assert model.level_profile(w) == brute_level_profile(model, w)
-    assert kernels[0].level_profile("w0") == {0: -1.5}
-    assert kernels[1].level_profile("w0") == {0: 1.0, 1: 0.6, 2: -0.3}
-    assert kernels[2].level_profile("a") is None and not kernels[2].is_level_symmetric
+        for w, profile in zip(model.atoms, model.level_profiles):
+            assert profile == brute_level_profile(model, w)
+    assert kernels[0].level_profiles == ({0: -1.5},)
+    assert kernels[1].level_profiles == ({0: 1.0, 1: 0.6, 2: -0.3},)
+    assert kernels[2].atoms[0] == "a"
+    assert kernels[2].level_profiles[0] is None and not kernels[2].is_level_symmetric
 
 
 words_up_to_2 = st.lists(st.sampled_from(letters_in_order(2)), max_size=2).map(
@@ -432,7 +451,7 @@ def test_mma_plan_matches_word_products(tab_a, tab_b, n):
 
 
 def test_sample_depths_are_read_only():
-    sim = FieldSimulator(BoundaryField(2, 1.0), 4, SeriesConfig(num_terms=50))
+    sim = FieldSimulator(BoundaryField(2, 1.0), 4, 50)
     fs = sample_field(sim, substream(7, "ro"))
     before = boundary_maximum(fs)
     with pytest.raises(ValueError):

@@ -444,6 +444,12 @@ def test_cli_resource_error_exit_code(capsys):
         ["simulate-maxima", "--model", "boundary", "--d", "2", "--alpha", "0.02", "--n", "8", "--reps", "5", "--seed", "1"],
         # the maxima constant K = (K^alpha)^(1/alpha) overflows a float
         ["limit", "kx", "--model", "mma", "--d", "2", "--alpha", "0.005", "--seed", "1", "--f-table", "KX_KERNEL"],
+        # a maxima experiment needs two replications; the Laplace test function theta * 1(|x| > s)
+        # needs theta >= 0 and s > 0; a limit sample needs one replication
+        ["simulate-maxima", "--model", "boundary", "--d", "2", "--alpha", "1", "--n", "3", "--reps", "1", "--seed", "1"],
+        ["limit", "laplace", "--model", "mma", "--d", "2", "--alpha", "1", "--seed", "1", "--theta-g", "-1"],
+        ["limit", "laplace", "--model", "mma", "--d", "2", "--alpha", "1", "--seed", "1", "--threshold", "0"],
+        ["limit", "sample", "--model", "mma", "--d", "2", "--alpha", "1", "--seed", "1", "--reps", "0"],
     ],
 )
 def test_cli_invalid_model_values_exit_2(argv, tmp_path, capsys):
@@ -472,9 +478,44 @@ def test_config_validation_rejects_model_and_delta_values():
     assert keys({**ok, "alpha": 2.0}, {}) == ["model"]
     assert keys({"variant": "pareto", "d": 2, "alpha": 1.0, "theta": 0.5}, {}) == ["model"]
     assert keys({**ok, "alpha": 0.002}, {}) == ["model.alpha", "n"]  # 3^(2/0.002) overflows
+
+    def run_keys(kind, reps, params):
+        cfg = ExperimentConfig(kind=kind, model=ok, n=2, reps=reps, params=params)
+        with pytest.raises(ConfigError) as ei:
+            validate_config(cfg)
+        return ei.value.offending_keys
+
+    assert run_keys("maxima", 1, {}) == ["reps"]
+    assert run_keys("limit-sample", 0, {}) == ["reps"]
+    assert run_keys("limit-laplace", 1, {"theta": -1.0}) == ["params.theta"]
+    assert run_keys("limit-laplace", 1, {"threshold": 0.0}) == ["params.threshold"]
+    assert run_keys("limit-laplace", 1, {"theta": float("nan"), "threshold": -1.0}) == [
+        "params.theta", "params.threshold",
+    ]
     # the limit experiments need a mixed moving average
     for kind in ("limit-kx", "limit-laplace", "limit-sample"):
         cfg = ExperimentConfig(kind=kind, model={"variant": "boundary", "d": 2, "alpha": 1.0}, reps=1)
         with pytest.raises(ConfigError) as ei:
             validate_config(cfg)
         assert ei.value.offending_keys == ["model"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--d", "1", "--n", "2"],
+        ["enumerate", "--d", "2", "--n", "-1"],
+        ["enumerate", "--d", "2", "--n", "-1", "--sphere"],
+        ["verify-boundary", "--depth-cap", "0"],
+        ["verify-boundary", "--translate-n", "0"],
+        ["verify-lemma", "--d", "1"],
+        # these would check nothing and report a pass
+        ["verify-lemma", "--samples", "0"],
+        ["verify-lemma", "--ell-max", "0"],
+        ["verify-lemma", "--k-max", "-1"],
+    ],
+)
+def test_cli_check_commands_reject_bad_arguments(argv, capsys):
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:") and captured.out == ""

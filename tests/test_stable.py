@@ -7,7 +7,6 @@ import pytest
 
 from stabletree.rng import substream
 from stabletree.stable import (
-    SeriesConfig,
     choose_num_terms,
     lepage_remainder_bound,
     lepage_weights,
@@ -154,8 +153,9 @@ def test_remainder_bound_covers_paired_runs():
 
 
 def test_choose_num_terms_monotone():
-    n1 = choose_num_terms(1.0, 1.0, 10.0, tol=1e-2)
-    n2 = choose_num_terms(1.0, 1.0, 10.0, tol=3e-3)
+    # goals 1e-3 * target_scale: 0.1 and 0.03
+    n1 = choose_num_terms(1.0, 1.0, 100.0)
+    n2 = choose_num_terms(1.0, 1.0, 30.0)
     assert n2 > n1
     assert lepage_remainder_bound(n1, 1.0, 1.0) <= 1e-2 * 10.0
     # the reported bound shrinks as terms are added
@@ -164,12 +164,10 @@ def test_choose_num_terms_monotone():
     # up to N = 2/alpha the discarded terms may have infinite variance
     assert lepage_remainder_bound(2, 1.0, 1.0) == math.inf
     assert math.isfinite(lepage_remainder_bound(3, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        SeriesConfig(num_terms=0)
     from stabletree.errors import ResourceBudgetError
 
     with pytest.raises(ResourceBudgetError):
-        choose_num_terms(1.0, 1.0, 10.0, tol=1e-5)  # would need ~1e9 terms
+        choose_num_terms(1.0, 1.0, 0.1)  # a goal of 1e-4 would need ~1e9 terms
 
 
 def test_sign_symmetry():
