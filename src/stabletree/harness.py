@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import operator
 import time
 from collections.abc import Sequence
@@ -204,6 +205,26 @@ def load_f_table_file(path):
     return data["w_masses"], data["f_table"]
 
 
+def _real(value, integral=False) -> bool:
+    """A real number and not a bool; an integer when ``integral``."""
+    kind = numbers.Integral if integral else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+# params key -> (the kinds that read it, whether None is accepted, the test a value passes)
+_PARAM_CHECKS = {
+    "delta": (("pp", "limit-sample"), False, lambda v: _real(v) and v > 0.0),
+    "num_terms": (EXPERIMENT_KINDS, True, lambda v: _real(v, integral=True) and v >= 1),
+    # the Laplace test function theta * 1(|x| > threshold)
+    "theta": (("limit-laplace",), False, lambda v: _real(v) and v >= 0.0),
+    "threshold": (("limit-laplace",), False, lambda v: _real(v) and v > 0.0),
+    "workers": (("maxima",), True, lambda v: _real(v, integral=True) and v >= 0),  # None or 0: one
+    "s_grid": (
+        ("maxima",), True, lambda v: isinstance(v, (list, tuple, np.ndarray)) and all(map(_real, v))
+    ),
+}
+
+
 def validate_config(cfg: ExperimentConfig):
     """Check the configuration and return the model it builds."""
     bad = []
@@ -215,15 +236,11 @@ def validate_config(cfg: ExperimentConfig):
         bad.append("reps")
     if not isinstance(cfg.seed, int):
         bad.append("seed")
-    if cfg.kind in ("pp", "limit-sample") and not float(cfg.params.get("delta", 0.5)) > 0.0:
-        bad.append("params.delta")
-    if cfg.params.get("num_terms") is not None and not int(cfg.params["num_terms"]) >= 1:
-        bad.append("params.num_terms")
-    if cfg.kind == "limit-laplace":  # the test function theta * 1(|x| > threshold)
-        if not float(cfg.params.get("theta", 1.0)) >= 0.0:
-            bad.append("params.theta")
-        if not float(cfg.params.get("threshold", 1.0)) > 0.0:
-            bad.append("params.threshold")
+    for key, (kinds, none_ok, valid) in _PARAM_CHECKS.items():
+        if cfg.kind in kinds and key in cfg.params:
+            value = cfg.params[key]
+            if not ((value is None and none_ok) or valid(value)):
+                bad.append(f"params.{key}")
     if cfg.kind.startswith("limit-") and cfg.model.get("variant") != "mma":
         bad.append("model")  # the limit process is derived for mixed moving averages only
     if bad:

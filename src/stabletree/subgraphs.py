@@ -39,7 +39,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boundary import sample_boundary
 from .errors import PathTooShortError, ResourceBudgetError
 from .free_group import Word, ball_layout, ball_size, distance, enumerate_sphere, sphere_size
 from .rng import substream
@@ -168,6 +167,8 @@ def word_ray_path(level: int, d: int, steps: int, rng: np.random.Generator) -> R
     """
     if level < 1:
         raise ValueError("paths from reduced-word prefixes need level >= 1")
+    from .boundary import sample_boundary  # only the sphere-count oracle draws Word paths
+
     letters = sample_boundary(d, level + steps, rng).letters
     return RayPath(level, d, tuple(Word(d, letters[:j]) for j in range(level, len(letters) + 1)))
 

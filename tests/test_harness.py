@@ -98,13 +98,14 @@ def test_batch_mean_t_quantile_matches_scipy(df):
         assert (m - lo) / se == pytest.approx(t, rel=1e-12)
 
 
-# The console-script step of CI runs both checks in one line.
+# The console-script step of CI runs this same line.
 NO_SCIPY = (
     "import sys, stabletree.harness, stabletree.stats, stabletree.limit_process; "
     "from stabletree.fields import BoundaryField, maxima_experiment; "
     "r = maxima_experiment(BoundaryField(2, 1.0), 4, 50, None, 1, s_grid=[0.5, 1.0, 2.0]); "
     "stabletree.stats.batch_mean_ci([x for *_, x in r.records]); "
-    "leaked = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+    "leaked = [m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing') "
+    "or m == 'stabletree.boundary']; "
     "assert not leaked, leaked"
 )
 NO_PROCESS_POOL = (
@@ -112,6 +113,21 @@ NO_PROCESS_POOL = (
     "leaked = [m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')]; "
     "assert not leaked, leaked"
 )
+
+# The package root imports no module; a run imports only the modules it reaches.
+ONLY_REACHED_MODULES = """
+import sys
+loaded = lambda: {m for m in sys.modules if m.startswith("stabletree.")}
+import stabletree
+assert not loaded(), loaded()
+import stabletree.harness, stabletree.stats
+core = {"stabletree." + m for m in ("errors", "free_group", "fields", "rng", "stable", "stats", "harness")}
+assert loaded() == core, loaded() ^ core
+import stabletree.limit_process
+from stabletree.harness import ExperimentConfig, run
+run(ExperimentConfig(kind="limit-sample", model={"variant": "mma", "d": 2, "alpha": 1.0}, reps=2, seed=1))
+assert loaded() == core | {"stabletree.limit_process", "stabletree.subgraphs"}, loaded() - core
+"""
 
 
 def _run_fresh_interpreter(code):
@@ -129,6 +145,10 @@ def test_runtime_does_not_import_scipy():
 
 def test_runtime_does_not_import_process_pool():
     _run_fresh_interpreter(NO_PROCESS_POOL)
+
+
+def test_imports_only_reached_modules():
+    _run_fresh_interpreter(ONLY_REACHED_MODULES)
 
 
 def test_config_validation_errors():
@@ -498,6 +518,40 @@ def test_config_validation_rejects_model_and_delta_values():
         with pytest.raises(ConfigError) as ei:
             validate_config(cfg)
         assert ei.value.offending_keys == ["model"]
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("pp", "delta", "x"),
+        ("pp", "delta", None),
+        ("pp", "delta", True),
+        ("limit-sample", "delta", "0.5"),
+        ("pp", "num_terms", 2.5),
+        ("pp", "num_terms", "many"),
+        ("maxima", "num_terms", True),
+        ("limit-laplace", "theta", "x"),
+        ("limit-laplace", "threshold", None),
+        ("maxima", "workers", "two"),
+        ("maxima", "workers", 1.5),
+        ("maxima", "workers", -1),
+        ("maxima", "s_grid", ["a"]),
+        ("maxima", "s_grid", "0.5"),
+    ],
+)
+def test_config_validation_rejects_param_types(kind, key, value):
+    model = {"variant": "mma", "d": 2, "alpha": 1.0}
+    cfg = ExperimentConfig(kind=kind, model=model, n=2, reps=2, seed=1, params={key: value})
+    with pytest.raises(ConfigError) as ei:
+        validate_config(cfg)
+    assert ei.value.offending_keys == [f"params.{key}"]
+
+
+def test_config_validation_keeps_default_params():
+    model = {"variant": "mma", "d": 2, "alpha": 1.0}
+    for params in ({"workers": None}, {"workers": 0}, {"num_terms": None}, {"s_grid": None},
+                   {"s_grid": np.array([0.5, 1.0])}, {"num_terms": np.int64(3), "workers": 2}):
+        validate_config(ExperimentConfig(kind="maxima", model=model, n=2, reps=2, seed=1, params=params))
 
 
 @pytest.mark.parametrize(
