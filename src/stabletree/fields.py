@@ -38,7 +38,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import ResourceBudgetError, UnsupportedModelError
-from .free_group import ball_layout, ball_size, identity
+from .free_group import ball_layout, ball_size, identity, sphere_size
 from .rng import substream
 from .stable import (
     choose_num_terms,
@@ -104,9 +104,9 @@ class BoundaryField(FieldModel):
     """The boundary-action field, simulated by the series with shared rays.
 
     ``draw`` returns a :class:`_BoundaryPlan`, which fixes the per-level
-    increments, subtree widths and depth scale once per simulator; each
-    replication then draws the weights and the rays and sums one difference
-    array.
+    increments and scales and the level layout once per simulator; each
+    replication then draws the weights and the rays and sums the field one
+    tree level at a time.
     """
 
     d: int
@@ -366,76 +366,124 @@ def resolve_num_terms(model: FieldModel, n: int, num_terms: int | None) -> int |
     return choose_num_terms(model.alpha, f_rms, model.scale(n))
 
 
+def remainder_bound(model: FieldModel, n: int, num_terms: int | None) -> float | None:
+    """Bound on the series remainder at any site of E_n, on the scale of the field.
+
+    c_alpha^(1/alpha) times :func:`lepage_remainder_bound`; None when the
+    model's integrand has no finite second moment or the model is simulated
+    exactly, and infinite when the series is too short to bound.
+    """
+    f_rms = model.f_rms(n)
+    if f_rms is None:
+        return None
+    c = stable_tail_constant(model.alpha) ** (1.0 / model.alpha)
+    return c * lepage_remainder_bound(num_terms, model.alpha, f_rms)
+
+
 class _BoundaryPlan:
     """Draw plan for the boundary field over E_n, built once per simulator.
 
     Shared rays: every site uses the same atoms (Gamma_i, eps_i, omega_i).
-    A site whose confluent length with omega_i is c receives
-    (2d-1)^(2c/alpha), the sum over the prefixes of omega_i of length
-    j <= c of the increments q^j - q^(j-1), q = (2d-1)^(2/alpha).  The
-    canonical preorder makes the subtree of every prefix one contiguous
-    range, so a replication is one difference array: the weight sum s at 0,
-    then per level j every +val_j at the prefix starts b_j and every -val_j
-    at b_j + subtree[j], added in that order by ``np.add.at``.  The plan
-    fixes the increments, the subtree widths and the scale
-    c_alpha^(1/alpha) (2d-1)^(-|t|/alpha).
+    A site t of depth k whose confluent length with omega_i is c receives
+    w_i q^c, q = (2d-1)^(2/alpha), so the unscaled values follow one level
+    recursion: D(e) = sum_i w_i, and for |t| = k >= 1
+
+        D(t) = D(parent(t)) + sum over the rays omega_i through t of w_i (q^k - q^(k-1)).
+
+    The plan keeps the levels side by side in one array, level k holding
+    the |C_k| nodes of depth k in rank-major order: the child of rank r of
+    the node in slot s of level k - 1 sits in slot s + r |C_(k-1)|.  So a
+    ray's slot at level k is one cumulative sum down its child ranks, each
+    level's updates go into disjoint slots, and one ``np.bincount`` per
+    group of levels adds them in ray order.  A broadcast add per level then
+    adds the parents' values, and X_t = c_alpha^(1/alpha) (2d-1)^(-k/alpha) D(t)
+    scales each level by one number.  A site's value is summed along its
+    own ancestors only, so no site carries the rounding of the large values
+    deeper in other subtrees.
 
     A draw takes all LePage weights first, then the rays as (levels, N)
     matrices of child ranks: 2d choices for the first letter, 2d - 1 for
     each later one.  Bounded integers are drawn element by element, so one
-    matrix is the same stream as one call per level.  The child of rank r
-    of the node at index b sits at b + 1 + r * subtree[j], so a cumulative
-    sum down the matrix gives the prefix starts.
+    matrix is the same stream as one call per level.  ``__call__`` scatters
+    the scaled levels into canonical preorder through the plan's ``order``.
+    ``maxima`` never builds the field: it scales the per-level maxima of |D|,
+    and the sphere is the last level.  A positive factor rounds
+    monotonically, so these are the maxima of |values| bit for bit.
     """
 
     def __init__(self, model: BoundaryField, n: int, num_terms: int):
         d, alpha = model.d, model.alpha
-        lay = ball_layout(d, n)
         self.alpha = alpha
         self.n = n
         self.num_terms = num_terms
-        self.size = lay.size
         self.letters = 2 * d
         q = (2 * d - 1) ** (2.0 / alpha)
         self.increments = np.array([q ** (j + 1) - q**j for j in range(n)])[:, None]
-        self.widths = np.array(lay.subtree[1 : n + 1], dtype=np.intp)[:, None]
-        self.const = stable_tail_constant(alpha) ** (1.0 / alpha)
-        self.depth_scale = (2.0 * d - 1.0) ** (-lay.depth / alpha)
-        self.depth_scale.setflags(write=False)
-        # groups of levels keep the update buffers near 2 * RAY_BLOCK entries;
-        # every draw reuses them, so a plan serves one draw at a time
-        self.group = max(1, min(n, RAY_BLOCK // num_terms))
-        self.idx = np.empty((self.group, 2, num_terms), dtype=np.intp)
-        self.upd = np.empty((self.group, 2, num_terms))
+        const = stable_tail_constant(alpha) ** (1.0 / alpha)
+        self.level_scale = np.array([const * (2.0 * d - 1.0) ** (-k / alpha) for k in range(n + 1)])
+        sizes = [sphere_size(d, k) for k in range(n + 1)]
+        self.bounds = np.cumsum([0] + sizes)  # level k fills bounds[k]:bounds[k + 1]
+        # a ray's slot at level k is sum_(j <= k) (r_j + 1) |C_(j-1)| over its child ranks r_j
+        self.strides = np.array(sizes[:n], dtype=np.intp)[:, None]
+        self.site_scale = np.repeat(self.level_scale, sizes)
+        # preorder index of every slot: the child of rank r of index b sits at b + 1 + r subtree[k]
+        sub = ball_layout(d, n).subtree
+        order = [np.zeros(1, dtype=np.intp)]
+        for k in range(1, n + 1):
+            ranks = np.arange(self.letters if k == 1 else self.letters - 1)[:, None]
+            order.append((order[-1] + 1 + ranks * sub[k]).ravel())
+        self.order = np.concatenate(order)
+        # groups of levels keep the rank and update buffers near RAY_BLOCK entries;
+        # every draw reuses them and the level array, so a plan serves one draw at a time
+        group = max(1, min(n, RAY_BLOCK // num_terms))
+        self.slots = np.empty((group, num_terms), dtype=np.intp)
+        self.upd = np.empty((group, num_terms))
+        self.levels = lv = np.empty(self.bounds[-1])
+        b = self.bounds
+        # per group: its first and last level and its slice of the level array
+        self.groups = [
+            (lo, min(lo + group, n), lv[b[lo + 1] : b[min(lo + group, n) + 1]])
+            for lo in range(0, n, group)
+        ]
+        # per level: its nodes as one row per child rank, and their parents
+        self.families = [
+            (lv[b[k] : b[k + 1]].reshape(-1, b[k] - b[k - 1]), lv[b[k - 1] : b[k]])
+            for k in range(1, n + 1)
+        ]
+
+    def _levels(self, rng: np.random.Generator) -> np.ndarray:
+        """The unscaled values D of one replication, level by level, in the plan's buffer."""
+        (wts,) = lepage_weights(rng, self.alpha, self.num_terms)
+        self.levels[0] = wts.sum()
+        prev = 0  # the slots of the level before: the root's
+        for lo, hi, part in self.groups:
+            slots, upd = self.slots[: hi - lo], self.upd[: hi - lo]
+            first = int(lo == 0)  # the root has 2d children, every other node 2d - 1
+            if first:
+                slots[0] = rng.integers(0, self.letters, size=len(wts))
+            slots[first:] = rng.integers(0, self.letters - 1, size=(hi - lo - first, len(wts)))
+            slots += 1
+            slots *= self.strides[lo:hi]
+            slots[0] += prev - self.bounds[lo + 1]  # counted from the group's first slot
+            np.cumsum(slots, axis=0, out=slots)
+            np.multiply(wts, self.increments[lo:hi], out=upd)
+            part[:] = np.bincount(slots.ravel(), upd.ravel(), len(part))
+            prev = slots[-1] + self.bounds[lo + 1]
+        for children, parent in self.families:
+            children += parent
+        return self.levels
 
     def __call__(self, rng: np.random.Generator) -> np.ndarray:
         """One replication over E_n, in canonical order."""
-        (wts,) = lepage_weights(rng, self.alpha, self.num_terms)
-        acc = np.zeros(self.size + 1)  # the last bin takes the ends of the last subtrees
-        acc[0] = wts.sum()
-        prev = 0  # the prefix starts of the level before: the root
-        for lo in range(0, self.n, self.group):
-            hi = min(lo + self.group, self.n)
-            idx, upd = self.idx[: hi - lo], self.upd[: hi - lo]
-            starts = idx[:, 0]
-            first = int(lo == 0)  # the root has 2d children, every other node 2d - 1
-            if first:
-                starts[0] = rng.integers(0, self.letters, size=len(wts))
-            starts[first:] = rng.integers(0, self.letters - 1, size=(hi - lo - first, len(wts)))
-            starts *= self.widths[lo:hi]
-            starts += 1
-            for row in starts:  # row by row: a cumsum down the strided columns is slower
-                row += prev
-                prev = row
-            np.add(starts, self.widths[lo:hi], out=idx[:, 1])
-            np.multiply(wts, self.increments[lo:hi], out=upd[:, 0])
-            np.negative(upd[:, 0], out=upd[:, 1])
-            np.add.at(acc, idx.ravel(), upd.ravel())
-            prev = prev.copy()  # the next group overwrites the buffer
-        out = np.cumsum(acc[:-1])
-        out *= self.const
-        out *= self.depth_scale
+        out = np.empty(len(self.order))
+        out[self.order] = self._levels(rng) * self.site_scale
         return out
+
+    def maxima(self, rng: np.random.Generator) -> tuple:
+        """(ball max, sphere max) of |X_t| over one replication, from the level maxima of |D|."""
+        mags = np.abs(self._levels(rng), out=self.levels)
+        top = np.maximum.reduceat(mags, self.bounds[:-1]) * self.level_scale
+        return float(top.max()), float(top[-1])
 
 
 def _shift_values(model: ShiftField, n: int, rng) -> np.ndarray:
@@ -521,16 +569,32 @@ class FieldSimulator:
         self.num_terms = resolve_num_terms(model, n, num_terms)
         self._draw = model.draw(n, self.num_terms)
         self.meta = {"num_terms": self.num_terms}
-        f_rms = model.f_rms(n)
-        if f_rms is not None:
-            self.meta["remainder_bound"] = stable_tail_constant(model.alpha) ** (
-                1.0 / model.alpha
-            ) * lepage_remainder_bound(self.num_terms, model.alpha, f_rms)
+        bound = remainder_bound(model, n, self.num_terms)
+        if bound is not None:
+            self.meta["remainder_bound"] = bound
         if model.exact:
             self.meta["exact"] = True
 
     def values(self, rng: np.random.Generator) -> np.ndarray:
         return self._draw(rng)
+
+    def maxima(self, rng: np.random.Generator) -> tuple:
+        """(ball max, sphere max) of |X_t| over one replication.
+
+        A draw that has its own ``maxima`` (the boundary plan) reduces without
+        building the field; otherwise the maxima of ``|values|``, the sphere
+        read through indices taken once per simulator.  Either way the floats
+        are those of reducing ``values``.
+        """
+        own = getattr(self._draw, "maxima", None)
+        if own is not None:
+            return own(rng)
+        mags = np.abs(self._draw(rng))
+        return float(mags.max()), float(mags[self._sphere].max())
+
+    @cached_property
+    def _sphere(self) -> np.ndarray:
+        return np.flatnonzero(ball_layout(self.model.d, self.n).depth == self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -562,12 +626,7 @@ class MaximaResult:
 def _maxima_chunk(payload):
     model, n, num_terms, seed, reps_slice = payload
     sim = FieldSimulator(model, n, num_terms)
-    sphere = np.flatnonzero(ball_layout(model.d, n).depth == n)
-    out = []
-    for rep in reps_slice:
-        mags = np.abs(sim.values(substream(seed, "maxima", rep)))
-        out.append((rep, float(mags.max()), float(mags[sphere].max())))
-    return out
+    return [(rep, *sim.maxima(substream(seed, "maxima", rep))) for rep in reps_slice]
 
 
 def maxima_experiment(

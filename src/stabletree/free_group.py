@@ -257,10 +257,10 @@ def busemann(t: Word, omega_prefix: Word) -> int:
 class BallLayout:
     """Index arithmetic for the canonical preorder enumeration of E_n.
 
-    Subtrees are contiguous index ranges, which makes per-ray accumulation
-    over the ball a handful of interval updates.  ``subtree[j]`` is the
-    subtree size of a depth-j node (within the ball); the root is special
-    because it has 2d children instead of 2d - 1.
+    Subtrees are contiguous index ranges: the child of rank r of a
+    depth-(j-1) node at index b sits at b + 1 + r * subtree[j], where
+    ``subtree[j]`` is the subtree size of a depth-j node (within the ball);
+    the root is special because it has 2d children instead of 2d - 1.
 
     The per-node arrays ``depth``, ``a1_exponent`` and the neighbour table
     ``right_mul`` are built together on first access and are read-only,

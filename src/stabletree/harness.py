@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 import operator
 import time
@@ -28,6 +29,7 @@ from .fields import (
     ShiftField,
     maxima_experiment,
     mma_point_mass,
+    remainder_bound,
     scaling_constant,
     FieldSimulator,
 )
@@ -284,6 +286,19 @@ def run(cfg: ExperimentConfig) -> ExperimentResult:
     return result
 
 
+def _approximations(scale: float, num_terms: int | None, bound: float | None) -> dict:
+    """The series length and its remainder bound next to the scale of M_n.
+
+    The bound is None (JSON null) for an exactly simulated model and when it
+    is infinite or absent.
+    """
+    return {
+        "num_terms": num_terms,
+        "remainder_bound": bound if bound is not None and math.isfinite(bound) else None,
+        "scale": scale,
+    }
+
+
 def _run_maxima(cfg: ExperimentConfig, model) -> ExperimentResult:
     s_grid = cfg.params.get("s_grid")
     res = maxima_experiment(
@@ -312,7 +327,12 @@ def _run_maxima(cfg: ExperimentConfig, model) -> ExperimentResult:
         records=res.records,
         summary=summary,
         passed=passed,
-        diagnostics={"elapsed_seconds": res.elapsed_seconds},
+        diagnostics={
+            "elapsed_seconds": res.elapsed_seconds,
+            "approximations": _approximations(
+                res.scale, res.num_terms, remainder_bound(model, cfg.n, res.num_terms)
+            ),
+        },
     )
 
 
@@ -337,7 +357,11 @@ def _run_pp(cfg: ExperimentConfig, model) -> ExperimentResult:
         records=AtomRecords(blocks),
         summary=summary,
         passed=None,
-        diagnostics={},
+        diagnostics={
+            "approximations": _approximations(
+                scale, sim.num_terms, sim.meta.get("remainder_bound")
+            )
+        },
     )
 
 

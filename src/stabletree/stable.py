@@ -41,7 +41,12 @@ def sample_sas(rng: np.random.Generator, alpha: float, scale: float = 1.0, size=
             * (cos((1-alpha) U) / E)^((1-alpha)/alpha)
 
     which is SaS(1); alpha = 1 reduces to tan(U) and is handled by its own
-    branch so the removable singularity never reaches 0/0.
+    branch so the removable singularity never reaches 0/0.  Near alpha = 0
+    the two factors overflow or underflow on their own (NaN as inf * 0, or a
+    spurious 0 or inf); only those entries are recomputed as
+    sign(sin alpha U) exp(log|sin alpha U| - log cos U / alpha
+    + (1-alpha)/alpha (log cos((1-alpha) U) - log E)), so every finite nonzero
+    value is the expression above, and inf remains only beyond the float range.
 
     ``out``, a float64 array of shape ``size``, receives the variates and
     is returned: the same values and the same stream as without it.  At
@@ -64,8 +69,18 @@ def sample_sas(rng: np.random.Generator, alpha: float, scale: float = 1.0, size=
     if alpha == 1.0:
         return np.multiply(scale, np.tan(u, out=out), out=out)
     e = rng.standard_exponential(size=size)
-    x = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
-    x = x * (np.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha)
+    with np.errstate(all="ignore"):  # entries that leave the float range are redone below
+        x = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
+        x = np.asarray(x * (np.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha))
+        bad = ~np.isfinite(x) | (x == 0.0)
+        if bad.any():
+            ub, eb = np.asarray(u)[bad], np.asarray(e)[bad]
+            log_x = (
+                np.log(np.abs(np.sin(alpha * ub)))
+                - np.log(np.cos(ub)) / alpha
+                + (1.0 - alpha) / alpha * (np.log(np.cos((1.0 - alpha) * ub)) - np.log(eb))
+            )
+            x[bad] = np.sign(np.sin(alpha * ub)) * np.exp(log_x)
     return np.multiply(scale, x, out=out)
 
 

@@ -239,40 +239,60 @@ def ball_traces(paths: np.ndarray, level: int, d: int, m: int) -> np.ndarray:
     return out
 
 
-def boundary_values_reference(model, n: int, num_terms: int, rng) -> np.ndarray:
-    """One replication of the boundary field over E_n, ray letter by ray letter.
+def boundary_rays(model, n: int, num_terms: int, rng):
+    """The LePage weights and the length-n ray prefixes of one boundary-field draw.
 
-    The loop reference for the boundary draw plan, consuming the stream in
-    the same order: all LePage weights, then one batch of child ranks per
-    level.  It tracks each ray's last letter, which the offsets never read,
-    and adds every difference-array update with ``np.add.at``.
+    Consumes the stream as the boundary draw plan does: all weights, then the
+    first letters, then one batch of child ranks per level, each rank read as
+    a letter of the canonical order.  The prefixes are letter tuples.
     """
-    d, alpha = model.d, model.alpha
-    lay = ball_layout(d, n)
-    q = (2 * d - 1) ** (2.0 / alpha)
-    acc = np.zeros(lay.size + 1)
-    for wts in lepage_weights(rng, alpha, num_terms):
-        N = len(wts)
-        acc[0] += wts.sum()
-        acc[lay.size] -= wts.sum()
-        if n >= 1:
-            b = np.empty(N, dtype=np.int64)
-            prev = rng.integers(0, 2 * d, size=N)
-            b[:] = 1 + prev * lay.subtree[1]
-            qj = 1.0
-            for j in range(n):
-                if j > 0:
-                    rr = rng.integers(0, 2 * d - 1, size=N)
-                    lr = rr + (rr >= (prev ^ 1))
-                    b += 1 + rr * lay.subtree[j + 1]
-                    prev = lr
-                val = wts * (q ** (j + 1) - qj)
-                qj = q ** (j + 1)
-                np.add.at(acc, b, val)
-                np.add.at(acc, b + lay.subtree[j + 1], -val)
-    dsum = np.cumsum(acc[:-1])
-    scale = (2.0 * d - 1.0) ** (-lay.depth / alpha)
-    return stable_tail_constant(alpha) ** (1.0 / alpha) * dsum * scale
+    d = model.d
+    (wts,) = lepage_weights(rng, model.alpha, num_terms)
+    rays = [()] * len(wts)
+    for k in range(1, n + 1):
+        ranks = rng.integers(0, 2 * d if k == 1 else 2 * d - 1, size=len(wts))
+        rays = [
+            ray + (allowed_next_letters(d, ray[-1] if ray else None)[r],)
+            for ray, r in zip(rays, ranks)
+        ]
+    return wts, rays
+
+
+def boundary_level_scales(model, n: int) -> list:
+    """c_alpha^(1/alpha) (2d-1)^(-k/alpha) for k = 0..n, the doubles the plan scales by."""
+    const = stable_tail_constant(model.alpha) ** (1.0 / model.alpha)
+    return [const * (2.0 * model.d - 1.0) ** (-k / model.alpha) for k in range(n + 1)]
+
+
+def boundary_values_reference(model, n: int, num_terms: int, rng) -> np.ndarray:
+    """One replication of the boundary field over E_n, word by word.
+
+    The loop reference for the boundary draw plan, on the rays of
+    :func:`boundary_rays`.  Level by level, a dict from ray prefix to the sum
+    of w_i (q^k - q^(k-1)) in ray order; a word's value is that sum plus its
+    parent's value (the root's: the weight sum), then scaled by its level's
+    number.
+    """
+    wts, rays = boundary_rays(model, n, num_terms, rng)
+    q = (2 * model.d - 1) ** (2.0 / model.alpha)
+    sums = [{(): wts.sum()}]
+    for k in range(1, n + 1):
+        inc = q**k - q ** (k - 1)
+        level = {}
+        for ray, w in zip(rays, wts):
+            level[ray[:k]] = level.get(ray[:k], 0.0) + w * inc
+        sums.append(level)
+    scales = boundary_level_scales(model, n)
+    unscaled = {}
+    out = []
+    for t in enumerate_ball(model.d, n):
+        k = len(t)
+        value = sums[k].get(t.letters, 0.0)
+        if k:
+            value = value + unscaled[t.letters[:-1]]
+        unscaled[t.letters] = value
+        out.append(value * scales[k])
+    return np.array(out)
 
 
 def mma_values_reference(plan, rng) -> np.ndarray:

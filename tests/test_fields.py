@@ -3,6 +3,7 @@
 import math
 import pickle
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from stabletree.rng import substream
 from stabletree.stable import sample_sas
 
 from oracles import (
+    boundary_level_scales,
+    boundary_rays,
     boundary_values_reference,
     mma_from_levels,
     mma_values_reference,
@@ -215,6 +218,53 @@ def test_boundary_plan_matches_loop_reference(d, n, num_terms, alpha, ray_block,
         got = plan(rng_plan)
         assert np.array_equal(got, boundary_values_reference(model, n, num_terms, rng_ref))
         assert repr(rng_plan.bit_generator.state) == repr(rng_ref.bit_generator.state)
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.0, 1.3])
+def test_boundary_values_match_exact_sums(alpha):
+    # every site within 1e-12 of the exact rational sum of the same float weights,
+    # increments q^k - q^(k-1) and level scales; a difference array over the
+    # preorder loses digits to the large deep values as alpha falls
+    d, n, num_terms = 2, 6, 60
+    model = BoundaryField(d, alpha)
+    key = ("exact", int(alpha * 10))
+    got = model.draw(n, num_terms)(substream(532, *key))
+    wts, rays = boundary_rays(model, n, num_terms, substream(532, *key))
+    wts = [Fraction(w) for w in wts]
+    q = (2 * d - 1) ** (2.0 / alpha)
+    # reach[c] = 1 + sum_(j <= c) (q^j - q^(j-1)): what a ray of confluent c adds per unit weight
+    reach = [Fraction(1)]
+    for j in range(1, n + 1):
+        reach.append(reach[-1] + Fraction(q**j - q ** (j - 1)))
+    scales = boundary_level_scales(model, n)
+    for value, t in zip(got, enumerate_ball(d, n)):
+        by_confluent = [Fraction(0)] * (len(t) + 1)
+        for w, ray in zip(wts, rays):
+            c = next((j for j, (a, b) in enumerate(zip(t.letters, ray)) if a != b), len(t))
+            by_confluent[c] += w
+        exact = sum(r * s for r, s in zip(reach, by_confluent)) * Fraction(scales[len(t)])
+        assert abs(Fraction(value) - exact) <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize(
+    "model,n,num_terms",
+    [
+        (BoundaryField(2, 1.0), 5, 300),
+        (BoundaryField(3, 1.3), 3, 40),
+        (BoundaryField(2, 0.7), 0, 10),
+        (ShiftField(2, 1.0), 4, None),
+        (ParetoField(2, 1.0, 3.0), 3, 200),
+        (mma_from_levels(2, 1.3, {0: 1.0, 1: -0.5}), 3, None),
+    ],
+)
+def test_simulator_maxima_reduce_values(model, n, num_terms):
+    # (ball max, sphere max) are the maxima of |values| bit for bit, from the same stream
+    sim = FieldSimulator(model, n, num_terms)
+    sphere = ball_layout(model.d, n).depth == n
+    for rep in range(5):
+        mags = np.abs(sim.values(substream(531, "maxima", rep)))
+        got = sim.maxima(substream(531, "maxima", rep))
+        assert got == (float(mags.max()), float(mags[sphere].max()))
 
 
 def test_boundary_field_left_stationarity():

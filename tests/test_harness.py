@@ -15,6 +15,7 @@ from scipy import stats as sstats
 
 from stabletree.cli import main as cli_main
 from stabletree.errors import ConfigError
+from stabletree.fields import FieldSimulator
 from stabletree.free_group import enumerate_ball, format_word
 from stabletree.harness import (
     AtomRecords,
@@ -187,6 +188,35 @@ def test_run_is_reproducible(tmp_path):
     payload = json.loads((tmp_path / "out.json").read_text())
     assert payload["config"]["seed"] == 7
     assert payload["summary"]["num_terms"] == 400
+
+
+@pytest.mark.parametrize(
+    "kind,model,num_terms,bound",
+    [
+        ("maxima", {"variant": "boundary", "d": 2, "alpha": 1.0}, 400, "finite"),
+        ("pp", {"variant": "boundary", "d": 2, "alpha": 1.0}, 400, "finite"),
+        ("maxima", {"variant": "boundary", "d": 2, "alpha": 1.0}, 2, None),  # N <= 2/alpha: infinite
+        ("maxima", {"variant": "shift", "d": 2, "alpha": 1.0}, None, None),
+        ("pp", {"variant": "mma", "d": 2, "alpha": 1.0, "point_mass": True}, None, None),
+    ],
+)
+def test_diagnostics_report_approximations(kind, model, num_terms, bound, tmp_path):
+    # the series length and the remainder bound sit next to the scale, JSON null
+    # when the model is exact or the bound infinite; records and summary are untouched
+    cfg = ExperimentConfig(kind=kind, model=model, n=3, reps=4, seed=7, params={"num_terms": num_terms})
+    res = run(cfg)
+    sim = FieldSimulator(build_model(model), 3, num_terms)
+    approx = res.diagnostics["approximations"]
+    assert approx["num_terms"] == sim.num_terms
+    assert approx["scale"] == res.summary["scale"]
+    if bound is None:
+        assert approx["remainder_bound"] is None
+    else:
+        assert approx["remainder_bound"] == sim.meta["remainder_bound"] > 0.0
+    res.write_json(tmp_path / "out.json")
+    payload = json.loads((tmp_path / "out.json").read_text(), parse_constant=pytest.fail)
+    assert payload["diagnostics"]["approximations"] == approx
+    assert run(cfg).summary == res.summary
 
 
 def test_run_pp_and_limit_kinds(tmp_path):

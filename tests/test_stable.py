@@ -40,6 +40,45 @@ def test_sample_sas_into_out(alpha):
             sample_sas(rng_out, alpha, 1.7, size=len(out), out=bad)
 
 
+def _sas_tail(alpha: float, x: float) -> float:
+    """P(|X| > x) for SaS(1) at alpha < 1, from the convergent series of the stable tail:
+    (2/pi) sum_k (-1)^(k+1) Gamma(k alpha) / k! sin(k pi alpha / 2) x^(-k alpha)."""
+    y = math.exp(-alpha * math.log(x))
+    return 2.0 / math.pi * sum(
+        (-1) ** (k + 1) * math.gamma(k * alpha) / math.factorial(k)
+        * math.sin(k * math.pi * alpha / 2.0) * y**k
+        for k in range(1, 40)
+    )
+
+
+@pytest.mark.parametrize("alpha", [0.005, 0.01])
+def test_sample_sas_near_alpha_zero(alpha):
+    # the CMS factors leave the float range; the draws still hold no NaN and no
+    # spurious 0, and inf only as often as |X| exceeds the largest float
+    from scipy.stats import binomtest
+
+    size = 400_000
+    x = sample_sas(np.random.Generator(np.random.Philox(5)), alpha, 1.0, size=size)
+    assert not np.isnan(x).any()
+    assert not (x == 0.0).any()
+    ci = binomtest(int(np.isinf(x).sum()), size).proportion_ci(0.999)
+    assert ci.low <= _sas_tail(alpha, np.finfo(float).max) <= ci.high
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.3, 1.9])
+def test_sample_sas_finite_values_are_the_cms_expression(alpha):
+    # the repair near alpha = 0 touches no finite nonzero value
+    key = ("cms", int(alpha * 10))
+    rng, rng_ref = substream(311, *key), substream(311, *key)
+    x = sample_sas(rng, alpha, 1.0, size=100_000)
+    u = rng_ref.uniform(-math.pi / 2, math.pi / 2, size=len(x))
+    e = rng_ref.standard_exponential(size=len(x))
+    ref = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
+    ref = ref * (np.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha)
+    assert np.isfinite(ref).all() and (ref != 0.0).all()
+    assert np.array_equal(x, ref)
+
+
 def test_tiny_scale_degenerates():
     rng = substream(301, "tiny")
     x = sample_sas(rng, 1.2, 1e-12, size=1000)
