@@ -48,7 +48,7 @@ from .stable import (
     scaled_frechet_cdf,
     stable_tail_constant,
 )
-from .stats import batch_mean_ci, empirical_cdf_table, ks_distance
+from .stats import batch_mean_ci, empirical_cdf_table, ks_distance, quantiles
 
 DEFAULT_SITE_BUDGET = 1_000_000  # largest noise ball E_(n + support radius), in sites
 RAY_BLOCK = 1_000_000  # ray letters drawn per group of levels in a boundary-field draw
@@ -401,7 +401,13 @@ class _BoundaryPlan:
     own ancestors only, so no site carries the rounding of the large values
     deeper in other subtrees.
 
-    A draw takes all LePage weights first, then the rays as (levels, N)
+    The cumulative sum is a loop over the rows of the (levels, N) slot
+    matrix, one contiguous add per level: ``np.cumsum(axis=0)`` runs one
+    strided inner loop per column and took about three times as long at
+    n = 8, N = 1,072.
+
+    A draw takes all LePage weights first (computed in place in the array
+    ``lepage_weights`` draws), then the rays as (levels, N)
     matrices of child ranks: 2d choices for the first letter, 2d - 1 for
     each later one.  Bounded integers are drawn element by element, so one
     matrix is the same stream as one call per level.  ``__call__`` scatters
@@ -465,7 +471,8 @@ class _BoundaryPlan:
             slots += 1
             slots *= self.strides[lo:hi]
             slots[0] += prev - self.bounds[lo + 1]  # counted from the group's first slot
-            np.cumsum(slots, axis=0, out=slots)
+            for above, row in zip(slots, slots[1:]):  # the running sum down the ranks
+                row += above
             np.multiply(wts, self.increments[lo:hi], out=upd)
             part[:] = np.bincount(slots.ravel(), upd.ravel(), len(part))
             prev = slots[-1] + self.bounds[lo + 1]
@@ -665,7 +672,8 @@ def maxima_experiment(
     scale = scaling_constant(model, n)
     records = [(rep, bm, sm, bm / scale) for rep, bm, sm in raw]
     scaled = np.array([r[3] for r in records])
-    qs = {q: float(np.quantile(scaled, q)) for q in (0.1, 0.25, 0.5, 0.75, 0.9)}
+    levels = (0.1, 0.25, 0.5, 0.75, 0.9)
+    qs = dict(zip(levels, quantiles(scaled, levels)))
     limit_cdf = model.limit_cdf()
     ecdf = None
     if s_grid is not None:

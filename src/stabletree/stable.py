@@ -50,7 +50,9 @@ def sample_sas(rng: np.random.Generator, alpha: float, scale: float = 1.0, size=
 
     ``out``, a float64 array of shape ``size``, receives the variates and
     is returned: the same values and the same stream as without it.  At
-    alpha = 1 the draw then allocates nothing.
+    alpha = 1 the draw then allocates nothing; otherwise it allocates the
+    uniforms, the exponentials and one scratch array, and the terms of the
+    expression are computed in ``out`` and the scratch array.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
@@ -61,17 +63,29 @@ def sample_sas(rng: np.random.Generator, alpha: float, scale: float = 1.0, size=
     elif out.dtype != np.float64:
         raise ValueError(f"out must be a float64 array, got {out.dtype}")
     else:
-        # -pi/2 + pi * random() is the double rng.uniform(-pi/2, pi/2) returns
-        u = rng.random(size, out=out)  # a size other than out.shape raises ValueError
+        # -pi/2 + pi * random() is the double rng.uniform(-pi/2, pi/2) returns;
+        # at alpha != 1 out takes the terms, so the uniforms get their own array
+        # (a size other than out.shape raises ValueError)
+        u = rng.random(size, out=out if alpha == 1.0 else np.empty_like(out))
         u *= math.pi
         u += -math.pi / 2
         size = out.shape
     if alpha == 1.0:
         return np.multiply(scale, np.tan(u, out=out), out=out)
     e = rng.standard_exponential(size=size)
+    # operation by operation as written above, so the same doubles; u and e
+    # stay intact for the repair
+    x = np.empty_like(u) if out is None else out
+    tmp = np.empty_like(u)
     with np.errstate(all="ignore"):  # entries that leave the float range are redone below
-        x = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
-        x = np.asarray(x * (np.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha))
+        np.sin(np.multiply(alpha, u, out=x), out=x)
+        np.cos(u, out=tmp)
+        tmp **= 1.0 / alpha
+        x /= tmp
+        np.cos(np.multiply(1.0 - alpha, u, out=tmp), out=tmp)
+        tmp /= e
+        tmp **= (1.0 - alpha) / alpha
+        x *= tmp
         bad = ~np.isfinite(x) | (x == 0.0)
         if bad.any():
             ub, eb = np.asarray(u)[bad], np.asarray(e)[bad]
@@ -195,14 +209,24 @@ def lepage_weights(rng: np.random.Generator, alpha: float, num_terms: int, block
     arrival times run on from one block to the next.  ``block=None`` yields
     all terms as one block.  A block is drawn only when the caller asks for
     it, so what the caller draws in between keeps its place in the stream.
+    The weights are computed in place in the array of increments, which is
+    the block yielded: the operations of eps * (offset + cumsum(E))^(-1/alpha)
+    in the same order, so the same doubles, with no temporary beyond the
+    two draws.
     """
     block = block or num_terms
     offset = 0.0
     done = 0
     while done < num_terms:
         b = min(block, num_terms - done)
-        gam = offset + np.cumsum(rng.standard_exponential(b))
+        gam = rng.standard_exponential(b)
+        np.cumsum(gam, out=gam)
+        gam += offset
         offset = float(gam[-1])
-        eps = rng.integers(0, 2, size=b) * 2 - 1
-        yield eps * gam ** (-1.0 / alpha)
+        eps = rng.integers(0, 2, size=b)
+        eps *= 2
+        eps -= 1
+        gam **= -1.0 / alpha
+        gam *= eps
+        yield gam
         done += b

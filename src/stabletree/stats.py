@@ -30,6 +30,33 @@ def ks_distance(sample, cdf) -> float:
     return float(max(np.max(hi - f), np.max(f - lo)))
 
 
+def quantiles(sample, levels) -> list:
+    """The quantiles of ``sample`` at float levels in [0, 1], as ``np.quantile`` gives them.
+
+    numpy's default linear method from one sort: level p sits at the virtual
+    index h = (n - 1) p, between the order statistics a = x[floor h] and
+    b = x[floor h + 1] (both the largest once h >= n - 1), and with
+    g = h - floor h the value is a + (b - a) g, or b - (b - a)(1 - g) when
+    g >= 1/2.  A NaN in the sample makes every quantile NaN.  Unlike
+    ``np.quantile``, this imports no ``numpy.ma``.
+    """
+    x = np.sort(np.asarray(sample, dtype=float))
+    if x.size == 0:
+        raise ValueError("empty sample")
+    if math.isnan(x[-1]):  # NaN sorts last
+        return [math.nan for _ in levels]
+    n = x.size
+    out = []
+    for p in levels:
+        h = (n - 1) * float(p)
+        lo = math.floor(h)
+        g = h - lo
+        a, b = (x[-1], x[-1]) if h >= n - 1 else (x[lo], x[lo + 1])
+        diff = b - a
+        out.append(float(b - diff * (1 - g) if g >= 0.5 else a + diff * g))
+    return out
+
+
 def empirical_cdf_table(sample, s_grid, level: float = 0.95) -> list:
     """P(X <= s) with Clopper-Pearson binomial confidence bounds per grid point."""
     x = np.asarray(sample, dtype=float)

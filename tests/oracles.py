@@ -16,7 +16,7 @@ from stabletree.free_group import (
     ball_size,
     enumerate_ball,
 )
-from stabletree.stable import lepage_weights, sample_sas, stable_tail_constant
+from stabletree.stable import sample_sas, stable_tail_constant
 from stabletree.subgraphs import _expected_level
 
 
@@ -239,6 +239,39 @@ def ball_traces(paths: np.ndarray, level: int, d: int, m: int) -> np.ndarray:
     return out
 
 
+def lepage_weights_reference(rng, alpha: float, num_terms: int, block=None):
+    """The series weights eps_i Gamma_i^(-1/alpha), one expression per block.
+
+    The reference for ``stable.lepage_weights``, which computes the same
+    draws in place: per block the arrival-time increments, then the signs,
+    with the arrival times running on from block to block.
+    """
+    block = block or num_terms
+    offset = 0.0
+    done = 0
+    while done < num_terms:
+        b = min(block, num_terms - done)
+        gam = offset + np.cumsum(rng.standard_exponential(b))
+        offset = float(gam[-1])
+        eps = rng.integers(0, 2, size=b) * 2 - 1
+        yield eps * gam ** (-1.0 / alpha)
+        done += b
+
+
+def sample_sas_cms_reference(rng, alpha: float, size):
+    """SaS(1) variates at alpha != 1 by the Chambers-Mallows-Stuck expression, term by term.
+
+    The reference for ``stable.sample_sas``, which computes the same
+    operations in its output and one scratch array: fresh uniforms and
+    exponentials, and every term a fresh array.  Entries that leave the
+    float range stay as the expression gives them (no log-form repair).
+    """
+    u = rng.uniform(-math.pi / 2, math.pi / 2, size=size)
+    e = rng.standard_exponential(size=size)
+    x = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
+    return x * (np.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha)
+
+
 def boundary_rays(model, n: int, num_terms: int, rng):
     """The LePage weights and the length-n ray prefixes of one boundary-field draw.
 
@@ -247,7 +280,7 @@ def boundary_rays(model, n: int, num_terms: int, rng):
     a letter of the canonical order.  The prefixes are letter tuples.
     """
     d = model.d
-    (wts,) = lepage_weights(rng, model.alpha, num_terms)
+    (wts,) = lepage_weights_reference(rng, model.alpha, num_terms)
     rays = [()] * len(wts)
     for k in range(1, n + 1):
         ranks = rng.integers(0, 2 * d if k == 1 else 2 * d - 1, size=len(wts))

@@ -27,7 +27,7 @@ from stabletree.harness import (
     validate_config,
 )
 from stabletree.rng import substream
-from stabletree.stats import batch_mean_ci, empirical_cdf_table, ks_distance
+from stabletree.stats import batch_mean_ci, empirical_cdf_table, ks_distance, quantiles
 
 from oracles import atom_rows_reference, chi2_pvalue, write_csv_reference
 
@@ -52,6 +52,22 @@ def test_empirical_cdf_table():
     assert rows[-1]["p_hat"] == 1.0
     for row in rows[1:3]:
         assert row["ci_low"] <= row["s"] <= row["ci_high"]  # identity CDF inside the CI
+
+
+def test_quantiles_match_numpy():
+    # np.quantile's linear method bit for bit: heavy tails, ties, scales over ten
+    # decades, sizes from 2 up, and samples holding inf or NaN
+    rng = substream(703, "quantiles")
+    levels = (0.0, 0.1, 0.25, 1 / 3, 0.5, 0.75, 0.9, 0.999, 1.0)
+    sizes = range(2, 202)
+    samples = [[5.0], [1.0, np.inf], [-np.inf, 2.0, np.inf], [np.nan, 1.0, 2.0]]
+    samples += [rng.standard_cauchy(n) for n in sizes]
+    samples += [rng.integers(0, 5, n).astype(float) for n in sizes]
+    samples += [rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5) for n in sizes]
+    with np.errstate(invalid="ignore"):
+        for x in samples:
+            ref = np.array([np.quantile(x, q) for q in levels])
+            assert np.array(quantiles(x, levels)).tobytes() == ref.tobytes(), x
 
 
 def test_chi2_requires_expected_mass():
@@ -106,7 +122,7 @@ NO_SCIPY = (
     "r = maxima_experiment(BoundaryField(2, 1.0), 4, 50, None, 1, s_grid=[0.5, 1.0, 2.0]); "
     "stabletree.stats.batch_mean_ci([x for *_, x in r.records]); "
     "leaked = [m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing') "
-    "or m == 'stabletree.boundary']; "
+    "or m in ('stabletree.boundary', 'numpy.ma')]; "
     "assert not leaked, leaked"
 )
 NO_PROCESS_POOL = (
@@ -279,6 +295,21 @@ ATOM_CSV_SHA256 = {
     # written when the C_m vertex was the first column of a multi-step path draw
     "limit-sample-m3": "920f7f35a1af6c87aa147ee0675d06f6f0f7fcd3f3afe335eaada56643501783",
 }
+
+
+# the boundary config of CI's worker-count check: n=5, 40 reps, seed 1, one worker;
+# written while the ray slots were summed by np.cumsum and the LePage weights out of place
+BOUNDARY_MAXIMA_CSV_SHA256 = "0602392ac03962efabc67e9a9f1168775f233752a6a13b05dcb20af664283bb1"
+
+
+def test_boundary_maxima_csv_pinned(tmp_path):
+    cfg = ExperimentConfig(
+        kind="maxima", model={"variant": "boundary", "d": 2, "alpha": 1.0},
+        n=5, reps=40, seed=1, params={"workers": 1},
+    )
+    run(cfg).write_csv(tmp_path / "maxima.csv")
+    digest = hashlib.sha256((tmp_path / "maxima.csv").read_bytes()).hexdigest()
+    assert digest == BOUNDARY_MAXIMA_CSV_SHA256
 
 
 def _assert_csv_matches_row_writer(result, rows, tmp_path):

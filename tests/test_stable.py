@@ -16,6 +16,8 @@ from stabletree.stable import (
     stable_tail_constant_quadrature,
 )
 
+from oracles import lepage_weights_reference, sample_sas_cms_reference
+
 
 def test_params_validation():
     rng = substream(300, "params")
@@ -67,16 +69,16 @@ def test_sample_sas_near_alpha_zero(alpha):
 
 @pytest.mark.parametrize("alpha", [0.5, 1.3, 1.9])
 def test_sample_sas_finite_values_are_the_cms_expression(alpha):
-    # the repair near alpha = 0 touches no finite nonzero value
+    # the repair near alpha = 0 touches no finite nonzero value, and the terms
+    # computed in out and one scratch array are the fresh-array expression bit for bit
     key = ("cms", int(alpha * 10))
-    rng, rng_ref = substream(311, *key), substream(311, *key)
-    x = sample_sas(rng, alpha, 1.0, size=100_000)
-    u = rng_ref.uniform(-math.pi / 2, math.pi / 2, size=len(x))
-    e = rng_ref.standard_exponential(size=len(x))
-    ref = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
-    ref = ref * (np.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha)
+    ref = sample_sas_cms_reference(substream(311, *key), alpha, 100_000)
     assert np.isfinite(ref).all() and (ref != 0.0).all()
-    assert np.array_equal(x, ref)
+    x = sample_sas(substream(311, *key), alpha, 1.0, size=len(ref))
+    assert x.tobytes() == ref.tobytes()
+    out = np.empty(len(ref))
+    sample_sas(substream(311, *key), alpha, 1.0, size=len(ref), out=out)
+    assert out.tobytes() == ref.tobytes()
 
 
 def test_tiny_scale_degenerates():
@@ -150,6 +152,20 @@ def test_lepage_weights_blocks():
     assert np.all(np.diff(np.abs(w)) < 0)
     assert set(np.sign(w)) == {-1.0, 1.0}
     assert list(lepage_weights(substream(305, "lw"), alpha, 0)) == []
+
+
+@pytest.mark.parametrize("block", [None, 300])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.3, 1.9])
+def test_lepage_weights_match_reference(alpha, block):
+    # computed in place, the weights are the one-expression blocks bit for bit;
+    # blocks of 300 are the Pareto field's path
+    key = ("ref", int(alpha * 10), block or 0)
+    got = list(lepage_weights(substream(313, *key), alpha, 1000, block))
+    ref = list(lepage_weights_reference(substream(313, *key), alpha, 1000, block))
+    sizes = [1000] if block is None else [300, 300, 300, 100]
+    assert [len(w) for w in got] == [len(w) for w in ref] == sizes
+    for g, r in zip(got, ref):
+        assert g.tobytes() == r.tobytes()
 
 
 def test_lepage_matches_direct_sampler():
