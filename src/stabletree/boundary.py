@@ -1,8 +1,7 @@
 """The boundary of the Cayley tree with its uniform (Patterson-Sullivan) measure.
 
-A boundary point is an infinite reduced word; we represent it lazily by a
-finite prefix plus an attached RNG stream for on-demand extension (every
-quantity we compute depends on finitely many letters).  Cylinder sets
+A boundary point is an infinite reduced word; we represent it by a finite
+prefix (every quantity we compute depends on finitely many letters).  Cylinder sets
 H_g = {omega : omega starts with g} carry the exact measure
 m(H_g) = 1 / (2d (2d-1)^(|g|-1)), and all set computations here are done
 in exact rational arithmetic so that disjointness and cover checks are
@@ -26,6 +25,7 @@ from .free_group import (
     Word,
     allowed_next_letters,
     busemann,
+    enumerate_sphere,
     identity,
     is_prefix,
     letters_in_order,
@@ -44,42 +44,19 @@ def cylinder_measure(g: Word) -> Fraction:
 
 
 class BoundaryPoint:
-    """A boundary point known through a finite non-backtracking prefix.
+    """A boundary point known through a finite non-backtracking prefix."""
 
-    If constructed with an RNG stream, the prefix can be extended on
-    demand; extensions draw uniformly among the 2d-1 admissible next
-    letters, which realises the uniform boundary measure exactly.
-    """
+    __slots__ = ("d", "letters")
 
-    __slots__ = ("d", "letters", "rng")
-
-    def __init__(self, d: int, letters=(), rng=None):
+    def __init__(self, d: int, letters=()):
         self.d = d
         self.letters = tuple(letters)
-        self.rng = rng
 
     def __len__(self):
         return len(self.letters)
 
-    def prefix(self, k: int | None = None) -> Word:
-        if k is None:
-            return Word(self.d, self.letters)
-        if k > len(self.letters):
-            raise PrefixTooShortError(f"only {len(self.letters)} letters known, {k} requested")
-        return Word(self.d, self.letters[:k])
-
-    def extend_to(self, depth: int):
-        """Grow the known prefix to the requested depth (requires an RNG)."""
-        if depth <= len(self.letters):
-            return self
-        if self.rng is None:
-            raise PrefixTooShortError("no RNG attached; cannot extend prefix")
-        letters = list(self.letters)
-        while len(letters) < depth:
-            opts = allowed_next_letters(self.d, letters[-1] if letters else None)
-            letters.append(opts[int(self.rng.integers(len(opts)))])
-        self.letters = tuple(letters)
-        return self
+    def prefix(self) -> Word:
+        return Word(self.d, self.letters)
 
     def __repr__(self):
         return f"BoundaryPoint(d={self.d}, [{self.prefix()!r}]...)"
@@ -94,39 +71,31 @@ def sample_boundary(d: int, depth: int, rng: np.random.Generator) -> BoundaryPoi
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    pt = BoundaryPoint(d, (), rng)
-    return pt.extend_to(depth)
+    letters = []
+    while len(letters) < depth:
+        opts = allowed_next_letters(d, letters[-1] if letters else None)
+        letters.append(opts[int(rng.integers(len(opts)))])
+    return BoundaryPoint(d, letters)
 
 
 def act_on_boundary(t: Word, omega: BoundaryPoint) -> BoundaryPoint:
     """phi_t(omega) = t^-1 . omega as a boundary point.
 
     Requires a prefix of length >= 2|t| + 1 so that all cancellations are
-    resolved and the result retains a usable prefix.  The RNG stream is
-    carried over: extending the image is consistent with extending omega
-    first and acting afterwards.
+    resolved and the result retains a usable prefix.
     """
     need = 2 * len(t) + 1
     if len(omega) < need:
-        if omega.rng is not None:
-            omega.extend_to(need)
-        else:
-            raise PrefixTooShortError(
-                f"prefix length {len(omega)} < {need} required to apply a word of length {len(t)}"
-            )
-    image = multiply(t.inverse(), omega.prefix())
-    return BoundaryPoint(omega.d, image.letters, omega.rng)
+        raise PrefixTooShortError(
+            f"prefix length {len(omega)} < {need} required to apply a word of length {len(t)}"
+        )
+    return BoundaryPoint(omega.d, multiply(t.inverse(), omega.prefix()).letters)
 
 
 def rn_derivative(t: Word, omega: BoundaryPoint) -> Fraction:
     """Exact Radon-Nikodym derivative (2d-1)^(-B_omega(t)) of phi_t at omega."""
     if len(omega) < len(t):
-        if omega.rng is not None:
-            omega.extend_to(len(t))
-        else:
-            raise PrefixTooShortError(
-                f"prefix length {len(omega)} < |t| = {len(t)}"
-            )
+        raise PrefixTooShortError(f"prefix length {len(omega)} < |t| = {len(t)}")
     b = busemann(t, omega.prefix())
     base = 2 * omega.d - 1
     return Fraction(1, base**b) if b >= 0 else Fraction(base ** (-b))
@@ -319,8 +288,8 @@ class DisjointTranslatesReport:
         }
 
 
-def disjoint_translates_report(d: int, n: int, base_index: int = 1) -> DisjointTranslatesReport:
-    """Pairwise-disjoint translates of H_{a} with translating words in E_n.
+def disjoint_translates_report(d: int, n: int) -> DisjointTranslatesReport:
+    """Pairwise-disjoint translates of H_{a} for a = a_1, with translating words in E_n.
 
     Translators are the words t in C_n whose first letter differs from a;
     for those, phi_t(H_a) is the single cylinder H_{t^-1 a} at level n+1
@@ -330,13 +299,11 @@ def disjoint_translates_report(d: int, n: int, base_index: int = 1) -> DisjointT
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    a = base_index
+    a = 1
     target = sphere_size(d, n - 1)
     image_words = []
     total = Fraction(0)
     # enumerate t in C_n with first letter != a via the images directly
-    from .free_group import enumerate_sphere
-
     count = 0
     for t in enumerate_sphere(d, n):
         if t.letters[0] == a:

@@ -281,11 +281,9 @@ class MixedMovingAverage(FieldModel):
         return _MMAPlan(self, n)
 
 
-def mma_point_mass(d: int, alpha: float, value: float = 1.0, mass: float = 1.0) -> MixedMovingAverage:
+def mma_point_mass(d: int, alpha: float, value: float = 1.0) -> MixedMovingAverage:
     """The one-atom kernel f = value * 1_{t=e}: iid SaS noise site by site."""
-    return MixedMovingAverage.from_tables(
-        d, alpha, {"w0": mass}, {"w0": {identity(d): value}}
-    )
+    return MixedMovingAverage.from_tables(d, alpha, {"w0": 1.0}, {"w0": {identity(d): value}})
 
 
 # ---------------------------------------------------------------------------

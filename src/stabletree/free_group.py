@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import PrefixTooShortError, RankMismatchError, ResourceBudgetError
 
-DEFAULT_ENUMERATION_BUDGET = 2_000_000
+ENUMERATION_BUDGET = 2_000_000
 
 
 def letter_rank(g: int) -> int:
@@ -54,9 +54,6 @@ class Word:
     def __len__(self):
         return len(self.letters)
 
-    def __mul__(self, other: "Word") -> "Word":
-        return multiply(self, other)
-
     def inverse(self) -> "Word":
         return Word(self.rank, tuple(-g for g in reversed(self.letters)))
 
@@ -70,13 +67,6 @@ class Word:
 
 def identity(d: int) -> Word:
     return Word(d, ())
-
-
-def generator(d: int, index: int, sign: int = 1) -> Word:
-    """Length-one word a_index^sign."""
-    if not 1 <= index <= d or sign not in (1, -1):
-        raise ValueError(f"invalid generator a_{index}^{sign} for rank {d}")
-    return Word(d, (sign * index,))
 
 
 def reduce_letters(letters) -> tuple:
@@ -114,10 +104,6 @@ def multiply(u: Word, v: Word) -> Word:
         i -= 1
         j += 1
     return Word(u.rank, a[:i] + b[j:])
-
-
-def inverse(u: Word) -> Word:
-    return u.inverse()
 
 
 def distance(u: Word, v: Word) -> int:
@@ -178,11 +164,10 @@ def allowed_next_letters(d: int, last: int | None):
     return tuple(g for g in letters_in_order(d) if g != -last)
 
 
-def _check_budget(count: int, budget: int | None):
-    budget = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
-    if count > budget:
+def _check_budget(count: int):
+    if count > ENUMERATION_BUDGET:
         raise ResourceBudgetError(
-            f"enumeration of {count} words exceeds budget {budget}"
+            f"enumeration of {count} words exceeds budget {ENUMERATION_BUDGET}"
         )
 
 
@@ -209,15 +194,15 @@ def _preorder(d: int, n: int):
             cur.pop()
 
 
-def enumerate_ball(d: int, n: int, budget: int | None = None):
+def enumerate_ball(d: int, n: int):
     """Yield all words of length <= n in canonical preorder (e first)."""
-    _check_budget(ball_size(d, n), budget)
+    _check_budget(ball_size(d, n))
     yield from map(functools.partial(Word, d), _preorder(d, n))
 
 
-def enumerate_sphere(d: int, n: int, budget: int | None = None):
+def enumerate_sphere(d: int, n: int):
     """Yield all words of length exactly n: the depth-n words of the ball preorder."""
-    _check_budget(sphere_size(d, n), budget)
+    _check_budget(sphere_size(d, n))
     for letters in _preorder(d, n):
         if len(letters) == n:
             yield Word(d, letters)
@@ -267,11 +252,11 @@ class BallLayout:
     since layouts are shared through the :func:`ball_layout` cache.
     """
 
-    def __init__(self, d: int, n: int, budget: int | None = None):
+    def __init__(self, d: int, n: int):
         self.d = d
         self.n = n
         self.size = ball_size(d, n)
-        _check_budget(self.size, budget)
+        _check_budget(self.size)
         sub = [0] * (n + 2)
         if n >= 1:
             sub[n] = 1

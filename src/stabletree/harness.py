@@ -16,7 +16,7 @@ import numbers
 import operator
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -55,17 +55,6 @@ class ExperimentConfig:
     seed: int = 0
     params: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "kind": self.kind,
-            "model": self.model,
-            "n": self.n,
-            "reps": self.reps,
-            "seed": self.seed,
-            "params": self.params,
-            "tolerances": self.tolerances,
-        }
 
 
 class AtomRecords(Sequence):
@@ -162,6 +151,17 @@ def build_model(spec: dict):
             f"bad keys for model {variant}: missing {sorted(missing)}, unknown {sorted(extra)}",
             [f"model.{k}" for k in sorted(missing | extra)],
         )
+    bad = sorted(k for k in keys & {"d", "alpha", "theta"} if not _real(spec[k], integral=k == "d"))
+    if bad:
+        raise ConfigError(f"model values of the wrong type: {bad}", [f"model.{k}" for k in bad])
+    # an mma kernel is the unit point mass (no kernel keys, or point_mass: true) or both tables
+    kernel = sorted(keys & {"f_table", "point_mass", "w_masses"})
+    point_mass_ok = spec.get("point_mass", True) is True
+    if kernel not in ([], ["point_mass"], ["f_table", "w_masses"]) or not point_mass_ok:
+        raise ConfigError(
+            f"an mma kernel is point_mass: true or both w_masses and f_table, got {kernel}",
+            [f"model.{k}" for k in kernel],
+        )
     try:
         return _construct_model(variant, spec)
     except (TypeError, ValueError) as exc:  # out-of-range or non-numeric values, bad kernel words
@@ -177,9 +177,9 @@ def _construct_model(variant: str, spec: dict):
         return ShiftField(d, alpha)
     if variant == "pareto":
         return ParetoField(d, alpha, float(spec["theta"]))
-    if spec.get("point_mass") or ("f_table" not in spec):
+    if "f_table" not in spec:
         return mma_point_mass(d, alpha)
-    objects = [spec.get("w_masses"), spec["f_table"]]
+    objects = [spec["w_masses"], spec["f_table"]]
     if isinstance(spec["f_table"], dict):
         objects += spec["f_table"].values()
     if not all(isinstance(x, dict) for x in objects):
@@ -229,15 +229,13 @@ _PARAM_CHECKS = {
 
 def validate_config(cfg: ExperimentConfig):
     """Check the configuration and return the model it builds."""
-    bad = []
+    bad = [key for key in ("n", "reps", "seed") if not _real(getattr(cfg, key), integral=True)]
     if cfg.kind not in EXPERIMENT_KINDS:
         bad.append("kind")
-    if cfg.kind in ("maxima", "pp") and cfg.n < 0:
+    if "n" not in bad and cfg.kind in ("maxima", "pp") and cfg.n < 0:
         bad.append("n")
-    if cfg.reps < _MIN_REPS.get(cfg.kind, 0):
+    if "reps" not in bad and cfg.reps < _MIN_REPS.get(cfg.kind, 0):
         bad.append("reps")
-    if not isinstance(cfg.seed, int):
-        bad.append("seed")
     for key, (kinds, none_ok, valid) in _PARAM_CHECKS.items():
         if cfg.kind in kinds and key in cfg.params:
             value = cfg.params[key]
@@ -322,7 +320,7 @@ def _run_maxima(cfg: ExperimentConfig, model) -> ExperimentResult:
     if tol is not None and res.ks_distance is not None:
         passed = bool(res.ks_distance <= float(tol))
     return ExperimentResult(
-        config=cfg.to_jsonable(),
+        config=asdict(cfg),
         columns=["rep", "ball_max", "sphere_max", "scaled_ball_max"],
         records=res.records,
         summary=summary,
@@ -352,7 +350,7 @@ def _run_pp(cfg: ExperimentConfig, model) -> ExperimentResult:
         "max_atoms": int(max(counts)),
     }
     return ExperimentResult(
-        config=cfg.to_jsonable(),
+        config=asdict(cfg),
         columns=["rep", "scaled_atom"],
         records=AtomRecords(blocks),
         summary=summary,
@@ -370,7 +368,7 @@ def _run_limit_kx(cfg: ExperimentConfig, model) -> ExperimentResult:
 
     comp = maxima_constant_comparison(model)
     return ExperimentResult(
-        config=cfg.to_jsonable(),
+        config=asdict(cfg),
         columns=["key", "value"],
         records=sorted((k, v) for k, v in comp.items() if not isinstance(v, list)),
         summary=comp,
@@ -400,7 +398,7 @@ def _run_limit_laplace(cfg: ExperimentConfig, model) -> ExperimentResult:
     if tol is not None and emp is not None:
         passed = bool(abs(emp - ana.value) <= float(tol))
     return ExperimentResult(
-        config=cfg.to_jsonable(),
+        config=asdict(cfg),
         columns=["key", "value"],
         records=[(k, v) for k, v in summary.items() if isinstance(v, (int, float))],
         summary=summary,
@@ -415,11 +413,11 @@ def _run_limit_sample(cfg: ExperimentConfig, model) -> ExperimentResult:
     delta = float(cfg.params.get("delta", 0.5))
     blocks = []
     for rep in range(cfg.reps):
-        pm = sample_limit_point_process(model, delta, substream(cfg.seed, "nstar", rep))
-        blocks.append(np.sort(pm.atoms)[::-1])
+        atoms = sample_limit_point_process(model, delta, substream(cfg.seed, "nstar", rep))
+        blocks.append(np.sort(atoms)[::-1])
     summary = {"delta": delta, "mean_atoms": float(np.mean([len(b) for b in blocks]))}
     return ExperimentResult(
-        config=cfg.to_jsonable(),
+        config=asdict(cfg),
         columns=["rep", "atom"],
         records=AtomRecords(blocks),
         summary=summary,

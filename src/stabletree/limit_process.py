@@ -49,17 +49,6 @@ from .subgraphs import (
 )
 
 
-@dataclass
-class PointMeasure:
-    """A finite multiset of real atoms above a truncation threshold."""
-
-    atoms: np.ndarray
-    delta: float
-
-    def __len__(self):
-        return len(self.atoms)
-
-
 class PiecewiseConstant:
     """Nonnegative piecewise-constant test function on the punctured line.
 
@@ -206,8 +195,8 @@ def sample_limit_point_process(
     model: MixedMovingAverage,
     delta: float,
     rng: np.random.Generator,
-) -> PointMeasure:
-    """One draw of the limit cluster process restricted to {|x| > delta}.
+) -> np.ndarray:
+    """One draw of the limit cluster process restricted to {|x| > delta}, as its atoms.
 
     Sites u with |u| beyond the support radius m spawn empty clusters
     (their subgraphs miss the kernel support), so the site sum is cut at m
@@ -244,7 +233,7 @@ def sample_limit_point_process(
         ends = sample_ray_path(m, d, rng, total)
         values = amps[:, None] * vals[None, :]
         atoms.append(values[trace_masks(levels, ends, d, m, pos) & (np.abs(values) > delta)])
-    return PointMeasure(atoms=np.concatenate([np.zeros(0), *atoms]), delta=delta)
+    return np.concatenate([np.zeros(0), *atoms])
 
 
 @dataclass

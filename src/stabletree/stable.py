@@ -30,6 +30,7 @@ TAIL_TOLERANCE = 1e-3  # remainder bound over target scale that the rule reaches
 SAFETY = 3.0  # standard deviations of the discarded tail in the remainder bound
 MAX_TERMS = 5_000_000  # longest series the rule may choose
 EXACT_TERMS = 4000  # Gamma ratios summed exactly before the integral majorant
+QUADRATURE_DPS = 40  # working precision of the tail-constant quadrature
 
 
 def sample_sas(rng: np.random.Generator, alpha: float, scale: float = 1.0, size=None, out=None):
@@ -48,54 +49,51 @@ def sample_sas(rng: np.random.Generator, alpha: float, scale: float = 1.0, size=
     + (1-alpha)/alpha (log cos((1-alpha) U) - log E)), so every finite nonzero
     value is the expression above, and inf remains only beyond the float range.
 
-    ``out``, a float64 array of shape ``size``, receives the variates and
-    is returned: the same values and the same stream as without it.  At
-    alpha = 1 the draw then allocates nothing; otherwise it allocates the
-    uniforms, the exponentials and one scratch array, and the terms of the
-    expression are computed in ``out`` and the scratch array.
+    The variates fill ``out``, a float64 array of shape ``size``, or a new
+    array of that shape, which is returned.  At alpha = 1 a draw into ``out``
+    allocates nothing; otherwise it allocates the uniforms, the exponentials
+    and one scratch array, and the terms of the expression are computed in
+    ``out`` and the scratch array.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
     if scale < 0:
         raise ValueError("scale must be >= 0")
     if out is None:
-        u = rng.uniform(-math.pi / 2, math.pi / 2, size=size)
+        out = np.empty(size)
     elif out.dtype != np.float64:
         raise ValueError(f"out must be a float64 array, got {out.dtype}")
-    else:
-        # -pi/2 + pi * random() is the double rng.uniform(-pi/2, pi/2) returns;
-        # at alpha != 1 out takes the terms, so the uniforms get their own array
-        # (a size other than out.shape raises ValueError)
-        u = rng.random(size, out=out if alpha == 1.0 else np.empty_like(out))
-        u *= math.pi
-        u += -math.pi / 2
-        size = out.shape
+    # -pi/2 + pi * random() is the double rng.uniform(-pi/2, pi/2) returns;
+    # at alpha != 1 out takes the terms, so the uniforms get their own array
+    # (a size other than out.shape raises ValueError)
+    u = rng.random(size, out=out if alpha == 1.0 else np.empty_like(out))
+    u *= math.pi
+    u += -math.pi / 2
     if alpha == 1.0:
         return np.multiply(scale, np.tan(u, out=out), out=out)
-    e = rng.standard_exponential(size=size)
+    e = rng.standard_exponential(size=out.shape)
     # operation by operation as written above, so the same doubles; u and e
     # stay intact for the repair
-    x = np.empty_like(u) if out is None else out
     tmp = np.empty_like(u)
     with np.errstate(all="ignore"):  # entries that leave the float range are redone below
-        np.sin(np.multiply(alpha, u, out=x), out=x)
+        np.sin(np.multiply(alpha, u, out=out), out=out)
         np.cos(u, out=tmp)
         tmp **= 1.0 / alpha
-        x /= tmp
+        out /= tmp
         np.cos(np.multiply(1.0 - alpha, u, out=tmp), out=tmp)
         tmp /= e
         tmp **= (1.0 - alpha) / alpha
-        x *= tmp
-        bad = ~np.isfinite(x) | (x == 0.0)
+        out *= tmp
+        bad = ~np.isfinite(out) | (out == 0.0)
         if bad.any():
-            ub, eb = np.asarray(u)[bad], np.asarray(e)[bad]
+            ub, eb = u[bad], e[bad]
             log_x = (
                 np.log(np.abs(np.sin(alpha * ub)))
                 - np.log(np.cos(ub)) / alpha
                 + (1.0 - alpha) / alpha * (np.log(np.cos((1.0 - alpha) * ub)) - np.log(eb))
             )
-            x[bad] = np.sign(np.sin(alpha * ub)) * np.exp(log_x)
-    return np.multiply(scale, x, out=out)
+            out[bad] = np.sign(np.sin(alpha * ub)) * np.exp(log_x)
+    return np.multiply(scale, out, out=out)
 
 
 def stable_tail_constant(alpha: float) -> float:
@@ -112,20 +110,20 @@ def stable_tail_constant(alpha: float) -> float:
     return (1.0 - alpha) / (math.gamma(2.0 - alpha) * math.sin(math.pi * (1.0 - alpha) / 2.0))
 
 
-def stable_tail_constant_quadrature(alpha: float, dps: int = 40) -> float:
+def stable_tail_constant_quadrature(alpha: float) -> float:
     """c_alpha by direct quadrature of the defining integral.
 
     Split at pi: tanh-sinh handles the x^(1-alpha) endpoint behaviour on
     [0, pi], and the slowly decaying oscillatory tail is summed over the
     arches [k pi, (k+1) pi] with alternating-series acceleration
-    (mpmath.quadosc).  Serves as the independent cross-check of the
-    closed form.
+    (mpmath.quadosc), both at ``QUADRATURE_DPS`` decimal digits.  Serves
+    as the independent cross-check of the closed form.
     """
     import mpmath as mp
 
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    with mp.workdps(dps):
+    with mp.workdps(QUADRATURE_DPS):
         f = lambda x: x ** (-alpha) * mp.sin(x)
         head = mp.quad(f, [0, mp.pi])
         tail = mp.quadosc(f, [mp.pi, mp.inf], zeros=lambda k: k * mp.pi)

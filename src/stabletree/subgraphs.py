@@ -149,12 +149,11 @@ def subgraph_sphere_count(level: int, offset: int, d: int) -> int:
 SPHERE_COUNT_BUDGET = 500_000  # words of one sphere checked by brute-force membership
 
 
-def count_sphere_members(
-    xi: RayPath, sphere_level: int, budget: int = SPHERE_COUNT_BUDGET
-) -> int:
-    """|xi intersect C_s| by brute-force membership over the whole sphere."""
-    if sphere_size(xi.rank, sphere_level) > budget:
-        raise ResourceBudgetError("sphere too large for brute-force membership count")
+def count_sphere_members(xi: RayPath, sphere_level: int) -> int:
+    """|xi intersect C_s| by brute-force membership over the whole sphere.
+
+    The caller checks the sphere against ``SPHERE_COUNT_BUDGET`` first.
+    """
     return sum(1 for t in enumerate_sphere(xi.rank, sphere_level) if membership(t, xi))
 
 

@@ -408,11 +408,19 @@ def test_cli_missing_seed_is_usage_error():
     assert ei.value.code == 2
 
 
+# stdout of the two check commands and the selftest report, taken before the unused
+# RNG, prefix-length and budget parameters left boundary and free_group
+VERIFY_LEMMA_STDOUT_SHA256 = "2300f6bd88f8425627970db74348ca1163f3eed00f0fe50d438924a713f29d2b"
+VERIFY_BOUNDARY_STDOUT_SHA256 = "abe7c185f5075a7e5ae254402eb6b7564fcc009adb92bc59742b0ba1303e18b4"
+SELFTEST_ALL_SHA256 = "a0f56d478cdeabb9776f39b53790169d38b9697e08748a0c36a735c416ce9b1b"
+
+
 def test_cli_verify_lemma(capsys):
     code = cli_main(["verify-lemma", "--d", "2", "--ell-max", "2", "--k-max", "3", "--samples", "5", "--seed", "1"])
     assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["passed"]
+    out = capsys.readouterr().out
+    assert json.loads(out)["passed"]
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_LEMMA_STDOUT_SHA256
 
 
 def test_cli_verify_lemma_budget_exits_3_at_once(capsys):
@@ -427,9 +435,11 @@ def test_cli_verify_lemma_budget_exits_3_at_once(capsys):
 def test_cli_verify_boundary(capsys):
     code = cli_main(["verify-boundary", "--d", "2", "--depth-cap", "4", "--translate-n", "3"])
     assert code == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    payload = json.loads(out)
     assert payload["weakly_wandering"]["pairwise_disjoint"]
     assert payload["disjoint_translates"]["pairwise_disjoint"]
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_BOUNDARY_STDOUT_SHA256
 
 
 def test_cli_limit_kx(capsys):
@@ -497,6 +507,8 @@ def test_cli_simulate_pp(tmp_path, capsys):
 def test_selftest_all():
     rep = selftest("all")
     assert rep["passed"], [c for c in rep["checks"] if not c["passed"]]
+    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+    assert digest == SELFTEST_ALL_SHA256
 
 
 def test_cli_resource_error_exit_code(capsys):
@@ -559,6 +571,19 @@ def test_config_validation_rejects_model_and_delta_values():
     assert keys({**ok, "alpha": 2.0}, {}) == ["model"]
     assert keys({"variant": "pareto", "d": 2, "alpha": 1.0, "theta": 0.5}, {}) == ["model"]
     assert keys({**ok, "alpha": 0.002}, {}) == ["model.alpha", "n"]  # 3^(2/0.002) overflows
+    # model values are typed like params: no bools, no strings, an integral rank
+    assert keys({**ok, "d": 2.7}, {}) == ["model.d"]
+    assert keys({**ok, "d": "2"}, {}) == ["model.d"]
+    assert keys({**ok, "d": True}, {}) == ["model.d"]
+    assert keys({**ok, "alpha": "1"}, {}) == ["model.alpha"]
+    assert keys({"variant": "pareto", "d": 2, "alpha": 1.0, "theta": "3"}, {}) == ["model.theta"]
+    # an mma kernel is the point mass or both tables, never a part of one next to the other
+    tables = {"w_masses": {"w0": 1.0}, "f_table": {"w0": {"e": 1.0}}}
+    assert keys({**ok, "w_masses": {"w0": 2.0}}, {}) == ["model.w_masses"]
+    assert keys({**ok, "point_mass": True, **tables}, {}) == [
+        "model.f_table", "model.point_mass", "model.w_masses",
+    ]
+    assert keys({**ok, "point_mass": False}, {}) == ["model.point_mass"]
 
     def run_keys(kind, reps, params):
         cfg = ExperimentConfig(kind=kind, model=ok, n=2, reps=reps, params=params)
@@ -567,6 +592,12 @@ def test_config_validation_rejects_model_and_delta_values():
         return ei.value.offending_keys
 
     assert run_keys("maxima", 1, {}) == ["reps"]
+    assert run_keys("maxima", "5", {}) == ["reps"]
+    for field, value in (("n", 2.5), ("n", True), ("seed", True)):
+        cfg = ExperimentConfig(**{"kind": "maxima", "model": ok, "n": 2, "reps": 2, "seed": 1, field: value})
+        with pytest.raises(ConfigError) as ei:
+            validate_config(cfg)
+        assert ei.value.offending_keys == [field]
     assert run_keys("limit-sample", 0, {}) == ["reps"]
     assert run_keys("limit-laplace", 1, {"theta": -1.0}) == ["params.theta"]
     assert run_keys("limit-laplace", 1, {"threshold": 0.0}) == ["params.threshold"]

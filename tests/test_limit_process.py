@@ -184,9 +184,9 @@ def test_laplace_empirical_cross_oracle():
     assert abs(emp - ana.value) < 0.02
 
 
-def count_above(pm, c):
+def count_above(atoms, c):
     """Atoms of the point measure with |x| > c."""
-    return int(np.sum(np.abs(pm.atoms) > c))
+    return int(np.sum(np.abs(atoms) > c))
 
 
 def test_sample_limit_point_process_point_mass():
@@ -233,8 +233,8 @@ def test_limit_process_laplace_consistency():
     acc = 0.0
     reps = 3000
     for _ in range(reps):
-        pm = sample_limit_point_process(m, 1.0, rng)
-        acc += math.exp(-float(np.sum(g(pm.atoms))))
+        atoms = sample_limit_point_process(m, 1.0, rng)
+        acc += math.exp(-float(np.sum(g(atoms))))
     assert abs(acc / reps - ana) < 0.02
 
 

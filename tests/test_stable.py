@@ -29,13 +29,17 @@ def test_params_validation():
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.3, 1.9])
 def test_sample_sas_into_out(alpha):
     # filling out= gives the allocating call's values bit for bit and leaves the
-    # same stream: -pi/2 + pi * random() is rng.uniform(-pi/2, pi/2)
+    # same stream; at alpha = 1 both are tan of rng.uniform(-pi/2, pi/2), which
+    # is -pi/2 + pi * random() (the CMS oracle checks the other alphas)
     key = ("out", int(alpha * 10))
     rng_new, rng_out = substream(310, *key), substream(310, *key)
     out = np.empty(50_000)
     got = sample_sas(rng_out, alpha, 1.7, size=len(out), out=out)
     assert got is out
     assert np.array_equal(got, sample_sas(rng_new, alpha, 1.7, size=len(out)))
+    if alpha == 1.0:
+        u = substream(310, *key).uniform(-math.pi / 2, math.pi / 2, size=len(out))
+        assert np.array_equal(got, 1.7 * np.tan(u))
     assert repr(rng_out.bit_generator.state) == repr(rng_new.bit_generator.state)
     for bad in (np.empty(49_999), np.empty(len(out), dtype=np.float32)):
         with pytest.raises(ValueError):

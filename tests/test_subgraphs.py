@@ -25,7 +25,6 @@ from stabletree.free_group import (
     ball_size,
     enumerate_ball,
     identity,
-    inverse,
     multiply,
     word,
 )
@@ -56,7 +55,7 @@ def _word_path(level, d, num_steps, rng):
     if level >= 1:
         return word_ray_path(level, d, num_steps, rng)
     z = sample_boundary(d, num_steps, rng).letters
-    a = inverse(Word(d, z[:-level]))
+    a = Word(d, z[:-level]).inverse()
     vertices = tuple(multiply(a, Word(d, z[:k])) for k in range(num_steps + 1))
     return RayPath(level=level, rank=d, vertices=vertices)
 
