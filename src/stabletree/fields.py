@@ -3,9 +3,12 @@
 Four models are provided.
 
 * ``BoundaryField``: the field generated by the boundary action with the
-  uniform boundary measure and kernel 1, simulated by the stable series
-  X_t = c_alpha^(1/alpha) sum_i eps_i Gamma_i^(-1/alpha) (2d-1)^(-B_{omega_i}(t)/alpha)
-  with iid uniform boundary rays omega_i shared across all sites of the ball.
+  uniform boundary measure and kernel 1.  On E_n the integrand
+  (2d-1)^(-B_omega(t)/alpha) depends on omega only through its length-n
+  prefix, so the field is exactly the finite cylinder sum
+  X_t = sum_{g in C_n} |C_n|^(-1/alpha) (2d-1)^(-B_g(t)/alpha) Z_g
+  with iid SaS(1) noises Z_g, one per cylinder of length n; no series is
+  truncated.
 * ``ShiftField``: the action where a_1 shifts the real line by 1 and the
   other generators act trivially, with kernel 1_(0,1].  The field factors
   through the a_1-exponent homomorphism onto Z and the induced integer-
@@ -13,6 +16,7 @@ Four models are provided.
 * ``ParetoField``: iid Pareto(theta) coordinate projections under the
   shift over the whole group (theta > alpha), simulated by the series with
   product-Pareto configurations, materialising only the ball coordinates.
+  It is the one model with a truncated series.
 * ``MixedMovingAverage``: X_t = sum_{w,u} f(w, t^-1 u) Z_{w,u} with a
   finitely supported tabulated kernel.  This simulation is exact (no
   series truncation): the noise variables are the per-site sums of the
@@ -51,7 +55,7 @@ from .stable import (
 from .stats import batch_mean_ci, empirical_cdf_table, ks_distance, quantiles
 
 DEFAULT_SITE_BUDGET = 1_000_000  # largest noise ball E_(n + support radius), in sites
-RAY_BLOCK = 1_000_000  # ray letters drawn per group of levels in a boundary-field draw
+MAXIMA_BATCH = 8  # boundary-field replications per pass of the level work in a maxima run
 
 
 class FieldModel:
@@ -101,19 +105,17 @@ class FieldModel:
 
 @dataclass(frozen=True)
 class BoundaryField(FieldModel):
-    """The boundary-action field, simulated by the series with shared rays.
+    """The boundary-action field, drawn exactly as a sum over the cylinders of C_n.
 
-    ``draw`` returns a :class:`_BoundaryPlan`, which fixes the per-level
-    increments and scales and the level layout once per simulator; each
-    replication then draws the weights and the rays and sums the field one
-    tree level at a time.
+    ``draw`` returns a :class:`_BoundaryPlan`, which fixes the level layout
+    and the recursion factors once per simulator; each replication then
+    draws one SaS noise per vertex of C_n and sums the field one tree level
+    at a time.
     """
 
     d: int
     alpha: float
-
-    def f_rms(self, n: int) -> float:
-        return math.sqrt(_boundary_second_moment(self.d, self.alpha, n))
+    exact = True
 
     def norming_constant(self, n: int):
         return (2 * self.d - 1) ** n
@@ -121,8 +123,8 @@ class BoundaryField(FieldModel):
     def limit_cdf(self):
         return partial(scaled_frechet_cdf, alpha=self.alpha, c=stable_tail_constant(self.alpha))
 
-    def draw(self, n: int, num_terms: int):
-        return _BoundaryPlan(self, n, num_terms)
+    def draw(self, n: int, num_terms: int | None):
+        return _BoundaryPlan(self, n)
 
 
 @dataclass(frozen=True)
@@ -326,21 +328,6 @@ def norming_constant_mc(model: FieldModel, n: int, reps: int, rng: np.random.Gen
 # Simulation
 # ---------------------------------------------------------------------------
 
-def _boundary_second_moment(d: int, alpha: float, n: int) -> float:
-    """max_{|t| <= n} E[(2d-1)^(-2 B_omega(t)/alpha)] under the boundary measure."""
-    rho = (2 * d - 1) ** (2.0 / alpha)
-    best = 1.0
-    for m in range(1, n + 1):
-        # P(confluent >= j) = (2d)^-1 (2d-1)^-(j-1)
-        acc = (1.0 - 1.0 / (2 * d)) * rho ** (-m)
-        for j in range(1, m):
-            pj = (1.0 / (2 * d)) * (2 * d - 1) ** (-(j - 1)) * (1.0 - 1.0 / (2 * d - 1))
-            acc += pj * rho ** (2 * j - m)
-        acc += (1.0 / (2 * d)) * (2 * d - 1) ** (-(m - 1)) * rho**m
-        best = max(best, acc)
-    return best
-
-
 def resolve_num_terms(model: FieldModel, n: int, num_terms: int | None) -> int | None:
     """The series length for the model over E_n: ``num_terms``, or else the fixed rule.
 
@@ -379,116 +366,94 @@ def remainder_bound(model: FieldModel, n: int, num_terms: int | None) -> float |
 
 
 class _BoundaryPlan:
-    """Draw plan for the boundary field over E_n, built once per simulator.
+    """Exact draw plan for the boundary field over E_n, built once per simulator.
 
-    Shared rays: every site uses the same atoms (Gamma_i, eps_i, omega_i).
-    A site t of depth k whose confluent length with omega_i is c receives
-    w_i q^c, q = (2d-1)^(2/alpha), so the unscaled values follow one level
-    recursion: D(e) = sum_i w_i, and for |t| = k >= 1
+    A leaf g of C_n and a site t of depth k with confluent length c give
+    B_g(t) = k - 2c, so the term of g in X_t is rho^(2c - k) |C_n|^(-1/alpha) Z_g
+    with rho = (2d-1)^(1/alpha).  With S(u) the sum of |C_n|^(-1/alpha) Z_g
+    over the leaves g below u, the values follow one level recursion:
+    X_e = S(e), and for |t| = k >= 1
 
-        D(t) = D(parent(t)) + sum over the rays omega_i through t of w_i (q^k - q^(k-1)).
+        X_t = rho^-1 X_(parent(t)) + (rho^k - rho^(k-2)) S(t),
 
-    The plan keeps the levels side by side in one array, level k holding
-    the |C_k| nodes of depth k in rank-major order: the child of rank r of
-    the node in slot s of level k - 1 sits in slot s + r |C_(k-1)|.  So a
-    ray's slot at level k is one cumulative sum down its child ranks, each
-    level's updates go into disjoint slots, and one ``np.bincount`` per
-    group of levels adds them in ray order.  A broadcast add per level then
-    adds the parents' values, and X_t = c_alpha^(1/alpha) (2d-1)^(-k/alpha) D(t)
-    scales each level by one number.  A site's value is summed along its
-    own ancestors only, so no site carries the rounding of the large values
-    deeper in other subtrees.
+    since a leaf below t is confluent with t for k letters and with its
+    parent for k - 1, and every other leaf is confluent with both for the
+    same length.  The largest factor is rho^n, the scale of M_n, and every
+    partial sum stays on the scale of the field itself.
 
-    The cumulative sum is a loop over the rows of the (levels, N) slot
-    matrix, one contiguous add per level: ``np.cumsum(axis=0)`` runs one
-    strided inner loop per column and took about three times as long at
-    n = 8, N = 1,072.
+    The plan keeps one row per replication of a pass, each row holding the
+    levels side by side, level k the |C_k| nodes of depth k in rank-major
+    order: the child of rank r of the node in slot s of level k - 1 sits in
+    slot s + r |C_(k-1)|.  So a level is a (ranks, |C_(k-1)|) block whose
+    rows add up to its parents' subtree sums, and the parents broadcast
+    over it.  One ``sample_sas`` call per replication fills its leaves;
+    the level work then runs once for the whole pass.  Every step acts on
+    each row alone, element by element, so a replication's values do not
+    depend on the other rows of its pass.
 
-    A draw takes all LePage weights first (computed in place in the array
-    ``lepage_weights`` draws), then the rays as (levels, N)
-    matrices of child ranks: 2d choices for the first letter, 2d - 1 for
-    each later one.  Bounded integers are drawn element by element, so one
-    matrix is the same stream as one call per level.  ``__call__`` scatters
-    the scaled levels into canonical preorder through the plan's ``order``.
-    ``maxima`` never builds the field: it scales the per-level maxima of |D|,
-    and the sphere is the last level.  A positive factor rounds
-    monotonically, so these are the maxima of |values| bit for bit.
+    ``__call__`` scatters one replication into canonical preorder through
+    the plan's ``order``.  ``maxima`` reads the row maxima of |X| without
+    the scatter; the sphere is the last level.  The buffers are reused, so
+    a plan serves one pass at a time.
     """
 
-    def __init__(self, model: BoundaryField, n: int, num_terms: int):
+    def __init__(self, model: BoundaryField, n: int):
         d, alpha = model.d, model.alpha
         self.alpha = alpha
-        self.n = n
-        self.num_terms = num_terms
-        self.letters = 2 * d
-        q = (2 * d - 1) ** (2.0 / alpha)
-        self.increments = np.array([q ** (j + 1) - q**j for j in range(n)])[:, None]
-        const = stable_tail_constant(alpha) ** (1.0 / alpha)
-        self.level_scale = np.array([const * (2.0 * d - 1.0) ** (-k / alpha) for k in range(n + 1)])
+        self.factors = [
+            (2 * d - 1) ** (k / alpha) - (2 * d - 1) ** ((k - 2) / alpha) for k in range(1, n + 1)
+        ]
+        self.rho_inv = (2 * d - 1) ** (-1.0 / alpha)
         sizes = [sphere_size(d, k) for k in range(n + 1)]
+        # |C_n|^(-1/alpha) = rho^-n (|C_n| / (2d-1)^n)^(-1/alpha), a float wherever rho^n is
+        self.noise_scale = (sizes[n] / (2 * d - 1) ** n) ** (-1.0 / alpha) / model.scale(n)
         self.bounds = np.cumsum([0] + sizes)  # level k fills bounds[k]:bounds[k + 1]
-        # a ray's slot at level k is sum_(j <= k) (r_j + 1) |C_(j-1)| over its child ranks r_j
-        self.strides = np.array(sizes[:n], dtype=np.intp)[:, None]
-        self.site_scale = np.repeat(self.level_scale, sizes)
+        # per level k >= 1: its slice, its child ranks and its parents' slice
+        self.families = [
+            (self.bounds[k], self.bounds[k + 1], sizes[k] // sizes[k - 1], self.bounds[k - 1])
+            for k in range(1, n + 1)
+        ]
         # preorder index of every slot: the child of rank r of index b sits at b + 1 + r subtree[k]
         sub = ball_layout(d, n).subtree
         order = [np.zeros(1, dtype=np.intp)]
-        for k in range(1, n + 1):
-            ranks = np.arange(self.letters if k == 1 else self.letters - 1)[:, None]
-            order.append((order[-1] + 1 + ranks * sub[k]).ravel())
+        for k, (_, _, ranks, _) in enumerate(self.families, start=1):
+            order.append((order[-1] + 1 + np.arange(ranks)[:, None] * sub[k]).ravel())
         self.order = np.concatenate(order)
-        # groups of levels keep the rank and update buffers near RAY_BLOCK entries;
-        # every draw reuses them and the level array, so a plan serves one draw at a time
-        group = max(1, min(n, RAY_BLOCK // num_terms))
-        self.slots = np.empty((group, num_terms), dtype=np.intp)
-        self.upd = np.empty((group, num_terms))
-        self.levels = lv = np.empty(self.bounds[-1])
-        b = self.bounds
-        # per group: its first and last level and its slice of the level array
-        self.groups = [
-            (lo, min(lo + group, n), lv[b[lo + 1] : b[min(lo + group, n) + 1]])
-            for lo in range(0, n, group)
-        ]
-        # per level: its nodes as one row per child rank, and their parents
-        self.families = [
-            (lv[b[k] : b[k + 1]].reshape(-1, b[k] - b[k - 1]), lv[b[k - 1] : b[k]])
-            for k in range(1, n + 1)
-        ]
+        self.levels = np.empty((0, self.bounds[-1]))
 
-    def _levels(self, rng: np.random.Generator) -> np.ndarray:
-        """The unscaled values D of one replication, level by level, in the plan's buffer."""
-        (wts,) = lepage_weights(rng, self.alpha, self.num_terms)
-        self.levels[0] = wts.sum()
-        prev = 0  # the slots of the level before: the root's
-        for lo, hi, part in self.groups:
-            slots, upd = self.slots[: hi - lo], self.upd[: hi - lo]
-            first = int(lo == 0)  # the root has 2d children, every other node 2d - 1
-            if first:
-                slots[0] = rng.integers(0, self.letters, size=len(wts))
-            slots[first:] = rng.integers(0, self.letters - 1, size=(hi - lo - first, len(wts)))
-            slots += 1
-            slots *= self.strides[lo:hi]
-            slots[0] += prev - self.bounds[lo + 1]  # counted from the group's first slot
-            for above, row in zip(slots, slots[1:]):  # the running sum down the ranks
-                row += above
-            np.multiply(wts, self.increments[lo:hi], out=upd)
-            part[:] = np.bincount(slots.ravel(), upd.ravel(), len(part))
-            prev = slots[-1] + self.bounds[lo + 1]
-        for children, parent in self.families:
-            children += parent
-        return self.levels
+    def _levels(self, rngs) -> np.ndarray:
+        """X for one replication per generator, one row each, in the plan's buffer."""
+        rows = len(rngs)
+        if len(self.levels) < rows:
+            self.levels = np.empty((rows, self.levels.shape[1]))
+        lv = self.levels[:rows]
+        leaves = self.bounds[-2]
+        for row, rng in zip(lv, rngs):
+            sample_sas(rng, self.alpha, self.noise_scale, size=len(row) - leaves, out=row[leaves:])
+        blocks = [
+            (lv[:, lo:hi].reshape(rows, ranks, -1), lv[:, up:lo])
+            for lo, hi, ranks, up in self.families
+        ]
+        for children, parents in reversed(blocks):  # subtree sums, bottom-up
+            np.add(children[:, 0], children[:, 1], out=parents)
+            for child in children.transpose(1, 0, 2)[2:]:
+                parents += child
+        for (children, parents), factor in zip(blocks, self.factors):  # X, top-down
+            children *= factor
+            children += (parents * self.rho_inv)[:, None, :]
+        return lv
 
     def __call__(self, rng: np.random.Generator) -> np.ndarray:
         """One replication over E_n, in canonical order."""
         out = np.empty(len(self.order))
-        out[self.order] = self._levels(rng) * self.site_scale
+        out[self.order] = self._levels([rng])[0]
         return out
 
-    def maxima(self, rng: np.random.Generator) -> tuple:
-        """(ball max, sphere max) of |X_t| over one replication, from the level maxima of |D|."""
-        mags = np.abs(self._levels(rng), out=self.levels)
-        top = np.maximum.reduceat(mags, self.bounds[:-1]) * self.level_scale
-        return float(top.max()), float(top[-1])
+    def maxima(self, rngs) -> list:
+        """(ball max, sphere max) of |X_t| for each generator's replication."""
+        mags = np.abs(self._levels(rngs), out=self.levels[: len(rngs)])
+        ball, sphere = mags.max(axis=1), mags[:, self.bounds[-2] :].max(axis=1)
+        return list(zip(ball.tolist(), sphere.tolist()))
 
 
 def _shift_values(model: ShiftField, n: int, rng) -> np.ndarray:
@@ -583,19 +548,23 @@ class FieldSimulator:
     def values(self, rng: np.random.Generator) -> np.ndarray:
         return self._draw(rng)
 
-    def maxima(self, rng: np.random.Generator) -> tuple:
-        """(ball max, sphere max) of |X_t| over one replication.
+    def maxima(self, rngs) -> list:
+        """(ball max, sphere max) of |X_t| for one replication per generator.
 
-        A draw that has its own ``maxima`` (the boundary plan) reduces without
-        building the field; otherwise the maxima of ``|values|``, the sphere
-        read through indices taken once per simulator.  Either way the floats
-        are those of reducing ``values``.
+        A draw that has its own ``maxima`` (the boundary plan) reduces the
+        whole batch without building the field; otherwise the maxima of
+        ``|values|``, one replication at a time, the sphere read through
+        indices taken once per simulator.  Either way the floats are those
+        of reducing ``values``.
         """
         own = getattr(self._draw, "maxima", None)
         if own is not None:
-            return own(rng)
-        mags = np.abs(self._draw(rng))
-        return float(mags.max()), float(mags[self._sphere].max())
+            return own(rngs)
+        out = []
+        for rng in rngs:
+            mags = np.abs(self._draw(rng))
+            out.append((float(mags.max()), float(mags[self._sphere].max())))
+        return out
 
     @cached_property
     def _sphere(self) -> np.ndarray:
@@ -631,7 +600,12 @@ class MaximaResult:
 def _maxima_chunk(payload):
     model, n, num_terms, seed, reps_slice = payload
     sim = FieldSimulator(model, n, num_terms)
-    return [(rep, *sim.maxima(substream(seed, "maxima", rep))) for rep in reps_slice]
+    out = []
+    for lo in range(0, len(reps_slice), MAXIMA_BATCH):
+        reps = reps_slice[lo : lo + MAXIMA_BATCH]
+        pairs = sim.maxima([substream(seed, "maxima", rep) for rep in reps])
+        out.extend((rep, *pair) for rep, pair in zip(reps, pairs))
+    return out
 
 
 def maxima_experiment(

@@ -164,6 +164,8 @@ def build_model(spec: dict):
         )
     try:
         return _construct_model(variant, spec)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:  # out-of-range or non-numeric values, bad kernel words
         raise ConfigError(f"invalid model {variant}: {exc}", ["model"]) from exc
 
@@ -184,9 +186,9 @@ def _construct_model(variant: str, spec: dict):
         objects += spec["f_table"].values()
     if not all(isinstance(x, dict) for x in objects):
         raise ValueError("w_masses, f_table and every f_table entry must be JSON objects")
-    masses = {str(k): float(v) for k, v in spec["w_masses"].items()}
+    masses = {str(k): _number(v, "w_masses") for k, v in spec["w_masses"].items()}
     tables = {
-        str(w): {parse_word(d, t): float(v) for t, v in tab.items()}
+        str(w): {parse_word(d, t): _number(v, "f_table") for t, v in tab.items()}
         for w, tab in spec["f_table"].items()
     }
     return MixedMovingAverage.from_tables(d, alpha, masses, tables)
@@ -211,6 +213,18 @@ def _real(value, integral=False) -> bool:
     """A real number and not a bool; an integer when ``integral``."""
     kind = numbers.Integral if integral else numbers.Real
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _number(value, key: str) -> float:
+    """A kernel mass or value as a float; anything but a real number is a ConfigError."""
+    if not _real(value):
+        raise ConfigError(f"model.{key} holds {value!r}, not a number", [f"model.{key}"])
+    return float(value)
+
+
+def _echo(cfg: ExperimentConfig) -> dict:
+    """The config as the result echoes it, numpy arrays and scalars turned into JSON values."""
+    return json.loads(json.dumps(asdict(cfg), default=lambda value: value.tolist()))
 
 
 # params key -> (the kinds that read it, whether None is accepted, the test a value passes)
@@ -247,13 +261,14 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError(f"invalid configuration keys: {sorted(bad)}", bad)
     model = build_model(cfg.model)  # raises ConfigError on bad model blocks and values
     if cfg.kind in ("maxima", "pp"):
-        try:  # (2d-1)^(n/alpha) and the series rms leave the float range at small alpha
-            model.scale(cfg.n)
-            model.f_rms(cfg.n)
+        # M_n is its scale times a Frechet variable, which passes the scale (2d-1)^(n/alpha)
+        # itself with probability about c_alpha (2d-1)^-n: the square must stay a float
+        try:
+            model.scale(cfg.n) ** 2
         except OverflowError as exc:
             raise ConfigError(
-                f"alpha = {model.alpha} is too small for n = {cfg.n}: the scale of M_n or the "
-                "series rms overflows a float",
+                f"alpha = {model.alpha} is too small for n = {cfg.n}: the square of the scale "
+                "of M_n overflows a float",
                 ["model.alpha", "n"],
             ) from exc
     return model
@@ -320,7 +335,7 @@ def _run_maxima(cfg: ExperimentConfig, model) -> ExperimentResult:
     if tol is not None and res.ks_distance is not None:
         passed = bool(res.ks_distance <= float(tol))
     return ExperimentResult(
-        config=asdict(cfg),
+        config=_echo(cfg),
         columns=["rep", "ball_max", "sphere_max", "scaled_ball_max"],
         records=res.records,
         summary=summary,
@@ -350,7 +365,7 @@ def _run_pp(cfg: ExperimentConfig, model) -> ExperimentResult:
         "max_atoms": int(max(counts)),
     }
     return ExperimentResult(
-        config=asdict(cfg),
+        config=_echo(cfg),
         columns=["rep", "scaled_atom"],
         records=AtomRecords(blocks),
         summary=summary,
@@ -368,7 +383,7 @@ def _run_limit_kx(cfg: ExperimentConfig, model) -> ExperimentResult:
 
     comp = maxima_constant_comparison(model)
     return ExperimentResult(
-        config=asdict(cfg),
+        config=_echo(cfg),
         columns=["key", "value"],
         records=sorted((k, v) for k, v in comp.items() if not isinstance(v, list)),
         summary=comp,
@@ -398,7 +413,7 @@ def _run_limit_laplace(cfg: ExperimentConfig, model) -> ExperimentResult:
     if tol is not None and emp is not None:
         passed = bool(abs(emp - ana.value) <= float(tol))
     return ExperimentResult(
-        config=asdict(cfg),
+        config=_echo(cfg),
         columns=["key", "value"],
         records=[(k, v) for k, v in summary.items() if isinstance(v, (int, float))],
         summary=summary,
@@ -417,7 +432,7 @@ def _run_limit_sample(cfg: ExperimentConfig, model) -> ExperimentResult:
         blocks.append(np.sort(atoms)[::-1])
     summary = {"delta": delta, "mean_atoms": float(np.mean([len(b) for b in blocks]))}
     return ExperimentResult(
-        config=asdict(cfg),
+        config=_echo(cfg),
         columns=["rep", "atom"],
         records=AtomRecords(blocks),
         summary=summary,

@@ -3,6 +3,7 @@
 import csv
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import stats as sstats
@@ -273,11 +274,11 @@ def sample_sas_cms_reference(rng, alpha: float, size):
 
 
 def boundary_rays(model, n: int, num_terms: int, rng):
-    """The LePage weights and the length-n ray prefixes of one boundary-field draw.
+    """The LePage weights and the length-n ray prefixes of one series draw of the boundary field.
 
-    Consumes the stream as the boundary draw plan does: all weights, then the
-    first letters, then one batch of child ranks per level, each rank read as
-    a letter of the canonical order.  The prefixes are letter tuples.
+    All weights, then the first letters, then one batch of child ranks per
+    level, each rank read as a letter of the canonical order.  The prefixes
+    are letter tuples.
     """
     d = model.d
     (wts,) = lepage_weights_reference(rng, model.alpha, num_terms)
@@ -291,20 +292,16 @@ def boundary_rays(model, n: int, num_terms: int, rng):
     return wts, rays
 
 
-def boundary_level_scales(model, n: int) -> list:
-    """c_alpha^(1/alpha) (2d-1)^(-k/alpha) for k = 0..n, the doubles the plan scales by."""
-    const = stable_tail_constant(model.alpha) ** (1.0 / model.alpha)
-    return [const * (2.0 * model.d - 1.0) ** (-k / model.alpha) for k in range(n + 1)]
-
-
 def boundary_values_reference(model, n: int, num_terms: int, rng) -> np.ndarray:
-    """One replication of the boundary field over E_n, word by word.
+    """One replication of the boundary field over E_n by its LePage series, word by word.
 
-    The loop reference for the boundary draw plan, on the rays of
-    :func:`boundary_rays`.  Level by level, a dict from ray prefix to the sum
-    of w_i (q^k - q^(k-1)) in ray order; a word's value is that sum plus its
-    parent's value (the root's: the weight sum), then scaled by its level's
-    number.
+    The series c_alpha^(1/alpha) sum_i w_i (2d-1)^(-B_(omega_i)(t)/alpha) on
+    the weights and rays of :func:`boundary_rays`, truncated after
+    ``num_terms`` terms: an independent check of the law of the exact draw.
+    Level by level, a dict from ray prefix to the sum of w_i (q^k - q^(k-1))
+    in ray order, q = (2d-1)^(2/alpha); a word's value is that sum plus its
+    parent's value (the root's: the weight sum), then scaled by
+    c_alpha^(1/alpha) (2d-1)^(-k/alpha).
     """
     wts, rays = boundary_rays(model, n, num_terms, rng)
     q = (2 * model.d - 1) ** (2.0 / model.alpha)
@@ -315,7 +312,8 @@ def boundary_values_reference(model, n: int, num_terms: int, rng) -> np.ndarray:
         for ray, w in zip(rays, wts):
             level[ray[:k]] = level.get(ray[:k], 0.0) + w * inc
         sums.append(level)
-    scales = boundary_level_scales(model, n)
+    const = stable_tail_constant(model.alpha) ** (1.0 / model.alpha)
+    scales = [const * (2.0 * model.d - 1.0) ** (-k / model.alpha) for k in range(n + 1)]
     unscaled = {}
     out = []
     for t in enumerate_ball(model.d, n):
@@ -326,6 +324,48 @@ def boundary_values_reference(model, n: int, num_terms: int, rng) -> np.ndarray:
         unscaled[t.letters] = value
         out.append(value * scales[k])
     return np.array(out)
+
+
+def boundary_leaves(d: int, n: int) -> list:
+    """The words of C_n as letter tuples, in the slot order of the boundary draw plan.
+
+    Level k lists the child of rank r of every node of level k - 1, rank
+    by rank: 2d ranks below the root and 2d - 1 below every other node,
+    each rank read as a letter of the canonical order.
+    """
+    level = [()]
+    for k in range(1, n + 1):
+        ranks = 2 * d if k == 1 else 2 * d - 1
+        level = [
+            word + (allowed_next_letters(d, word[-1] if word else None)[r],)
+            for r in range(ranks)
+            for word in level
+        ]
+    return level
+
+
+def boundary_cylinder_sums(model, n: int, rng) -> list:
+    """One replication of the boundary field over E_n as the dense cylinder sum, exactly.
+
+    X_t = sum_(g in C_n) |C_n|^(-1/alpha) (2d-1)^(-B_g(t)/alpha) Z_g, with
+    B_g(t) = |t| - 2 lcp(g, t) and the noises Z_g of one SaS(1) draw of
+    size |C_n|, leaf g in the order of :func:`boundary_leaves`.  Every
+    (site, leaf) coefficient is its own float, and each site's sum of the
+    float products is taken in exact rationals.  Sites come in canonical
+    order, as Fractions.
+    """
+    d, alpha = model.d, model.alpha
+    leaves = boundary_leaves(d, n)
+    noise = [Fraction(z) for z in sample_sas(rng, alpha, size=len(leaves))]
+    norm = len(leaves) ** (-1.0 / alpha)
+    out = []
+    for t in enumerate_ball(d, n):
+        total = Fraction(0)
+        for g, z in zip(leaves, noise):
+            lcp = next((j for j, (a, b) in enumerate(zip(t.letters, g)) if a != b), len(t))
+            total += Fraction(norm * (2 * d - 1) ** ((2 * lcp - len(t)) / alpha)) * z
+        out.append(total)
+    return out
 
 
 def mma_values_reference(plan, rng) -> np.ndarray:

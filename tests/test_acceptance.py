@@ -218,8 +218,24 @@ def test_a6_boundary_frechet_limit():
     _verdict(
         "A6",
         ks <= 0.08 and elapsed < 600.0,
-        f"KS(M_n/3^7, exp(-(2/pi)/x)) = {ks:.4f} <= 0.08 with N = {res.num_terms} "
-        f"series terms by the 1e-3 remainder rule ({elapsed:.0f}s < 600s)",
+        f"KS(M_n/3^7, exp(-(2/pi)/x)) = {ks:.4f} <= 0.08, drawn exactly from the "
+        f"{sphere_size(2, 7)} cylinder noises of C_7 ({elapsed:.0f}s < 600s)",
+    )
+
+
+def test_a6_boundary_frechet_limit_alpha_1_5():
+    # A6 at an alpha the truncated series could not reach within 5M terms
+    alpha = 1.5
+    t0 = time.monotonic()
+    res = maxima_experiment(BoundaryField(2, alpha), 7, 1000, None, seed=4151)
+    elapsed = time.monotonic() - t0
+    c = stable_tail_constant(alpha)
+    ks = ks_distance(res.scaled, lambda x: np.exp(-c * np.maximum(x, 1e-300) ** -alpha))
+    _verdict(
+        "A6 (alpha = 1.5)",
+        ks <= 0.08 and elapsed < 600.0,
+        f"KS(M_n/3^(7/1.5), exp(-c_1.5 x^-1.5)) = {ks:.4f} <= 0.08, drawn exactly "
+        f"({elapsed:.0f}s < 600s)",
     )
 
 

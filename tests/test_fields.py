@@ -36,8 +36,7 @@ from stabletree.rng import substream
 from stabletree.stable import sample_sas
 
 from oracles import (
-    boundary_level_scales,
-    boundary_rays,
+    boundary_cylinder_sums,
     boundary_values_reference,
     mma_from_levels,
     mma_values_reference,
@@ -202,48 +201,52 @@ def test_boundary_field_marginal_is_sas_unit():
         assert two_sample_ks_pvalue(vals[:, idx], ref) > 0.01
 
 
-@pytest.mark.parametrize(
-    "d,n,num_terms,alpha",
-    [(2, 8, 1072, 1.0), (2, 3, 50, 1.3), (2, 1, 20, 0.7), (2, 0, 10, 1.0), (3, 6, 300, 1.0)],
-)
-@pytest.mark.parametrize("ray_block", [fields.RAY_BLOCK, 2 * 1072, 1])
-def test_boundary_plan_matches_loop_reference(d, n, num_terms, alpha, ray_block, monkeypatch):
-    # same values bit for bit, and the same random numbers consumed, whether the
-    # levels are drawn in one group, in groups of two (n = 8) or one by one
-    monkeypatch.setattr(fields, "RAY_BLOCK", ray_block)
-    model = BoundaryField(d, alpha)
-    plan = model.draw(n, num_terms)
-    for rep in range(5):
-        rng_plan, rng_ref = substream(530, "plan", rep), substream(530, "plan", rep)
-        got = plan(rng_plan)
-        assert np.array_equal(got, boundary_values_reference(model, n, num_terms, rng_ref))
-        assert repr(rng_plan.bit_generator.state) == repr(rng_ref.bit_generator.state)
-
-
-@pytest.mark.parametrize("alpha", [0.6, 1.0, 1.3])
+@pytest.mark.parametrize("alpha", [0.6, 1.0, 1.3, 1.9])
 def test_boundary_values_match_exact_sums(alpha):
-    # every site within 1e-12 of the exact rational sum of the same float weights,
-    # increments q^k - q^(k-1) and level scales; a difference array over the
-    # preorder loses digits to the large deep values as alpha falls
-    d, n, num_terms = 2, 6, 60
-    model = BoundaryField(d, alpha)
-    key = ("exact", int(alpha * 10))
-    got = model.draw(n, num_terms)(substream(532, *key))
-    wts, rays = boundary_rays(model, n, num_terms, substream(532, *key))
-    wts = [Fraction(w) for w in wts]
-    q = (2 * d - 1) ** (2.0 / alpha)
-    # reach[c] = 1 + sum_(j <= c) (q^j - q^(j-1)): what a ray of confluent c adds per unit weight
-    reach = [Fraction(1)]
-    for j in range(1, n + 1):
-        reach.append(reach[-1] + Fraction(q**j - q ** (j - 1)))
-    scales = boundary_level_scales(model, n)
-    for value, t in zip(got, enumerate_ball(d, n)):
-        by_confluent = [Fraction(0)] * (len(t) + 1)
-        for w, ray in zip(wts, rays):
-            c = next((j for j, (a, b) in enumerate(zip(t.letters, ray)) if a != b), len(t))
-            by_confluent[c] += w
-        exact = sum(r * s for r, s in zip(reach, by_confluent)) * Fraction(scales[len(t)])
-        assert abs(Fraction(value) - exact) <= 1e-12 * abs(exact)
+    # every site within 1e-12 of the dense cylinder sum over C_n, taken in exact
+    # rationals, and one SaS draw of |C_n| values consumed per replication
+    for d, n in ((2, 0), (2, 1), (2, 4), (3, 2), (3, 3)):
+        model = BoundaryField(d, alpha)
+        plan = model.draw(n, None)
+        for rep in range(2):
+            key = ("exact", d, n, int(alpha * 10), rep)
+            rng_plan, rng_ref = substream(532, *key), substream(532, *key)
+            got = plan(rng_plan)
+            exact = boundary_cylinder_sums(model, n, rng_ref)
+            assert repr(rng_plan.bit_generator.state) == repr(rng_ref.bit_generator.state)
+            for value, ref in zip(got, exact, strict=True):
+                assert abs(Fraction(value) - ref) <= 1e-12 * abs(ref)
+
+
+def test_boundary_batched_maxima_match_one_per_pass(monkeypatch):
+    # a replication's maxima do not depend on the others drawn in its pass
+    # (37 reps: four full passes and a short one) nor on the worker count
+    model = BoundaryField(2, 1.3)
+    batched = maxima_experiment(model, 5, 37, None, seed=533)
+    workers = maxima_experiment(model, 5, 37, None, seed=533, workers=2)
+    monkeypatch.setattr(fields, "MAXIMA_BATCH", 1)
+    single = maxima_experiment(model, 5, 37, None, seed=533)
+    assert batched.records == single.records == workers.records
+
+
+def test_boundary_exact_maxima_match_series_law():
+    # two-sample KS at alpha = 1 of the exact draw's scaled ball maxima against
+    # the LePage series loop, whose remainder bound at 400 terms is about 1% of M_4's scale
+    model, n, reps = BoundaryField(2, 1.0), 4, 800
+    exact = maxima_experiment(model, n, reps, None, seed=4152).scaled
+    series = [
+        np.abs(boundary_values_reference(model, n, 400, substream(4152, "series", rep))).max()
+        for rep in range(reps)
+    ]
+    assert two_sample_ks_pvalue(exact, np.array(series) / model.scale(n)) > 0.01
+
+
+def test_boundary_small_alpha_maxima_are_numbers():
+    # at alpha = 0.1 the recursion factors reach 3^80 and the noise scale is
+    # |C_8|^-10 = 4e-40; every maximum is a positive finite number
+    sim = FieldSimulator(BoundaryField(2, 0.1), 8)
+    pairs = sim.maxima([substream(534, "small", rep) for rep in range(8)])
+    assert all(0.0 < sm <= bm < math.inf for bm, sm in pairs)
 
 
 @pytest.mark.parametrize(
@@ -259,12 +262,14 @@ def test_boundary_values_match_exact_sums(alpha):
 )
 def test_simulator_maxima_reduce_values(model, n, num_terms):
     # (ball max, sphere max) are the maxima of |values| bit for bit, from the same stream
+    # for a batch of generators; exact models ignore the series length
     sim = FieldSimulator(model, n, num_terms)
     sphere = ball_layout(model.d, n).depth == n
+    expected = []
     for rep in range(5):
         mags = np.abs(sim.values(substream(531, "maxima", rep)))
-        got = sim.maxima(substream(531, "maxima", rep))
-        assert got == (float(mags.max()), float(mags[sphere].max()))
+        expected.append((float(mags.max()), float(mags[sphere].max())))
+    assert sim.maxima([substream(531, "maxima", rep) for rep in range(5)]) == expected
 
 
 def test_boundary_field_left_stationarity():
@@ -282,11 +287,11 @@ def test_boundary_field_left_stationarity():
 
 
 def test_boundary_field_peak_site():
-    # the strongest site follows the dominant ray: value (2d-1)^(n/alpha) x weight
+    # the ball maximum bounds the sphere maximum; the exact draw takes no series
     model = BoundaryField(2, 1.0)
     fs = simulate_field(model, 6, 4000, substream(514, "peak"))
-    assert partial_maximum(fs) >= boundary_maximum(fs) * 0.999999
-    assert fs.meta["remainder_bound"] < 1e-3 * 3**6 * 10
+    assert partial_maximum(fs) >= boundary_maximum(fs)
+    assert fs.meta == {"num_terms": None, "exact": True}
 
 
 def test_maximum_trivial_cases():
@@ -385,8 +390,8 @@ def test_mma_plan_matches_loop_reference(make, n):
 
 PINNED_DRAWS = [
     # (name, model factory, n, num_terms argument, resolved num_terms, scale, values at PIN_SITES)
-    ("boundary", lambda: BoundaryField(2, 1.0), 5, None, 28672, 243.0,
-     [0.7050078285695857, -1.3554705232631057, 1.425379237191039, 0.45450512181228087]),
+    ("boundary", lambda: BoundaryField(2, 1.0), 5, None, None, 243.0,
+     [-0.025154972575730017, 0.5658795907181786, 2.1940041169080216, -1.829445847463596]),
     ("shift", lambda: ShiftField(2, 1.3), 3, None, None, 12.619700538305079,
      [-0.20258999721916426, 0.6473696551469849, -1.5032963013723062, -0.20258999721916426]),
     # 25,000 terms over 485 sites run in three blocks of the series
@@ -414,9 +419,11 @@ def test_pareto_automatic_series_length():
     assert FieldSimulator(ParetoField(2, 1.0, 3.0), 5).num_terms == 442_368
 
 
-@pytest.mark.parametrize("alpha,num_terms", [(1.0, 1072), (1.2, 66_560), (1.3, 1_425_408)])
-def test_boundary_automatic_series_length(alpha, num_terms):
-    assert fields.resolve_num_terms(BoundaryField(2, alpha), 8, None) == num_terms
+@pytest.mark.parametrize("alpha,num_terms", [(0.8, 1024), (1.0, 48_640), (1.1, 688_128)])
+def test_pareto_series_length_rule(alpha, num_terms):
+    assert fields.resolve_num_terms(ParetoField(2, alpha, 3.0), 8, None) == num_terms
+    # the boundary field is drawn exactly, at any alpha
+    assert fields.resolve_num_terms(BoundaryField(2, alpha), 8, None) is None
 
 
 @pytest.mark.parametrize("model", [BoundaryField(2, 1.0), ParetoField(2, 1.0, 3.0)])
@@ -429,7 +436,7 @@ def test_maxima_experiment_searches_the_rule_once(monkeypatch):
     calls = []
     rule = fields.choose_num_terms
     monkeypatch.setattr(fields, "choose_num_terms", lambda *args: calls.append(args) or rule(*args))
-    res = maxima_experiment(BoundaryField(2, 1.0), 4, 3, None, seed=1, workers=1)
+    res = maxima_experiment(ParetoField(2, 0.8, 3.0), 5, 3, None, seed=1, workers=1)
     assert len(calls) == 1 and res.num_terms == rule(*calls[0])
 
 

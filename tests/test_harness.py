@@ -189,7 +189,6 @@ def test_run_is_reproducible(tmp_path):
         n=3,
         reps=25,
         seed=7,
-        params={"num_terms": 400},
     )
     a = run(cfg)
     b = run(cfg)
@@ -203,15 +202,18 @@ def test_run_is_reproducible(tmp_path):
     assert len(rows) == 26
     payload = json.loads((tmp_path / "out.json").read_text())
     assert payload["config"]["seed"] == 7
-    assert payload["summary"]["num_terms"] == 400
+    assert payload["summary"]["num_terms"] is None  # drawn exactly, with no series
+
+
+PARETO = {"variant": "pareto", "d": 2, "alpha": 1.0, "theta": 3.0}
 
 
 @pytest.mark.parametrize(
     "kind,model,num_terms,bound",
     [
-        ("maxima", {"variant": "boundary", "d": 2, "alpha": 1.0}, 400, "finite"),
-        ("pp", {"variant": "boundary", "d": 2, "alpha": 1.0}, 400, "finite"),
-        ("maxima", {"variant": "boundary", "d": 2, "alpha": 1.0}, 2, None),  # N <= 2/alpha: infinite
+        ("maxima", PARETO, 400, "finite"),
+        ("pp", PARETO, 400, "finite"),
+        ("maxima", PARETO, 2, None),  # N <= 2/alpha: infinite
         ("maxima", {"variant": "shift", "d": 2, "alpha": 1.0}, None, None),
         ("pp", {"variant": "mma", "d": 2, "alpha": 1.0, "point_mass": True}, None, None),
     ],
@@ -298,8 +300,8 @@ ATOM_CSV_SHA256 = {
 
 
 # the boundary config of CI's worker-count check: n=5, 40 reps, seed 1, one worker;
-# written while the ray slots were summed by np.cumsum and the LePage weights out of place
-BOUNDARY_MAXIMA_CSV_SHA256 = "0602392ac03962efabc67e9a9f1168775f233752a6a13b05dcb20af664283bb1"
+# written by the exact cylinder draw, eight replications per pass
+BOUNDARY_MAXIMA_CSV_SHA256 = "dd289559977c0da9f1ba3754112e3a409c413f1e0303262b32adfb74f87a59bf"
 
 
 def test_boundary_maxima_csv_pinned(tmp_path):
@@ -584,6 +586,11 @@ def test_config_validation_rejects_model_and_delta_values():
         "model.f_table", "model.point_mass", "model.w_masses",
     ]
     assert keys({**ok, "point_mass": False}, {}) == ["model.point_mass"]
+    # kernel masses and values are numbers, not strings or bools
+    assert keys({**ok, **tables, "w_masses": {"w0": "2"}}, {}) == ["model.w_masses"]
+    assert keys({**ok, **tables, "w_masses": {"w0": True}}, {}) == ["model.w_masses"]
+    assert keys({**ok, **tables, "f_table": {"w0": {"e": "1.5"}}}, {}) == ["model.f_table"]
+    assert keys({**ok, **tables, "f_table": {"w0": {"e": None}}}, {}) == ["model.f_table"]
 
     def run_keys(kind, reps, params):
         cfg = ExperimentConfig(kind=kind, model=ok, n=2, reps=reps, params=params)
@@ -644,6 +651,20 @@ def test_config_validation_keeps_default_params():
     for params in ({"workers": None}, {"workers": 0}, {"num_terms": None}, {"s_grid": None},
                    {"s_grid": np.array([0.5, 1.0])}, {"num_terms": np.int64(3), "workers": 2}):
         validate_config(ExperimentConfig(kind="maxima", model=model, n=2, reps=2, seed=1, params=params))
+
+
+def test_result_echoes_numpy_params_as_json_values(tmp_path):
+    # a programmatic config may carry numpy values; the result echoes them as a
+    # list and a number, and its JSON is written
+    model = {"variant": "shift", "d": 2, "alpha": 1.0}
+    params = {"s_grid": np.array([0.5, 1.0]), "num_terms": np.int64(3)}
+    res = run(ExperimentConfig(kind="maxima", model=model, n=3, reps=5, seed=1, params=params))
+    assert res.config["params"] == {"s_grid": [0.5, 1.0], "num_terms": 3}
+    assert type(res.config["params"]["num_terms"]) is int
+    res.write_json(tmp_path / "out.json")
+    payload = json.loads((tmp_path / "out.json").read_text())
+    assert payload["config"]["params"]["s_grid"] == [0.5, 1.0]
+    assert [row["s"] for row in payload["summary"]["ecdf"]] == [0.5, 1.0]
 
 
 @pytest.mark.parametrize(
