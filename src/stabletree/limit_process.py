@@ -115,8 +115,10 @@ def nu_alpha_integral(alpha: float, coeffs, g: PiecewiseConstant) -> float:
         for piece, v in enumerate(values):
             if v != 0.0:
                 h += v * np.cumsum((enter == piece).astype(np.int64) - (leave == piece))
+        # t_i^-alpha - t_(i+1)^-alpha as t_i^-alpha (1 - (t_i / t_(i+1))^alpha), which
+        # keeps its digits as alpha nears 0; the last piece reaches infinity
         mass = ts ** (-alpha)
-        mass[:-1] -= mass[1:]  # t_i^-alpha - t_(i+1)^-alpha; the last piece reaches infinity
+        mass[:-1] *= -np.expm1(-alpha * np.log1p(np.diff(ts) / ts[:-1]))
         total += float(np.sum(-np.expm1(-h) * mass))
     return total
 

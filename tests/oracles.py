@@ -389,9 +389,13 @@ def nu_alpha_integral_midpoints(alpha: float, coeffs, g) -> float:
     The reference for ``limit_process.nu_alpha_integral``.  Per side of
     the line, the integrand is constant between consecutive ratios
     break/coefficient; each piece is evaluated by calling g at its
-    midpoint once per coefficient and weighted by its power-law mass.
-    Quadratic in the number of coefficients.
+    midpoint once per coefficient and weighted by its power-law mass,
+    a^-alpha - b^-alpha, taken at 40 digits as a^-alpha (1 - (a/b)^alpha) so
+    that it keeps its digits for alpha near 0.  Quadratic in the number of
+    coefficients.
     """
+    import mpmath
+
     cs = [c for c in coeffs if c != 0.0]
     total = 0.0
     for sign in (1.0, -1.0):
@@ -400,7 +404,9 @@ def nu_alpha_integral_midpoints(alpha: float, coeffs, g) -> float:
             b = pts[i + 1] if i + 1 < len(pts) else math.inf
             mid = 2.0 * a if math.isinf(b) else 0.5 * (a + b)
             h = float(sum(g(sign * mid * c) for c in cs))
-            mass = a ** (-alpha) - (0.0 if math.isinf(b) else b ** (-alpha))
+            with mpmath.workdps(40):
+                ratio = 0 if math.isinf(b) else mpmath.mpf(a) / b
+                mass = float(mpmath.mpf(a) ** -alpha * -mpmath.expm1(alpha * mpmath.log(ratio)))
             total += -math.expm1(-h) * mass
     return total
 

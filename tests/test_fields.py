@@ -229,6 +229,27 @@ def test_boundary_batched_maxima_match_one_per_pass(monkeypatch):
     assert batched.records == single.records == workers.records
 
 
+@pytest.mark.parametrize(
+    "d,n,reps,alpha",
+    [(2, 8, 1072, 1.0), (2, 3, 50, 1.3), (2, 1, 20, 0.7), (2, 0, 10, 1.0), (3, 6, 300, 1.0)],
+)
+@pytest.mark.parametrize("batch", [1_000_000, 2 * 1072, 1])
+def test_boundary_plan_matches_loop_reference(d, n, reps, alpha, batch):
+    # the plan's maxima over passes of `batch` replications (one pass when it
+    # exceeds reps) are those of reducing each replication's values in canonical
+    # order, drawn one by one, bit for bit; each stream is consumed alike
+    model = BoundaryField(d, alpha)
+    plan = model.draw(n, None)
+    sphere = ball_layout(d, n).depth == n
+    rngs = [substream(530, "plan", rep) for rep in range(reps)]
+    got = [pair for lo in range(0, reps, batch) for pair in plan.maxima(rngs[lo : lo + batch])]
+    for pair, rng_plan, rep in zip(got, rngs, range(reps), strict=True):
+        rng_ref = substream(530, "plan", rep)
+        mags = np.abs(plan(rng_ref))
+        assert pair == (mags.max(), mags[sphere].max())
+        assert repr(rng_plan.bit_generator.state) == repr(rng_ref.bit_generator.state)
+
+
 def test_boundary_exact_maxima_match_series_law():
     # two-sample KS at alpha = 1 of the exact draw's scaled ball maxima against
     # the LePage series loop, whose remainder bound at 400 terms is about 1% of M_4's scale
