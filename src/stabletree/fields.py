@@ -24,8 +24,8 @@ Four models are provided.
   per unit site, matching the series convention in which the marginal
   tail per site is 2 mass |f|^alpha x^-alpha.
 
-Each model carries its own behaviour: the scale of the ball maximum, the
-series rms that sets the truncation, the exact norming constant (the
+Each model carries its own behaviour: the scale of the ball maximum, its
+truncated series if it has one (``series``), the exact norming constant (the
 alpha-th power of the integral of the ball-maximum of |f_t|, where a
 closed form or finite enumeration exists), the limit CDF, the support
 radius of its kernel and its per-replication draw.  :class:`FieldModel`
@@ -61,12 +61,11 @@ MAXIMA_BATCH = 8  # boundary-field replications per pass of the level work in a 
 class FieldModel:
     """Defaults for the field models, each of which overrides what differs.
 
-    The defaults describe a field simulated by the series, with no kernel
+    The defaults describe a field drawn exactly, with no series, no kernel
     beyond the site itself, the ball-maximum scale (2d-1)^(n/alpha), and
     neither a closed-form norming constant nor a known limit law.
     """
 
-    exact = False  # simulated without series truncation
     support_radius = 0  # the noise sites of E_n lie in E_(n + support_radius)
 
     def __post_init__(self):
@@ -79,11 +78,10 @@ class FieldModel:
         """The normalisation applied to the ball maximum M_n."""
         return (2 * self.d - 1) ** (n / self.alpha)
 
-    def f_rms(self, n: int) -> float | None:
-        """Largest rms over E_n of the series integrand.
+    def series(self, n: int, num_terms: int | None):
+        """(series length, remainder bound) over E_n, or None for a field drawn exactly.
 
-        None for models simulated exactly and for integrands without a finite
-        second moment; the remainder rule then has nothing to bound.
+        An exact draw does not read ``num_terms``.
         """
         return None
 
@@ -115,7 +113,6 @@ class BoundaryField(FieldModel):
 
     d: int
     alpha: float
-    exact = True
 
     def norming_constant(self, n: int):
         return (2 * self.d - 1) ** n
@@ -131,7 +128,6 @@ class BoundaryField(FieldModel):
 class ShiftField(FieldModel):
     d: int
     alpha: float
-    exact = True
 
     def norming_constant(self, n: int):
         # Lebesgue measure of the interval swept by the shifted unit cell
@@ -155,9 +151,26 @@ class ParetoField(FieldModel):
     def scale(self, n: int) -> float:
         return ball_size(self.d, n) ** (1.0 / self.theta)
 
-    def f_rms(self, n: int) -> float | None:
-        # E[P^2] = theta / (theta - 2), infinite for theta <= 2
-        return math.sqrt(self.theta / (self.theta - 2.0)) if self.theta > 2.0 else None
+    def series(self, n: int, num_terms: int | None):
+        """``num_terms``, or else the fixed rule's length, and its remainder bound.
+
+        The rule picks the smallest N whose bound is below ``TAIL_TOLERANCE``
+        times the scale of M_n.  The bound is c_alpha^(1/alpha) times
+        :func:`lepage_remainder_bound`, at any site of E_n; it is None for
+        theta <= 2, where E[P^2] is infinite and the rule cannot run.
+        """
+        if self.theta <= 2.0:
+            if num_terms is None:
+                raise UnsupportedModelError(
+                    "automatic truncation needs a finite second moment (theta > 2); "
+                    "set num_terms explicitly"
+                )
+            return int(num_terms), None
+        rms = math.sqrt(self.theta / (self.theta - 2.0))  # E[P^2] = theta / (theta - 2)
+        if num_terms is None:
+            num_terms = choose_num_terms(self.alpha, rms, self.scale(n))
+        c = stable_tail_constant(self.alpha) ** (1.0 / self.alpha)
+        return int(num_terms), c * lepage_remainder_bound(num_terms, self.alpha, rms)
 
     def draw(self, n: int, num_terms: int):
         return partial(_pareto_values, self, n, num_terms)
@@ -177,7 +190,6 @@ class MixedMovingAverage(FieldModel):
     alpha: float
     w_masses: tuple  # ((name, mass), ...) sorted
     f_table: tuple   # ((name, ((word, value), ...)), ...) sorted
-    exact = True
 
     def __post_init__(self):
         super().__post_init__()
@@ -328,41 +340,21 @@ def norming_constant_mc(model: FieldModel, n: int, reps: int, rng: np.random.Gen
 # Simulation
 # ---------------------------------------------------------------------------
 
-def resolve_num_terms(model: FieldModel, n: int, num_terms: int | None) -> int | None:
-    """The series length for the model over E_n: ``num_terms``, or else the fixed rule.
+def approximations(model: FieldModel, n: int, num_terms: int | None) -> dict:
+    """The approximations of a run over E_n: series length, remainder bound and scale of M_n.
 
-    The one place a length is checked and chosen: ``num_terms < 1`` is a
-    ``ValueError``, exactly simulated models (shift, mixed moving average) get
-    None, and the rule picks the smallest N whose remainder bound is below
-    ``TAIL_TOLERANCE`` times the model's scale of M_n.
+    ``num_terms < 1`` is a ``ValueError``.  The length and the bound come
+    from the model's ``series``; both are None for a field drawn exactly, and
+    the bound is None when it is infinite or absent.
     """
     if num_terms is not None and num_terms < 1:
         raise ValueError("num_terms must be >= 1")
-    if model.exact:
-        return None
-    if num_terms is not None:
-        return int(num_terms)
-    f_rms = model.f_rms(n)
-    if f_rms is None:
-        raise UnsupportedModelError(
-            "automatic truncation needs a finite second moment (theta > 2); "
-            "set num_terms explicitly"
-        )
-    return choose_num_terms(model.alpha, f_rms, model.scale(n))
-
-
-def remainder_bound(model: FieldModel, n: int, num_terms: int | None) -> float | None:
-    """Bound on the series remainder at any site of E_n, on the scale of the field.
-
-    c_alpha^(1/alpha) times :func:`lepage_remainder_bound`; None when the
-    model's integrand has no finite second moment or the model is simulated
-    exactly, and infinite when the series is too short to bound.
-    """
-    f_rms = model.f_rms(n)
-    if f_rms is None:
-        return None
-    c = stable_tail_constant(model.alpha) ** (1.0 / model.alpha)
-    return c * lepage_remainder_bound(num_terms, model.alpha, f_rms)
+    length, bound = model.series(n, num_terms) or (None, None)
+    return {
+        "num_terms": length,
+        "remainder_bound": bound if bound is not None and math.isfinite(bound) else None,
+        "scale": model.scale(n),
+    }
 
 
 class _BoundaryPlan:
@@ -521,8 +513,8 @@ class _MMAPlan:
 class FieldSimulator:
     """Reusable per-model simulation plan for repeated replications.
 
-    Resolves ``num_terms`` (None: the fixed rule) once and precomputes
-    gather structures, so replication loops pay only the per-draw cost.
+    Builds its ``meta``, the record of :func:`approximations`, once and
+    precomputes the draw plan, so replication loops pay only the per-draw cost.
     Above ``DEFAULT_SITE_BUDGET`` sites in E_(n + support radius) it raises
     ``ResourceBudgetError``.
     """
@@ -536,14 +528,9 @@ class FieldSimulator:
             )
         self.model = model
         self.n = n
-        self.num_terms = resolve_num_terms(model, n, num_terms)
+        self.meta = approximations(model, n, num_terms)
+        self.num_terms = self.meta["num_terms"]
         self._draw = model.draw(n, self.num_terms)
-        self.meta = {"num_terms": self.num_terms}
-        bound = remainder_bound(model, n, self.num_terms)
-        if bound is not None:
-            self.meta["remainder_bound"] = bound
-        if model.exact:
-            self.meta["exact"] = True
 
     def values(self, rng: np.random.Generator) -> np.ndarray:
         return self._draw(rng)
@@ -584,8 +571,7 @@ def scaling_constant(model: FieldModel, n: int) -> float:
 class MaximaResult:
     n: int
     reps: int
-    scale: float
-    num_terms: int | None
+    approximations: dict  # num_terms, remainder_bound and the scale of M_n
     records: list  # (rep, ball max, sphere max, scaled ball max)
     quantiles: dict
     ecdf: list | None
@@ -622,15 +608,16 @@ def maxima_experiment(
     Replications are independent units on disjoint RNG streams keyed by
     (seed, rep); the result is identical for any worker count.  The KS
     distance is taken against the model's limit CDF when it has one.
-    ``num_terms`` is resolved once, here, and every worker gets the int.
+    The approximations are built once, here, and every worker gets the
+    series length as an int.  At most ``reps`` workers start.
     """
     if reps < 2:
         raise ValueError("need at least 2 replications")
     t0 = time.monotonic()
-    num_terms = resolve_num_terms(model, n, num_terms)
-    workers = max(1, workers)
+    approx = approximations(model, n, num_terms)
+    workers = max(1, min(workers, reps))
     rep_ids = list(range(reps))
-    chunks = [(model, n, num_terms, seed, rep_ids[i::workers]) for i in range(workers)]
+    chunks = [(model, n, approx["num_terms"], seed, rep_ids[i::workers]) for i in range(workers)]
     if workers == 1:
         raw = _maxima_chunk(chunks[0])
     else:
@@ -641,7 +628,7 @@ def maxima_experiment(
             for part in pool.map(_maxima_chunk, chunks):
                 raw.extend(part)
         raw.sort(key=lambda r: r[0])
-    scale = scaling_constant(model, n)
+    scale = approx["scale"]
     records = [(rep, bm, sm, bm / scale) for rep, bm, sm in raw]
     scaled = np.array([r[3] for r in records])
     levels = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -656,8 +643,7 @@ def maxima_experiment(
     return MaximaResult(
         n=n,
         reps=reps,
-        scale=scale,
-        num_terms=num_terms,
+        approximations=approx,
         records=records,
         quantiles=qs,
         ecdf=ecdf,

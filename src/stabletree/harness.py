@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import numbers
 import operator
 import time
@@ -29,14 +28,14 @@ from .fields import (
     ShiftField,
     maxima_experiment,
     mma_point_mass,
-    remainder_bound,
-    scaling_constant,
     FieldSimulator,
 )
 from .rng import substream
+from .stable import stable_tail_constant
 
 EXPERIMENT_KINDS = ("maxima", "pp", "limit-kx", "limit-laplace", "limit-sample")
 _MIN_REPS = {"maxima": 2, "pp": 1, "limit-laplace": 1, "limit-sample": 1}
+OVERFLOW_CHANCE = 1e-9  # largest admitted chance that a replication's M_n is no float
 
 _MODEL_KEYS = {
     "boundary": {"required": {"d", "alpha"}, "optional": set()},
@@ -260,17 +259,21 @@ def validate_config(cfg: ExperimentConfig):
     if bad:
         raise ConfigError(f"invalid configuration keys: {sorted(bad)}", bad)
     model = build_model(cfg.model)  # raises ConfigError on bad model blocks and values
-    if cfg.kind in ("maxima", "pp"):
-        # M_n is its scale times a Frechet variable, which passes the scale (2d-1)^(n/alpha)
-        # itself with probability about c_alpha (2d-1)^-n: the square must stay a float
+    if cfg.kind in ("maxima", "pp") or cfg.kind == "limit-laplace" and cfg.n > 0:
+        # these runs simulate the field over E_n.  M_n / scale(n) has the Frechet tail
+        # c_alpha x^-alpha, so a replication passes the largest float with probability
+        # about c_alpha (scale(n) / largest float)^alpha
         try:
-            model.scale(cfg.n) ** 2
-        except OverflowError as exc:
+            ratio = model.scale(cfg.n) / np.finfo(float).max
+        except OverflowError:
+            ratio = np.inf
+        chance = stable_tail_constant(model.alpha) * ratio**model.alpha
+        if chance > OVERFLOW_CHANCE:
             raise ConfigError(
-                f"alpha = {model.alpha} is too small for n = {cfg.n}: the square of the scale "
-                "of M_n overflows a float",
+                f"alpha = {model.alpha} is too small for n = {cfg.n}: M_n leaves the float "
+                f"range with probability about {min(chance, 1.0):.2g} per replication",
                 ["model.alpha", "n"],
-            ) from exc
+            )
     return model
 
 
@@ -299,19 +302,6 @@ def run(cfg: ExperimentConfig) -> ExperimentResult:
     return result
 
 
-def _approximations(scale: float, num_terms: int | None, bound: float | None) -> dict:
-    """The series length and its remainder bound next to the scale of M_n.
-
-    The bound is None (JSON null) for an exactly simulated model and when it
-    is infinite or absent.
-    """
-    return {
-        "num_terms": num_terms,
-        "remainder_bound": bound if bound is not None and math.isfinite(bound) else None,
-        "scale": scale,
-    }
-
-
 def _run_maxima(cfg: ExperimentConfig, model) -> ExperimentResult:
     s_grid = cfg.params.get("s_grid")
     res = maxima_experiment(
@@ -324,8 +314,8 @@ def _run_maxima(cfg: ExperimentConfig, model) -> ExperimentResult:
         workers=cfg.params.get("workers") or 1,
     )
     summary = {
-        "scale": res.scale,
-        "num_terms": res.num_terms,
+        "scale": res.approximations["scale"],
+        "num_terms": res.approximations["num_terms"],
         "quantiles": {str(k): v for k, v in res.quantiles.items()},
         "ks_distance": res.ks_distance,
         "ecdf": res.ecdf,
@@ -340,19 +330,14 @@ def _run_maxima(cfg: ExperimentConfig, model) -> ExperimentResult:
         records=res.records,
         summary=summary,
         passed=passed,
-        diagnostics={
-            "elapsed_seconds": res.elapsed_seconds,
-            "approximations": _approximations(
-                res.scale, res.num_terms, remainder_bound(model, cfg.n, res.num_terms)
-            ),
-        },
+        diagnostics={"elapsed_seconds": res.elapsed_seconds, "approximations": res.approximations},
     )
 
 
 def _run_pp(cfg: ExperimentConfig, model) -> ExperimentResult:
     delta = float(cfg.params.get("delta", 0.5))
     sim = FieldSimulator(model, cfg.n, cfg.params.get("num_terms"))
-    scale = scaling_constant(model, cfg.n)
+    scale = sim.meta["scale"]
     blocks = []
     for rep in range(cfg.reps):
         values = sim.values(substream(cfg.seed, "pp", rep)) / scale
@@ -370,11 +355,7 @@ def _run_pp(cfg: ExperimentConfig, model) -> ExperimentResult:
         records=AtomRecords(blocks),
         summary=summary,
         passed=None,
-        diagnostics={
-            "approximations": _approximations(
-                scale, sim.num_terms, sim.meta.get("remainder_bound")
-            )
-        },
+        diagnostics={"approximations": sim.meta},
     )
 
 

@@ -141,7 +141,7 @@ def test_simulation_deterministic():
         assert np.array_equal(a.values, b.values)
         # a series this short has no finite remainder bound, but still runs
         tiny = simulate_field(model, 3, 2, substream(505, "det"))
-        assert tiny.meta.get("remainder_bound", math.inf) == math.inf
+        assert tiny.meta["remainder_bound"] is None
 
 
 def test_mma_exactness_ignores_series_budget():
@@ -149,7 +149,7 @@ def test_mma_exactness_ignores_series_budget():
     a = simulate_field(m, 3, 10, substream(506, "ex"))
     b = simulate_field(m, 3, 10_000, substream(506, "ex"))
     assert np.array_equal(a.values, b.values)
-    assert a.meta.get("exact") is True
+    assert a.meta == b.meta == {"num_terms": None, "remainder_bound": None, "scale": m.scale(3)}
 
 
 def test_mma_hash_and_pickle_ignore_derived_arrays():
@@ -312,7 +312,7 @@ def test_boundary_field_peak_site():
     model = BoundaryField(2, 1.0)
     fs = simulate_field(model, 6, 4000, substream(514, "peak"))
     assert partial_maximum(fs) >= boundary_maximum(fs)
-    assert fs.meta == {"num_terms": None, "exact": True}
+    assert fs.meta == {"num_terms": None, "remainder_bound": None, "scale": model.scale(6)}
 
 
 def test_maximum_trivial_cases():
@@ -349,6 +349,32 @@ def test_maxima_experiment_worker_invariance():
         a = maxima_experiment(model, n, 40, None, seed=519, workers=1)
         b = maxima_experiment(model, n, 40, None, seed=519, workers=2)
         assert a.records == b.records
+
+
+def test_maxima_experiment_starts_at_most_reps_workers(monkeypatch):
+    # a pool never outnumbers the replications; the fake pool records its size and maps in-process
+    import concurrent.futures
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    model = BoundaryField(2, 1.0)
+    capped = maxima_experiment(model, 3, 2, None, seed=519, workers=64)
+    assert sizes == [2]
+    assert capped.records == maxima_experiment(model, 3, 2, None, seed=519, workers=1).records
 
 
 def test_shift_field_reduction():
@@ -442,9 +468,9 @@ def test_pareto_automatic_series_length():
 
 @pytest.mark.parametrize("alpha,num_terms", [(0.8, 1024), (1.0, 48_640), (1.1, 688_128)])
 def test_pareto_series_length_rule(alpha, num_terms):
-    assert fields.resolve_num_terms(ParetoField(2, alpha, 3.0), 8, None) == num_terms
+    assert fields.approximations(ParetoField(2, alpha, 3.0), 8, None)["num_terms"] == num_terms
     # the boundary field is drawn exactly, at any alpha
-    assert fields.resolve_num_terms(BoundaryField(2, alpha), 8, None) is None
+    assert fields.approximations(BoundaryField(2, alpha), 8, None)["num_terms"] is None
 
 
 @pytest.mark.parametrize("model", [BoundaryField(2, 1.0), ParetoField(2, 1.0, 3.0)])
@@ -458,7 +484,7 @@ def test_maxima_experiment_searches_the_rule_once(monkeypatch):
     rule = fields.choose_num_terms
     monkeypatch.setattr(fields, "choose_num_terms", lambda *args: calls.append(args) or rule(*args))
     res = maxima_experiment(ParetoField(2, 0.8, 3.0), 5, 3, None, seed=1, workers=1)
-    assert len(calls) == 1 and res.num_terms == rule(*calls[0])
+    assert len(calls) == 1 and res.approximations["num_terms"] == rule(*calls[0])
 
 
 def brute_norming(model, n):

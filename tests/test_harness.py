@@ -206,6 +206,7 @@ def test_run_is_reproducible(tmp_path):
 
 
 PARETO = {"variant": "pareto", "d": 2, "alpha": 1.0, "theta": 3.0}
+HEAVY_PARETO = {"variant": "pareto", "d": 2, "alpha": 1.0, "theta": 1.5}  # E[P^2] infinite
 
 
 @pytest.mark.parametrize(
@@ -216,6 +217,9 @@ PARETO = {"variant": "pareto", "d": 2, "alpha": 1.0, "theta": 3.0}
         ("maxima", PARETO, 2, None),  # N <= 2/alpha: infinite
         ("maxima", {"variant": "shift", "d": 2, "alpha": 1.0}, None, None),
         ("pp", {"variant": "mma", "d": 2, "alpha": 1.0, "point_mass": True}, None, None),
+        ("maxima", HEAVY_PARETO, 50, None),  # theta <= 2: no bound, and no rule
+        ("pp", HEAVY_PARETO, 50, None),
+        ("pp", PARETO, np.int64(50), "finite"),  # the record holds a Python int
     ],
 )
 def test_diagnostics_report_approximations(kind, model, num_terms, bound, tmp_path):
@@ -223,14 +227,14 @@ def test_diagnostics_report_approximations(kind, model, num_terms, bound, tmp_pa
     # when the model is exact or the bound infinite; records and summary are untouched
     cfg = ExperimentConfig(kind=kind, model=model, n=3, reps=4, seed=7, params={"num_terms": num_terms})
     res = run(cfg)
-    sim = FieldSimulator(build_model(model), 3, num_terms)
     approx = res.diagnostics["approximations"]
-    assert approx["num_terms"] == sim.num_terms
+    assert approx == FieldSimulator(build_model(model), 3, num_terms).meta
+    assert approx["num_terms"] == num_terms
     assert approx["scale"] == res.summary["scale"]
     if bound is None:
         assert approx["remainder_bound"] is None
     else:
-        assert approx["remainder_bound"] == sim.meta["remainder_bound"] > 0.0
+        assert approx["remainder_bound"] > 0.0
     res.write_json(tmp_path / "out.json")
     payload = json.loads((tmp_path / "out.json").read_text(), parse_constant=pytest.fail)
     assert payload["diagnostics"]["approximations"] == approx
@@ -545,6 +549,10 @@ def test_cli_resource_error_exit_code(capsys):
         ["limit", "laplace", "--model", "mma", "--d", "2", "--alpha", "1", "--seed", "1", "--theta-g", "-1"],
         ["limit", "laplace", "--model", "mma", "--d", "2", "--alpha", "1", "--seed", "1", "--threshold", "0"],
         ["limit", "sample", "--model", "mma", "--d", "2", "--alpha", "1", "--seed", "1", "--reps", "0"],
+        # M_n leaves the float range in about a quarter of the replications; the
+        # Laplace run simulates the field over E_4, where it leaves it in nearly all
+        ["simulate-maxima", "--model", "boundary", "--d", "2", "--alpha", "0.0035", "--n", "1", "--reps", "5", "--seed", "1"],
+        ["limit", "laplace", "--model", "mma", "--d", "2", "--alpha", "0.005", "--n", "4", "--reps", "2", "--seed", "1"],
     ],
 )
 def test_cli_invalid_model_values_exit_2(argv, tmp_path, capsys):
@@ -557,6 +565,23 @@ def test_cli_invalid_model_values_exit_2(argv, tmp_path, capsys):
         argv = [str(path) if a == "KX_KERNEL" else a for a in argv]
     assert cli_main(argv) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_small_alpha_rule_bounds_the_chance_of_leaving_the_float_range():
+    # M_n / scale(n) has the Frechet tail c_alpha x^-alpha: a replication passes the largest
+    # float with chance about c_alpha (scale(n) / largest float)^alpha, at most OVERFLOW_CHANCE
+    def boundary(alpha, n):
+        return ExperimentConfig(kind="maxima", model={"variant": "boundary", "d": 2, "alpha": alpha},
+                                n=n, reps=2, seed=1)
+
+    # 0.25 at alpha = 0.0035, n = 1 (51 of 200 maxima were inf or NaN), 1.5e-4 at alpha = 0.0248
+    for alpha, n in ((0.0035, 1), (0.0248, 8), (0.041, 8)):
+        with pytest.raises(ConfigError) as ei:
+            validate_config(boundary(alpha, n))
+        assert ei.value.offending_keys == ["model.alpha", "n"]
+    for alpha, n in ((0.05, 8), (0.05, 10), (0.1, 8)):
+        res = run(boundary(alpha, n))
+        assert all(0.0 < sm <= bm < np.inf for _, bm, sm, _ in res.records)
 
 
 def test_config_validation_rejects_model_and_delta_values():
