@@ -11,12 +11,13 @@ import json
 import sys
 
 from .errors import ConfigError, ResourceBudgetError, UnsupportedModelError
-from .harness import ExperimentConfig, load_f_table_file, run, selftest
+from .harness import KINDS, VARIANTS, ExperimentConfig, load_f_table_file, run, selftest
 
 _CHECKS = ("enumerate", "verify-boundary", "verify-lemma")  # the commands that run no experiment
+_OPTIONS = {"theta": "theta_g"}  # a params key whose option has another name
 
 
-def _add_model_args(p, variants=("boundary", "shift", "pareto", "mma")):
+def _add_model_args(p, variants=tuple(VARIANTS)):
     p.add_argument("--model", choices=variants, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
@@ -25,18 +26,12 @@ def _add_model_args(p, variants=("boundary", "shift", "pareto", "mma")):
 
 
 def _model_spec(args) -> dict:
+    """The model block of the options given; ``build_model`` judges it."""
     spec = {"variant": args.model, "d": args.d, "alpha": args.alpha}
-    if args.model == "pareto":
-        if args.theta is None:
-            raise ConfigError("--theta required for the pareto model", ["theta"])
+    if args.theta is not None:
         spec["theta"] = args.theta
-    if args.model == "mma":
-        if args.f_table:
-            masses, table = load_f_table_file(args.f_table)
-            spec["w_masses"] = masses
-            spec["f_table"] = table
-        else:
-            spec["point_mass"] = True
+    if args.f_table:
+        spec["w_masses"], spec["f_table"] = load_f_table_file(args.f_table)
     return spec
 
 
@@ -80,6 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scope", choices=("combinatorics", "boundary", "stable", "subgraphs", "all"))
 
     p = sub.add_parser("simulate-maxima", help="replicated scaled partial maxima")
+    p.set_defaults(kind="maxima")
     _add_model_args(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--reps", type=int, required=True)
@@ -92,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None)
 
     p = sub.add_parser("simulate-pp", help="empirical scaled point-process atoms above delta")
+    p.set_defaults(kind="pp")
     _add_model_args(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--reps", type=int, required=True)
@@ -102,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None)
 
     p = sub.add_parser("limit", help="limit point process: constant, Laplace, or samples")
-    p.add_argument("action", choices=("kx", "laplace", "sample"))
+    limit_kinds = [kind for kind, row in KINDS.items() if row.needs_mma]
+    p.add_argument("action", choices=[kind.removeprefix("limit-") for kind in limit_kinds])
     _add_model_args(p, variants=("mma",))
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n", type=int, default=0, help="ball radius for the empirical side")
@@ -189,50 +187,17 @@ def _dispatch(args) -> int:
         print(json.dumps(report, indent=2))
         return 0 if report["passed"] else 1
 
-    if args.command == "simulate-maxima":
-        cfg = ExperimentConfig(
-            kind="maxima",
-            model=_model_spec(args),
-            n=args.n,
-            reps=args.reps,
-            seed=args.seed,
-            params={
-                "num_terms": args.num_terms,
-                "s_grid": args.s_grid,
-                "workers": args.workers,
-            },
-            tolerances={} if args.ks_tol is None else {"ks": args.ks_tol},
-        )
-        return _emit(run(cfg), args)
-
-    if args.command == "simulate-pp":
-        cfg = ExperimentConfig(
-            kind="pp",
-            model=_model_spec(args),
-            n=args.n,
-            reps=args.reps,
-            seed=args.seed,
-            params={"delta": args.delta, "num_terms": args.num_terms},
-        )
-        return _emit(run(cfg), args)
-
-    if args.command == "limit":
-        kind = {"kx": "limit-kx", "laplace": "limit-laplace", "sample": "limit-sample"}[args.action]
-        cfg = ExperimentConfig(
-            kind=kind,
-            model=_model_spec(args),
-            n=args.n,
-            reps=args.reps,
-            seed=args.seed,
-            params={
-                "delta": args.delta,
-                "theta": args.theta_g,
-                "threshold": args.threshold,
-            },
-        )
-        return _emit(run(cfg), args)
-
-    raise ConfigError(f"unknown command {args.command!r}")
+    kind = f"limit-{args.action}" if args.command == "limit" else args.kind
+    cfg = ExperimentConfig(
+        kind=kind,
+        model=_model_spec(args),
+        n=args.n,
+        reps=args.reps,
+        seed=args.seed,
+        params={key: getattr(args, _OPTIONS.get(key, key)) for key in KINDS[kind].params},
+        tolerances={} if getattr(args, "ks_tol", None) is None else {"ks": args.ks_tol},
+    )
+    return _emit(run(cfg), args)
 
 
 if __name__ == "__main__":

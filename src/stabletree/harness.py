@@ -14,8 +14,9 @@ import json
 import numbers
 import operator
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,16 +34,7 @@ from .fields import (
 from .rng import substream
 from .stable import stable_tail_constant
 
-EXPERIMENT_KINDS = ("maxima", "pp", "limit-kx", "limit-laplace", "limit-sample")
-_MIN_REPS = {"maxima": 2, "pp": 1, "limit-laplace": 1, "limit-sample": 1}
 OVERFLOW_CHANCE = 1e-9  # largest admitted chance that a replication's M_n is no float
-
-_MODEL_KEYS = {
-    "boundary": {"required": {"d", "alpha"}, "optional": set()},
-    "shift": {"required": {"d", "alpha"}, "optional": set()},
-    "pareto": {"required": {"d", "alpha", "theta"}, "optional": set()},
-    "mma": {"required": {"d", "alpha"}, "optional": {"w_masses", "f_table", "point_mass"}},
-}
 
 
 @dataclass
@@ -107,12 +99,12 @@ class AtomRecords(Sequence):
 
 @dataclass
 class ExperimentResult:
-    config: dict
     columns: list
     records: Sequence
     summary: dict
     passed: bool | None
     diagnostics: dict
+    config: dict = field(default_factory=dict)  # the echo that ``run`` fills in
 
     def write_csv(self, path):
         with open(path, "w", newline="", encoding="utf8") as fh:
@@ -135,62 +127,66 @@ class ExperimentResult:
             fh.write("\n")
 
 
+def _mma_model(d: int, alpha: float, **kernel):
+    """The unit point mass (no kernel keys, or point_mass: true) or the kernel of both tables."""
+    given = sorted(kernel)
+    point_mass_ok = kernel.get("point_mass", True) is True
+    if given not in ([], ["point_mass"], ["f_table", "w_masses"]) or not point_mass_ok:
+        raise ConfigError(
+            f"an mma kernel is point_mass: true or both w_masses and f_table, got {given}",
+            [f"model.{k}" for k in given],
+        )
+    if "f_table" not in kernel:
+        return mma_point_mass(d, alpha)
+    objects = [kernel["w_masses"], kernel["f_table"]]
+    if isinstance(kernel["f_table"], dict):
+        objects += kernel["f_table"].values()
+    if not all(isinstance(x, dict) for x in objects):
+        raise ValueError("w_masses, f_table and every f_table entry must be JSON objects")
+    masses = {str(k): _number(v, "w_masses") for k, v in kernel["w_masses"].items()}
+    tables = {
+        str(w): {parse_word(d, t): _number(v, "f_table") for t, v in tab.items()}
+        for w, tab in kernel["f_table"].items()
+    }
+    return MixedMovingAverage.from_tables(d, alpha, masses, tables)
+
+
+# variant -> (its constructor, the keys it requires in argument order, the keys it may take)
+VARIANTS = {
+    "boundary": (BoundaryField, ("d", "alpha"), ()),
+    "shift": (ShiftField, ("d", "alpha"), ()),
+    "pareto": (ParetoField, ("d", "alpha", "theta"), ()),
+    "mma": (_mma_model, ("d", "alpha"), ("w_masses", "f_table", "point_mass")),
+}
+
+
 def build_model(spec: dict):
+    if not isinstance(spec, dict):
+        raise ConfigError(f"model must be a JSON object, got {spec!r}", ["model"])
     if "variant" not in spec:
         raise ConfigError("model.variant missing", ["model.variant"])
     variant = spec["variant"]
-    if variant not in _MODEL_KEYS:
+    if not isinstance(variant, str) or variant not in VARIANTS:
         raise ConfigError(f"unknown model variant {variant!r}", ["model.variant"])
+    make, required, optional = VARIANTS[variant]
     keys = set(spec) - {"variant"}
-    schema = _MODEL_KEYS[variant]
-    missing = schema["required"] - keys
-    extra = keys - schema["required"] - schema["optional"]
+    missing = set(required) - keys
+    extra = keys - set(required) - set(optional)
     if missing or extra:
         raise ConfigError(
             f"bad keys for model {variant}: missing {sorted(missing)}, unknown {sorted(extra)}",
             [f"model.{k}" for k in sorted(missing | extra)],
         )
-    bad = sorted(k for k in keys & {"d", "alpha", "theta"} if not _real(spec[k], integral=k == "d"))
+    bad = sorted(k for k in required if not _real(spec[k], integral=k == "d"))
     if bad:
         raise ConfigError(f"model values of the wrong type: {bad}", [f"model.{k}" for k in bad])
-    # an mma kernel is the unit point mass (no kernel keys, or point_mass: true) or both tables
-    kernel = sorted(keys & {"f_table", "point_mass", "w_masses"})
-    point_mass_ok = spec.get("point_mass", True) is True
-    if kernel not in ([], ["point_mass"], ["f_table", "w_masses"]) or not point_mass_ok:
-        raise ConfigError(
-            f"an mma kernel is point_mass: true or both w_masses and f_table, got {kernel}",
-            [f"model.{k}" for k in kernel],
-        )
+    args = [int(spec[k]) if k == "d" else float(spec[k]) for k in required]
     try:
-        return _construct_model(variant, spec)
+        return make(*args, **{k: spec[k] for k in optional if k in spec})
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:  # out-of-range or non-numeric values, bad kernel words
         raise ConfigError(f"invalid model {variant}: {exc}", ["model"]) from exc
-
-
-def _construct_model(variant: str, spec: dict):
-    d = int(spec["d"])
-    alpha = float(spec["alpha"])
-    if variant == "boundary":
-        return BoundaryField(d, alpha)
-    if variant == "shift":
-        return ShiftField(d, alpha)
-    if variant == "pareto":
-        return ParetoField(d, alpha, float(spec["theta"]))
-    if "f_table" not in spec:
-        return mma_point_mass(d, alpha)
-    objects = [spec["w_masses"], spec["f_table"]]
-    if isinstance(spec["f_table"], dict):
-        objects += spec["f_table"].values()
-    if not all(isinstance(x, dict) for x in objects):
-        raise ValueError("w_masses, f_table and every f_table entry must be JSON objects")
-    masses = {str(k): _number(v, "w_masses") for k, v in spec["w_masses"].items()}
-    tables = {
-        str(w): {parse_word(d, t): _number(v, "f_table") for t, v in tab.items()}
-        for w, tab in spec["f_table"].items()
-    }
-    return MixedMovingAverage.from_tables(d, alpha, masses, tables)
 
 
 def load_f_table_file(path):
@@ -226,41 +222,49 @@ def _echo(cfg: ExperimentConfig) -> dict:
     return json.loads(json.dumps(asdict(cfg), default=lambda value: value.tolist()))
 
 
-# params key -> (the kinds that read it, whether None is accepted, the test a value passes)
-_PARAM_CHECKS = {
-    "delta": (("pp", "limit-sample"), False, lambda v: _real(v) and v > 0.0),
-    "num_terms": (EXPERIMENT_KINDS, True, lambda v: _real(v, integral=True) and v >= 1),
+# params or tolerances key -> (whether None is accepted, the test a value passes)
+_VALUE_CHECKS = {
+    "delta": (False, lambda v: _real(v) and v > 0.0),
+    "num_terms": (True, lambda v: _real(v, integral=True) and v >= 1),
     # the Laplace test function theta * 1(|x| > threshold)
-    "theta": (("limit-laplace",), False, lambda v: _real(v) and v >= 0.0),
-    "threshold": (("limit-laplace",), False, lambda v: _real(v) and v > 0.0),
-    "workers": (("maxima",), True, lambda v: _real(v, integral=True) and v >= 0),  # None or 0: one
-    "s_grid": (
-        ("maxima",), True, lambda v: isinstance(v, (list, tuple, np.ndarray)) and all(map(_real, v))
-    ),
+    "theta": (False, lambda v: _real(v) and v >= 0.0),
+    "threshold": (False, lambda v: _real(v) and v > 0.0),
+    "workers": (True, lambda v: _real(v, integral=True) and v >= 0),  # None or 0: one
+    "s_grid": (True, lambda v: isinstance(v, (list, tuple, np.ndarray)) and all(map(_real, v))),
+    # the largest KS distance and Laplace gap that pass; None: no test
+    "ks": (True, lambda v: _real(v) and v >= 0.0),
+    "laplace": (True, lambda v: _real(v) and v >= 0.0),
 }
 
 
 def validate_config(cfg: ExperimentConfig):
     """Check the configuration and return the model it builds."""
     bad = [key for key in ("n", "reps", "seed") if not _real(getattr(cfg, key), integral=True)]
-    if cfg.kind not in EXPERIMENT_KINDS:
-        bad.append("kind")
-    if "n" not in bad and cfg.kind in ("maxima", "pp") and cfg.n < 0:
+    kind = KINDS.get(cfg.kind) if isinstance(cfg.kind, str) else None
+    if kind is None:
+        raise ConfigError(f"unknown experiment kind {cfg.kind!r}", bad + ["kind"])
+    if "n" not in bad and kind.draws_from is not None and cfg.n < 0:
         bad.append("n")
-    if "reps" not in bad and cfg.reps < _MIN_REPS.get(cfg.kind, 0):
+    if "reps" not in bad and cfg.reps < kind.min_reps:
         bad.append("reps")
-    for key, (kinds, none_ok, valid) in _PARAM_CHECKS.items():
-        if cfg.kind in kinds and key in cfg.params:
-            value = cfg.params[key]
-            if not ((value is None and none_ok) or valid(value)):
-                bad.append(f"params.{key}")
-    if cfg.kind.startswith("limit-") and cfg.model.get("variant") != "mma":
-        bad.append("model")  # the limit process is derived for mixed moving averages only
+    if "seed" not in bad and cfg.seed < 0:
+        bad.append("seed")  # the entropy of a numpy SeedSequence is a non-negative integer
+    for block, keys in (("params", kind.params), ("tolerances", kind.tolerances)):
+        values = getattr(cfg, block)
+        if not isinstance(values, dict):
+            bad.append(block)
+            continue
+        for key in keys:
+            none_ok, valid = _VALUE_CHECKS[key]
+            if key in values and not ((values[key] is None and none_ok) or valid(values[key])):
+                bad.append(f"{block}.{key}")
+    if kind.needs_mma and not (isinstance(cfg.model, dict) and cfg.model.get("variant") == "mma"):
+        bad.append("model")
     if bad:
         raise ConfigError(f"invalid configuration keys: {sorted(bad)}", bad)
     model = build_model(cfg.model)  # raises ConfigError on bad model blocks and values
-    if cfg.kind in ("maxima", "pp") or cfg.kind == "limit-laplace" and cfg.n > 0:
-        # these runs simulate the field over E_n.  M_n / scale(n) has the Frechet tail
+    if kind.draws_from is not None and cfg.n >= kind.draws_from:
+        # the run simulates the field over E_n.  M_n / scale(n) has the Frechet tail
         # c_alpha x^-alpha, so a replication passes the largest float with probability
         # about c_alpha (scale(n) / largest float)^alpha
         try:
@@ -280,25 +284,13 @@ def validate_config(cfg: ExperimentConfig):
 def run(cfg: ExperimentConfig) -> ExperimentResult:
     """Validate, dispatch, and collect one experiment."""
     model = validate_config(cfg)
+    kind = KINDS[cfg.kind]
     t0 = time.monotonic()
-    if cfg.kind == "maxima":
-        result = _run_maxima(cfg, model)
-        role = "maxima"
-    elif cfg.kind == "pp":
-        result = _run_pp(cfg, model)
-        role = "pp"
-    elif cfg.kind == "limit-kx":
-        result = _run_limit_kx(cfg, model)
-        role = None  # the exact level sums draw no random numbers
-    elif cfg.kind == "limit-laplace":
-        result = _run_limit_laplace(cfg, model)
-        role = "laplace"
-    else:
-        result = _run_limit_sample(cfg, model)
-        role = "nstar"
+    result = kind.runner(cfg, model)
+    result.config = _echo(cfg)
     result.diagnostics["wall_seconds"] = time.monotonic() - t0
-    if role is not None:
-        result.diagnostics["rng_streams"] = f"philox(seed={cfg.seed}, role={role!r}, rep)"
+    if kind.role is not None:
+        result.diagnostics["rng_streams"] = f"philox(seed={cfg.seed}, role={kind.role!r}, rep)"
     return result
 
 
@@ -323,9 +315,8 @@ def _run_maxima(cfg: ExperimentConfig, model) -> ExperimentResult:
     passed = None
     tol = cfg.tolerances.get("ks")
     if tol is not None and res.ks_distance is not None:
-        passed = bool(res.ks_distance <= float(tol))
+        passed = bool(res.ks_distance <= tol)
     return ExperimentResult(
-        config=_echo(cfg),
         columns=["rep", "ball_max", "sphere_max", "scaled_ball_max"],
         records=res.records,
         summary=summary,
@@ -350,7 +341,6 @@ def _run_pp(cfg: ExperimentConfig, model) -> ExperimentResult:
         "max_atoms": int(max(counts)),
     }
     return ExperimentResult(
-        config=_echo(cfg),
         columns=["rep", "scaled_atom"],
         records=AtomRecords(blocks),
         summary=summary,
@@ -364,7 +354,6 @@ def _run_limit_kx(cfg: ExperimentConfig, model) -> ExperimentResult:
 
     comp = maxima_constant_comparison(model)
     return ExperimentResult(
-        config=_echo(cfg),
         columns=["key", "value"],
         records=sorted((k, v) for k, v in comp.items() if not isinstance(v, list)),
         summary=comp,
@@ -392,9 +381,8 @@ def _run_limit_laplace(cfg: ExperimentConfig, model) -> ExperimentResult:
     passed = None
     tol = cfg.tolerances.get("laplace")
     if tol is not None and emp is not None:
-        passed = bool(abs(emp - ana.value) <= float(tol))
+        passed = bool(abs(emp - ana.value) <= tol)
     return ExperimentResult(
-        config=_echo(cfg),
         columns=["key", "value"],
         records=[(k, v) for k, v in summary.items() if isinstance(v, (int, float))],
         summary=summary,
@@ -413,13 +401,35 @@ def _run_limit_sample(cfg: ExperimentConfig, model) -> ExperimentResult:
         blocks.append(np.sort(atoms)[::-1])
     summary = {"delta": delta, "mean_atoms": float(np.mean([len(b) for b in blocks]))}
     return ExperimentResult(
-        config=_echo(cfg),
         columns=["rep", "atom"],
         records=AtomRecords(blocks),
         summary=summary,
         passed=None,
         diagnostics={},
     )
+
+
+class Kind(NamedTuple):
+    """What validation, dispatch and the CLI know of one experiment kind."""
+
+    runner: Callable  # (config, model) -> ExperimentResult
+    role: str | None  # the role of its RNG streams; None: it draws no random numbers
+    min_reps: int
+    params: tuple  # the params keys it reads, in check order
+    tolerances: tuple  # the tolerances keys it reads
+    draws_from: int | None  # it draws the field over E_n when n >= draws_from; None: never
+    needs_mma: bool  # the limit process is derived for mixed moving averages only
+
+
+KINDS = {
+    "maxima": Kind(_run_maxima, "maxima", 2, ("num_terms", "workers", "s_grid"), ("ks",), 0, False),
+    "pp": Kind(_run_pp, "pp", 1, ("delta", "num_terms"), (), 0, False),
+    "limit-kx": Kind(_run_limit_kx, None, 0, (), (), None, True),
+    "limit-laplace": Kind(
+        _run_limit_laplace, "laplace", 1, ("theta", "threshold"), ("laplace",), 1, True
+    ),
+    "limit-sample": Kind(_run_limit_sample, "nstar", 1, ("delta",), (), None, True),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -319,11 +319,10 @@ def empirical_laplace(
 ) -> float:
     """Mean of exp(-N_n(g)) over simulated fields, N_n the scaled point process."""
     sim = FieldSimulator(model, n)
-    scale = (2.0 * model.d - 1.0) ** (-n / model.alpha)
     acc = 0.0
     for rep in range(reps):
         values = sim.values(substream(seed, "laplace", rep))
-        acc += math.exp(-float(np.sum(g(values * scale))))
+        acc += math.exp(-float(np.sum(g(values / sim.meta["scale"]))))
     return acc / reps
 
 

@@ -678,6 +678,102 @@ def test_config_validation_keeps_default_params():
         validate_config(ExperimentConfig(kind="maxima", model=model, n=2, reps=2, seed=1, params=params))
 
 
+MMA = {"variant": "mma", "d": 2, "alpha": 1.0}
+ALL_KINDS = ("maxima", "pp", "limit-kx", "limit-laplace", "limit-sample")
+
+
+def _offending_keys(**fields):
+    cfg = ExperimentConfig(**{"kind": "pp", "model": MMA, "n": 2, "reps": 2, "seed": 1, **fields})
+    with pytest.raises(ConfigError) as ei:
+        validate_config(cfg)
+    return ei.value.offending_keys
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_config_validation_rejects_a_negative_seed(kind):
+    # a Philox key is a non-negative integer, also for the kind that draws nothing
+    assert _offending_keys(kind=kind, seed=-1) == ["seed"]
+
+
+@pytest.mark.parametrize(
+    "kind, tolerances, key",
+    [
+        ("maxima", {"ks": "abc"}, "tolerances.ks"),
+        ("maxima", {"ks": True}, "tolerances.ks"),
+        ("maxima", {"ks": -0.1}, "tolerances.ks"),
+        ("maxima", {"ks": float("nan")}, "tolerances.ks"),
+        ("limit-laplace", {"laplace": "0.05"}, "tolerances.laplace"),
+        ("limit-laplace", {"laplace": -1}, "tolerances.laplace"),
+        ("maxima", None, "tolerances"),
+    ],
+)
+def test_config_validation_rejects_tolerance_values(kind, tolerances, key):
+    assert _offending_keys(kind=kind, tolerances=tolerances) == [key]
+
+
+@pytest.mark.parametrize(
+    "fields, keys",
+    [
+        ({"params": None}, ["params"]),
+        ({"params": []}, ["params"]),
+        ({"kind": "limit-kx", "model": "mma"}, ["model"]),
+        ({"model": "mma"}, ["model"]),
+        ({"model": {"variant": ["mma"], "d": 2, "alpha": 1.0}}, ["model.variant"]),
+        ({"kind": None}, ["kind"]),
+        ({"kind": ["x"]}, ["kind"]),
+        ({"kind": "limit-laplace", "n": -3}, ["n"]),
+    ],
+)
+def test_config_validation_rejects_malformed_fields(fields, keys):
+    assert _offending_keys(**fields) == keys
+
+
+def test_config_validation_accepts_tolerances_and_unread_keys():
+    # a tolerance may be None (no test) or any real >= 0; a key no kind reads passes unchecked
+    validate_config(ExperimentConfig(kind="maxima", model=MMA, n=2, reps=2, seed=1,
+                                     tolerances={"ks": None, "other": "x"}))
+    validate_config(ExperimentConfig(kind="limit-laplace", model=MMA, reps=1, seed=0,
+                                     tolerances={"laplace": 0}, params={"num_terms": 0}))
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["simulate-maxima", "--model", "boundary", "--d", "2", "--alpha", "1", "--n", "3",
+          "--reps", "5", "--seed", "-1"], "seed"),
+        (["simulate-maxima", "--model", "boundary", "--theta", "3", "--d", "2", "--alpha", "1",
+          "--n", "3", "--reps", "5", "--seed", "1"], "theta"),
+        (["limit", "kx", "--model", "mma", "--theta", "3", "--d", "2", "--alpha", "1",
+          "--seed", "1"], "theta"),
+        (["simulate-maxima", "--model", "pareto", "--d", "2", "--alpha", "1", "--n", "3",
+          "--reps", "5", "--seed", "1"], "theta"),
+    ],
+)
+def test_cli_rejects_a_negative_seed_and_unread_model_options(argv, key, capsys):
+    # the model block holds every model option given, and build_model judges it
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and f"'{key}'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, params",
+    [
+        (["simulate-maxima", "--model", "shift", "--n", "2", "--reps", "3"],
+         {"num_terms", "workers", "s_grid"}),
+        (["simulate-pp", "--model", "mma", "--n", "2", "--reps", "2"], {"delta", "num_terms"}),
+        (["limit", "kx", "--model", "mma"], set()),
+        (["limit", "laplace", "--model", "mma"], {"theta", "threshold"}),
+        (["limit", "sample", "--model", "mma", "--reps", "2"], {"delta"}),
+    ],
+)
+def test_cli_echoes_only_the_params_its_kind_reads(argv, params, tmp_path, capsys):
+    path = tmp_path / "out.json"
+    assert cli_main(argv + ["--d", "2", "--alpha", "1.0", "--seed", "1", "--json", str(path)]) == 0
+    capsys.readouterr()
+    assert set(json.loads(path.read_text())["config"]["params"]) == params
+
+
 def test_result_echoes_numpy_params_as_json_values(tmp_path):
     # a programmatic config may carry numpy values; the result echoes them as a
     # list and a number, and its JSON is written
