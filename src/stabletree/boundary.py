@@ -43,27 +43,8 @@ def cylinder_measure(g: Word) -> Fraction:
     return Fraction(1, 2 * d * (2 * d - 1) ** (len(g) - 1))
 
 
-class BoundaryPoint:
-    """A boundary point known through a finite non-backtracking prefix."""
-
-    __slots__ = ("d", "letters")
-
-    def __init__(self, d: int, letters=()):
-        self.d = d
-        self.letters = tuple(letters)
-
-    def __len__(self):
-        return len(self.letters)
-
-    def prefix(self) -> Word:
-        return Word(self.d, self.letters)
-
-    def __repr__(self):
-        return f"BoundaryPoint(d={self.d}, [{self.prefix()!r}]...)"
-
-
-def sample_boundary(d: int, depth: int, rng: np.random.Generator) -> BoundaryPoint:
-    """Draw a boundary point under the uniform measure, to the given depth.
+def sample_boundary(d: int, depth: int, rng: np.random.Generator) -> Word:
+    """Draw a boundary point under the uniform measure, as its prefix of the given depth.
 
     First letter uniform over the 2d generators, every further letter
     uniform over the 2d-1 non-backtracking continuations, so
@@ -75,11 +56,11 @@ def sample_boundary(d: int, depth: int, rng: np.random.Generator) -> BoundaryPoi
     while len(letters) < depth:
         opts = allowed_next_letters(d, letters[-1] if letters else None)
         letters.append(opts[int(rng.integers(len(opts)))])
-    return BoundaryPoint(d, letters)
+    return Word(d, tuple(letters))
 
 
-def act_on_boundary(t: Word, omega: BoundaryPoint) -> BoundaryPoint:
-    """phi_t(omega) = t^-1 . omega as a boundary point.
+def act_on_boundary(t: Word, omega: Word) -> Word:
+    """phi_t(omega) = t^-1 . omega on the prefix ``omega`` of a boundary point.
 
     Requires a prefix of length >= 2|t| + 1 so that all cancellations are
     resolved and the result retains a usable prefix.
@@ -89,15 +70,15 @@ def act_on_boundary(t: Word, omega: BoundaryPoint) -> BoundaryPoint:
         raise PrefixTooShortError(
             f"prefix length {len(omega)} < {need} required to apply a word of length {len(t)}"
         )
-    return BoundaryPoint(omega.d, multiply(t.inverse(), omega.prefix()).letters)
+    return multiply(t.inverse(), omega)
 
 
-def rn_derivative(t: Word, omega: BoundaryPoint) -> Fraction:
-    """Exact Radon-Nikodym derivative (2d-1)^(-B_omega(t)) of phi_t at omega."""
+def rn_derivative(t: Word, omega: Word) -> Fraction:
+    """Exact Radon-Nikodym derivative (2d-1)^(-B_omega(t)) of phi_t at the prefix ``omega``."""
     if len(omega) < len(t):
         raise PrefixTooShortError(f"prefix length {len(omega)} < |t| = {len(t)}")
-    b = busemann(t, omega.prefix())
-    base = 2 * omega.d - 1
+    b = busemann(t, omega)
+    base = 2 * omega.rank - 1
     return Fraction(1, base**b) if b >= 0 else Fraction(base ** (-b))
 
 
@@ -240,14 +221,10 @@ def verify_weakly_wandering(d: int, depth_cap: int) -> WeaklyWanderingReport:
             all_words.append(w)
             total += img.measure
         covered_by_cap.append(total)
-    # exact pairwise disjointness == global prefix-freeness of the family
-    disjoint = True
-    ws = sorted(all_words, key=word_sort_key)
-    for a, b in zip(ws, ws[1:]):
-        if is_prefix(a, b):
-            disjoint = False
-            break
-    if len(set(ws)) != len(ws):
+    # exact pairwise disjointness == a prefix-free family with no word repeated
+    try:
+        disjoint = len(CylinderSet.from_words(d, all_words).words) == len(all_words)
+    except ValueError:
         disjoint = False
     return WeaklyWanderingReport(
         d=d,

@@ -108,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--theta-g", type=float, default=1.0, help="test function height")
     p.add_argument("--threshold", type=float, default=1.0, help="test function threshold")
+    p.add_argument("--laplace-tol", type=float, default=None, help="largest passing Laplace gap")
     p.add_argument("--csv", default=None)
     p.add_argument("--json", default=None)
     return ap
@@ -195,7 +196,11 @@ def _dispatch(args) -> int:
         reps=args.reps,
         seed=args.seed,
         params={key: getattr(args, _OPTIONS.get(key, key)) for key in KINDS[kind].params},
-        tolerances={} if getattr(args, "ks_tol", None) is None else {"ks": args.ks_tol},
+        tolerances={
+            key: getattr(args, f"{key}_tol")
+            for key in KINDS[kind].tolerances
+            if getattr(args, f"{key}_tol") is not None
+        },
     )
     return _emit(run(cfg), args)
 

@@ -145,8 +145,8 @@ class ParetoField(FieldModel):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.theta <= self.alpha:
-            raise ValueError("Pareto exponent must exceed alpha")
+        if not self.alpha < self.theta < math.inf:
+            raise ValueError("Pareto exponent must be finite and exceed alpha")
 
     def scale(self, n: int) -> float:
         return ball_size(self.d, n) ** (1.0 / self.theta)
@@ -194,8 +194,10 @@ class MixedMovingAverage(FieldModel):
     def __post_init__(self):
         super().__post_init__()
         for _, mass in self.w_masses:
-            if mass <= 0:
-                raise ValueError("atom masses must be > 0")
+            if not 0 < mass < math.inf:
+                raise ValueError("atom masses must be finite and > 0")
+        if not all(math.isfinite(v) for _, entries in self.f_table for _, v in entries):
+            raise ValueError("kernel values must be finite")
 
     def __reduce__(self):
         # rebuild from the tables, so a pickle never carries the cached arrays

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 import operator
 import time
@@ -179,7 +180,7 @@ def build_model(spec: dict):
         )
     bad = sorted(k for k in required if not _real(spec[k], integral=k == "d"))
     if bad:
-        raise ConfigError(f"model values of the wrong type: {bad}", [f"model.{k}" for k in bad])
+        raise ConfigError(f"invalid model values: {bad}", [f"model.{k}" for k in bad])
     args = [int(spec[k]) if k == "d" else float(spec[k]) for k in required]
     try:
         return make(*args, **{k: spec[k] for k in optional if k in spec})
@@ -205,15 +206,18 @@ def load_f_table_file(path):
 
 
 def _real(value, integral=False) -> bool:
-    """A real number and not a bool; an integer when ``integral``."""
+    """A finite real number and not a bool; an integer when ``integral``."""
     kind = numbers.Integral if integral else numbers.Real
-    return isinstance(value, kind) and not isinstance(value, bool)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        return False
+    # an int is finite, and math.isfinite raises OverflowError on one beyond the float range
+    return isinstance(value, numbers.Integral) or math.isfinite(value)
 
 
 def _number(value, key: str) -> float:
-    """A kernel mass or value as a float; anything but a real number is a ConfigError."""
+    """A kernel mass or value as a float; anything but a finite real number is a ConfigError."""
     if not _real(value):
-        raise ConfigError(f"model.{key} holds {value!r}, not a number", [f"model.{key}"])
+        raise ConfigError(f"model.{key} holds {value!r}, not a finite number", [f"model.{key}"])
     return float(value)
 
 
@@ -483,7 +487,13 @@ def _selftest_combinatorics():
 def _selftest_boundary():
     from fractions import Fraction
 
-    from .boundary import CylinderSet, rn_derivative, sample_boundary, verify_weakly_wandering
+    from .boundary import (
+        CylinderSet,
+        act_on_boundary,
+        rn_derivative,
+        sample_boundary,
+        verify_weakly_wandering,
+    )
     from .free_group import Word, multiply
 
     out = []
@@ -493,11 +503,9 @@ def _selftest_boundary():
     ok = True
     for _ in range(200):
         omega = sample_boundary(2, 12, rng)
-        u = Word(2, tuple(omega.letters[:2]))
+        u = Word(2, omega.letters[:2])
         v = Word(2, (2,)) if u.letters[0] != -2 else Word(2, (1,))
         lhs = rn_derivative(multiply(u, v), omega)
-        from .boundary import act_on_boundary
-
         rhs = rn_derivative(u, omega) * rn_derivative(v, act_on_boundary(u, omega))
         ok &= lhs == rhs and isinstance(lhs, Fraction)
     out.append(_check("cocycle identity for the derivative (exact rationals)", ok))

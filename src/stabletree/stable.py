@@ -29,7 +29,6 @@ from .errors import ResourceBudgetError
 TAIL_TOLERANCE = 1e-3  # remainder bound over target scale that the rule reaches
 SAFETY = 3.0  # standard deviations of the discarded tail in the remainder bound
 MAX_TERMS = 5_000_000  # longest series the rule may choose
-EXACT_TERMS = 4000  # Gamma ratios summed exactly before the integral majorant
 QUADRATURE_DPS = 40  # working precision of the tail-constant quadrature
 
 
@@ -144,24 +143,17 @@ def scaled_frechet_cdf(x, alpha: float, c: float):
 # ---------------------------------------------------------------------------
 
 def gamma_power_tail_sum(n_terms: int, a: float) -> float:
-    """sum_{i > N} E[Gamma_i^(-a)] = sum_{i > N} Gamma(i-a)/Gamma(i), a in (0, 2).
+    """sum_{i > N} E[Gamma_i^(-a)] = sum_{i > N} Gamma(i-a)/Gamma(i), a > 1, in closed form.
 
-    Exact ratios for the first ``EXACT_TERMS``, from one ``lgamma`` pair and the
-    recurrence Gamma(i+1-a)/Gamma(i+1) = (i-a)/i * Gamma(i-a)/Gamma(i), then
-    an integral majorant for the remainder; the result slightly
-    overestimates, which is the safe side for a remainder bound.  Requires
-    N > a.
+    (a-1) Gamma(i-a)/Gamma(i) = Gamma(i-a)/Gamma(i-1) - Gamma(i+1-a)/Gamma(i),
+    so the sum telescopes to Gamma(N+1-a) / ((a-1) Gamma(N)), evaluated from
+    one ``lgamma`` pair.  Requires N > a.
     """
     if a <= 1.0:
         raise ValueError("tail sum diverges for a <= 1")
     if n_terms <= a:
         raise ValueError(f"need N > a = {a}")
-    first = math.exp(math.lgamma(n_terms + 1 - a) - math.lgamma(n_terms + 1))
-    i = np.arange(n_terms + 1, n_terms + EXACT_TERMS, dtype=float)
-    block = first * float(np.cumprod(np.concatenate(([1.0], (i - a) / i))).sum())
-    m = n_terms + EXACT_TERMS
-    tail = (m - a) ** (1.0 - a) / (a - 1.0)
-    return block + tail
+    return math.exp(math.lgamma(n_terms + 1 - a) - math.lgamma(n_terms)) / (a - 1.0)
 
 
 def lepage_remainder_bound(n_terms: int, alpha: float, f_rms: float) -> float:

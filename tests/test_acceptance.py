@@ -33,6 +33,7 @@ from stabletree.limit_process import (
     laplace_functional,
     maxima_constant,
     maxima_constant_comparison,
+    maxima_constant_level_symmetric,
 )
 from stabletree.rng import substream
 from stabletree.stable import (
@@ -178,7 +179,7 @@ def test_a4_dominant_ray_identity():
     ok = True
     for d in (2, 3):
         for _ in range(1000):
-            omega = sample_boundary(d, 10, rng).prefix()
+            omega = sample_boundary(d, 10, rng)
             for n in range(1, 11):
                 # exact integer comparison of the ball maximum of the weight
                 if min_busemann_over_ball(d, n, omega) != -n:
@@ -273,6 +274,35 @@ def test_a8_iid_site_maxima_and_constant():
         worst <= 0.03,
         f"|P(M_n/3^(n/alpha) <= s) - exp(-4 s^-alpha)| worst {worst:.4f} <= 0.03 "
         f"at s in {{1,2,4}}; " + "; ".join(details),
+    )
+
+
+def test_a8_kernel_maxima_off_alpha_1():
+    # A8's check on a three-level kernel, where the two constant formulas differ
+    # by 2^(alpha-1); the tolerance is 4 binomial standard errors at p = 1/2
+    n, reps = 6, 2000
+    tol = 4.0 * 0.5 / math.sqrt(reps)
+    s = np.array([1.0, 2.0, 4.0, 8.0])
+    worst = 0.0
+    details = []
+    for alpha in (0.8, 1.5):
+        model = mma_from_levels(2, alpha, {0: 1.0, 1: 0.6, 2: 0.3})
+        res = maxima_experiment(model, n, reps, None, seed=8117 + int(10 * alpha))
+        p_hat = np.array([np.mean(res.scaled <= x) for x in s])
+        general = maxima_constant(model).alpha_power
+        sym = maxima_constant_level_symmetric(model).alpha_power
+        gap = float(np.abs(p_hat - np.exp(-general * s**-alpha)).max())
+        sym_gap = float(np.abs(p_hat - np.exp(-sym * s**-alpha)).max())
+        worst = max(worst, gap)
+        details.append(
+            f"alpha={alpha}: K^alpha = {general:.2f} within {gap:.4f} "
+            f"(level-symmetric {sym:.2f}: {sym_gap:.4f}, not gated)"
+        )
+    _verdict(
+        "A8 (kernel)",
+        worst <= tol,
+        f"|P(M_n/3^(n/alpha) <= s) - exp(-K^alpha s^-alpha)| worst {worst:.4f} <= {tol:.4f} "
+        f"at s in {{1,2,4,8}}, n = {n}, {reps} reps; " + "; ".join(details),
     )
 
 

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from stabletree.boundary import (
-    BoundaryPoint,
     CylinderSet,
     act_on_boundary,
     act_on_cylinder,
@@ -43,8 +42,7 @@ def test_measure_additivity_and_refinement():
     assert full.measure == 1
     for _ in range(30):
         depth = int(rng.integers(1, 4))
-        om = sample_boundary(2, depth, rng)
-        g = om.prefix()
+        g = sample_boundary(2, depth, rng)
         children = [Word(2, g.letters + (x,)) for x in allowed_next_letters(2, g.letters[-1])]
         refined = CylinderSet.from_words(2, children)
         assert refined.measure == cylinder_measure(g)
@@ -71,11 +69,11 @@ def test_act_on_boundary():
     om = sample_boundary(2, 9, rng)
     assert act_on_boundary(identity(2), om).letters == om.letters
     # a point of H_{a1 a2} maps into H_{a2} under the a1 action
-    om = BoundaryPoint(2, (1, 2, 1, 2, 1))
+    om = Word(2, (1, 2, 1, 2, 1))
     img = act_on_boundary(word(2, [1]), om)
     assert img.letters[0] == 2
     with pytest.raises(PrefixTooShortError):
-        act_on_boundary(word(2, [1, 2]), BoundaryPoint(2, (1, 2, 1)))
+        act_on_boundary(word(2, [1, 2]), Word(2, (1, 2, 1)))
     # composition phi_{uv} = phi_v o phi_u on prefixes
     for _ in range(100):
         om = sample_boundary(2, 25, rng)
@@ -88,7 +86,7 @@ def test_act_on_boundary():
 
 
 def test_rn_derivative_values():
-    om = BoundaryPoint(2, (1, 2, 1, 2))
+    om = Word(2, (1, 2, 1, 2))
     t = Word(2, (1, 2))  # the length-2 prefix of omega: B = -2
     assert rn_derivative(t, om) == 9
     s = word(2, [-1, 2])  # no shared prefix: B = 2
@@ -122,7 +120,7 @@ def test_act_on_cylinder_examples():
     assert act_on_cylinder(identity(2), c) == c
     # measure transport ratio equals the derivative on the cylinder
     ratio = img.measure / c.measure
-    om = BoundaryPoint(2, (1, 2, 1, 2))
+    om = Word(2, (1, 2, 1, 2))
     assert ratio == rn_derivative(word(2, [1]), om) == 3
 
 

@@ -113,6 +113,22 @@ def test_pareto_norming_degenerate_theta():
     assert abs(est.value - 1.0) < 0.05
 
 
+@pytest.mark.parametrize("theta", [math.inf, math.nan])
+def test_pareto_rejects_a_non_finite_theta(theta):
+    # theta = inf ran a 9-term series and reported no remainder bound
+    with pytest.raises(ValueError):
+        ParetoField(2, 1.0, theta)
+
+
+@pytest.mark.parametrize(
+    "mass, value", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan), (1.0, -math.inf)]
+)
+def test_mma_rejects_non_finite_masses_and_values(mass, value):
+    # a NaN value gave the maxima constant K = NaN, an infinite mass K = inf
+    with pytest.raises(ValueError):
+        MixedMovingAverage.from_tables(2, 1.0, {"w0": mass}, {"w0": {word(2, []): value}})
+
+
 def test_pareto_norming_monotone_in_n():
     model = ParetoField(2, 1.0, 3.0)
     vals = [

@@ -807,3 +807,45 @@ def test_cli_check_commands_reject_bad_arguments(argv, capsys):
     assert cli_main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("configuration error:") and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, kernel, key",
+    [
+        # ran with a 9-term series and reported remainder_bound: null
+        (["simulate-maxima", "--model", "pareto", "--theta", "inf", "--n", "3", "--reps", "5"],
+         None, "theta"),
+        # wrote a bare NaN, which is not JSON, into the result
+        (["simulate-maxima", "--model", "boundary", "--n", "3", "--reps", "5", "--s-grid", "nan"],
+         None, "params.s_grid"),
+        # reported analytic: NaN
+        (["limit", "laplace", "--model", "mma", "--theta-g", "inf"], None, "params.theta"),
+        # gave K = NaN, and K = inf with formulas_agree: false
+        (["limit", "kx", "--model", "mma"], ({"w0": 1.0}, {"w0": {"e": float("nan")}}),
+         "model.f_table"),
+        (["limit", "kx", "--model", "mma"], ({"w0": float("inf")}, {"w0": {"e": 1.0}}),
+         "model.w_masses"),
+    ],
+)
+def test_cli_rejects_non_finite_numbers(argv, kernel, key, tmp_path, capsys):
+    if kernel is not None:
+        path = tmp_path / "kernel.json"
+        path.write_text(json.dumps({"w_masses": kernel[0], "f_table": kernel[1]}))
+        argv = argv + ["--f-table", str(path)]
+    assert cli_main(argv + ["--d", "2", "--alpha", "1.0", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and key in err
+
+
+def test_config_validation_accepts_integers_beyond_the_float_range():
+    # an integer is finite, though math.isfinite overflows on one this large
+    validate_config(ExperimentConfig(kind="pp", model=MMA, n=2, reps=2, seed=10**400,
+                                     params={"num_terms": 10**400}))
+
+
+def test_cli_laplace_tolerance_failure_exit_code(capsys):
+    argv = ["limit", "laplace", "--model", "mma", "--d", "2", "--alpha", "1.0", "--seed", "1",
+            "--n", "3", "--reps", "50"]
+    assert cli_main(argv + ["--laplace-tol", "0"]) == 1
+    assert cli_main(argv + ["--laplace-tol", "1"]) == 0
+    capsys.readouterr()

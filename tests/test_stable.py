@@ -8,6 +8,7 @@ import pytest
 from stabletree.rng import substream
 from stabletree.stable import (
     choose_num_terms,
+    gamma_power_tail_sum,
     lepage_remainder_bound,
     lepage_weights,
     sample_sas,
@@ -209,6 +210,25 @@ def test_remainder_bound_covers_paired_runs():
         diff = abs(terms[n:].sum())  # X_{2N} - X_N without the common prefix
         hits += diff <= bound
     assert hits / runs >= 0.99
+
+
+def test_gamma_power_tail_sum_closed_form():
+    import mpmath as mp
+
+    # a = 2 (alpha = 1) telescopes to 1/(N - 1), up to the rounding of the lgamma pair
+    for n in (3, 10, 1000, 10**6):
+        rounding = 8 * np.finfo(float).eps * max(1.0, math.lgamma(n))
+        assert gamma_power_tail_sum(n, 2.0) == pytest.approx(1.0 / (n - 1), rel=rounding)
+    # other a against the series itself, summed by Euler-Maclaurin
+    with mp.workdps(20):
+        for a in (5 / 3, 2.5, 10 / 3):
+            for n in (10, 500):
+                ref = mp.nsum(
+                    lambda i: mp.gamma(i - a) / mp.gamma(i),
+                    [n + 1, mp.inf],
+                    method="euler-maclaurin",
+                )
+                assert gamma_power_tail_sum(n, a) == pytest.approx(float(ref), rel=1e-10)
 
 
 def test_choose_num_terms_monotone():
