@@ -14,15 +14,24 @@ from .errors import ConfigError, ResourceBudgetError, UnsupportedModelError
 from .harness import KINDS, VARIANTS, ExperimentConfig, load_f_table_file, run, selftest
 
 _CHECKS = ("enumerate", "verify-boundary", "verify-lemma")  # the commands that run no experiment
-_OPTIONS = {"theta": "theta_g"}  # a params key whose option has another name
-
-
-def _add_model_args(p, variants=tuple(VARIANTS)):
-    p.add_argument("--model", choices=variants, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--theta", type=float, default=None, help="Pareto exponent")
-    p.add_argument("--f-table", default=None, help="JSON kernel file for mma")
+_HELP = {  # experiment kind -> the help of its command
+    "maxima": "replicated scaled partial maxima",
+    "pp": "empirical scaled point-process atoms above delta",
+    "limit-kx": "the maxima constant K_X by both formulas",
+    "limit-laplace": "the Laplace functional, analytic and empirical",
+    "limit-sample": "samples of the limit point process above delta",
+}
+# params or tolerances key -> its option and the option's keywords
+_FLAGS = {
+    "num_terms": ("--num-terms", dict(type=int)),
+    "workers": ("--workers", dict(type=int)),
+    "s_grid": ("--s-grid", dict(type=float, nargs="*")),
+    "delta": ("--delta", dict(type=float, default=0.5)),
+    "theta": ("--theta-g", dict(type=float, default=1.0, help="test function height")),
+    "threshold": ("--threshold", dict(type=float, default=1.0, help="test function threshold")),
+    "ks": ("--ks-tol", dict(type=float)),
+    "laplace": ("--laplace-tol", dict(type=float, help="largest passing Laplace gap")),
+}
 
 
 def _model_spec(args) -> dict:
@@ -74,43 +83,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run a module oracle suite")
     p.add_argument("scope", choices=("combinatorics", "boundary", "stable", "subgraphs", "all"))
 
-    p = sub.add_parser("simulate-maxima", help="replicated scaled partial maxima")
-    p.set_defaults(kind="maxima")
-    _add_model_args(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--num-terms", type=int, default=None)
-    p.add_argument("--s-grid", type=float, nargs="*", default=None)
-    p.add_argument("--ks-tol", type=float, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--csv", default=None)
-    p.add_argument("--json", default=None)
-
-    p = sub.add_parser("simulate-pp", help="empirical scaled point-process atoms above delta")
-    p.set_defaults(kind="pp")
-    _add_model_args(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--num-terms", type=int, default=None)
-    p.add_argument("--csv", default=None)
-    p.add_argument("--json", default=None)
-
-    p = sub.add_parser("limit", help="limit point process: constant, Laplace, or samples")
-    limit_kinds = [kind for kind, row in KINDS.items() if row.needs_mma]
-    p.add_argument("action", choices=[kind.removeprefix("limit-") for kind in limit_kinds])
-    _add_model_args(p, variants=("mma",))
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n", type=int, default=0, help="ball radius for the empirical side")
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--theta-g", type=float, default=1.0, help="test function height")
-    p.add_argument("--threshold", type=float, default=1.0, help="test function threshold")
-    p.add_argument("--laplace-tol", type=float, default=None, help="largest passing Laplace gap")
-    p.add_argument("--csv", default=None)
-    p.add_argument("--json", default=None)
+    limit = sub.add_parser("limit", help="limit point process: constant, Laplace, or samples")
+    limit_actions = limit.add_subparsers(dest="action", required=True)
+    for kind, row in KINDS.items():
+        if row.needs_mma:
+            p = limit_actions.add_parser(kind.removeprefix("limit-"), help=_HELP[kind])
+        else:
+            p = sub.add_parser(f"simulate-{kind}", help=_HELP[kind])
+        p.set_defaults(kind=kind)
+        p.add_argument("--model", choices=("mma",) if row.needs_mma else VARIANTS, required=True)
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--alpha", type=float, required=True)
+        p.add_argument("--theta", type=float, default=None, help="Pareto exponent")
+        p.add_argument("--f-table", default=None, help="JSON kernel file for mma")
+        p.add_argument("--seed", type=int, required=True)
+        required = row.draws_from == 0  # a simulate command always draws the field
+        if row.draws_from is not None:
+            p.add_argument("--n", type=int, default=0, required=required, help="ball radius")
+        if row.min_reps > 0:
+            p.add_argument("--reps", type=int, default=row.min_reps, required=required)
+        for block in ("params", "tolerances"):
+            for key in getattr(row, block):
+                flag, options = _FLAGS[key]
+                metavar = flag[2:].replace("-", "_").upper()
+                p.add_argument(flag, dest=f"{block}.{key}", metavar=metavar, **options)
+        p.add_argument("--csv", default=None)
+        p.add_argument("--json", default=None)
     return ap
 
 
@@ -188,19 +186,18 @@ def _dispatch(args) -> int:
         print(json.dumps(report, indent=2))
         return 0 if report["passed"] else 1
 
-    kind = f"limit-{args.action}" if args.command == "limit" else args.kind
+    row = KINDS[args.kind]
     cfg = ExperimentConfig(
-        kind=kind,
+        kind=args.kind,
         model=_model_spec(args),
-        n=args.n,
-        reps=args.reps,
         seed=args.seed,
-        params={key: getattr(args, _OPTIONS.get(key, key)) for key in KINDS[kind].params},
+        params={key: getattr(args, f"params.{key}") for key in row.params},
         tolerances={
-            key: getattr(args, f"{key}_tol")
-            for key in KINDS[kind].tolerances
-            if getattr(args, f"{key}_tol") is not None
+            key: getattr(args, f"tolerances.{key}")
+            for key in row.tolerances
+            if getattr(args, f"tolerances.{key}") is not None
         },
+        **{key: getattr(args, key) for key in ("n", "reps") if key in args},
     )
     return _emit(run(cfg), args)
 

@@ -13,9 +13,8 @@ import csv
 import json
 import math
 import numbers
-import operator
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -49,10 +48,10 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
 
 
-class AtomRecords(Sequence):
+class AtomRecords:
     """Point-process records kept as one float64 array of atoms per replication.
 
-    Reads as the rows ``(rep, atom)``, replication by replication and each
+    Stands for the rows ``(rep, atom)``, replication by replication and each
     block in its stored order; ``len`` is the row count.  The blocks are
     read-only views.
     """
@@ -63,27 +62,9 @@ class AtomRecords(Sequence):
             view = np.asarray(block, dtype=np.float64).view()
             view.flags.writeable = False
             self.blocks.append(view)
-        self._starts = np.cumsum([0] + [len(b) for b in self.blocks])
 
     def __len__(self):
-        return int(self._starts[-1])
-
-    def __getitem__(self, i):
-        i = range(len(self))[operator.index(i)]
-        rep = int(np.searchsorted(self._starts, i, side="right")) - 1
-        return rep, float(self.blocks[rep][i - self._starts[rep]])
-
-    def __iter__(self):
-        for rep, block in enumerate(self.blocks):
-            for atom in block.tolist():
-                yield rep, atom
-
-    def __eq__(self, other):
-        if not isinstance(other, AtomRecords):
-            return NotImplemented
-        return len(self.blocks) == len(other.blocks) and all(
-            np.array_equal(a, b) for a, b in zip(self.blocks, other.blocks)
-        )
+        return sum(len(b) for b in self.blocks)
 
     def write_rows(self, fh):
         """Write the rows as csv.writer would, one write per replication.
@@ -101,7 +82,7 @@ class AtomRecords(Sequence):
 @dataclass
 class ExperimentResult:
     columns: list
-    records: Sequence
+    records: list | AtomRecords
     summary: dict
     passed: bool | None
     diagnostics: dict
@@ -267,6 +248,23 @@ def validate_config(cfg: ExperimentConfig):
     if bad:
         raise ConfigError(f"invalid configuration keys: {sorted(bad)}", bad)
     model = build_model(cfg.model)  # raises ConfigError on bad model blocks and values
+    # a tolerance needs what it is tested on: the model's limit CDF (the KS distance of the
+    # scaled maxima) or an empirical side drawn over E_n (the Laplace gap)
+    testable = {
+        "ks": lambda: model.limit_cdf() is not None,
+        "laplace": lambda: cfg.n >= kind.draws_from,
+    }
+    untested = [
+        f"tolerances.{key}"
+        for key in kind.tolerances
+        if cfg.tolerances.get(key) is not None and not testable[key]()
+    ]
+    if untested:
+        raise ConfigError(
+            f"nothing to test {untested} on: the model has no limit CDF (ks), "
+            f"or n = {cfg.n} draws no empirical side (laplace)",
+            untested,
+        )
     if kind.draws_from is not None and cfg.n >= kind.draws_from:
         # the run simulates the field over E_n.  M_n / scale(n) has the Frechet tail
         # c_alpha x^-alpha, so a replication passes the largest float with probability
@@ -316,10 +314,8 @@ def _run_maxima(cfg: ExperimentConfig, model) -> ExperimentResult:
         "ks_distance": res.ks_distance,
         "ecdf": res.ecdf,
     }
-    passed = None
-    tol = cfg.tolerances.get("ks")
-    if tol is not None and res.ks_distance is not None:
-        passed = bool(res.ks_distance <= tol)
+    tol = cfg.tolerances.get("ks")  # validate_config admits one only for a model with a limit CDF
+    passed = None if tol is None else bool(res.ks_distance <= tol)
     return ExperimentResult(
         columns=["rep", "ball_max", "sphere_max", "scaled_ball_max"],
         records=res.records,
@@ -380,12 +376,9 @@ def _run_limit_laplace(cfg: ExperimentConfig, model) -> ExperimentResult:
         "analytic": ana.value,
         "level_symmetric": ana.level_symmetric_value,
         "empirical": emp,
-        "exact_level_integrals": True,
     }
-    passed = None
-    tol = cfg.tolerances.get("laplace")
-    if tol is not None and emp is not None:
-        passed = bool(abs(emp - ana.value) <= tol)
+    tol = cfg.tolerances.get("laplace")  # validate_config admits one only where emp is drawn
+    passed = None if tol is None else bool(abs(emp - ana.value) <= tol)
     return ExperimentResult(
         columns=["key", "value"],
         records=[(k, v) for k, v in summary.items() if isinstance(v, (int, float))],

@@ -96,7 +96,10 @@ def nu_alpha_integral(alpha: float, coeffs, g: PiecewiseConstant) -> float:
     sweep has power-law mass t_i^-alpha - t_(i+1)^-alpha.  The events
     carry the moves of the piece counts, whose running sums stay exact
     integers, so h = sum_k g(s t c_k) is a sum of nonnegative terms and
-    does not cancel.
+    does not cancel.  Each event time is kept as the rounded quotient plus
+    its remainder term, so events that round to one float are still put in
+    their true order, and a gap narrower than a float's spacing still gets
+    its mass.
     """
     cs = np.asarray(coeffs, dtype=float)
     cs = cs[cs != 0.0]
@@ -105,10 +108,12 @@ def nu_alpha_integral(alpha: float, coeffs, g: PiecewiseConstant) -> float:
     left = np.arange(len(breaks))[:, None]  # piece i lies left of break i, piece i + 1 right
     total = 0.0
     for sc in (cs, -cs):
-        t = breaks[:, None] / sc[None, :]
+        b, c = np.broadcast_arrays(breaks[:, None], sc[None, :])
+        t = b / c
         hit = t > 0
-        order = np.argsort(t[hit])
-        ts = t[hit][order]
+        low = _quotient_remainder(b[hit], c[hit], t[hit])  # b / c = t + low
+        order = np.lexsort((low, t[hit]))
+        ts, low = t[hit][order], low[order]
         leave = np.where(sc > 0, left, left + 1)[hit][order]
         enter = np.where(sc > 0, left + 1, left)[hit][order]
         h = np.zeros(len(ts))
@@ -118,9 +123,31 @@ def nu_alpha_integral(alpha: float, coeffs, g: PiecewiseConstant) -> float:
         # t_i^-alpha - t_(i+1)^-alpha as t_i^-alpha (1 - (t_i / t_(i+1))^alpha), which
         # keeps its digits as alpha nears 0; the last piece reaches infinity
         mass = ts ** (-alpha)
-        mass[:-1] *= -np.expm1(-alpha * np.log1p(np.diff(ts) / ts[:-1]))
+        gaps = np.diff(ts) + np.diff(low)
+        mass[:-1] *= -np.expm1(-alpha * np.log1p(gaps / ts[:-1]))
         total += float(np.sum(-np.expm1(-h) * mass))
     return total
+
+
+def _quotient_remainder(b, c, t):
+    """(b - t c) / c for t = fl(b / c): the part of the quotient that rounding dropped.
+
+    The remainder b - t c is a float, found exactly from Dekker's product
+    t c = p + e (Veltkamp splitting).  Where a split overflows the term is
+    taken as 0, which leaves only the rounded quotient.
+    """
+    def split(x):
+        y = 134217729.0 * x  # 2^27 + 1
+        hi = y - (y - x)
+        return hi, x - hi
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = t * c
+        th, tl = split(t)
+        ch, cl = split(c)
+        e = ((th * ch - p) + th * cl + tl * ch) + tl * cl
+        low = ((b - p) - e) / c
+    return np.where(np.isfinite(low), low, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +211,11 @@ def level_sum(model: MixedMovingAverage, per_atom) -> float:
         return acc
 
     def term(level) -> float:
-        return sum(float(p) * func(r) for p, r in exact_restriction_classes(d, level, m))
+        # left to right: Python 3.12's builtin sum compensates, which would move the last bits
+        total = 0.0
+        for p, r in exact_restriction_classes(d, level, m):
+            total += float(p) * func(r)
+        return total
 
     return _over_levels(d, m, term)
 

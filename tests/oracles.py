@@ -388,25 +388,38 @@ def nu_alpha_integral_midpoints(alpha: float, coeffs, g) -> float:
 
     The reference for ``limit_process.nu_alpha_integral``.  Per side of
     the line, the integrand is constant between consecutive ratios
-    break/coefficient; each piece is evaluated by calling g at its
-    midpoint once per coefficient and weighted by its power-law mass,
-    a^-alpha - b^-alpha, taken at 40 digits as a^-alpha (1 - (a/b)^alpha) so
-    that it keeps its digits for alpha near 0.  Quadratic in the number of
+    break/coefficient, taken as exact rationals, so pieces narrower than a
+    float's spacing keep their place and width; each piece is evaluated by
+    looking g up at its exact midpoint once per coefficient and weighted
+    by its power-law mass, a^-alpha - b^-alpha, taken at 40 digits as
+    a^-alpha (1 - (1 + (b - a)/a)^-alpha) so that it keeps its digits for
+    alpha near 0 and for narrow pieces.  Quadratic in the number of
     coefficients.
     """
+    import bisect
+
     import mpmath
 
-    cs = [c for c in coeffs if c != 0.0]
+    def g_at(x):  # g's own rule: a point on a break belongs to the piece on its left
+        return g.values[bisect.bisect_left(g.breaks, x)]
+
+    cs = [Fraction(c) for c in coeffs if c != 0.0]
+    breaks = [Fraction(b) for b in g.breaks]
     total = 0.0
-    for sign in (1.0, -1.0):
-        pts = sorted({sign * b / c for b in g.breaks for c in cs if sign * b / c > 0})
+    for sign in (1, -1):
+        pts = sorted({sign * b / c for b in breaks for c in cs if sign * b / c > 0})
         for i, a in enumerate(pts):
-            b = pts[i + 1] if i + 1 < len(pts) else math.inf
-            mid = 2.0 * a if math.isinf(b) else 0.5 * (a + b)
-            h = float(sum(g(sign * mid * c) for c in cs))
+            b = pts[i + 1] if i + 1 < len(pts) else None
+            mid = 2 * a if b is None else (a + b) / 2
+            h = float(sum(g_at(sign * mid * c) for c in cs))
             with mpmath.workdps(40):
-                ratio = 0 if math.isinf(b) else mpmath.mpf(a) / b
-                mass = float(mpmath.mpf(a) ** -alpha * -mpmath.expm1(alpha * mpmath.log(ratio)))
+                a_mp = mpmath.mpf(a.numerator) / a.denominator
+                if b is None:
+                    mass = float(a_mp**-alpha)
+                else:
+                    rel = (b - a) / a
+                    rel_mp = mpmath.mpf(rel.numerator) / rel.denominator
+                    mass = float(a_mp**-alpha * -mpmath.expm1(-alpha * mpmath.log1p(rel_mp)))
             total += -math.expm1(-h) * mass
     return total
 

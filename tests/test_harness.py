@@ -1,5 +1,6 @@
 """Statistics helpers, configuration validation, run dispatch, and the CLI."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from stabletree.cli import main as cli_main
+from stabletree.cli import build_parser, main as cli_main
 from stabletree.errors import ConfigError
 from stabletree.fields import FieldSimulator
 from stabletree.free_group import enumerate_ball, format_word
@@ -319,7 +320,6 @@ def test_boundary_maxima_csv_pinned(tmp_path):
 
 
 def _assert_csv_matches_row_writer(result, rows, tmp_path):
-    assert list(result.records) == rows
     result.write_csv(tmp_path / "out.csv")
     write_csv_reference(tmp_path / "ref.csv", result.columns, rows)
     out = (tmp_path / "out.csv").read_bytes()
@@ -354,11 +354,6 @@ def test_atom_records_edge_values(tmp_path):
     rows = atom_rows_reference(blocks)
     assert len(res.records) == len(rows) == 10
     _assert_csv_matches_row_writer(res, rows, tmp_path)
-    assert [res.records[i] for i in range(-10, 10)] == rows + rows
-    with pytest.raises(IndexError):
-        res.records[10]
-    assert res.records == AtomRecords([b.copy() for b in blocks])
-    assert res.records != AtomRecords(blocks[:-1])
     assert not any(b.flags.writeable for b in res.records.blocks)
 
 
@@ -705,6 +700,7 @@ def test_config_validation_rejects_a_negative_seed(kind):
         ("limit-laplace", {"laplace": "0.05"}, "tolerances.laplace"),
         ("limit-laplace", {"laplace": -1}, "tolerances.laplace"),
         ("maxima", None, "tolerances"),
+        ("maxima", {"ks": 0.1}, "tolerances.ks"),  # nothing to test: mma has no limit CDF
     ],
 )
 def test_config_validation_rejects_tolerance_values(kind, tolerances, key):
@@ -732,7 +728,7 @@ def test_config_validation_accepts_tolerances_and_unread_keys():
     # a tolerance may be None (no test) or any real >= 0; a key no kind reads passes unchecked
     validate_config(ExperimentConfig(kind="maxima", model=MMA, n=2, reps=2, seed=1,
                                      tolerances={"ks": None, "other": "x"}))
-    validate_config(ExperimentConfig(kind="limit-laplace", model=MMA, reps=1, seed=0,
+    validate_config(ExperimentConfig(kind="limit-laplace", model=MMA, n=1, reps=1, seed=0,
                                      tolerances={"laplace": 0}, params={"num_terms": 0}))
 
 
@@ -849,3 +845,68 @@ def test_cli_laplace_tolerance_failure_exit_code(capsys):
     assert cli_main(argv + ["--laplace-tol", "0"]) == 1
     assert cli_main(argv + ["--laplace-tol", "1"]) == 0
     capsys.readouterr()
+
+
+def test_config_validation_rejects_a_laplace_tolerance_without_an_empirical_side():
+    # at n = 0 no field is drawn, and the run reported passed: null; None is no test
+    keys = _offending_keys(kind="limit-laplace", n=0, tolerances={"laplace": 0})
+    assert keys == ["tolerances.laplace"]
+    validate_config(ExperimentConfig(kind="limit-laplace", model=MMA, reps=1,
+                                     tolerances={"laplace": None}))
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["limit", "laplace", "--model", "mma", "--laplace-tol", "0"], "tolerances.laplace"),
+        (["simulate-maxima", "--model", "mma", "--n", "2", "--reps", "5", "--ks-tol", "0.1"],
+         "tolerances.ks"),
+    ],
+)
+def test_cli_tolerance_with_nothing_to_test_exits_2(argv, key, capsys):
+    assert cli_main(argv + ["--d", "2", "--alpha", "1.0", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and key in err
+
+
+def test_cli_experiment_commands_take_only_the_options_their_kind_reads():
+    common = {"-h", "--help", "--model", "--d", "--alpha", "--theta", "--f-table", "--seed",
+              "--csv", "--json"}
+    expected = {
+        ("simulate-maxima",): {"--n", "--reps", "--num-terms", "--workers", "--s-grid", "--ks-tol"},
+        ("simulate-pp",): {"--n", "--reps", "--delta", "--num-terms"},
+        ("limit", "kx"): set(),
+        ("limit", "laplace"): {"--n", "--reps", "--theta-g", "--threshold", "--laplace-tol"},
+        ("limit", "sample"): {"--reps", "--delta"},
+    }
+    for command, options in expected.items():
+        parser = build_parser()
+        for name in command:
+            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            parser = sub.choices[name]
+        assert {s for a in parser._actions for s in a.option_strings} == common | options, command
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["limit", "kx", "--n", "2"],
+        ["limit", "kx", "--reps", "9"],
+        ["limit", "kx", "--delta", "0.1"],
+        ["limit", "kx", "--theta-g", "5"],
+        ["limit", "kx", "--threshold", "2"],
+        ["limit", "kx", "--laplace-tol", "0"],
+        ["limit", "kx", "--laplace-tol", "0", "--theta-g", "5", "--reps", "9"],
+        ["limit", "laplace", "--delta", "0.1"],
+        ["limit", "sample", "--n", "3"],
+        ["limit", "sample", "--theta-g", "5"],
+        ["limit", "sample", "--threshold", "2"],
+        ["limit", "sample", "--laplace-tol", "0"],
+    ],
+)
+def test_cli_rejects_an_option_the_command_does_not_read(argv, capsys):
+    # each of these ran and dropped the option
+    with pytest.raises(SystemExit) as ei:
+        cli_main(argv + ["--model", "mma", "--d", "2", "--alpha", "1.0", "--seed", "1"])
+    assert ei.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[2:]) in capsys.readouterr().err

@@ -441,24 +441,47 @@ def _general_alpha_power(model):
     return comp["general_alpha_power"]
 
 
+LEVEL_SUM_PINS = {  # id -> (kernel, functional, pinned value)
+    # the m = 3 kernel of the limit-kx benchmark workload
+    "limit-kx": (lambda: mma_from_levels(2, 1.0, {0: 1.0, 1: 0.6, 2: 0.3, 3: 0.2}),
+                 _general_alpha_power, 30.400000000000006),
+    "letter-swap-m5": (_m5_kernel, lambda k: maxima_constant(k).alpha_power, 14.340740740740742),
+    "two-atom-kx": (_two_atom_ci_kernel, _general_alpha_power, 6.8999999999999995),
+    "two-atom-count": (_two_atom_ci_kernel, lambda k: expected_atom_count(k, 0.1).value, 82.0),
+    "two-atom-laplace": (
+        _two_atom_ci_kernel,
+        lambda k: laplace_functional(k, PiecewiseConstant.threshold(1.0, 0.5)).exponent,
+        9.327878522464653,
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "kernel, functional, pinned",
-    [
-        # the m = 3 kernel of the limit-kx benchmark workload
-        (lambda: mma_from_levels(2, 1.0, {0: 1.0, 1: 0.6, 2: 0.3, 3: 0.2}),
-         _general_alpha_power, 30.400000000000006),
-        (_m5_kernel, lambda k: maxima_constant(k).alpha_power, 14.340740740740742),
-        (_two_atom_ci_kernel, _general_alpha_power, 6.8999999999999995),
-        (_two_atom_ci_kernel, lambda k: expected_atom_count(k, 0.1).value, 82.0),
-        (_two_atom_ci_kernel,
-         lambda k: laplace_functional(k, PiecewiseConstant.threshold(1.0, 0.5)).exponent,
-         9.327878522464653),
-    ],
-    ids=["limit-kx", "letter-swap-m5", "two-atom-kx", "two-atom-count", "two-atom-laplace"],
+    "kernel, functional, pinned", list(LEVEL_SUM_PINS.values()), ids=list(LEVEL_SUM_PINS)
 )
 def test_limit_kx_kernel_pinned(kernel, functional, pinned):
     # exact level sums are bit-reproducible, level-symmetric kernel or not
     assert functional(kernel()) == pinned
+
+
+def _compensated_sum(values, start=0):
+    """The builtin sum of CPython 3.12 and later on floats: Neumaier's compensated sum."""
+    total, comp = start, 0.0
+    for x in values:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_level_sums_do_not_depend_on_the_builtin_sum(monkeypatch):
+    # the pins hold on every supported Python: a level's classes add left to right, not by
+    # the builtin sum, which compensates from 3.12 on and moved 2 of the 7 terms of the
+    # limit-kx kernel and 3 of the 11 of the m = 5 kernel
+    assert _compensated_sum([0.1] * 10) == 1.0  # left to right: 0.9999999999999999
+    monkeypatch.setattr(limit_process, "sum", _compensated_sum, raising=False)
+    for kernel, functional, pinned in LEVEL_SUM_PINS.values():
+        assert functional(kernel()) == pinned
 
 
 def test_maxima_constant_m5_exact():
