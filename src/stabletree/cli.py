@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, required=True)
         p.add_argument("--theta", type=float, default=None, help="Pareto exponent")
         p.add_argument("--f-table", default=None, help="JSON kernel file for mma")
-        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--seed", type=int, default=0, required=row.role is not None)
         required = row.draws_from == 0  # a simulate command always draws the field
         if row.draws_from is not None:
             p.add_argument("--n", type=int, default=0, required=required, help="ball radius")

@@ -179,15 +179,14 @@ def exact_restriction_classes(d: int, level: int, m: int):
 
 
 def _over_levels(d: int, m: int, term) -> float:
-    """weight * term(level) summed over the anchor levels that reach E_m.
+    """weight * term(level) summed over the anchor levels that reach E_m, correctly rounded.
 
     Levels <= -m share one term, weighted by the closed-form negative tail;
-    the levels -m+1..m follow one by one, in that order.
+    the levels -m+1..m follow one by one.
     """
-    total = negative_tail_weight(m, d) * term(-m)
-    for level in range(-m + 1, m + 1):
-        total += level_weight(level, d) * term(level)
-    return total
+    levels = range(-m + 1, m + 1)
+    tail = negative_tail_weight(m, d) * term(-m)
+    return math.fsum([tail, *(level_weight(level, d) * term(level) for level in levels)])
 
 
 def level_sum(model: MixedMovingAverage, per_atom) -> float:
@@ -199,23 +198,21 @@ def level_sum(model: MixedMovingAverage, per_atom) -> float:
     levels <= -m share the full-ball trace and are aggregated in closed
     form.  The intermediate levels are exact sums over their trace
     classes; the class table they share is checked against
-    ``CLASS_TABLE_BUDGET`` before any level is evaluated.
+    ``CLASS_TABLE_BUDGET`` before any level is evaluated.  The atoms of a
+    class, the classes of a level and the levels are each summed correctly
+    rounded, with every product rounded first.
     """
     d, m = model.d, model.support_radius
     if not _exact_enumeration_feasible(d, m):
         raise class_table_budget_error(d, m)
+
     def func(mask) -> float:
-        acc = 0.0
-        for mass, pos, vals in model.kernel_columns:
-            acc += mass * per_atom(vals[mask[pos]])
-        return acc
+        return math.fsum(
+            mass * per_atom(vals[mask[pos]]) for mass, pos, vals in model.kernel_columns
+        )
 
     def term(level) -> float:
-        # left to right: Python 3.12's builtin sum compensates, which would move the last bits
-        total = 0.0
-        for p, r in exact_restriction_classes(d, level, m):
-            total += float(p) * func(r)
-        return total
+        return math.fsum(float(p) * func(r) for p, r in exact_restriction_classes(d, level, m))
 
     return _over_levels(d, m, term)
 
@@ -333,10 +330,10 @@ def _laplace_level_symmetric(model: MixedMovingAverage, g: PiecewiseConstant) ->
             subgraph_sphere_count(level, j - level, d) if j >= max(level, 0) else 0
             for j in range(m + 1)
         ]
-        acc = 0.0
-        for (_, mass), prof in zip(model.w_masses, profiles):
-            acc += mass * nu_alpha_integral(alpha, np.repeat(prof, counts), g)
-        return acc
+        return math.fsum(
+            mass * nu_alpha_integral(alpha, np.repeat(prof, counts), g)
+            for (_, mass), prof in zip(model.w_masses, profiles)
+        )
 
     return math.exp(-_over_levels(d, m, term))
 

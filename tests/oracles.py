@@ -3,6 +3,7 @@
 import csv
 import functools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from stabletree.free_group import (
     enumerate_ball,
 )
 from stabletree.stable import sample_sas, stable_tail_constant
+from stabletree.stats import batch_mean_ci
 from stabletree.subgraphs import _expected_level
 
 
@@ -173,6 +175,42 @@ def sample_ray_path_reference(
     return paths
 
 
+def level_sum_exact(model: MixedMovingAverage, per_atom) -> Fraction:
+    """The level sum of ``limit_process.level_sum`` in exact arithmetic.
+
+    ``per_atom`` maps the Fraction kernel values f'(w, k) = f(w, k^-1) at
+    the sites k of one trace, in layout order, to a Fraction.  Each anchor
+    level -m..m takes its trace law from every ray path of
+    :func:`determining_steps` steps, all equally likely; level -m stands
+    for all levels <= -m, weighted by their exact sum d/(d-1) (2d-1)^-m.
+    The float kernel values and masses enter as their exact binary
+    fractions, so ``float`` of the result is the correctly rounded sum.
+    """
+    d, m = model.d, model.support_radius
+    lay = ball_layout(d, m)
+    columns = []
+    for w in model.atoms:
+        col = [Fraction(0)] * lay.size
+        for t, v in model.table(w).items():
+            col[lay.word_to_index(t.inverse())] = Fraction(v)
+        columns.append((Fraction(model.mass(w)), col))
+    total = Fraction(0)
+    for level in range(-m, m + 1):
+        paths = enumerate_ray_paths_reference(level, d, determining_steps(level, m))
+        traces = Counter(map(bytes, ball_traces(paths, level, d, m)))
+        expectation = Fraction(0)
+        for row, count in traces.items():
+            sites = np.flatnonzero(np.unpackbits(np.frombuffer(row, np.uint8), count=lay.size))
+            atoms = sum(mass * per_atom([col[k] for k in sites]) for mass, col in columns)
+            expectation += Fraction(count, len(paths)) * atoms
+        if level == -m:
+            weight = Fraction(d, d - 1) / (2 * d - 1) ** m
+        else:
+            weight = 2 * d * Fraction(2 * d - 1) ** (level - 1)
+        total += weight * expectation
+    return total
+
+
 LCP_TABLE_BUDGET = 20_000_000  # cells of the |E_m| x |E_m| lcp table
 
 
@@ -238,6 +276,22 @@ def ball_traces(paths: np.ndarray, level: int, d: int, m: int) -> np.ndarray:
             np.minimum(best, offsets[anc[:, k]] + shift[:, None], out=best)
         out[lo : lo + TRACE_CHUNK] = np.packbits(best <= 0, axis=1)
     return out
+
+
+def pareto_norming_mc(model, n: int, reps: int, rng) -> tuple:
+    """Monte Carlo E[max of |E_n| iid Pareto(theta)^alpha], with its batch-means CI.
+
+    The independent reference for ``ParetoField.norming_constant``; the max
+    of the Paretos is the smallest uniform to the power -1/theta.  Returns
+    (mean, ci_low, ci_high) of ``stats.batch_mean_ci``.
+    """
+    size = ball_size(model.d, n)
+    vals = np.empty(reps)
+    chunk = max(1, min(reps, 20_000_000 // size))
+    for lo in range(0, reps, chunk):
+        u = rng.random((min(chunk, reps - lo), size))
+        vals[lo : lo + len(u)] = u.min(axis=1) ** (-model.alpha / model.theta)
+    return batch_mean_ci(vals)
 
 
 def lepage_weights_reference(rng, alpha: float, num_terms: int, block=None):

@@ -18,7 +18,6 @@ from stabletree.fields import (
     ShiftField,
     maxima_experiment,
     mma_point_mass,
-    norming_constant_mc,
 )
 from stabletree.free_group import (
     Word,
@@ -198,15 +197,14 @@ def test_a5_norming_constants():
         ok &= BoundaryField(2, 1.0).norming_constant(n) == 3**n
         ok &= BoundaryField(3, 1.0).norming_constant(n) == 5**n
         ok &= ShiftField(2, 1.0).norming_constant(n) == 2 * n + 1
-    est = norming_constant_mc(ParetoField(2, 1.0, 3.0), 4, 10_000, substream(2026, "a5"))
-    ratio = est.value / ball_size(2, 4) ** (1.0 / 3.0)
+    ratio = ParetoField(2, 1.0, 3.0).norming_constant(4) / ball_size(2, 4) ** (1.0 / 3.0)
     target = math.gamma(2.0 / 3.0)
     rel = abs(ratio - target) / target
     _verdict(
         "A5",
         ok and rel < 0.05,
-        f"closed forms exact for n <= 10; Pareto MC ratio {ratio:.4f} vs "
-        f"Gamma(2/3) = {target:.4f} (rel err {rel:.3f} < 0.05)",
+        f"closed forms exact for n <= 10; exact Pareto ratio b_4/|E_4|^(1/3) = {ratio:.5f} "
+        f"vs Gamma(2/3) = {target:.5f} (rel err {rel:.1e} < 0.05)",
     )
 
 

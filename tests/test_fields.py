@@ -5,13 +5,15 @@ import pickle
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as sstats
 
 from stabletree import fields
-from stabletree.errors import ResourceBudgetError, UnsupportedModelError
+from stabletree.errors import ResourceBudgetError
 from stabletree.fields import (
     _MMAPlan,
     BoundaryField,
@@ -21,7 +23,6 @@ from stabletree.fields import (
     ShiftField,
     maxima_experiment,
     mma_point_mass,
-    norming_constant_mc,
     scaling_constant,
 )
 from stabletree.free_group import (
@@ -40,6 +41,7 @@ from oracles import (
     boundary_values_reference,
     mma_from_levels,
     mma_values_reference,
+    pareto_norming_mc,
     two_sample_ks_pvalue,
 )
 
@@ -82,8 +84,9 @@ def test_norming_closed_forms():
         assert BoundaryField(3, 0.7).norming_constant(n) == 5**n
         assert ShiftField(2, 1.3).norming_constant(n) == 2 * n + 1
     assert mma_point_mass(2, 1.0).norming_constant(2) == ball_size(2, 2)
-    with pytest.raises(UnsupportedModelError):
-        ParetoField(2, 1.0, 3.0).norming_constant(3)
+    # on E_0 the Pareto constant is E[P^alpha] = theta / (theta - alpha)
+    assert ParetoField(2, 1.0, 3.0).norming_constant(0) == 1.5
+    assert ParetoField(3, 0.8, 4.0).norming_constant(0) == 1.25
 
 
 def test_norming_mma_shifted_kernel():
@@ -94,23 +97,51 @@ def test_norming_mma_shifted_kernel():
     assert m.norming_constant(3) == pytest.approx(2.0 * ball_size(2, 3))
 
 
+def test_mma_norming_is_correctly_rounded():
+    # the sites add correctly rounded: a sequential sum drifts 1.1e-9 and 3.7e-8 off
+    model = mma_from_levels(2, 1.0, {0: 1, 1: 0.6, 2: 0.3})
+    assert model.norming_constant(6) == 5831.0
+    assert model.norming_constant(8) == 52487.0
+
+
+PARETO_GRID = [(1.0, 3.0), (1.5, 2.5), (0.8, 4.0), (0.01, 3.0), (1.9, 1.95), (1.0, 400.0)]
+
+
+def test_pareto_norming_matches_60_digits():
+    # N B(N, 1 - alpha/theta) at 60 digits; the lgamma route is 110% off at d = 3, n = 20
+    for d in (2, 3):
+        for n in range(0, 21):
+            size = ball_size(d, n)
+            for alpha, theta in PARETO_GRID:
+                with mpmath.workdps(60):
+                    ref = size * mpmath.beta(size, 1 - mpmath.mpf(alpha) / theta)
+                value = ParetoField(d, alpha, theta).norming_constant(n)
+                assert abs(value - ref) <= 1e-12 * ref, (d, n, alpha, theta)
+
+
+def test_pareto_norming_pins():
+    assert ParetoField(2, 1.0, 3.0).norming_constant(4) == 7.371650445258639
+    assert ParetoField(2, 0.8, 4.0).norming_constant(5) == 4.011055288904957
+    # b_n^alpha / |E_n|^(alpha/theta) tends to Gamma(1 - alpha/theta), here with 161 sites
+    ratio = ParetoField(2, 1.0, 3.0).norming_constant(4) / ball_size(2, 4) ** (1.0 / 3.0)
+    assert abs(ratio - math.gamma(2.0 / 3.0)) < 1e-3 * math.gamma(2.0 / 3.0)
+
+
 def test_pareto_norming_mc():
-    model = ParetoField(2, 1.0, 3.0)
-    est = norming_constant_mc(model, 4, 10_000, substream(501, "nmc"))
-    ratio = est.value / ball_size(2, 4) ** (1.0 / 3.0)
-    assert abs(ratio - math.gamma(2.0 / 3.0)) < 0.05 * math.gamma(2.0 / 3.0)
-    assert est.ci_low < est.value < est.ci_high
-    with pytest.raises(ValueError):
-        norming_constant_mc(model, 4, 1, substream(501, "nmc"))
-    with pytest.raises(UnsupportedModelError):
-        norming_constant_mc(BoundaryField(2, 1.0), 3, 100, substream(501, "nmc"))
+    # theta > 2 alpha: P^alpha has a finite variance, so batch means estimate it;
+    # the bound is 4 standard errors of the batch means
+    t = sstats.t.ppf(0.975, 19)  # batch_mean_ci: 20 batches, level 0.95
+    for d, alpha, theta, n in ((2, 1.0, 3.0, 4), (2, 0.8, 4.0, 5)):
+        model = ParetoField(d, alpha, theta)
+        mean, lo, hi = pareto_norming_mc(model, n, 10_000, substream(2611, "norming-mc", n))
+        se = (hi - lo) / (2 * t)
+        assert abs(model.norming_constant(n) - mean) <= 4 * se
 
 
 def test_pareto_norming_degenerate_theta():
     # theta -> inf collapses the Pareto to 1, so the max of powers is 1
-    model = ParetoField(2, 1.0, 400.0)
-    est = norming_constant_mc(model, 3, 2000, substream(502, "deg"))
-    assert abs(est.value - 1.0) < 0.05
+    assert abs(ParetoField(2, 1.0, 400.0).norming_constant(3) - 1.0) < 0.02
+    assert 1.0 < ParetoField(2, 1.0, 1e6).norming_constant(3) < 1.0 + 1e-4
 
 
 @pytest.mark.parametrize("theta", [math.inf, math.nan])
@@ -130,19 +161,18 @@ def test_mma_rejects_non_finite_masses_and_values(mass, value):
 
 
 def test_pareto_norming_monotone_in_n():
-    model = ParetoField(2, 1.0, 3.0)
-    vals = [
-        norming_constant_mc(model, n, 4000, substream(503, "mono", n)).value
-        for n in (2, 3, 4)
-    ]
-    assert vals[0] < vals[1] < vals[2]
+    for alpha, theta in PARETO_GRID:
+        vals = [ParetoField(2, alpha, theta).norming_constant(n) for n in range(0, 9)]
+        assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
 def test_pareto_submultiplicative_norming():
-    model = ParetoField(2, 1.0, 3.0)
-    b4 = norming_constant_mc(model, 4, 8000, substream(504, "sub", 4))
-    b2 = norming_constant_mc(model, 2, 8000, substream(504, "sub", 2))
-    assert b4.ci_low <= ball_size(2, 2) * b2.ci_high
+    # E_(n+k) lies in |E_k| translates of E_n, so b_(n+k) <= |E_k| b_n
+    for alpha, theta in PARETO_GRID:
+        model = ParetoField(2, alpha, theta)
+        for n in range(0, 5):
+            for k in range(1, 4):
+                assert model.norming_constant(n + k) <= ball_size(2, k) * model.norming_constant(n)
 
 
 def test_simulation_deterministic():
@@ -507,14 +537,14 @@ def brute_norming(model, n):
     """sum_w mass_w sum_{u in E_{n+m}} max{|f(w, v)|^alpha : u v^-1 in E_n}, word by word."""
     total = 0.0
     for w in model.atoms:
-        acc = 0.0
+        bests = []
         for u in enumerate_ball(model.d, n + model.support_radius):
             best = 0.0
             for v, val in model.table(w).items():
                 if len(multiply(u, v.inverse())) <= n:
                     best = max(best, abs(val) ** model.alpha)
-            acc += best
-        total += model.mass(w) * acc
+            bests.append(best)
+        total += model.mass(w) * float(sum(map(Fraction, bests)))  # each atom summed exactly
     return total
 
 

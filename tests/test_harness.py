@@ -403,10 +403,27 @@ def test_cli_tolerance_failure_exit_code(capsys):
     capsys.readouterr()
 
 
-def test_cli_missing_seed_is_usage_error():
-    with pytest.raises(SystemExit) as ei:
-        cli_main(["simulate-maxima", "--model", "shift", "--d", "2", "--alpha", "1.0", "--n", "3", "--reps", "5"])
-    assert ei.value.code == 2
+def test_cli_missing_seed_is_usage_error(capsys):
+    model = ["--model", "mma", "--d", "2", "--alpha", "1.0"]
+    for command in (
+        ["simulate-maxima", *model, "--n", "3", "--reps", "5"],
+        ["simulate-pp", *model, "--n", "3", "--reps", "5"],
+        ["limit", "laplace", *model],
+        ["limit", "sample", *model],
+    ):
+        with pytest.raises(SystemExit) as ei:
+            cli_main(command)
+        assert ei.value.code == 2
+        assert "required: --seed" in capsys.readouterr().err
+
+
+def test_cli_limit_kx_seed_is_optional(capsys):
+    # limit kx draws no random number, so its seed changes nothing
+    kx = ["limit", "kx", "--model", "mma", "--d", "2", "--alpha", "1.0"]
+    assert cli_main(kx) == 0
+    unseeded = capsys.readouterr().out
+    assert cli_main(kx + ["--seed", "1"]) == 0
+    assert capsys.readouterr().out == unseeded
 
 
 # stdout of the two check commands and the selftest report, taken before the unused

@@ -13,6 +13,7 @@ from oracles import (
     ball_traces,
     determining_steps,
     enumerate_ray_paths_reference,
+    level_sum_exact,
     mma_from_levels,
     nu_alpha_integral_midpoints,
 )
@@ -441,11 +442,16 @@ def _general_alpha_power(model):
     return comp["general_alpha_power"]
 
 
-LEVEL_SUM_PINS = {  # id -> (kernel, functional, pinned value)
+def _limit_kx_kernel():
     # the m = 3 kernel of the limit-kx benchmark workload
-    "limit-kx": (lambda: mma_from_levels(2, 1.0, {0: 1.0, 1: 0.6, 2: 0.3, 3: 0.2}),
-                 _general_alpha_power, 30.400000000000006),
-    "letter-swap-m5": (_m5_kernel, lambda k: maxima_constant(k).alpha_power, 14.340740740740742),
+    return mma_from_levels(2, 1.0, {0: 1.0, 1: 0.6, 2: 0.3, 3: 0.2})
+
+
+LEVEL_SUM_PINS = {  # id -> (kernel, functional, pinned value)
+    "limit-kx": (_limit_kx_kernel, _general_alpha_power, 30.4),
+    "letter-swap-m5": (_m5_kernel, lambda k: maxima_constant(k).alpha_power, 14.34074074074074),
+    # the exact level sum rounds to 6.9, but the class probabilities, the level weights
+    # and each product of them are rounded to floats before the correctly rounded sums
     "two-atom-kx": (_two_atom_ci_kernel, _general_alpha_power, 6.8999999999999995),
     "two-atom-count": (_two_atom_ci_kernel, lambda k: expected_atom_count(k, 0.1).value, 82.0),
     "two-atom-laplace": (
@@ -464,6 +470,16 @@ def test_limit_kx_kernel_pinned(kernel, functional, pinned):
     assert functional(kernel()) == pinned
 
 
+@pytest.mark.parametrize(
+    "kernel", [_limit_kx_kernel, _m5_kernel], ids=["limit-kx", "letter-swap-m5"]
+)
+def test_level_sum_pins_are_the_exact_sums_rounded(kernel):
+    # at alpha = 1 the sum is rational: each stage adds correctly rounded, which gives the
+    # exact sum's nearest float on these kernels
+    exact = level_sum_exact(kernel(), lambda v: 2 * max(map(abs, v), default=Fraction(0)))
+    assert maxima_constant(kernel()).alpha_power == float(exact)
+
+
 def _compensated_sum(values, start=0):
     """The builtin sum of CPython 3.12 and later on floats: Neumaier's compensated sum."""
     total, comp = start, 0.0
@@ -475,9 +491,8 @@ def _compensated_sum(values, start=0):
 
 
 def test_level_sums_do_not_depend_on_the_builtin_sum(monkeypatch):
-    # the pins hold on every supported Python: a level's classes add left to right, not by
-    # the builtin sum, which compensates from 3.12 on and moved 2 of the 7 terms of the
-    # limit-kx kernel and 3 of the 11 of the m = 5 kernel
+    # the pins hold on every supported Python: the level sums add by math.fsum, not by
+    # the builtin sum, which compensates from 3.12 on and so rounds differently by version
     assert _compensated_sum([0.1] * 10) == 1.0  # left to right: 0.9999999999999999
     monkeypatch.setattr(limit_process, "sum", _compensated_sum, raising=False)
     for kernel, functional, pinned in LEVEL_SUM_PINS.values():
