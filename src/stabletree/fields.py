@@ -351,16 +351,19 @@ class _BoundaryPlan:
     levels side by side, level k the |C_k| nodes of depth k in rank-major
     order: the child of rank r of the node in slot s of level k - 1 sits in
     slot s + r |C_(k-1)|.  So a level is a (ranks, |C_(k-1)|) block whose
-    rows add up to its parents' subtree sums, and the parents broadcast
-    over it.  One ``sample_sas`` call per replication fills its leaves;
-    the level work then runs once for the whole pass.  Every step acts on
-    each row alone, element by element, so a replication's values do not
-    depend on the other rows of its pass.
+    rows add up, rank by rank, to its parents' subtree sums, and the
+    parents, times rho^-1 in a scratch buffer, broadcast over it.  One
+    ``sample_sas`` call fills the leaves of every row of a pass, each row
+    from its own replication's generator; the level work then runs once
+    for the whole pass.  Every step acts on each row alone, element by
+    element, so a replication's values do not depend on the other rows of
+    its pass.
 
     ``__call__`` scatters one replication into canonical preorder through
-    the plan's ``order``.  ``maxima`` reads the row maxima of |X| without
-    the scatter; the sphere is the last level.  The buffers are reused, so
-    a plan serves one pass at a time.
+    the plan's ``order``.  ``maxima`` reads the row maxima of |X| as
+    max(max X, -min X), with neither the scatter nor an abs pass; the
+    sphere is the last level.  The buffers are reused, so a plan serves one
+    pass at a time.
     """
 
     def __init__(self, model: BoundaryField, n: int):
@@ -385,28 +388,37 @@ class _BoundaryPlan:
         for k, (_, _, ranks, _) in enumerate(self.families, start=1):
             order.append((order[-1] + 1 + np.arange(ranks)[:, None] * sub[k]).ravel())
         self.order = np.concatenate(order)
-        self.levels = np.empty((0, self.bounds[-1]))
+        self._grow(0)
+
+    def _grow(self, rows: int) -> None:
+        """Buffers for passes of up to ``rows`` replications."""
+        *parents, leaves = np.diff(self.bounds)
+        self.levels = np.empty((rows, self.bounds[-1]))
+        self.scaled = np.empty((rows, max(parents, default=0)))  # rho^-1 times a level's parents
+        # the uniforms, exponentials and scratch terms of sample_sas, which alpha = 1 does without
+        self.work = None if self.alpha == 1.0 else np.empty((3, rows, leaves))
 
     def _levels(self, rngs) -> np.ndarray:
         """X for one replication per generator, one row each, in the plan's buffer."""
         rows = len(rngs)
         if len(self.levels) < rows:
-            self.levels = np.empty((rows, self.levels.shape[1]))
+            self._grow(rows)
         lv = self.levels[:rows]
-        leaves = self.bounds[-2]
-        for row, rng in zip(lv, rngs):
-            sample_sas(rng, self.alpha, self.noise_scale, size=len(row) - leaves, out=row[leaves:])
+        work = None if self.work is None else self.work[:, :rows]
+        leaves = lv[:, self.bounds[-2] :]
+        sample_sas(rngs, self.alpha, self.noise_scale, size=leaves.shape, out=leaves, work=work)
         blocks = [
             (lv[:, lo:hi].reshape(rows, ranks, -1), lv[:, up:lo])
             for lo, hi, ranks, up in self.families
         ]
-        for children, parents in reversed(blocks):  # subtree sums, bottom-up
+        for children, parents in reversed(blocks):  # subtree sums, bottom-up, rank by rank
             np.add(children[:, 0], children[:, 1], out=parents)
             for child in children.transpose(1, 0, 2)[2:]:
                 parents += child
         for (children, parents), factor in zip(blocks, self.factors):  # X, top-down
             children *= factor
-            children += (parents * self.rho_inv)[:, None, :]
+            scaled = np.multiply(parents, self.rho_inv, out=self.scaled[:rows, : parents.shape[1]])
+            children += scaled[:, None, :]
         return lv
 
     def __call__(self, rng: np.random.Generator) -> np.ndarray:
@@ -417,9 +429,15 @@ class _BoundaryPlan:
 
     def maxima(self, rngs) -> list:
         """(ball max, sphere max) of |X_t| for each generator's replication."""
-        mags = np.abs(self._levels(rngs), out=self.levels[: len(rngs)])
-        ball, sphere = mags.max(axis=1), mags[:, self.bounds[-2] :].max(axis=1)
+        lv, split = self._levels(rngs), self.bounds[-2]
+        sphere = _row_abs_max(lv[:, split:])
+        ball = np.maximum(sphere, _row_abs_max(lv[:, :split])) if split else sphere
         return list(zip(ball.tolist(), sphere.tolist()))
+
+
+def _row_abs_max(a: np.ndarray) -> np.ndarray:
+    """max |a| of each row, as max(max a, -min a): the same floats with no abs pass."""
+    return np.maximum(a.max(axis=1), -a.min(axis=1))
 
 
 def _shift_values(model: ShiftField, n: int, rng) -> np.ndarray:
@@ -446,8 +464,8 @@ class _MMAPlan:
     with t_k the k-th site of E_n.  The sites of E_n are the nodes of depth
     <= n of the E_{n+m} layout, in the same canonical preorder.
 
-    Every draw fills the plan's noise and gather buffers in place, so a plan
-    serves one draw at a time; the field it returns is a fresh array.
+    Every draw fills the plan's noise, sampling and gather buffers in place,
+    so a plan serves one draw at a time; the field it returns is a fresh array.
     """
 
     def __init__(self, model: MixedMovingAverage, n: int):
@@ -468,13 +486,15 @@ class _MMAPlan:
         ]
         self.noise = np.empty(self.noise_ball)
         self.gathered = np.empty(self.num_sites)
+        # the uniforms, exponentials and scratch terms of sample_sas, which alpha = 1 does without
+        self.work = None if self.alpha == 1.0 else np.empty((3, self.noise_ball))
 
     def __call__(self, rng: np.random.Generator) -> np.ndarray:
         """One exact replication over E_n: fresh noise per atom, gathered per kernel entry."""
         out = np.zeros(self.num_sites)
         tmp = self.gathered
         for scale, gathers in self.parts:
-            z = sample_sas(rng, self.alpha, scale, size=self.noise_ball, out=self.noise)
+            z = sample_sas(rng, self.alpha, scale, size=self.noise_ball, out=self.noise, work=self.work)
             for val, idx in gathers:
                 # the indices lie in E_{n+m} by construction; mode="raise" would
                 # gather through a temporary copy

@@ -248,6 +248,19 @@ def validate_config(cfg: ExperimentConfig):
     if bad:
         raise ConfigError(f"invalid configuration keys: {sorted(bad)}", bad)
     model = build_model(cfg.model)  # raises ConfigError on bad model blocks and values
+    num_terms = cfg.params.get("num_terms") if "num_terms" in kind.params else None
+    if num_terms is not None:
+        try:
+            series = model.series(cfg.n, num_terms)
+        except OverflowError:  # the remainder bound of a series longer than any float
+            msg = f"params.num_terms = {num_terms} is too large"
+            raise ConfigError(msg, ["params.num_terms"]) from None
+        if series is None:
+            raise ConfigError(
+                f"params.num_terms = {num_terms} sets a series length, but the "
+                f"{cfg.model['variant']} field is drawn exactly, with no series",
+                ["params.num_terms"],
+            )
     # a tolerance needs what it is tested on: the model's limit CDF (the KS distance of the
     # scaled maxima) or an empirical side drawn over E_n (the Laplace gap)
     testable = {

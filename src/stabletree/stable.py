@@ -32,7 +32,7 @@ MAX_TERMS = 5_000_000  # longest series the rule may choose
 QUADRATURE_DPS = 40  # working precision of the tail-constant quadrature
 
 
-def sample_sas(rng: np.random.Generator, alpha: float, scale: float = 1.0, size=None, out=None):
+def sample_sas(rng, alpha: float, scale: float = 1.0, size=None, out=None, work=None):
     """SaS(scale) variates via the Chambers-Mallows-Stuck transform.
 
     U uniform on (-pi/2, pi/2) and E standard exponential give
@@ -49,10 +49,17 @@ def sample_sas(rng: np.random.Generator, alpha: float, scale: float = 1.0, size=
     value is the expression above, and inf remains only beyond the float range.
 
     The variates fill ``out``, a float64 array of shape ``size``, or a new
-    array of that shape, which is returned.  At alpha = 1 a draw into ``out``
-    allocates nothing; otherwise it allocates the uniforms, the exponentials
-    and one scratch array, and the terms of the expression are computed in
-    ``out`` and the scratch array.
+    array of that shape, which is returned.  ``rng`` is one generator, or a
+    sequence of generators, one per row of a 2-D ``out``: each row then
+    draws from its own generator what a call for that row alone would draw
+    (its uniforms, then at alpha != 1 its exponentials), and the transform
+    runs once over all rows, element by element, so every row holds the
+    values of its own call.  At alpha != 1 the uniforms, the exponentials
+    and one scratch array go into ``work``, a float64 array of shape
+    ``(3, *out.shape)``, or into three new arrays; the terms of the
+    expression are computed in ``out`` and the scratch array.  A draw into
+    ``out`` (and ``work`` at alpha != 1) allocates no float array; at
+    alpha != 1 it allocates the boolean mask of the entries to redo.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
@@ -62,18 +69,33 @@ def sample_sas(rng: np.random.Generator, alpha: float, scale: float = 1.0, size=
         out = np.empty(size)
     elif out.dtype != np.float64:
         raise ValueError(f"out must be a float64 array, got {out.dtype}")
-    # -pi/2 + pi * random() is the double rng.uniform(-pi/2, pi/2) returns;
-    # at alpha != 1 out takes the terms, so the uniforms get their own array
-    # (a size other than out.shape raises ValueError)
-    u = rng.random(size, out=out if alpha == 1.0 else np.empty_like(out))
+    elif size is not None and out.shape != (tuple(size) if np.iterable(size) else (size,)):
+        raise ValueError(f"out has shape {out.shape}, not size {size}")
+    if alpha == 1.0:
+        u = e = tmp = out
+    elif work is None:
+        u, e, tmp = (np.empty_like(out) for _ in range(3))
+    elif work.dtype != np.float64 or work.shape != (3, *out.shape):
+        raise ValueError(f"work must be a float64 array of shape {(3, *out.shape)}")
+    else:
+        u, e, tmp = work
+    # -pi/2 + pi * random() is the double rng.uniform(-pi/2, pi/2) returns
+    if isinstance(rng, np.random.Generator):
+        rows = [(rng, u, e)]
+    elif len(rng) == len(out):
+        rows = zip(rng, u, e)
+    else:
+        raise ValueError(f"{len(rng)} generators for {len(out)} rows")
+    for gen, u_row, e_row in rows:
+        gen.random(out=u_row)
+        if alpha != 1.0:
+            gen.standard_exponential(out=e_row)
     u *= math.pi
     u += -math.pi / 2
     if alpha == 1.0:
         return np.multiply(scale, np.tan(u, out=out), out=out)
-    e = rng.standard_exponential(size=out.shape)
     # operation by operation as written above, so the same doubles; u and e
     # stay intact for the repair
-    tmp = np.empty_like(u)
     with np.errstate(all="ignore"):  # entries that leave the float range are redone below
         np.sin(np.multiply(alpha, u, out=out), out=out)
         np.cos(u, out=tmp)

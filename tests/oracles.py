@@ -3,6 +3,7 @@
 import csv
 import functools
 import math
+import zlib
 from collections import Counter
 from fractions import Fraction
 
@@ -313,6 +314,17 @@ def lepage_weights_reference(rng, alpha: float, num_terms: int, block=None):
         done += b
 
 
+def substream_reference(seed: int, *key) -> np.random.Generator:
+    """The stream of (seed, *key) as numpy builds it: Philox seeded through a SeedSequence.
+
+    The reference for ``rng.substream``, which derives the same Philox key
+    without building a SeedSequence.  A string key part is its CRC-32 and
+    an integer part is folded mod 2^32.
+    """
+    words = tuple(zlib.crc32(p.encode("utf8")) if isinstance(p, str) else int(p) % 2**32 for p in key)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed), spawn_key=words)))
+
+
 def sample_sas_cms_reference(rng, alpha: float, size):
     """SaS(1) variates at alpha != 1 by the Chambers-Mallows-Stuck expression, term by term.
 
@@ -419,6 +431,29 @@ def boundary_cylinder_sums(model, n: int, rng) -> list:
             lcp = next((j for j, (a, b) in enumerate(zip(t.letters, g)) if a != b), len(t))
             total += Fraction(norm * (2 * d - 1) ** ((2 * lcp - len(t)) / alpha)) * z
         out.append(total)
+    return out
+
+
+def boundary_values_loop_reference(plan, rng) -> np.ndarray:
+    """One boundary-field replication from a plan's level layout, one level and one rank at a time.
+
+    The loop reference for the batched boundary draw: fresh SaS noise of
+    size |C_n| for the leaves, each level's subtree sums added rank by rank
+    (the first two ranks, then one more at a time), then X level by level
+    from its parents, and the row scattered into canonical order.
+    """
+    row = np.empty(plan.bounds[-1])
+    row[plan.bounds[-2] :] = sample_sas(rng, plan.alpha, plan.noise_scale, size=len(row) - plan.bounds[-2])
+    for lo, hi, ranks, up in reversed(plan.families):
+        children = row[lo:hi].reshape(ranks, -1)
+        sums = children[0] + children[1]
+        for child in children[2:]:
+            sums = sums + child
+        row[up:lo] = sums
+    for (lo, hi, ranks, up), factor in zip(plan.families, plan.factors):
+        row[lo:hi] = (row[lo:hi].reshape(ranks, -1) * factor + row[up:lo] * plan.rho_inv).ravel()
+    out = np.empty(len(row))
+    out[plan.order] = row
     return out
 
 

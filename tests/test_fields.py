@@ -38,6 +38,7 @@ from stabletree.stable import sample_sas
 
 from oracles import (
     boundary_cylinder_sums,
+    boundary_values_loop_reference,
     boundary_values_reference,
     mma_from_levels,
     mma_values_reference,
@@ -262,6 +263,21 @@ def test_boundary_values_match_exact_sums(alpha):
             assert repr(rng_plan.bit_generator.state) == repr(rng_ref.bit_generator.state)
             for value, ref in zip(got, exact, strict=True):
                 assert abs(Fraction(value) - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.0, 1.3])
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (4, 2), (5, 2), (5, 0)])
+def test_boundary_plan_matches_rank_by_rank_loop(d, n, alpha):
+    # one replication and a pass of eight, drawn by one sample_sas call, give
+    # the per-replication loop's values and maxima bit for bit
+    model = BoundaryField(d, alpha)
+    plan = model.draw(n, None)
+    sphere = ball_layout(d, n).depth == n
+    key = ("loop", d, n, int(alpha * 10))
+    refs = [boundary_values_loop_reference(plan, substream(535, *key, rep)) for rep in range(9)]
+    assert plan(substream(535, *key, 8)).tobytes() == refs[8].tobytes()
+    pairs = plan.maxima([substream(535, *key, rep) for rep in range(8)])
+    assert pairs == [(np.abs(r).max(), np.abs(r[sphere]).max()) for r in refs[:8]]
 
 
 def test_boundary_batched_maxima_match_one_per_pass(monkeypatch):

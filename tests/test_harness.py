@@ -396,7 +396,7 @@ def test_cli_tolerance_failure_exit_code(capsys):
             "simulate-maxima",
             "--model", "boundary", "--d", "2", "--alpha", "1.0",
             "--n", "3", "--reps", "60", "--seed", "5",
-            "--num-terms", "400", "--ks-tol", "1e-9",
+            "--ks-tol", "1e-9",
         ]
     )
     assert code == 1
@@ -686,8 +686,10 @@ def test_config_validation_rejects_param_types(kind, key, value):
 def test_config_validation_keeps_default_params():
     model = {"variant": "mma", "d": 2, "alpha": 1.0}
     for params in ({"workers": None}, {"workers": 0}, {"num_terms": None}, {"s_grid": None},
-                   {"s_grid": np.array([0.5, 1.0])}, {"num_terms": np.int64(3), "workers": 2}):
+                   {"s_grid": np.array([0.5, 1.0])}, {"workers": np.int64(2)}):
         validate_config(ExperimentConfig(kind="maxima", model=model, n=2, reps=2, seed=1, params=params))
+    validate_config(ExperimentConfig(kind="maxima", model=PARETO, n=2, reps=2, seed=1,
+                                     params={"num_terms": np.int64(3), "workers": 2}))
 
 
 MMA = {"variant": "mma", "d": 2, "alpha": 1.0}
@@ -790,9 +792,8 @@ def test_cli_echoes_only_the_params_its_kind_reads(argv, params, tmp_path, capsy
 def test_result_echoes_numpy_params_as_json_values(tmp_path):
     # a programmatic config may carry numpy values; the result echoes them as a
     # list and a number, and its JSON is written
-    model = {"variant": "shift", "d": 2, "alpha": 1.0}
     params = {"s_grid": np.array([0.5, 1.0]), "num_terms": np.int64(3)}
-    res = run(ExperimentConfig(kind="maxima", model=model, n=3, reps=5, seed=1, params=params))
+    res = run(ExperimentConfig(kind="maxima", model=PARETO, n=3, reps=5, seed=1, params=params))
     assert res.config["params"] == {"s_grid": [0.5, 1.0], "num_terms": 3}
     assert type(res.config["params"]["num_terms"]) is int
     res.write_json(tmp_path / "out.json")
@@ -852,8 +853,41 @@ def test_cli_rejects_non_finite_numbers(argv, kernel, key, tmp_path, capsys):
 
 def test_config_validation_accepts_integers_beyond_the_float_range():
     # an integer is finite, though math.isfinite overflows on one this large
-    validate_config(ExperimentConfig(kind="pp", model=MMA, n=2, reps=2, seed=10**400,
-                                     params={"num_terms": 10**400}))
+    validate_config(ExperimentConfig(kind="maxima", model=MMA, n=2, reps=2, seed=10**400,
+                                     params={"workers": 10**400}))
+
+
+@pytest.mark.parametrize("kind", ["maxima", "pp"])
+@pytest.mark.parametrize(
+    "model",
+    [{"variant": "boundary", "d": 2, "alpha": 1.0}, {"variant": "shift", "d": 2, "alpha": 1.3}, MMA],
+)
+def test_config_validation_rejects_num_terms_on_an_exact_draw(kind, model):
+    # a field drawn exactly has no series, and ran with its exact draw as if
+    # no num_terms had been given; None still means the default
+    assert _offending_keys(kind=kind, model=model, params={"num_terms": 50}) == ["params.num_terms"]
+    validate_config(ExperimentConfig(kind=kind, model=model, n=2, reps=2, seed=1,
+                                     params={"num_terms": None}))
+
+
+def test_cli_num_terms_on_an_exact_draw_is_a_config_error(capsys):
+    argv = ["simulate-maxima", "--d", "2", "--alpha", "1", "--n", "3", "--reps", "5", "--seed", "1",
+            "--num-terms", "50"]
+    assert cli_main(argv + ["--model", "boundary"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "params.num_terms" in err
+    assert cli_main(argv + ["--model", "pareto", "--theta", "3"]) == 0
+    capsys.readouterr()
+
+
+def test_cli_num_terms_beyond_the_float_range_is_a_config_error(capsys):
+    # the series' remainder bound overflows; validation reports it, not an OverflowError
+    argv = ["simulate-maxima", "--model", "pareto", "--theta", "3", "--d", "2", "--alpha", "1",
+            "--n", "3", "--reps", "5", "--seed", "1", "--num-terms", str(10**400)]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "params.num_terms" in err
+    assert _offending_keys(kind="pp", model=PARETO, params={"num_terms": 10**400}) == ["params.num_terms"]
 
 
 def test_cli_laplace_tolerance_failure_exit_code(capsys):

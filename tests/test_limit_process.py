@@ -185,6 +185,25 @@ def test_laplace_empirical_cross_oracle():
     assert abs(emp - ana.value) < 0.02
 
 
+@pytest.mark.parametrize("alpha", [0.8, 1.5])
+def test_laplace_empirical_cross_oracle_off_alpha_one(alpha):
+    # the two-atom kernel of the CI console checks, not level-symmetric: the
+    # analytic Laplace functional (0.265 at alpha = 0.8, 0.596 at 1.5) against
+    # the mean of exp(-N_6(g)) over exact draws through the alpha != 1 sampler.
+    # exp(-N) lies in [0, 1], so its standard deviation is at most 1/2, and the
+    # tolerance is four of those standard errors
+    m = MixedMovingAverage.from_tables(
+        2,
+        alpha,
+        {"a": 1.0, "b": 0.5},
+        {"a": {word(2, []): 1.0, word(2, [1]): 0.5}, "b": {word(2, []): -0.8, word(2, [-2]): 0.3}},
+    )
+    g = PiecewiseConstant.threshold(0.5, 3.0)
+    reps = 3000
+    emp = empirical_laplace(m, g, 6, reps, seed=2730)
+    assert abs(emp - laplace_functional(m, g).value) < 4 * 0.5 / math.sqrt(reps)
+
+
 def count_above(atoms, c):
     """Atoms of the point measure with |x| > c."""
     return int(np.sum(np.abs(atoms) > c))

@@ -47,6 +47,31 @@ def test_sample_sas_into_out(alpha):
             sample_sas(rng_out, alpha, 1.7, size=len(out), out=bad)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.3, 1.9])
+def test_sample_sas_rows_match_per_row_calls(alpha):
+    # one call over the rows of a 2-D out, one generator per row, into work
+    # buffers: every row holds its own call's values, bit for bit, and leaves
+    # its stream where that call does; at alpha != 1 both are the CMS expression
+    keys = [("rows", int(alpha * 10), rep) for rep in range(5)]
+    block = np.empty((5, 3007))
+    out, work = block[:, 7:], np.empty((3, 5, 3000))  # rows of a wider buffer, as the plan fills
+    rngs = [substream(314, *key) for key in keys]
+    assert sample_sas(rngs, alpha, 1.7, out=out, work=work) is out
+    for row, rng, key in zip(out, rngs, keys):
+        ref = substream(314, *key)
+        assert row.tobytes() == sample_sas(ref, alpha, 1.7, size=len(row)).tobytes()
+        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+        if alpha != 1.0:
+            cms = 1.7 * sample_sas_cms_reference(substream(314, *key), alpha, len(row))
+            assert row.tobytes() == cms.tobytes()
+    with pytest.raises(ValueError):
+        sample_sas(rngs[:4], alpha, 1.7, out=out, work=work)
+    if alpha != 1.0:
+        for bad in (np.empty((3, 5, 2999)), np.empty((2, 5, 3000)), np.empty((3, 5, 3000), np.float32)):
+            with pytest.raises(ValueError):
+                sample_sas(rngs, alpha, 1.7, out=out, work=bad)
+
+
 def _sas_tail(alpha: float, x: float) -> float:
     """P(|X| > x) for SaS(1) at alpha < 1, from the convergent series of the stable tail:
     (2/pi) sum_k (-1)^(k+1) Gamma(k alpha) / k! sin(k pi alpha / 2) x^(-k alpha)."""
