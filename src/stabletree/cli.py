@@ -10,28 +10,12 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigError, ResourceBudgetError, UnsupportedModelError
-from .harness import KINDS, VARIANTS, ExperimentConfig, load_f_table_file, run, selftest
+from .errors import ConfigError, ResourceBudgetError
+from .harness import (
+    KINDS, OPTIONS, SELFTESTS, VARIANTS, ExperimentConfig, load_f_table_file, run, selftest
+)
 
 _CHECKS = ("enumerate", "verify-boundary", "verify-lemma")  # the commands that run no experiment
-_HELP = {  # experiment kind -> the help of its command
-    "maxima": "replicated scaled partial maxima",
-    "pp": "empirical scaled point-process atoms above delta",
-    "limit-kx": "the maxima constant K_X by both formulas",
-    "limit-laplace": "the Laplace functional, analytic and empirical",
-    "limit-sample": "samples of the limit point process above delta",
-}
-# params or tolerances key -> its option and the option's keywords
-_FLAGS = {
-    "num_terms": ("--num-terms", dict(type=int)),
-    "workers": ("--workers", dict(type=int)),
-    "s_grid": ("--s-grid", dict(type=float, nargs="*")),
-    "delta": ("--delta", dict(type=float, default=0.5)),
-    "theta": ("--theta-g", dict(type=float, default=1.0, help="test function height")),
-    "threshold": ("--threshold", dict(type=float, default=1.0, help="test function threshold")),
-    "ks": ("--ks-tol", dict(type=float)),
-    "laplace": ("--laplace-tol", dict(type=float, help="largest passing Laplace gap")),
-}
 
 
 def _model_spec(args) -> dict:
@@ -81,15 +65,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("selftest", help="run a module oracle suite")
-    p.add_argument("scope", choices=("combinatorics", "boundary", "stable", "subgraphs", "all"))
+    p.add_argument("scope", choices=SELFTESTS)
 
     limit = sub.add_parser("limit", help="limit point process: constant, Laplace, or samples")
     limit_actions = limit.add_subparsers(dest="action", required=True)
     for kind, row in KINDS.items():
         if row.needs_mma:
-            p = limit_actions.add_parser(kind.removeprefix("limit-"), help=_HELP[kind])
+            p = limit_actions.add_parser(kind.removeprefix("limit-"), help=row.help)
         else:
-            p = sub.add_parser(f"simulate-{kind}", help=_HELP[kind])
+            p = sub.add_parser(f"simulate-{kind}", help=row.help)
         p.set_defaults(kind=kind)
         p.add_argument("--model", choices=("mma",) if row.needs_mma else VARIANTS, required=True)
         p.add_argument("--d", type=int, required=True)
@@ -104,9 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--reps", type=int, default=row.min_reps, required=required)
         for block in ("params", "tolerances"):
             for key in getattr(row, block):
-                flag, options = _FLAGS[key]
-                metavar = flag[2:].replace("-", "_").upper()
-                p.add_argument(flag, dest=f"{block}.{key}", metavar=metavar, **options)
+                opt = OPTIONS[key]
+                metavar = opt.flag[2:].replace("-", "_").upper()
+                keywords = dict(default=opt.default, type=opt.type, nargs=opt.nargs, help=opt.help)
+                p.add_argument(opt.flag, dest=f"{block}.{key}", metavar=metavar, **keywords)
         p.add_argument("--csv", default=None)
         p.add_argument("--json", default=None)
     return ap
@@ -116,7 +101,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, UnsupportedModelError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # a check's bad argument: rank < 2, radius < 0, nothing to check

@@ -20,10 +20,6 @@ class ResourceBudgetError(RuntimeError):
     """An enumeration or simulation would exceed the configured budget."""
 
 
-class UnsupportedModelError(ValueError):
-    """The requested operation has no closed form for this field model."""
-
-
 class ConfigError(ValueError):
     """An experiment configuration failed validation."""
 

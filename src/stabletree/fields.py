@@ -41,7 +41,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import ResourceBudgetError, UnsupportedModelError
+from .errors import ConfigError, ResourceBudgetError
 from .free_group import ball_layout, ball_size, identity, sphere_size
 from .rng import substream
 from .stable import (
@@ -166,14 +166,13 @@ class ParetoField(FieldModel):
         The rule picks the smallest N whose bound is below ``TAIL_TOLERANCE``
         times the scale of M_n.  The bound is c_alpha^(1/alpha) times
         :func:`lepage_remainder_bound`, at any site of E_n; it is None for
-        theta <= 2, where E[P^2] is infinite and the rule cannot run.
+        theta <= 2, where E[P^2] is infinite and the rule cannot run, so
+        there a missing ``num_terms`` is a ``ConfigError``.
         """
         if self.theta <= 2.0:
             if num_terms is None:
-                raise UnsupportedModelError(
-                    "automatic truncation needs a finite second moment (theta > 2); "
-                    "set num_terms explicitly"
-                )
+                msg = "theta <= 2 has no finite second moment, so no rule sets params.num_terms"
+                raise ConfigError(msg, ["params.num_terms"])
             return int(num_terms), None
         rms = math.sqrt(self.theta / (self.theta - 2.0))  # E[P^2] = theta / (theta - 2)
         if num_terms is None:

@@ -207,19 +207,43 @@ def _echo(cfg: ExperimentConfig) -> dict:
     return json.loads(json.dumps(asdict(cfg), default=lambda value: value.tolist()))
 
 
-# params or tolerances key -> (whether None is accepted, the test a value passes)
-_VALUE_CHECKS = {
-    "delta": (False, lambda v: _real(v) and v > 0.0),
-    "num_terms": (True, lambda v: _real(v, integral=True) and v >= 1),
+class Option(NamedTuple):
+    """A params or tolerances key: its CLI flag, default, check and argparse keywords."""
+
+    flag: str
+    default: object  # what a run reads when the key is absent; None passes where it is the default
+    valid: Callable  # the test any other value passes
+    type: type
+    help: str | None = None
+    nargs: str | None = None
+
+
+OPTIONS = {
+    "num_terms": Option("--num-terms", None, lambda v: _real(v, integral=True) and v >= 1, int),
+    "workers": Option("--workers", None, lambda v: _real(v, integral=True) and v >= 0, int),
+    "s_grid": Option(
+        "--s-grid", None, lambda v: isinstance(v, (list, tuple, np.ndarray)) and all(map(_real, v)),
+        float, nargs="*",
+    ),
+    "delta": Option("--delta", 0.5, lambda v: _real(v) and v > 0.0, float),
     # the Laplace test function theta * 1(|x| > threshold)
-    "theta": (False, lambda v: _real(v) and v >= 0.0),
-    "threshold": (False, lambda v: _real(v) and v > 0.0),
-    "workers": (True, lambda v: _real(v, integral=True) and v >= 0),  # None or 0: one
-    "s_grid": (True, lambda v: isinstance(v, (list, tuple, np.ndarray)) and all(map(_real, v))),
+    "theta": Option(
+        "--theta-g", 1.0, lambda v: _real(v) and v >= 0.0, float, "test function height"
+    ),
+    "threshold": Option(
+        "--threshold", 1.0, lambda v: _real(v) and v > 0.0, float, "test function threshold"
+    ),
     # the largest KS distance and Laplace gap that pass; None: no test
-    "ks": (True, lambda v: _real(v) and v >= 0.0),
-    "laplace": (True, lambda v: _real(v) and v >= 0.0),
+    "ks": Option("--ks-tol", None, lambda v: _real(v) and v >= 0.0, float),
+    "laplace": Option(
+        "--laplace-tol", None, lambda v: _real(v) and v >= 0.0, float, "largest passing Laplace gap"
+    ),
 }
+
+
+def _param(cfg: ExperimentConfig, key: str):
+    """The value of a params key, or its default where it is absent."""
+    return cfg.params.get(key, OPTIONS[key].default)
 
 
 def validate_config(cfg: ExperimentConfig):
@@ -240,27 +264,16 @@ def validate_config(cfg: ExperimentConfig):
             bad.append(block)
             continue
         for key in keys:
-            none_ok, valid = _VALUE_CHECKS[key]
-            if key in values and not ((values[key] is None and none_ok) or valid(values[key])):
+            opt, value = OPTIONS[key], values.get(key)
+            if key in values and not ((value is None and opt.default is None) or opt.valid(value)):
                 bad.append(f"{block}.{key}")
+        if block == "tolerances":  # a check asked for that the kind never makes
+            bad.extend(f"tolerances.{key}" for key in values if key not in keys)
     if kind.needs_mma and not (isinstance(cfg.model, dict) and cfg.model.get("variant") == "mma"):
         bad.append("model")
     if bad:
         raise ConfigError(f"invalid configuration keys: {sorted(bad)}", bad)
     model = build_model(cfg.model)  # raises ConfigError on bad model blocks and values
-    num_terms = cfg.params.get("num_terms") if "num_terms" in kind.params else None
-    if num_terms is not None:
-        try:
-            series = model.series(cfg.n, num_terms)
-        except OverflowError:  # the remainder bound of a series longer than any float
-            msg = f"params.num_terms = {num_terms} is too large"
-            raise ConfigError(msg, ["params.num_terms"]) from None
-        if series is None:
-            raise ConfigError(
-                f"params.num_terms = {num_terms} sets a series length, but the "
-                f"{cfg.model['variant']} field is drawn exactly, with no series",
-                ["params.num_terms"],
-            )
     # a tolerance needs what it is tested on: the model's limit CDF (the KS distance of the
     # scaled maxima) or an empirical side drawn over E_n (the Laplace gap)
     testable = {
@@ -293,6 +306,19 @@ def validate_config(cfg: ExperimentConfig):
                 f"range with probability about {min(chance, 1.0):.2g} per replication",
                 ["model.alpha", "n"],
             )
+    if "num_terms" in kind.params:  # after the check above, which keeps scale(n) a float
+        num_terms = _param(cfg, "num_terms")
+        try:
+            series = model.series(cfg.n, num_terms)
+        except OverflowError:  # the remainder bound of a series longer than any float
+            msg = f"params.num_terms = {num_terms} is too large"
+            raise ConfigError(msg, ["params.num_terms"]) from None
+        if series is None and num_terms is not None:
+            raise ConfigError(
+                f"params.num_terms = {num_terms} sets a series length, but the "
+                f"{cfg.model['variant']} field is drawn exactly, with no series",
+                ["params.num_terms"],
+            )
     return model
 
 
@@ -310,15 +336,14 @@ def run(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _run_maxima(cfg: ExperimentConfig, model) -> ExperimentResult:
-    s_grid = cfg.params.get("s_grid")
     res = maxima_experiment(
         model,
         cfg.n,
         cfg.reps,
-        cfg.params.get("num_terms"),
+        _param(cfg, "num_terms"),
         cfg.seed,
-        s_grid=s_grid,
-        workers=cfg.params.get("workers") or 1,
+        s_grid=_param(cfg, "s_grid"),
+        workers=_param(cfg, "workers") or 1,  # None or 0: one
     )
     summary = {
         "scale": res.approximations["scale"],
@@ -339,8 +364,8 @@ def _run_maxima(cfg: ExperimentConfig, model) -> ExperimentResult:
 
 
 def _run_pp(cfg: ExperimentConfig, model) -> ExperimentResult:
-    delta = float(cfg.params.get("delta", 0.5))
-    sim = FieldSimulator(model, cfg.n, cfg.params.get("num_terms"))
+    delta = float(_param(cfg, "delta"))
+    sim = FieldSimulator(model, cfg.n, _param(cfg, "num_terms"))
     scale = sim.meta["scale"]
     blocks = []
     for rep in range(cfg.reps):
@@ -368,7 +393,7 @@ def _run_limit_kx(cfg: ExperimentConfig, model) -> ExperimentResult:
     comp = maxima_constant_comparison(model)
     return ExperimentResult(
         columns=["key", "value"],
-        records=sorted((k, v) for k, v in comp.items() if not isinstance(v, list)),
+        records=sorted(comp.items()),
         summary=comp,
         passed=None,
         diagnostics={},
@@ -378,8 +403,8 @@ def _run_limit_kx(cfg: ExperimentConfig, model) -> ExperimentResult:
 def _run_limit_laplace(cfg: ExperimentConfig, model) -> ExperimentResult:
     from .limit_process import PiecewiseConstant, empirical_laplace, laplace_functional
 
-    theta = float(cfg.params.get("theta", 1.0))
-    s = float(cfg.params.get("threshold", 1.0))
+    theta = float(_param(cfg, "theta"))
+    s = float(_param(cfg, "threshold"))
     g = PiecewiseConstant.threshold(theta, s)
     ana = laplace_functional(model, g)
     emp = None
@@ -404,7 +429,7 @@ def _run_limit_laplace(cfg: ExperimentConfig, model) -> ExperimentResult:
 def _run_limit_sample(cfg: ExperimentConfig, model) -> ExperimentResult:
     from .limit_process import sample_limit_point_process
 
-    delta = float(cfg.params.get("delta", 0.5))
+    delta = float(_param(cfg, "delta"))
     blocks = []
     for rep in range(cfg.reps):
         atoms = sample_limit_point_process(model, delta, substream(cfg.seed, "nstar", rep))
@@ -429,16 +454,20 @@ class Kind(NamedTuple):
     tolerances: tuple  # the tolerances keys it reads
     draws_from: int | None  # it draws the field over E_n when n >= draws_from; None: never
     needs_mma: bool  # the limit process is derived for mixed moving averages only
+    help: str  # the help of its CLI command
 
 
 KINDS = {
-    "maxima": Kind(_run_maxima, "maxima", 2, ("num_terms", "workers", "s_grid"), ("ks",), 0, False),
-    "pp": Kind(_run_pp, "pp", 1, ("delta", "num_terms"), (), 0, False),
-    "limit-kx": Kind(_run_limit_kx, None, 0, (), (), None, True),
-    "limit-laplace": Kind(
-        _run_limit_laplace, "laplace", 1, ("theta", "threshold"), ("laplace",), 1, True
-    ),
-    "limit-sample": Kind(_run_limit_sample, "nstar", 1, ("delta",), (), None, True),
+    "maxima": Kind(_run_maxima, "maxima", 2, ("num_terms", "workers", "s_grid"), ("ks",), 0, False,
+                   "replicated scaled partial maxima"),
+    "pp": Kind(_run_pp, "pp", 1, ("delta", "num_terms"), (), 0, False,
+               "empirical scaled point-process atoms above delta"),
+    "limit-kx": Kind(_run_limit_kx, None, 0, (), (), None, True,
+                     "the maxima constant K_X by both formulas"),
+    "limit-laplace": Kind(_run_limit_laplace, "laplace", 1, ("theta", "threshold"), ("laplace",),
+                          1, True, "the Laplace functional, analytic and empirical"),
+    "limit-sample": Kind(_run_limit_sample, "nstar", 1, ("delta",), (), None, True,
+                         "samples of the limit point process above delta"),
 }
 
 
@@ -448,18 +477,9 @@ KINDS = {
 
 def selftest(scope: str = "all") -> dict:
     """Machine-readable pass/fail for the per-module oracle checks."""
-    scopes = ("combinatorics", "boundary", "stable", "subgraphs", "all")
-    if scope not in scopes:
-        raise ConfigError(f"scope must be one of {scopes}", ["scope"])
-    checks = []
-    if scope in ("combinatorics", "all"):
-        checks.extend(_selftest_combinatorics())
-    if scope in ("boundary", "all"):
-        checks.extend(_selftest_boundary())
-    if scope in ("stable", "all"):
-        checks.extend(_selftest_stable())
-    if scope in ("subgraphs", "all"):
-        checks.extend(_selftest_subgraphs())
+    if scope not in SELFTESTS:
+        raise ConfigError(f"scope must be one of {tuple(SELFTESTS)}", ["scope"])
+    checks = [check for suite in SELFTESTS[scope] for check in suite()]
     return {
         "scope": scope,
         "passed": all(c["passed"] for c in checks),
@@ -474,20 +494,18 @@ def _check(name, passed, detail=""):
 def _selftest_combinatorics():
     from .free_group import ball_size, enumerate_ball, enumerate_sphere, sphere_size
 
-    out = []
     ok = True
     for d in (2, 3):
         for n in range(0, 5):
             ok &= sum(1 for _ in enumerate_ball(d, n)) == ball_size(d, n)
             ok &= sum(1 for _ in enumerate_sphere(d, n)) == sphere_size(d, n)
-    out.append(_check("ball and sphere counts match closed forms", ok))
+    yield _check("ball and sphere counts match closed forms", ok)
     ok = all(
         (2 * d - 1) ** n <= ball_size(d, n) <= d * (2 * d - 1) ** n / (d - 1)
         for d in (2, 3)
         for n in range(0, 12)
     )
-    out.append(_check("ball size within the geometric envelope", ok))
-    return out
+    yield _check("ball size within the geometric envelope", ok)
 
 
 def _selftest_boundary():
@@ -502,9 +520,8 @@ def _selftest_boundary():
     )
     from .free_group import Word, multiply
 
-    out = []
     full = CylinderSet.full(2)
-    out.append(_check("level-1 cylinders tile the boundary", full.measure == 1))
+    yield _check("level-1 cylinders tile the boundary", full.measure == 1)
     rng = substream(7, "selftest-boundary")
     ok = True
     for _ in range(200):
@@ -514,18 +531,15 @@ def _selftest_boundary():
         lhs = rn_derivative(multiply(u, v), omega)
         rhs = rn_derivative(u, omega) * rn_derivative(v, act_on_boundary(u, omega))
         ok &= lhs == rhs and isinstance(lhs, Fraction)
-    out.append(_check("cocycle identity for the derivative (exact rationals)", ok))
+    yield _check("cocycle identity for the derivative (exact rationals)", ok)
     rep = verify_weakly_wandering(2, 8)
     deficits = [1 - c for c in rep.covered_by_cap]
     shrinking = all(b < a for a, b in zip(deficits[1:], deficits[2:]))
-    out.append(
-        _check(
-            "weakly wandering family disjoint with vanishing deficit",
-            rep.pairwise_disjoint and shrinking and rep.deficit < Fraction(1, 7),
-            f"deficit={rep.deficit}",
-        )
+    yield _check(
+        "weakly wandering family disjoint with vanishing deficit",
+        rep.pairwise_disjoint and shrinking and rep.deficit < Fraction(1, 7),
+        f"deficit={rep.deficit}",
     )
-    return out
 
 
 def _selftest_stable():
@@ -535,19 +549,15 @@ def _selftest_stable():
         stable_tail_constant_quadrature,
     )
 
-    out = []
     worst = max(
         abs(stable_tail_constant(a) - stable_tail_constant_quadrature(a))
         for a in (0.4, 0.8, 1.0, 1.2, 1.6)
     )
-    out.append(
-        _check("tail constant: closed form vs quadrature", worst < 1e-8, f"max err {worst:.2e}")
-    )
+    yield _check("tail constant: closed form vs quadrature", worst < 1e-8, f"max err {worst:.2e}")
     rng = substream(11, "selftest-stable")
     x = sample_sas(rng, 1.0, 1.0, size=200_000)
     med = float(np.median(np.abs(x)))
-    out.append(_check("Cauchy median of |X| near 1", abs(med - 1.0) < 0.02, f"median {med:.4f}"))
-    return out
+    yield _check("Cauchy median of |X| near 1", abs(med - 1.0) < 0.02, f"median {med:.4f}")
 
 
 def _selftest_subgraphs():
@@ -555,9 +565,16 @@ def _selftest_subgraphs():
 
     from .subgraphs import anchor_pmf, anchor_pmf_tail, check_sphere_counts
 
-    out = []
     total = sum(anchor_pmf(-j, 2) for j in range(0, 40)) + anchor_pmf_tail(-40, 2)
-    out.append(_check("anchor pmf sums to 1 exactly", total == Fraction(1)))
+    yield _check("anchor pmf sums to 1 exactly", total == Fraction(1))
     rows = check_sphere_counts(2, ell_max=2, k_max=4, samples=1, seed=13)
-    out.append(_check("sphere counts match the closed form", all(r["all_match"] for r in rows)))
-    return out
+    yield _check("sphere counts match the closed form", all(r["all_match"] for r in rows))
+
+
+SELFTESTS = {  # scope -> its suites, in check order
+    "combinatorics": (_selftest_combinatorics,),
+    "boundary": (_selftest_boundary,),
+    "stable": (_selftest_stable,),
+    "subgraphs": (_selftest_subgraphs,),
+}
+SELFTESTS["all"] = tuple(suite for suites in SELFTESTS.values() for suite in suites)

@@ -22,6 +22,7 @@ from stabletree.harness import (
     AtomRecords,
     ExperimentConfig,
     ExperimentResult,
+    SELFTESTS,
     build_model,
     run,
     selftest,
@@ -720,6 +721,11 @@ def test_config_validation_rejects_a_negative_seed(kind):
         ("limit-laplace", {"laplace": -1}, "tolerances.laplace"),
         ("maxima", None, "tolerances"),
         ("maxima", {"ks": 0.1}, "tolerances.ks"),  # nothing to test: mma has no limit CDF
+        # a tolerance the kind never tests: the check asked for would never run
+        ("maxima", {"ks": None, "other": "x"}, "tolerances.other"),
+        ("maxima", {"kss": 0.01}, "tolerances.kss"),
+        ("pp", {"ks": 0.1}, "tolerances.ks"),
+        ("limit-kx", {"laplace": 0.1}, "tolerances.laplace"),
     ],
 )
 def test_config_validation_rejects_tolerance_values(kind, tolerances, key):
@@ -744,9 +750,10 @@ def test_config_validation_rejects_malformed_fields(fields, keys):
 
 
 def test_config_validation_accepts_tolerances_and_unread_keys():
-    # a tolerance may be None (no test) or any real >= 0; a key no kind reads passes unchecked
+    # a tolerance may be None (no test) or any real >= 0; a params key the kind does not read
+    # passes unchecked
     validate_config(ExperimentConfig(kind="maxima", model=MMA, n=2, reps=2, seed=1,
-                                     tolerances={"ks": None, "other": "x"}))
+                                     tolerances={"ks": None}))
     validate_config(ExperimentConfig(kind="limit-laplace", model=MMA, n=1, reps=1, seed=0,
                                      tolerances={"laplace": 0}, params={"num_terms": 0}))
 
@@ -787,6 +794,48 @@ def test_cli_echoes_only_the_params_its_kind_reads(argv, params, tmp_path, capsy
     assert cli_main(argv + ["--d", "2", "--alpha", "1.0", "--seed", "1", "--json", str(path)]) == 0
     capsys.readouterr()
     assert set(json.loads(path.read_text())["config"]["params"]) == params
+
+
+@pytest.mark.parametrize(
+    "argv, kind, n, reps",
+    [
+        (["simulate-pp", "--n", "3", "--reps", "4"], "pp", 3, 4),
+        (["limit", "laplace"], "limit-laplace", 0, 1),
+        (["limit", "sample"], "limit-sample", 0, 1),
+    ],
+)
+def test_cli_and_api_read_the_same_defaults(argv, kind, n, reps, tmp_path, capsys):
+    # a command given only its required options runs as the config with empty params
+    csv_path = tmp_path / "cli.csv"
+    model = ["--model", "mma", "--d", "2", "--alpha", "1.0", "--seed", "5"]
+    assert cli_main(argv + model + ["--csv", str(csv_path)]) == 0
+    res = run(ExperimentConfig(kind=kind, model=MMA, n=n, reps=reps, seed=5, params={}))
+    assert capsys.readouterr().out == json.dumps(res.summary, indent=2, sort_keys=True, default=str) + "\n"
+    res.write_csv(tmp_path / "api.csv")
+    assert csv_path.read_bytes() == (tmp_path / "api.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["maxima", "pp"])
+def test_config_validation_needs_num_terms_for_a_heavy_pareto_field(kind):
+    # theta <= 2: no finite second moment, so no rule picks the series length
+    heavy = {"variant": "pareto", "d": 2, "alpha": 1.0, "theta": 2.0}
+    assert _offending_keys(kind=kind, model=heavy, params={}) == ["params.num_terms"]
+
+
+def test_cli_rejects_a_heavy_pareto_field_without_num_terms(capsys):
+    argv = ["simulate-maxima", "--model", "pareto", "--theta", "2", "--d", "2", "--alpha", "1",
+            "--n", "2", "--reps", "5", "--seed", "1"]
+    assert cli_main(argv) == 2
+    assert "params.num_terms" in capsys.readouterr().err
+
+
+def test_cli_selftest_scopes_are_the_harness_scopes():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    scope = next(a for a in sub.choices["selftest"]._actions if a.dest == "scope")
+    assert list(scope.choices) == list(SELFTESTS) == [
+        "combinatorics", "boundary", "stable", "subgraphs", "all"
+    ]
+    assert SELFTESTS["all"] == sum((SELFTESTS[s] for s in list(SELFTESTS)[:-1]), ())
 
 
 def test_result_echoes_numpy_params_as_json_values(tmp_path):
