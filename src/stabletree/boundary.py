@@ -217,9 +217,10 @@ def verify_weakly_wandering(d: int, depth_cap: int) -> WeaklyWanderingReport:
             assert len(img.words) == 1
             w = img.words[0]
             expected = multiply(s, Word(d, (-1,)))
-            assert w == expected and len(w) == len(s) + 1
+            assert w == expected and len(w) == cap + 1
             all_words.append(w)
-            total += img.measure
+        # every translate at this cap is one cylinder of length cap + 1
+        total += len(by_len[cap]) * Fraction(1, 2 * d * (2 * d - 1) ** cap)
         covered_by_cap.append(total)
     # exact pairwise disjointness == a prefix-free family with no word repeated
     try:

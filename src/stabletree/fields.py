@@ -349,14 +349,16 @@ class _BoundaryPlan:
     The plan keeps one row per replication of a pass, each row holding the
     levels side by side, level k the |C_k| nodes of depth k in rank-major
     order: the child of rank r of the node in slot s of level k - 1 sits in
-    slot s + r |C_(k-1)|.  So a level is a (ranks, |C_(k-1)|) block whose
-    rows add up, rank by rank, to its parents' subtree sums, and the
-    parents, times rho^-1 in a scratch buffer, broadcast over it.  One
-    ``sample_sas`` call fills the leaves of every row of a pass, each row
-    from its own replication's generator; the level work then runs once
-    for the whole pass.  Every step acts on each row alone, element by
-    element, so a replication's values do not depend on the other rows of
-    its pass.
+    slot s + r |C_(k-1)|.  So the children of one rank fill a
+    (rows, |C_(k-1)|) slice of the pass, laid out as the parents' level:
+    the rank slices add up, one after another, to the parents' subtree
+    sums, and the parents, times rho^-1 in a scratch buffer, are added to
+    each rank slice in turn.  Every numpy call of the level work acts on
+    such a 2-D slice or on a whole level.  One ``sample_sas`` call fills
+    the leaves of every row of a pass, each row from its own replication's
+    generator; the level work then runs once for the whole pass.  Every
+    step acts on each row alone, element by element, so a replication's
+    values do not depend on the other rows of its pass.
 
     ``__call__`` scatters one replication into canonical preorder through
     the plan's ``order``.  ``maxima`` reads the row maxima of |X| as
@@ -406,18 +408,20 @@ class _BoundaryPlan:
         work = None if self.work is None else self.work[:, :rows]
         leaves = lv[:, self.bounds[-2] :]
         sample_sas(rngs, self.alpha, self.noise_scale, size=leaves.shape, out=leaves, work=work)
+        # per level: the whole level, its (rows, |C_(k-1)|) rank slices and its parents
         blocks = [
-            (lv[:, lo:hi].reshape(rows, ranks, -1), lv[:, up:lo])
-            for lo, hi, ranks, up in self.families
+            (lv[:, lo:hi], [lv[:, c : c + lo - up] for c in range(lo, hi, lo - up)], lv[:, up:lo])
+            for lo, hi, _, up in self.families
         ]
-        for children, parents in reversed(blocks):  # subtree sums, bottom-up, rank by rank
-            np.add(children[:, 0], children[:, 1], out=parents)
-            for child in children.transpose(1, 0, 2)[2:]:
+        for _, (first, second, *rest), parents in reversed(blocks):  # subtree sums, bottom-up
+            np.add(first, second, out=parents)
+            for child in rest:
                 parents += child
-        for (children, parents), factor in zip(blocks, self.factors):  # X, top-down
-            children *= factor
+        for (level, children, parents), factor in zip(blocks, self.factors):  # X, top-down
+            level *= factor
             scaled = np.multiply(parents, self.rho_inv, out=self.scaled[:rows, : parents.shape[1]])
-            children += scaled[:, None, :]
+            for child in children:
+                child += scaled
         return lv
 
     def __call__(self, rng: np.random.Generator) -> np.ndarray:

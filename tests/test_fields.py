@@ -280,6 +280,23 @@ def test_boundary_plan_matches_rank_by_rank_loop(d, n, alpha):
     assert pairs == [(np.abs(r).max(), np.abs(r[sphere]).max()) for r in refs[:8]]
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1.3])
+@pytest.mark.parametrize("d", [2, 3])
+def test_boundary_plan_serves_passes_of_any_size(d, alpha):
+    # one plan takes passes of 1, 8, 3 and then 9 rows, the last growing its
+    # buffers: every row is the loop reference's replication bit for bit
+    plan = BoundaryField(d, alpha).draw(4, None)
+    key = ("passes", d, int(alpha * 10))
+    first = 0
+    for rows in (1, 8, 3, 9):
+        reps = range(first, first + rows)
+        levels = plan._levels([substream(536, *key, rep) for rep in reps])
+        for row, rep in zip(levels, reps, strict=True):
+            ref = boundary_values_loop_reference(plan, substream(536, *key, rep))
+            assert row.tobytes() == ref[plan.order].tobytes()
+        first += rows
+
+
 def test_boundary_batched_maxima_match_one_per_pass(monkeypatch):
     # a replication's maxima do not depend on the others drawn in its pass
     # (37 reps: four full passes and a short one) nor on the worker count

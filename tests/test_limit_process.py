@@ -446,13 +446,25 @@ def _m5_kernel(rename=None):
     return MixedMovingAverage.from_tables(2, 1.0, {"w0": 1.0}, {"w0": tab})
 
 
-def _two_atom_ci_kernel():
+def _two_atom_ci_kernel(alpha=1.0):
     # the two-atom kernel file of the CI console-script step
     tables = {"a": {(): 1.0, (1,): 0.5}, "b": {(): -0.8, (-2,): 0.3}}
     return MixedMovingAverage.from_tables(
-        2, 1.0, {"a": 1.0, "b": 0.5},
+        2, alpha, {"a": 1.0, "b": 0.5},
         {w: {word(2, k): v for k, v in tab.items()} for w, tab in tables.items()},
     )
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.5])
+def test_sampled_atom_count_matches_expected_off_alpha_one(alpha):
+    # the mean number of sampled limit atoms above delta = 0.5 on the CI two-atom kernel
+    # against the exact expected_atom_count (15.21 at alpha = 0.8, 20.29 at 1.5); the
+    # tolerance is four t-standard errors of the mean count
+    model, delta, reps = _two_atom_ci_kernel(alpha), 0.5, 1000
+    rng = substream(2917, "atoms", int(alpha * 10))
+    counts = [len(sample_limit_point_process(model, delta, rng)) for _ in range(reps)]
+    se = np.std(counts, ddof=1) / math.sqrt(reps)
+    assert abs(np.mean(counts) - expected_atom_count(model, delta).value) <= 4 * se
 
 
 def _general_alpha_power(model):
