@@ -22,7 +22,9 @@ Four models are provided.
   series truncation): the noise variables are the per-site sums of the
   driving Poisson measure, iid SaS with scale (2 mass / c_alpha)^(1/alpha)
   per unit site, matching the series convention in which the marginal
-  tail per site is 2 mass |f|^alpha x^-alpha.
+  tail per site is 2 mass |f|^alpha x^-alpha.  The noise of an atom's outer
+  shell C_(n+m_w) is read by one site each, so each site of C_n draws its
+  terms from that shell as one SaS variate, with their alpha-norm as scale.
 
 Each model carries its own behaviour: the scale of the ball maximum, its
 truncated series if it has one (``series``), the exact norming constant
@@ -38,11 +40,12 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import chain, repeat
 
 import numpy as np
 
 from .errors import ConfigError, ResourceBudgetError
-from .free_group import ball_layout, ball_size, identity, sphere_size
+from .free_group import Word, ball_layout, ball_size, identity, letter_rank, sphere_size
 from .rng import substream
 from .stable import (
     choose_num_terms,
@@ -290,14 +293,17 @@ class MixedMovingAverage(FieldModel):
         """The finite sum over noise sites of the max kernel value over the ball."""
         if ball_size(self.d, n + self.support_radius) > DEFAULT_SITE_BUDGET:
             raise ResourceBudgetError("noise ball too large for exact enumeration")
-        # noise site u takes the largest |f(w, v)|^alpha over the v with u = t v, t in E_n
-        plan = _MMAPlan(self, n)
+        # noise site u takes the largest |f(w, v)|^alpha over the v with u = t v, t in E_n;
+        # a site of the outer shell, read through the plan's zero slot, has one such v
         total = 0.0
-        for w, (_, gathers) in zip(self.atoms, plan.parts):
-            best = np.zeros(plan.noise_ball)
-            for val, idx in gathers:
-                np.maximum.at(best, idx, abs(val) ** self.alpha)
-            total += self.mass(w) * math.fsum(best)
+        for w, part in zip(self.atoms, _MMAPlan(self, n).parts):
+            best = np.zeros(part.size + 1)
+            outer = []
+            for val, idx in part.gathers:
+                term = abs(val) ** self.alpha
+                np.maximum.at(best, idx, term)
+                outer.append(repeat(term, int(np.count_nonzero(idx == part.size))))
+            total += self.mass(w) * math.fsum(chain(best[:-1].tolist(), *outer))
         return total
 
     def draw(self, n: int, num_terms: int | None):
@@ -459,52 +465,135 @@ def _pareto_values(model: ParetoField, n: int, num_terms: int, rng) -> np.ndarra
     return stable_tail_constant(model.alpha) ** (1.0 / model.alpha) * acc
 
 
+@dataclass(frozen=True)
+class _MMAAtom:
+    """One kernel atom's share of an :class:`_MMAPlan`."""
+
+    scale: float  # the SaS scale of one noise site, noise_scale(w)
+    size: int  # |E_(n+m_w-1)|, the inner noise sites; index ``size`` is the zero slot
+    gathers: list  # per kernel entry (v, value), in table order: (value, idx over E_n)
+    sphere: np.ndarray  # positions in E_n of the sites of C_n with a positive outer weight
+    sigma: np.ndarray  # their scales sigma_t
+
+
 class _MMAPlan:
-    """Gather indices for exact mixed-moving-average simulation.
+    """Exact mixed-moving-average draw over E_n, built once per simulator.
 
-    ``parts`` holds, per atom w, the noise scale and one (value, idx) pair per
-    kernel entry (v, value): ``idx[k]`` is the index in E_{n+m} of t_k * v,
-    with t_k the k-th site of E_n.  The sites of E_n are the nodes of depth
-    <= n of the E_{n+m} layout, in the same canonical preorder.
+    An atom w whose entries reach radius m_w reads noise on E_(n+m_w).  A
+    noise site u of the outer shell C_(n+m_w) is read by one site only, its
+    depth-n ancestor t, through the entry v = t^-1 u.  As sum c_i Z_i of iid
+    SaS(1) variables has the law of (sum |c_i|^alpha)^(1/alpha) Z, t's terms
+    from that shell are drawn as one variate sigma_t Z'_t, with
 
-    Every draw fills the plan's noise, sampling and gather buffers in place,
-    so a plan serves one draw at a time; the field it returns is a fresh array.
+        sigma_t = noise_scale(w) (sum_(v : |t v| = n + m_w) |f(w, v)|^alpha)^(1/alpha)
+
+    summed by ``math.fsum``; no other site reads that noise, so the joint
+    law over E_n is exact.  (A site of depth n + m_w - 1 is read by two
+    sites: no deeper shell collapses.)
+
+    ``parts`` holds an :class:`_MMAAtom` per atom: per kernel entry (v, value)
+    a pair (value, idx), ``idx[k]`` the index in E_(n+m_w-1) of t_k v for the
+    k-th site t_k of E_n, or the zero slot ``size`` where t_k v lies on
+    C_(n+m_w).  Per atom a draw takes the noise on E_(n+m_w-1), then one
+    SaS(1) variate per site of ``sphere``, both in canonical preorder; each
+    site adds its gathered terms in table order, then sigma_t Z'_t.
+
+    Every draw fills the plan's buffers in place, so a plan serves one draw
+    at a time; the field it returns is a fresh array.
     """
 
     def __init__(self, model: MixedMovingAverage, n: int):
-        lay = ball_layout(model.d, n + model.support_radius)
-        self.alpha = model.alpha
-        self.noise_ball = lay.size
-        sites = np.flatnonzero(lay.depth <= n)
-        self.num_sites = len(sites)
-        self.parts = [
-            (
-                model.noise_scale(w),
-                [
-                    (val, lay.right_translate(sites, v).astype(np.intp))
-                    for v, val in model.table(w).items()
-                ],
-            )
-            for w in model.atoms
-        ]
-        self.noise = np.empty(self.noise_ball)
+        self.alpha = alpha = model.alpha
+        self.num_sites = ball_size(model.d, n)
+        self.parts = []
+        for w, entries in model.f_table:
+            radius = n + max((len(v) for v, _ in entries), default=0)
+            # a layout holding the inner noise E_(radius-1) and the sites E_n, in one preorder
+            lay = ball_layout(model.d, max(radius - 1, n))
+            sites = np.flatnonzero(lay.depth <= n)
+            sphere = np.flatnonzero(lay.depth[sites] == n)
+            inner = lay.depth < radius
+            size = int(np.count_nonzero(inner))
+            # each node's index in E_(radius-1), or the zero slot; the extra last entry
+            # is read through index -1, a product on C_radius just outside the layout
+            remap = np.full(lay.size + 1, size, dtype=np.int32)
+            remap[:-1][inner] = np.arange(size, dtype=np.int32)
+            gathers = [(val, remap[_right_products(lay, sites, v)].astype(np.intp)) for v, val in entries]
+            scale = model.noise_scale(w)
+            sigma = _outer_scales(gathers, sphere, size, alpha, scale)
+            keep = sigma > 0.0
+            self.parts.append(_MMAAtom(scale, size, gathers, sphere[keep], sigma[keep]))
+        largest = max((p.size for p in self.parts), default=0)
+        spheres = max((len(p.sphere) for p in self.parts), default=0)
+        self.noise = np.empty(largest + 1)
         self.gathered = np.empty(self.num_sites)
+        self.collapsed = np.empty((2, spheres))  # sigma_t Z'_t, and the sums it joins
         # the uniforms, exponentials and scratch terms of sample_sas, which alpha = 1 does without
-        self.work = None if self.alpha == 1.0 else np.empty((3, self.noise_ball))
+        self.work = None if alpha == 1.0 else np.empty((3, max(largest, spheres)))
 
     def __call__(self, rng: np.random.Generator) -> np.ndarray:
-        """One exact replication over E_n: fresh noise per atom, gathered per kernel entry."""
+        """One exact replication over E_n: per atom its inner noise, gathered per
+        kernel entry, then one collapsed outer-shell variate per sphere site."""
         out = np.zeros(self.num_sites)
         tmp = self.gathered
-        for scale, gathers in self.parts:
-            z = sample_sas(rng, self.alpha, scale, size=self.noise_ball, out=self.noise, work=self.work)
-            for val, idx in gathers:
-                # the indices lie in E_{n+m} by construction; mode="raise" would
+        for part in self.parts:
+            noise = self.noise[: part.size + 1]
+            work = None if self.work is None else self.work[:, : part.size]
+            sample_sas(rng, self.alpha, part.scale, size=part.size, out=noise[:-1], work=work)
+            noise[-1] = 0.0
+            for val, idx in part.gathers:
+                # the indices lie in the buffer by construction; mode="raise" would
                 # gather through a temporary copy
-                np.take(z, idx, out=tmp, mode="clip")
+                np.take(noise, idx, out=tmp, mode="clip")
                 tmp *= val
                 out += tmp
+            k = len(part.sphere)
+            if k:
+                z, sums = self.collapsed[:, :k]
+                work = None if self.work is None else self.work[:, :k]
+                sample_sas(rng, self.alpha, 1.0, size=k, out=z, work=work)
+                z *= part.sigma
+                np.take(out, part.sphere, out=sums, mode="clip")
+                sums += z
+                np.put(out, part.sphere, sums)
         return out
+
+
+def _right_products(lay, sites, v: Word) -> np.ndarray:
+    """Indices in ``lay`` of t v for the nodes t at ``sites``, -1 where t v lies outside.
+
+    For |t| + |v| at most one past the layout's radius: every proper prefix
+    v' of v keeps t v' inside, so only the last letter can step out.
+    """
+    if not v.letters:
+        return sites
+    head = lay.right_translate(sites, Word(v.rank, v.letters[:-1]))
+    return lay.right_mul[head, letter_rank(v.letters[-1])]
+
+
+def _outer_scales(gathers, sphere, zero: int, alpha: float, scale: float) -> np.ndarray:
+    """sigma_t for the sphere sites at ``sphere``: ``scale`` times the alpha-norm
+    of the values whose gather reads the zero slot there, 0 where none does.
+
+    The entries a site reaches the outer shell through depend on its last
+    letter only, so the sites fall into a few patterns; each pattern's
+    |value|^alpha are summed once, by ``math.fsum``.
+    """
+    if not gathers:
+        return np.zeros(len(sphere))
+    hits = np.zeros((len(sphere), len(gathers)), dtype=bool)
+    for j, (_, idx) in enumerate(gathers):
+        np.equal(idx[sphere], zero, out=hits[:, j])
+    # each row's bits as one opaque key: np.unique then sorts bytes, not columns
+    keys = np.packbits(hits, axis=1)
+    _, first, which = np.unique(
+        keys.view(f"V{keys.shape[1]}").ravel(), return_index=True, return_inverse=True
+    )
+    terms = [abs(val) ** alpha for val, _ in gathers]
+    sigma = [
+        scale * math.fsum(t for t, hit in zip(terms, hits[i]) if hit) ** (1.0 / alpha) for i in first
+    ]
+    return np.array(sigma)[which]
 
 
 class FieldSimulator:

@@ -18,6 +18,8 @@ from stabletree.free_group import (
     ball_layout,
     ball_size,
     enumerate_ball,
+    enumerate_sphere,
+    multiply,
 )
 from stabletree.stable import sample_sas, stable_tail_constant
 from stabletree.stats import batch_mean_ci
@@ -457,19 +459,103 @@ def boundary_values_loop_reference(plan, rng) -> np.ndarray:
     return out
 
 
-def mma_values_reference(plan, rng) -> np.ndarray:
-    """One mixed-moving-average replication from a plan's gather tables.
+def mma_full_noise_reference(model, n: int):
+    """The full-noise mixed-moving-average draw over E_n, as a function of the generator.
 
-    The loop reference for the buffered MMA draw: fresh noise per atom and
-    a fresh gathered array per kernel entry, consuming the stream in the
-    same order.
+    The law reference for the collapsed draw of ``fields._MMAPlan``: per atom,
+    fresh noise on the whole of E_(n+m), m the model's support radius, and
+    one gather per kernel entry.  Its draw is the plan's draw before the
+    outermost noise shell was collapsed, verbatim.
     """
-    out = np.zeros(plan.num_sites)
-    for scale, gathers in plan.parts:
-        z = sample_sas(rng, plan.alpha, scale, size=plan.noise_ball)
-        for val, idx in gathers:
-            out += val * z[idx]
-    return out
+    lay = ball_layout(model.d, n + model.support_radius)
+    alpha = model.alpha
+    noise_ball = lay.size
+    sites = np.flatnonzero(lay.depth <= n)
+    num_sites = len(sites)
+    parts = [
+        (
+            model.noise_scale(w),
+            [
+                (val, lay.right_translate(sites, v).astype(np.intp))
+                for v, val in model.table(w).items()
+            ],
+        )
+        for w in model.atoms
+    ]
+    noise = np.empty(noise_ball)
+    gathered = np.empty(num_sites)
+    work = None if alpha == 1.0 else np.empty((3, noise_ball))
+
+    def draw(rng):
+        out = np.zeros(num_sites)
+        tmp = gathered
+        for scale, gathers in parts:
+            z = sample_sas(rng, alpha, scale, size=noise_ball, out=noise, work=work)
+            for val, idx in gathers:
+                np.take(z, idx, out=tmp, mode="clip")
+                tmp *= val
+                out += tmp
+        return out
+
+    return draw
+
+
+def mma_values_reference(model, n: int):
+    """The collapsed mixed-moving-average draw over E_n, word by word, as a function of the generator.
+
+    The loop reference for ``fields._MMAPlan``.  Per atom w, with m_w its
+    largest entry length: noise on E_(n+m_w-1) in canonical order, read at
+    ``word_to_index(multiply(t, v))``; a product t v of length n + m_w reads
+    no noise.  Then one SaS(1) variate Z'_t per site t of C_n, in canonical
+    order, for the t with a positive weight
+    W_t = fsum |f(w, t^-1 u)|^alpha over the depth-(n+m_w) descendants u of t;
+    t gets sigma_t Z'_t, sigma_t = noise_scale(w) W_t^(1/alpha).  Each site
+    adds its terms in table order, atom by atom.
+    """
+    d, alpha = model.d, model.alpha
+    sites = list(enumerate_ball(d, n))
+    plans = []
+    for w in model.atoms:
+        table = model.table(w)
+        radius = n + max((len(v) for v in table), default=0)
+        inner = ball_layout(d, radius - 1) if radius else None
+        reads = [
+            [
+                (val, inner.word_to_index(u))
+                for v, val in table.items()
+                if len(u := multiply(t, v)) < radius
+            ]
+            for t in sites
+        ]
+        scales = []
+        for k, t in enumerate(sites):
+            if len(t) < n:
+                continue
+            descendants = (multiply(t, v) for v in enumerate_sphere(d, radius - n))
+            terms = [
+                abs(table[v]) ** alpha
+                for u in descendants
+                if len(u) == radius and (v := multiply(t.inverse(), u)) in table
+            ]
+            weight = math.fsum(terms)
+            if weight > 0.0:
+                scales.append((k, model.noise_scale(w) * weight ** (1.0 / alpha)))
+        plans.append((model.noise_scale(w), ball_size(d, radius - 1) if radius else 0, reads, scales))
+
+    def draw(rng):
+        out = [0.0] * len(sites)
+        for scale, size, reads, scales in plans:
+            z = sample_sas(rng, alpha, scale, size=size).tolist()
+            for k, site_reads in enumerate(reads):
+                for val, i in site_reads:
+                    out[k] += val * z[i]
+            if scales:
+                extra = sample_sas(rng, alpha, 1.0, size=len(scales)).tolist()
+                for (k, sigma), x in zip(scales, extra):
+                    out[k] += sigma * x
+        return np.array(out)
+
+    return draw
 
 
 def nu_alpha_integral_midpoints(alpha: float, coeffs, g) -> float:

@@ -26,11 +26,13 @@ from stabletree.fields import (
     scaling_constant,
 )
 from stabletree.free_group import (
+    Word,
     ball_layout,
     ball_size,
     enumerate_ball,
     letters_in_order,
     multiply,
+    parse_word,
     word,
 )
 from stabletree.rng import substream
@@ -41,6 +43,7 @@ from oracles import (
     boundary_values_loop_reference,
     boundary_values_reference,
     mma_from_levels,
+    mma_full_noise_reference,
     mma_values_reference,
     pareto_norming_mc,
     two_sample_ks_pvalue,
@@ -500,14 +503,15 @@ def two_atom_kernel(alpha=1.3):
     ],
 )
 def test_mma_plan_matches_loop_reference(make, n):
-    # the buffered draw gives the loop's values bit for bit and consumes the
-    # same stream; a returned field does not share the plan's buffers
-    plan = make().draw(n, None)
+    # the buffered draw gives the word loop's values bit for bit and consumes
+    # the same stream; a returned field does not share the plan's buffers
+    model = make()
+    plan, reference = model.draw(n, None), mma_values_reference(model, n)
     before = None
     for rep in range(5):
         rng_plan, rng_ref = substream(531, "plan", rep), substream(531, "plan", rep)
         got = plan(rng_plan)
-        assert np.array_equal(got, mma_values_reference(plan, rng_ref))
+        assert np.array_equal(got, reference(rng_ref))
         assert repr(rng_plan.bit_generator.state) == repr(rng_ref.bit_generator.state)
         if before is not None:
             assert np.array_equal(before[0], before[1])
@@ -525,7 +529,7 @@ PINNED_DRAWS = [
      7.856828007847996,
      [31.13669199605587, 18.709904882518916, 17.032973137388584, 21.5093807105853]),
     ("mma", two_atom_kernel, 3, None, None, 12.619700538305079,
-     [-7.669429648472467, -52.215104599585224, -12.756791886760276, 10.631871307099283]),
+     [-2.8697791295243427, -41.324642778443575, -5.790251913618564, 6.286025854763258]),
 ]
 
 
@@ -538,6 +542,21 @@ def test_pinned_draws(name, make, n, terms_arg, num_terms, scale, expected):
     sites = [0, 1, len(values) // 2, len(values) - 1]
     assert sim.num_terms == num_terms
     assert scaling_constant(model, n) == pytest.approx(scale, rel=1e-12)
+    assert values[sites].tolist() == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "reference,expected",
+    [
+        (mma_values_reference, PINNED_DRAWS[3][-1]),
+        # the draw that read noise on all of E_(n+m), pinned before the outer shell collapsed
+        (mma_full_noise_reference,
+         [-7.669429648472467, -52.215104599585224, -12.756791886760276, 10.631871307099283]),
+    ],
+)
+def test_mma_pins_match_references(reference, expected):
+    values = reference(two_atom_kernel(), 3)(substream(2024, "pin", "mma"))
+    sites = [0, 1, len(values) // 2, len(values) - 1]
     assert values[sites].tolist() == pytest.approx(expected, rel=1e-12)
 
 
@@ -621,16 +640,110 @@ tables = st.dictionaries(words_up_to_2, st.floats(-2, 2).filter(bool), min_size=
 @settings(max_examples=25, deadline=None)
 @given(tables, tables, st.integers(0, 3))
 def test_mma_plan_matches_word_products(tab_a, tab_b, n):
+    # an entry reads t v in E_(n+m_w-1), or the zero slot |E_(n+m_w-1)| where |t v| = n + m_w
     model = MixedMovingAverage.from_tables(2, 1.0, {"a": 1.0, "b": 2.0}, {"a": tab_a, "b": tab_b})
-    lay = ball_layout(2, n + model.support_radius)
     sites = list(enumerate_ball(2, n))
     plan = _MMAPlan(model, n)
-    assert plan.noise_ball == lay.size
-    for w, (_, gathers) in zip(model.atoms, plan.parts):
-        assert [val for val, _ in gathers] == list(model.table(w).values())
-        for (v, _), (_, idx) in zip(model.table(w).items(), gathers):
-            expected = [lay.word_to_index(multiply(t, v)) for t in sites]
+    for w, part in zip(model.atoms, plan.parts):
+        radius = n + max(len(v) for v in model.table(w))
+        assert part.size == (ball_size(2, radius - 1) if radius else 0)
+        assert [val for val, _ in part.gathers] == list(model.table(w).values())
+        for (v, _), (_, idx) in zip(model.table(w).items(), part.gathers):
+            expected = [
+                part.size if len(u) == radius else ball_layout(2, radius - 1).word_to_index(u)
+                for u in (multiply(t, v) for t in sites)
+            ]
             assert idx.tolist() == expected
+
+
+def random_kernel(d, alpha, radii, rng):
+    """One atom per radius m_w in ``radii``, on a random support that reaches C_(m_w)
+    but, for m_w >= 1, misses part of it, so no atom is level-symmetric."""
+    f_table = {}
+    for j, m in enumerate(radii):
+        ball = list(enumerate_ball(d, m))
+        sphere = [t for t in ball if len(t) == m]
+        support = [sphere[i] for i in rng.choice(len(sphere), max(1, len(sphere) // 3), replace=False)]
+        support += [t for t in ball if len(t) < m and rng.random() < 0.4]
+        f_table[f"w{j}"] = {t: float(rng.choice([-1, 1]) * rng.uniform(0.1, 2.0)) for t in support}
+    masses = {w: float(rng.uniform(0.5, 2.0)) for w in f_table}
+    return MixedMovingAverage.from_tables(d, alpha, masses, f_table)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_mma_outer_shell_lemma(d):
+    # by brute force over words: a noise site u on C_(n+m_w) is reached from E_n only by its
+    # depth-n ancestor t, through v = t^-1 u; and the plan's inner terms and sigma_t keep
+    # each site's whole alpha-norm sum_v |f(w, v)|^alpha
+    rng = np.random.default_rng(8_812)
+    for m in range(4):
+        for n in range(4):
+            alpha = [0.7, 1.0, 1.6][(m + n) % 3]
+            radii = [m, int(rng.integers(0, m + 1))]
+            model = random_kernel(d, alpha, radii, rng)
+            assert all(prof is None for prof, r in zip(model.level_profiles, radii) if r)
+            sites = list(enumerate_ball(d, n))
+            plan = _MMAPlan(model, n)
+            for w, part in zip(model.atoms, plan.parts):
+                table = model.table(w)
+                radius = n + max(len(v) for v in table)
+                reached = {}
+                for k, t in enumerate(sites):
+                    for (v, _), (_, idx) in zip(table.items(), part.gathers):
+                        u = multiply(t, v)
+                        assert (idx[k] == part.size) == (len(u) == radius)
+                        if len(u) == radius:
+                            reached.setdefault(u, []).append(t)
+                for u, ts in reached.items():
+                    assert ts == [Word(d, u.letters[:n])]
+                sigma = dict(zip(part.sphere.tolist(), part.sigma.tolist()))
+                total = sum(abs(val) ** alpha for val in table.values())
+                for k in range(len(sites)):
+                    inner = sum(abs(val) ** alpha for val, idx in part.gathers if idx[k] != part.size)
+                    outer = (sigma.get(k, 0.0) / part.scale) ** alpha
+                    assert inner + outer == pytest.approx(total, rel=1e-12)
+
+
+def ks_two_sample(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sup |F_a - F_b| of the empirical CDFs, per column of two (draws, columns) samples."""
+    a, b = np.sort(a, axis=0), np.sort(b, axis=0)
+    out = []
+    for col_a, col_b in zip(a.T, b.T):
+        grid = np.concatenate([col_a, col_b])
+        cdf_a = np.searchsorted(col_a, grid, "right") / len(col_a)
+        cdf_b = np.searchsorted(col_b, grid, "right") / len(col_b)
+        out.append(np.abs(cdf_a - cdf_b).max())
+    return np.array(out)
+
+
+# the two-sample KS critical value at level 1e-4 for 3,000 draws a side: 2.23 sqrt(2 / 3000)
+LAW_KS_TOL = 0.057
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5])
+def test_mma_collapsed_draw_matches_full_noise_law(alpha):
+    # the collapsed outer shell against the draw that reads all of E_(n+m): KS per site of E_4
+    # and on the ball max.  The first kernel has one outer entry per atom; the second reaches
+    # C_(n+2) through several entries per site, so a sigma_t that is not their alpha-norm shows
+    kernels = [
+        {"a": {"e": 1.0, "a1": 0.5}, "b": {"e": -0.8, "a2^-1": 0.3}},
+        {"a": {"e": 1.0, "a1": 0.5, "a1.a1": 0.6, "a2.a1": -0.4, "a1^-1.a2": 0.3, "a2^-1.a2^-1": 0.9}},
+    ]
+    n, reps = 4, 3000
+    for j, tables in enumerate(kernels):
+        model = MixedMovingAverage.from_tables(
+            2,
+            alpha,
+            {w: 1.0 for w in tables},
+            {w: {parse_word(2, t): v for t, v in tab.items()} for w, tab in tables.items()},
+        )
+        rng_new, rng_full = substream(60_317, "collapsed", j), substream(60_317, "full", j)
+        plan, full = model.draw(n, None), mma_full_noise_reference(model, n)
+        new = np.array([plan(rng_new) for _ in range(reps)])
+        old = np.array([full(rng_full) for _ in range(reps)])
+        assert ks_two_sample(new, old).max() < LAW_KS_TOL
+        ball_max = ks_two_sample(np.abs(new).max(axis=1)[:, None], np.abs(old).max(axis=1)[:, None])
+        assert ball_max[0] < LAW_KS_TOL
 
 
 def test_sample_depths_are_read_only():
