@@ -501,16 +501,26 @@ def mma_full_noise_reference(model, n: int):
 
 
 def mma_values_reference(model, n: int):
-    """The collapsed mixed-moving-average draw over E_n, word by word, as a function of the generator.
+    """The grouped mixed-moving-average draw over E_n, word by word, as a function of the generator.
 
     The loop reference for ``fields._MMAPlan``.  Per atom w, with m_w its
-    largest entry length: noise on E_(n+m_w-1) in canonical order, read at
-    ``word_to_index(multiply(t, v))``; a product t v of length n + m_w reads
-    no noise.  Then one SaS(1) variate Z'_t per site t of C_n, in canonical
-    order, for the t with a positive weight
-    W_t = fsum |f(w, t^-1 u)|^alpha over the depth-(n+m_w) descendants u of t;
-    t gets sigma_t Z'_t, sigma_t = noise_scale(w) W_t^(1/alpha).  Each site
-    adds its terms in table order, atom by atom.
+    largest entry length and r = n + m_w:
+    * the inner sites E_(min(n, r-1)), in canonical order, one variate each;
+    * the nodes u with n < |u| < r, in canonical order, each with its reader
+      column {(t, f(w, t^-1 u)) : t in E_n}, found from ``multiply(u, v^-1)``
+      over the entries v; the nodes with the same depth-n ancestor and the
+      same nonempty column form a class, which takes a slot at its first
+      node, and the variate there is multiplied by |class|^(1/alpha); the
+      class slots follow the inner sites, by size, each size in the order of
+      first nodes;
+    * one SaS(1) variate Z'_t per site t of C_n, in canonical order, for the
+      t with a positive weight W_t = fsum |f(w, t^-1 u)|^alpha over the
+      depth-r descendants u of t; t gets sigma_t Z'_t,
+      sigma_t = noise_scale(w) W_t^(1/alpha).
+    The inner sites and classes draw in one call, at scale noise_scale(w).
+    A site t reads ``t v`` through each entry, in table order: the slot of an
+    inner site or of the node that opens a class, and nothing otherwise.
+    Atom by atom.
     """
     d, alpha = model.d, model.alpha
     sites = list(enumerate_ball(d, n))
@@ -518,15 +528,33 @@ def mma_values_reference(model, n: int):
     for w in model.atoms:
         table = model.table(w)
         radius = n + max((len(v) for v in table), default=0)
-        inner = ball_layout(d, radius - 1) if radius else None
-        reads = [
-            [
-                (val, inner.word_to_index(u))
-                for v, val in table.items()
-                if len(u := multiply(t, v)) < radius
-            ]
-            for t in sites
-        ]
+        own = min(n, radius - 1)
+        own_index = ball_layout(d, own).word_to_index if own >= 0 else None
+        slots = {}  # the node that opens each class, its slot and its factor
+        classes = {}
+        for u in enumerate_ball(d, radius - 1) if radius - 1 > n else ():
+            if len(u) <= n:
+                continue
+            column = []
+            for v, val in table.items():
+                t = multiply(u, v.inverse())
+                if len(t) <= n:
+                    column.append((t.letters, val))
+            if column:
+                classes.setdefault((u.letters[:n], tuple(sorted(column))), []).append(u)
+        base = ball_size(d, own) if own >= 0 else 0
+        for k, members in enumerate(sorted(classes.values(), key=len)):
+            slots[members[0]] = (base + k, len(members) ** (1.0 / alpha))
+        reads = []
+        for t in sites:
+            site_reads = []
+            for v, val in table.items():
+                u = multiply(t, v)
+                if len(u) <= own:
+                    site_reads.append((val, own_index(u)))
+                elif u in slots:
+                    site_reads.append((val, slots[u][0]))
+            reads.append(site_reads)
         scales = []
         for k, t in enumerate(sites):
             if len(t) < n:
@@ -540,12 +568,15 @@ def mma_values_reference(model, n: int):
             weight = math.fsum(terms)
             if weight > 0.0:
                 scales.append((k, model.noise_scale(w) * weight ** (1.0 / alpha)))
-        plans.append((model.noise_scale(w), ball_size(d, radius - 1) if radius else 0, reads, scales))
+        factors = sorted(slots.values())
+        plans.append((model.noise_scale(w), base + len(factors), factors, reads, scales))
 
     def draw(rng):
         out = [0.0] * len(sites)
-        for scale, size, reads, scales in plans:
+        for scale, size, factors, reads, scales in plans:
             z = sample_sas(rng, alpha, scale, size=size).tolist()
+            for i, factor in factors:
+                z[i] *= factor
             for k, site_reads in enumerate(reads):
                 for val, i in site_reads:
                     out[k] += val * z[i]

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from stabletree.free_group import (
     letters_in_order,
     multiply,
     parse_word,
+    sphere_size,
     word,
 )
 from stabletree.rng import substream
@@ -414,6 +416,10 @@ def test_site_budget():
     # |E_12| = 1,062,881 noise sites: over the budget
     with pytest.raises(ResourceBudgetError):
         maxima_experiment(mma_point_mass(2, 1.0), 12, 2, None, seed=1)
+    # a radius-2 kernel at n = 10 reads noise on E_12, but its draw lays out E_11: 354,293 sites
+    model = mma_from_levels(2, 1.0, {0: 1.0, 1: 0.6, 2: 0.3})
+    assert FieldSimulator(model, 10).values(substream(517, "e11")).shape == (ball_size(2, 10),)
+    assert model.norming_constant(10) > 0
 
 
 def test_maxima_experiment_boundary():
@@ -529,7 +535,7 @@ PINNED_DRAWS = [
      7.856828007847996,
      [31.13669199605587, 18.709904882518916, 17.032973137388584, 21.5093807105853]),
     ("mma", two_atom_kernel, 3, None, None, 12.619700538305079,
-     [-2.8697791295243427, -41.324642778443575, -5.790251913618564, 6.286025854763258]),
+     [-4.655434348280473, 40.34582566899591, -19.387198939394388, -24.7163513785348]),
 ]
 
 
@@ -640,20 +646,28 @@ tables = st.dictionaries(words_up_to_2, st.floats(-2, 2).filter(bool), min_size=
 @settings(max_examples=25, deadline=None)
 @given(tables, tables, st.integers(0, 3))
 def test_mma_plan_matches_word_products(tab_a, tab_b, n):
-    # an entry reads t v in E_(n+m_w-1), or the zero slot |E_(n+m_w-1)| where |t v| = n + m_w
+    # an entry reads the slot of t v in E_(min(n, r-1)), r = n + m_w, in canonical order; the
+    # zero slot ``size`` where |t v| = r; otherwise a class slot, which one node heads for
+    # every read, or the zero slot ``size + 1``
     model = MixedMovingAverage.from_tables(2, 1.0, {"a": 1.0, "b": 2.0}, {"a": tab_a, "b": tab_b})
     sites = list(enumerate_ball(2, n))
     plan = _MMAPlan(model, n)
     for w, part in zip(model.atoms, plan.parts):
         radius = n + max(len(v) for v in model.table(w))
-        assert part.size == (ball_size(2, radius - 1) if radius else 0)
+        own = ball_size(2, min(n, radius - 1)) if radius else 0
+        assert part.size == own + sum(hi - lo for lo, hi, _, _ in part.classes)
         assert [val for val, _ in part.gathers] == list(model.table(w).values())
+        heads = {}
         for (v, _), (_, idx) in zip(model.table(w).items(), part.gathers):
-            expected = [
-                part.size if len(u) == radius else ball_layout(2, radius - 1).word_to_index(u)
-                for u in (multiply(t, v) for t in sites)
-            ]
-            assert idx.tolist() == expected
+            for t, i in zip(sites, idx.tolist()):
+                u = multiply(t, v)
+                if len(u) <= min(n, radius - 1):
+                    assert i == ball_layout(2, min(n, radius - 1)).word_to_index(u)
+                elif len(u) == radius:
+                    assert i == part.size
+                elif i != part.size + 1:
+                    assert own <= i < part.size and heads.setdefault(i, u) == u
+        assert len(heads) == part.size - own
 
 
 def random_kernel(d, alpha, radii, rng):
@@ -704,6 +718,57 @@ def test_mma_outer_shell_lemma(d):
                     assert inner + outer == pytest.approx(total, rel=1e-12)
 
 
+def reader_column(u, table, n):
+    """{(t, f(t^-1 u))} over the sites t of E_n that read the noise node u."""
+    column = set()
+    for v, val in table.items():
+        t = multiply(u, v.inverse())
+        if len(t) <= n:
+            column.add((t, val))
+    return frozenset(column)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_mma_noise_class_lemma(d):
+    # by brute force over words: below each site A of C_n, the classes of _noise_classes hold
+    # every node A x, n < |A x| < n + m_w, that some site reads, once, and no unread node;
+    # a class's nodes have one reader column; the plan draws one slot per class.  Grouping the
+    # read nodes by (A, depth) alone breaks the columns of these kernels, which are not
+    # level-symmetric
+    rng = np.random.default_rng(31_077)
+    for m in range(4):
+        for n in range(4):
+            model = random_kernel(d, [0.7, 1.0, 1.6][(m + n) % 3], [m, int(rng.integers(0, m + 1))], rng)
+            plan = _MMAPlan(model, n)
+            for w, part in zip(model.atoms, plan.parts):
+                table = model.table(w)
+                m_w = max(len(v) for v in table)
+                offsets = [x for x in enumerate_ball(d, m_w - 1) if x.letters] if m_w >= 2 else []
+                classes = fields._noise_classes(d, n, table)
+                groups, by_depth = [], []
+                for a in enumerate_ball(d, n):
+                    if len(a) < n:
+                        continue
+                    nodes = [u for u in (multiply(a, x) for x in offsets) if len(u) > n]
+                    columns = {u: reader_column(u, table, n) for u in nodes}
+                    read = [u for u in nodes if columns[u]]
+                    suffix = Word(d, a.letters[n - min(n, m_w // 2) :])
+                    found = [[multiply(a, x) for x in members] for members in classes.get(suffix, [])]
+                    assert Counter(u for members in found for u in members) == Counter(read)
+                    assert all(len({columns[u] for u in members}) == 1 for members in found)
+                    groups += found
+                    for depth in range(n + 1, n + m_w):
+                        by_depth.append({columns[u] for u in read if len(u) == depth})
+                assert any(len(cs) > 1 for cs in by_depth) == (m_w >= 2)
+                assert {c: hi - lo for lo, hi, c, _ in part.classes} == Counter(map(len, groups))
+    # a full-support level-symmetric kernel of radius m draws |E_n| + m |C_n| variates, n >= m
+    for m in range(4):
+        for n in range(m, 4):
+            model = mma_from_levels(d, 1.3, {j: 1.0 / (j + 1) for j in range(m + 1)})
+            (part,) = _MMAPlan(model, n).parts
+            assert part.size + len(part.sphere) == ball_size(d, n) + m * sphere_size(d, n)
+
+
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sup |F_a - F_b| of the empirical CDFs, per column of two (draws, columns) samples."""
     a, b = np.sort(a, axis=0), np.sort(b, axis=0)
@@ -722,21 +787,27 @@ LAW_KS_TOL = 0.057
 
 @pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5])
 def test_mma_collapsed_draw_matches_full_noise_law(alpha):
-    # the collapsed outer shell against the draw that reads all of E_(n+m): KS per site of E_4
-    # and on the ball max.  The first kernel has one outer entry per atom; the second reaches
-    # C_(n+2) through several entries per site, so a sigma_t that is not their alpha-norm shows
+    # the grouped draw against the draw that reads all of E_(n+m): KS per site of E_4 and on
+    # the ball max.  The first kernel has one outer entry per atom; the second reaches
+    # C_(n+2) through several entries per site, so a sigma_t that is not their alpha-norm
+    # shows.  The third, level-symmetric of radius 3, groups each site's depth-5 and depth-6
+    # descendants into classes of 3 and 9 nodes, so a class variate scaled by |class| instead
+    # of |class|^(1/alpha) shows at alpha = 0.8 and 1.5; at alpha = 1 the two coincide
     kernels = [
         {"a": {"e": 1.0, "a1": 0.5}, "b": {"e": -0.8, "a2^-1": 0.3}},
         {"a": {"e": 1.0, "a1": 0.5, "a1.a1": 0.6, "a2.a1": -0.4, "a1^-1.a2": 0.3, "a2^-1.a2^-1": 0.9}},
     ]
-    n, reps = 4, 3000
-    for j, tables in enumerate(kernels):
-        model = MixedMovingAverage.from_tables(
+    models = [
+        MixedMovingAverage.from_tables(
             2,
             alpha,
             {w: 1.0 for w in tables},
             {w: {parse_word(2, t): v for t, v in tab.items()} for w, tab in tables.items()},
         )
+        for tables in kernels
+    ] + [mma_from_levels(2, alpha, {0: 1.0, 1: 0.6, 2: 0.3, 3: 0.2})]
+    n, reps = 4, 3000
+    for j, model in enumerate(models):
         rng_new, rng_full = substream(60_317, "collapsed", j), substream(60_317, "full", j)
         plan, full = model.draw(n, None), mma_full_noise_reference(model, n)
         new = np.array([plan(rng_new) for _ in range(reps)])
