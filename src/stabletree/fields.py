@@ -26,7 +26,8 @@ Four models are provided.
   shell C_(n+m_w) is read by one site each, so each site of C_n draws its
   terms from that shell as one SaS variate, with their alpha-norm as scale.
   The other noise nodes outside E_n fall into classes that the sites read
-  alike, and each class draws its sum as one SaS variate.
+  alike, and each class draws its sum as one SaS variate.  The draw plan
+  lives in ``mma_plan``.
 
 Each model carries its own behaviour: the scale of the ball maximum, its
 truncated series if it has one (``series``), the exact norming constant
@@ -47,16 +48,8 @@ from itertools import chain, repeat
 import numpy as np
 
 from .errors import ConfigError, ResourceBudgetError
-from .free_group import (
-    Word,
-    ball_layout,
-    ball_size,
-    enumerate_sphere,
-    identity,
-    letter_rank,
-    sphere_size,
-    word_sort_key,
-)
+from .free_group import ball_layout, ball_size, identity, sphere_size
+from .mma_plan import _MMAPlan, _mma_reads
 from .rng import substream
 from .stable import (
     choose_num_terms,
@@ -306,9 +299,9 @@ class MixedMovingAverage(FieldModel):
             raise ResourceBudgetError("noise ball too large for exact enumeration")
         # noise site u takes the largest |f(w, v)|^alpha over the v with u = t v, t in E_n;
         # a class's nodes share its slot's largest term, and a site of the outer shell,
-        # read through the plan's zero slot ``size``, has one such v
+        # read through the zero slot ``size``, has one such v
         total = 0.0
-        for w, part in zip(self.atoms, _MMAPlan(self, n).parts):
+        for w, part in zip(self.atoms, _mma_reads(self, n)):
             best = np.zeros(part.size + 2)
             outer = []
             for val, idx in part.gathers:
@@ -477,223 +470,6 @@ def _pareto_values(model: ParetoField, n: int, num_terms: int, rng) -> np.ndarra
     for wts in lepage_weights(rng, model.alpha, num_terms, block):
         acc += wts @ rng.random((len(wts), lay.size)) ** (-1.0 / model.theta)
     return stable_tail_constant(model.alpha) ** (1.0 / model.alpha) * acc
-
-
-@dataclass(frozen=True)
-class _MMAAtom:
-    """One kernel atom's share of an :class:`_MMAPlan`."""
-
-    scale: float  # the SaS scale of one noise site, noise_scale(w)
-    size: int  # slots drawn: one per inner site, then one per class; ``size``, ``size + 1`` hold 0
-    classes: list  # per class size c, increasing: (first slot, end slot, c, c^(1/alpha))
-    gathers: list  # per kernel entry (v, value), in table order: (value, idx over E_n)
-    sphere: np.ndarray  # positions in E_n of the sites of C_n with a positive outer weight
-    sigma: np.ndarray  # their scales sigma_t
-
-
-class _MMAPlan:
-    """Exact mixed-moving-average draw over E_n, built once per simulator.
-
-    An atom w whose entries reach radius m_w reads noise on E_(n+m_w).  Its
-    noise nodes fall into three kinds, each drawn as few times as the
-    joint law over E_n allows.
-
-    * The inner sites, E_n (E_(n-1) when m_w = 0): one variate each.
-    * The outer shell C_(n+m_w): a node there is read by one site only, its
-      depth-n ancestor t, through the entry v = t^-1 u.  As sum c_i Z_i of
-      iid SaS(1) variables has the law of (sum |c_i|^alpha)^(1/alpha) Z,
-      t's terms from that shell are drawn as one variate sigma_t Z'_t, with
-
-          sigma_t = noise_scale(w) (sum_(v : |t v| = n + m_w) |f(w, v)|^alpha)^(1/alpha)
-
-      summed by ``math.fsum``.
-    * The nodes in between, below a site A of C_n: a class is a set of them
-      below the same A with the same reader column {(t, f(w, t^-1 u)) : t in
-      E_n}.  Each reader takes c_t sum_u Z_u from a class, and that sum has
-      the law of |class|^(1/alpha) Z, so the class draws one variate, read
-      through its first node in canonical order; its other nodes, and the
-      nodes no site reads, have no slot.  :func:`_noise_classes` finds the
-      classes at kernel size.
-
-    No two kinds share noise and no two classes share a node, so the joint
-    law over E_n is exact.
-
-    ``parts`` holds an :class:`_MMAAtom` per atom: per kernel entry (v, value)
-    a pair (value, idx), ``idx[k]`` the slot of t_k v for the k-th site t_k
-    of E_n: the inner site or the class it heads, else the zero slot
-    ``size`` where t_k v lies on C_(n+m_w) and ``size + 1`` for a class's
-    other nodes.  The slots hold the inner sites in canonical order, then
-    the classes by size, each size in the canonical order of their first
-    nodes.  Per atom a draw takes the variates of all slots, those of a
-    class times |class|^(1/alpha), then one SaS(1) variate per site of
-    ``sphere`` in canonical preorder; each site adds its gathered terms in
-    table order, then sigma_t Z'_t.
-
-    Every draw fills the plan's buffers in place, so a plan serves one draw
-    at a time; the field it returns is a fresh array.
-    """
-
-    def __init__(self, model: MixedMovingAverage, n: int):
-        self.alpha = alpha = model.alpha
-        self.num_sites = ball_size(model.d, n)
-        self.parts = []
-        for w, entries in model.f_table:
-            table = dict(entries)
-            radius = n + max(map(len, table), default=0)
-            # a layout holding the inner noise E_(radius-1) and the sites E_n, in one preorder
-            lay = ball_layout(model.d, max(radius - 1, n))
-            sites = np.flatnonzero(lay.depth <= n)
-            sphere = np.flatnonzero(lay.depth[sites] == n)
-            inner = np.flatnonzero(lay.depth < min(radius, n + 1))
-            heads = _class_heads(lay, sites[sphere], n, table)  # {class size: first nodes}
-            size = len(inner) + sum(map(len, heads.values()))
-            # each node's slot: its own, or its class's if it heads one; ``size + 1`` for the
-            # other nodes of E_(radius-1) and ``size`` on C_radius, whose nodes past the layout
-            # are products -1 and read the extra last entry
-            remap = np.full(lay.size + 1, size, dtype=np.int32)
-            remap[:-1][lay.depth < radius] = size + 1
-            remap[inner] = np.arange(len(inner), dtype=np.int32)
-            classes, lo = [], len(inner)
-            for c, first in heads.items():
-                remap[first] = np.arange(lo, lo + len(first), dtype=np.int32)
-                classes.append((lo, lo + len(first), c, c ** (1.0 / alpha)))
-                lo += len(first)
-            gathers = [(val, remap[_right_products(lay, sites, v)].astype(np.intp)) for v, val in entries]
-            scale = model.noise_scale(w)
-            sigma = _outer_scales(gathers, sphere, size, alpha, scale)
-            keep = sigma > 0.0
-            self.parts.append(_MMAAtom(scale, size, classes, gathers, sphere[keep], sigma[keep]))
-        largest = max((p.size for p in self.parts), default=0)
-        spheres = max((len(p.sphere) for p in self.parts), default=0)
-        self.noise = np.empty(largest + 2)
-        self.gathered = np.empty(self.num_sites)
-        self.collapsed = np.empty((2, spheres))  # sigma_t Z'_t, and the sums it joins
-        # the uniforms, exponentials and scratch terms of sample_sas, which alpha = 1 does without
-        self.work = None if alpha == 1.0 else np.empty((3, max(largest, spheres)))
-
-    def __call__(self, rng: np.random.Generator) -> np.ndarray:
-        """One exact replication over E_n: per atom the variates of its inner sites
-        and classes, gathered per kernel entry, then one collapsed outer-shell
-        variate per sphere site."""
-        out = np.zeros(self.num_sites)
-        tmp = self.gathered
-        for part in self.parts:
-            noise = self.noise[: part.size + 2]
-            work = None if self.work is None else self.work[:, : part.size]
-            drawn = noise[: part.size]
-            sample_sas(rng, self.alpha, part.scale, size=part.size, out=drawn, work=work)
-            noise[part.size :] = 0.0
-            for lo, hi, _, factor in part.classes:
-                noise[lo:hi] *= factor
-            for val, idx in part.gathers:
-                # the indices lie in the buffer by construction; mode="raise" would
-                # gather through a temporary copy
-                np.take(noise, idx, out=tmp, mode="clip")
-                tmp *= val
-                out += tmp
-            k = len(part.sphere)
-            if k:
-                z, sums = self.collapsed[:, :k]
-                work = None if self.work is None else self.work[:, :k]
-                sample_sas(rng, self.alpha, 1.0, size=k, out=z, work=work)
-                z *= part.sigma
-                np.take(out, part.sphere, out=sums, mode="clip")
-                sums += z
-                np.put(out, part.sphere, sums)
-        return out
-
-
-def _noise_classes(d: int, n: int, table: dict) -> dict:
-    """The classes of the noise nodes A w, 1 <= |w| < m, below a site A of C_n.
-
-    m is the kernel's largest entry length.  Keyed by q-letter suffixes P,
-    q = min(n, m // 2): per P, the classes below a site ending in P, each
-    a list of words w in canonical order, so its first node first.
-
-    A site t of E_n reads A w through t^-1 A w = s w with s = t^-1 A, which
-    is e or ends in A's last letter; |t| <= n holds iff s shares its last
-    ceil(|s| / 2) letters with A, and f(s w) = 0 for |s| >= m.  So the
-    readers of A w are fixed by P, and two nodes below A have one column
-    iff they have the same nonzero values f(s w) at those s.  Nodes with
-    none are read by no site and lie in no class.
-    """
-    m = max(map(len, table), default=0)
-    q = min(n, m // 2)
-    # splits[w][tail]: the (s, f(s w)) of the entries s w, 1 <= |w| < m, whose s ends in
-    # ``tail``, its last ceil(|s| / 2) letters
-    splits = {}
-    for v, val in table.items():
-        for i in range(max(len(v) - m + 1, 0), len(v) if val else 0):
-            tails = splits.setdefault(v.letters[i:], {})
-            tails.setdefault(v.letters[i // 2 : i], []).append((v.letters[:i], val))
-    offsets = []  # (w, its first letter, its terms by tail), in canonical order
-    for w in sorted(map(partial(Word, d), splits), key=word_sort_key):
-        tails = {tail: tuple(sorted(terms)) for tail, terms in splits[w.letters].items()}
-        offsets.append((w, w.letters[0], tails))
-    out = {}
-    for suffix in enumerate_sphere(d, q):
-        ends = [suffix.letters[q - h :] for h in range(q + 1)]
-        barred = -suffix.letters[-1] if q else None  # no w below A begins with it
-        groups = {}
-        for w, first, tails in offsets:
-            key = tuple(map(tails.get, ends))
-            if first != barred and any(key):
-                groups.setdefault(key, []).append(w)
-        out[suffix] = list(groups.values())
-    return out
-
-
-def _class_heads(lay, sphere, n: int, table: dict) -> dict:
-    """{class size: layout indices of the first nodes of the classes of that size}.
-
-    Sizes increase and each array is in canonical order.  ``sphere`` holds
-    the layout indices of C_n; a node of C_n ends in P iff its product with
-    P^-1 lies |P| levels up.
-    """
-    heads = {}
-    for suffix, groups in _noise_classes(lay.d, n, table).items():
-        up = lay.right_translate(sphere, suffix.inverse())
-        below = sphere[lay.depth[up] == n - len(suffix)]
-        for members in groups:
-            heads.setdefault(len(members), []).append(lay.right_translate(below, members[0]))
-    return {c: np.sort(np.concatenate(heads[c])) for c in sorted(heads)}
-
-
-def _right_products(lay, sites, v: Word) -> np.ndarray:
-    """Indices in ``lay`` of t v for the nodes t at ``sites``, -1 where t v lies outside.
-
-    For |t| + |v| at most one past the layout's radius: every proper prefix
-    v' of v keeps t v' inside, so only the last letter can step out.
-    """
-    if not v.letters:
-        return sites
-    head = lay.right_translate(sites, Word(v.rank, v.letters[:-1]))
-    return lay.right_mul[head, letter_rank(v.letters[-1])]
-
-
-def _outer_scales(gathers, sphere, zero: int, alpha: float, scale: float) -> np.ndarray:
-    """sigma_t for the sphere sites at ``sphere``: ``scale`` times the alpha-norm
-    of the values whose gather reads the zero slot there, 0 where none does.
-
-    The entries a site reaches the outer shell through depend on its last
-    letter only, so the sites fall into a few patterns; each pattern's
-    |value|^alpha are summed once, by ``math.fsum``.
-    """
-    if not gathers:
-        return np.zeros(len(sphere))
-    hits = np.zeros((len(sphere), len(gathers)), dtype=bool)
-    for j, (_, idx) in enumerate(gathers):
-        np.equal(idx[sphere], zero, out=hits[:, j])
-    # each row's bits as one opaque key: np.unique then sorts bytes, not columns
-    keys = np.packbits(hits, axis=1)
-    _, first, which = np.unique(
-        keys.view(f"V{keys.shape[1]}").ravel(), return_index=True, return_inverse=True
-    )
-    terms = [abs(val) ** alpha for val, _ in gathers]
-    sigma = [
-        scale * math.fsum(t for t, hit in zip(terms, hits[i]) if hit) ** (1.0 / alpha) for i in first
-    ]
-    return np.array(sigma)[which]
 
 
 class FieldSimulator:

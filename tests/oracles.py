@@ -462,7 +462,7 @@ def boundary_values_loop_reference(plan, rng) -> np.ndarray:
 def mma_full_noise_reference(model, n: int):
     """The full-noise mixed-moving-average draw over E_n, as a function of the generator.
 
-    The law reference for the collapsed draw of ``fields._MMAPlan``: per atom,
+    The law reference for the collapsed draw of ``mma_plan._MMAPlan``: per atom,
     fresh noise on the whole of E_(n+m), m the model's support radius, and
     one gather per kernel entry.  Its draw is the plan's draw before the
     outermost noise shell was collapsed, verbatim.
@@ -503,7 +503,7 @@ def mma_full_noise_reference(model, n: int):
 def mma_values_reference(model, n: int):
     """The grouped mixed-moving-average draw over E_n, word by word, as a function of the generator.
 
-    The loop reference for ``fields._MMAPlan``.  Per atom w, with m_w its
+    The loop reference for ``mma_plan._MMAPlan``.  Per atom w, with m_w its
     largest entry length and r = n + m_w:
     * the inner sites E_(min(n, r-1)), in canonical order, one variate each;
     * the nodes u with n < |u| < r, in canonical order, each with its reader

@@ -13,10 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from stabletree import fields
+from stabletree import fields, mma_plan
 from stabletree.errors import ResourceBudgetError
 from stabletree.fields import (
-    _MMAPlan,
     BoundaryField,
     FieldSimulator,
     MixedMovingAverage,
@@ -500,14 +499,40 @@ def two_atom_kernel(alpha=1.3):
     )
 
 
-@pytest.mark.parametrize(
-    "make,n",
-    [
-        (lambda: mma_from_levels(2, 1.0, {0: 1.0, 1: 0.6, 2: 0.3}), 8),
-        (lambda: two_atom_kernel(1.3), 4),
-        (lambda: mma_point_mass(2, 0.7), 5),
-    ],
-)
+def irregular_kernel(d, m, n):
+    """A ``random_kernel`` of two atoms, radii m and (m + n) % 4, seeded by (d, m, n)."""
+    rng = np.random.default_rng([4_871, d, m, n])
+    return random_kernel(d, [0.7, 1.0, 1.3, 1.6][(m + n) % 4], [m, (m + n) % 4], rng)
+
+
+# (d, m, n): both ranks, every first radius and n in 0..3; n < max(m_w, 1) leaves the group
+# of sites that read only inner noise empty, and the kernels miss part of C_(m_w), so some
+# sites of C_n reach no outer-shell node and draw no Z'_t
+IRREGULAR = [(d, m, n) for d in (2, 3) for m in range(4) for n in range(4)]
+MMA_PLAN_CASES = [
+    (lambda: mma_from_levels(2, 1.0, {0: 1.0, 1: 0.6, 2: 0.3}), 8),
+    (lambda: two_atom_kernel(1.3), 4),
+    (lambda: mma_point_mass(2, 0.7), 5),
+] + [
+    pytest.param(lambda d=d, m=m, n=n: irregular_kernel(d, m, n), n, id=f"d{d}-m{m}-n{n}")
+    for d, m, n in IRREGULAR
+] + [
+    # atoms whose tables hold only zeros, which ``from_tables`` drops: they draw their inner
+    # noise and read none of it
+    pytest.param(
+        lambda: MixedMovingAverage.from_tables(2, 1.3, {"w0": 1.0}, {"w0": {}}), 2, id="empty"
+    ),
+    pytest.param(
+        lambda: MixedMovingAverage.from_tables(
+            2, 0.8, {"a": 1.0, "b": 0.5}, {"a": {word(2, [1]): 0.0}, "b": {word(2, [2]): 1.1}}
+        ),
+        3,
+        id="zeros-beside",
+    ),
+]
+
+
+@pytest.mark.parametrize("make,n", MMA_PLAN_CASES)
 def test_mma_plan_matches_loop_reference(make, n):
     # the buffered draw gives the word loop's values bit for bit and consumes
     # the same stream; a returned field does not share the plan's buffers
@@ -522,6 +547,39 @@ def test_mma_plan_matches_loop_reference(make, n):
         if before is not None:
             assert np.array_equal(before[0], before[1])
         before = (got, got.copy())
+
+
+@pytest.mark.parametrize("make,n", MMA_PLAN_CASES)
+def test_mma_plan_blocks_hold_only_the_nonzero_reads(make, n):
+    # per site, its block column holds the entries' reads of a drawn slot in table order, then
+    # its outer-shell variate, then only padding: the zero slot at value 0, and no row of a
+    # block is padding throughout
+    model = make()
+    plan = mma_plan._MMAPlan(model, n)
+    order = np.argsort(plan.inv)  # the canonical position of each depth-major one
+    cells = 0
+    for part, reads in zip(plan.parts, mma_plan._mma_reads(model, n)):
+        want = [[] for _ in order]
+        for val, idx in reads.gathers:
+            for k in np.flatnonzero(idx < reads.size).tolist():
+                want[k].append((int(idx[k]), val))
+        for i, (k, sigma) in enumerate(zip(reads.sphere.tolist(), reads.sigma.tolist())):
+            want[k].append((part.size + 1 + i, sigma))
+        seen = set()
+        for start, slots, values in part.groups:
+            values = np.broadcast_to(values, slots.shape)
+            widths = []
+            for c in range(slots.shape[1]):
+                k = int(order[start + c])
+                col = list(zip(slots[:, c].tolist(), values[:, c].tolist()))
+                assert col == want[k] + [(part.size, 0.0)] * (len(col) - len(want[k]))
+                widths.append(len(want[k]))
+                seen.add(k)
+            assert max(widths) == len(slots)
+            cells += slots.size
+        assert all(not want[k] for k in set(range(len(order))) - seen)
+    if model.support_radius == 2 and n == 8:
+        assert cells == 118_081  # against 17 |E_8| = 223,057 for one gather per entry
 
 
 PINNED_DRAWS = [
@@ -651,8 +709,7 @@ def test_mma_plan_matches_word_products(tab_a, tab_b, n):
     # every read, or the zero slot ``size + 1``
     model = MixedMovingAverage.from_tables(2, 1.0, {"a": 1.0, "b": 2.0}, {"a": tab_a, "b": tab_b})
     sites = list(enumerate_ball(2, n))
-    plan = _MMAPlan(model, n)
-    for w, part in zip(model.atoms, plan.parts):
+    for w, part in zip(model.atoms, mma_plan._mma_reads(model, n)):
         radius = n + max(len(v) for v in model.table(w))
         own = ball_size(2, min(n, radius - 1)) if radius else 0
         assert part.size == own + sum(hi - lo for lo, hi, _, _ in part.classes)
@@ -697,8 +754,7 @@ def test_mma_outer_shell_lemma(d):
             model = random_kernel(d, alpha, radii, rng)
             assert all(prof is None for prof, r in zip(model.level_profiles, radii) if r)
             sites = list(enumerate_ball(d, n))
-            plan = _MMAPlan(model, n)
-            for w, part in zip(model.atoms, plan.parts):
+            for w, part in zip(model.atoms, mma_plan._mma_reads(model, n)):
                 table = model.table(w)
                 radius = n + max(len(v) for v in table)
                 reached = {}
@@ -739,12 +795,11 @@ def test_mma_noise_class_lemma(d):
     for m in range(4):
         for n in range(4):
             model = random_kernel(d, [0.7, 1.0, 1.6][(m + n) % 3], [m, int(rng.integers(0, m + 1))], rng)
-            plan = _MMAPlan(model, n)
-            for w, part in zip(model.atoms, plan.parts):
+            for w, part in zip(model.atoms, mma_plan._mma_reads(model, n)):
                 table = model.table(w)
                 m_w = max(len(v) for v in table)
                 offsets = [x for x in enumerate_ball(d, m_w - 1) if x.letters] if m_w >= 2 else []
-                classes = fields._noise_classes(d, n, table)
+                classes = mma_plan._noise_classes(d, n, table)
                 groups, by_depth = [], []
                 for a in enumerate_ball(d, n):
                     if len(a) < n:
@@ -765,7 +820,7 @@ def test_mma_noise_class_lemma(d):
     for m in range(4):
         for n in range(m, 4):
             model = mma_from_levels(d, 1.3, {j: 1.0 / (j + 1) for j in range(m + 1)})
-            (part,) = _MMAPlan(model, n).parts
+            (part,) = mma_plan._mma_reads(model, n)
             assert part.size + len(part.sphere) == ball_size(d, n) + m * sphere_size(d, n)
 
 

@@ -140,7 +140,10 @@ loaded = lambda: {m for m in sys.modules if m.startswith("stabletree.")}
 import stabletree
 assert not loaded(), loaded()
 import stabletree.harness, stabletree.stats
-core = {"stabletree." + m for m in ("errors", "free_group", "fields", "rng", "stable", "stats", "harness")}
+core = {
+    "stabletree." + m
+    for m in ("errors", "free_group", "fields", "mma_plan", "rng", "stable", "stats", "harness")
+}
 assert loaded() == core, loaded() ^ core
 import stabletree.limit_process
 from stabletree.harness import ExperimentConfig, run
@@ -318,6 +321,24 @@ def test_boundary_maxima_csv_pinned(tmp_path):
     run(cfg).write_csv(tmp_path / "maxima.csv")
     digest = hashlib.sha256((tmp_path / "maxima.csv").read_bytes()).hexdigest()
     assert digest == BOUNDARY_MAXIMA_CSV_SHA256
+
+
+# the radius-3 MMA configs of CI's records checks at alpha = 1.3: simulate-pp at n=4, 20 reps,
+# and simulate-maxima at n=4, 40 reps on one worker, both seed 1; written by the draw that read
+# every kernel entry over all of E_n, so any change to an MMA draw's floats shows
+MMA_CSV_SHA256 = {
+    "pp": "604ee6f76774c675a84a9c41d297f6459b10eb1ee58df2880fe4df62117e5c06",
+    "maxima": "b669065e397ff27c426de84c89db5407c1d5203a826e10962e456581fe24fbe2",
+}
+
+
+@pytest.mark.parametrize("kind,reps,params", [("pp", 20, {}), ("maxima", 40, {"workers": 1})])
+def test_mma_csv_pinned(kind, reps, params, tmp_path):
+    cfg = ExperimentConfig(
+        kind=kind, model={**LEVELS_M3, "alpha": 1.3}, n=4, reps=reps, seed=1, params=params
+    )
+    run(cfg).write_csv(tmp_path / "out.csv")
+    assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == MMA_CSV_SHA256[kind]
 
 
 def _assert_csv_matches_row_writer(result, rows, tmp_path):
