@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import ConfigError, ResourceBudgetError
 from .free_group import ball_layout, ball_size, identity, sphere_size
-from .mma_plan import _MMAPlan, _mma_reads
+from .mma_plan import _MMAPlan, _mma_slots
 from .rng import substream
 from .stable import (
     choose_num_terms,
@@ -62,7 +62,7 @@ from .stable import (
 from .stats import empirical_cdf_table, ks_distance, quantiles
 
 DEFAULT_SITE_BUDGET = 1_000_000  # largest ball a draw lays out, E_(max(n + m - 1, n)) for radius m
-MAXIMA_BATCH = 8  # boundary-field replications per pass of the level work in a maxima run
+MAXIMA_BATCH = 8  # replications per FieldSimulator.maxima call in a maxima run, for every model
 
 
 class FieldModel:
@@ -242,9 +242,6 @@ class MixedMovingAverage(FieldModel):
     def mass(self, w: str) -> float:
         return dict(self.w_masses)[w]
 
-    def table(self, w: str) -> dict:
-        return dict(dict(self.f_table)[w])
-
     @cached_property
     def support_radius(self) -> int:
         return max((len(t) for _, entries in self.f_table for t, _ in entries), default=0)
@@ -295,22 +292,20 @@ class MixedMovingAverage(FieldModel):
 
     def norming_constant(self, n: int) -> float:
         """The finite sum over noise sites of the max kernel value over the ball."""
-        if ball_size(self.d, max(n + self.support_radius - 1, n)) > DEFAULT_SITE_BUDGET:
-            raise ResourceBudgetError("noise ball too large for exact enumeration")
+        _check_site_budget(self, n)
         # noise site u takes the largest |f(w, v)|^alpha over the v with u = t v, t in E_n;
         # a class's nodes share its slot's largest term, and a site of the outer shell,
         # read through the zero slot ``size``, has one such v
         total = 0.0
-        for w, part in zip(self.atoms, _mma_reads(self, n)):
-            best = np.zeros(part.size + 2)
-            outer = []
-            for val, idx in part.gathers:
-                term = abs(val) ** self.alpha
-                np.maximum.at(best, idx, term)
-                outer.append(repeat(term, int(np.count_nonzero(idx == part.size))))
-            own = part.size - sum(hi - lo for lo, hi, _, _ in part.classes)
-            classes = [best[lo:hi].repeat(c).tolist() for lo, hi, c, _ in part.classes]
-            total += self.mass(w) * math.fsum(chain(best[:own].tolist(), *classes, *outer))
+        for w, (_, size, classes, values, _, table) in zip(self.atoms, _mma_slots(self, n)):
+            slots = table(0, ball_size(self.d, n))
+            terms = [abs(val) ** self.alpha for val in values]
+            best = np.zeros(size + 2)
+            np.maximum.at(best, slots, np.array(terms)[:, None])
+            outer = map(repeat, terms, np.count_nonzero(slots == size, axis=1).tolist())
+            own = size - sum(hi - lo for lo, hi, _, _ in classes)
+            members = [best[lo:hi].repeat(c).tolist() for lo, hi, c, _ in classes]
+            total += self.mass(w) * math.fsum(chain(best[:own].tolist(), *members, *outer))
         return total
 
     def draw(self, n: int, num_terms: int | None):
@@ -472,6 +467,17 @@ def _pareto_values(model: ParetoField, n: int, num_terms: int, rng) -> np.ndarra
     return stable_tail_constant(model.alpha) ** (1.0 / model.alpha) * acc
 
 
+def _check_site_budget(model: FieldModel, n: int):
+    """Raise ``ResourceBudgetError`` if a draw over E_n would lay out more than
+    ``DEFAULT_SITE_BUDGET`` sites, in E_(max(n + m - 1, n)) for support radius m."""
+    radius = max(n + model.support_radius - 1, n)
+    sites = ball_size(model.d, radius)
+    if sites > DEFAULT_SITE_BUDGET:
+        raise ResourceBudgetError(
+            f"|E_{radius}| = {sites} exceeds site budget {DEFAULT_SITE_BUDGET}"
+        )
+
+
 class FieldSimulator:
     """Reusable per-model simulation plan for repeated replications.
 
@@ -484,12 +490,7 @@ class FieldSimulator:
     """
 
     def __init__(self, model: FieldModel, n: int, num_terms: int | None = None):
-        radius = max(n + model.support_radius - 1, n)
-        sites = ball_size(model.d, radius)
-        if sites > DEFAULT_SITE_BUDGET:
-            raise ResourceBudgetError(
-                f"|E_{radius}| = {sites} exceeds site budget {DEFAULT_SITE_BUDGET}"
-            )
+        _check_site_budget(model, n)
         self.model = model
         self.n = n
         self.meta = approximations(model, n, num_terms)

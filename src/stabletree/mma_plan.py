@@ -1,5 +1,7 @@
 """The exact mixed-moving-average draw over E_n: :class:`_MMAPlan` and the
-per-entry reads of :func:`_mma_reads` that it is built from.
+per-atom slot tables of :func:`_mma_slots` that it is built from, each
+group's table taken once, C_n's first; the groups partition the sites, so
+their order changes no float.
 
 ``fields`` imports this module.  They are two modules because Python
 compiles a module's source in one piece, so the memory an import peaks at
@@ -27,7 +29,9 @@ class _MMAAtom(NamedTuple):
     Per group of sites, ``groups`` holds its first depth-major position, a
     (K, rows) block of slots and the values they are read at, (K, rows) or
     one (K, 1) column: column c holds the c-th site's nonzero reads in
-    table order, padded with the zero slot ``size`` at value 0.
+    table order, padded with the zero slot ``size`` at value 0.  The groups
+    run from C_n up, E_(n-max(m_w, 1)) last; they partition the sites, so
+    their order changes no float.
     """
 
     scale: float  # the SaS scale of one noise site, noise_scale(w)
@@ -35,31 +39,6 @@ class _MMAAtom(NamedTuple):
     classes: list  # per class size c, increasing: (first slot, end slot, c, c^(1/alpha))
     outer: int  # outer-shell variates, in slots size + 1, ..., size + outer
     groups: list
-
-
-class _MMAReads(NamedTuple):
-    """One kernel atom's reads over E_n, which :class:`_MMAPlan` fills its blocks from.
-
-    ``gathers`` yields per kernel entry (v, value), in table order, the pair
-    (value, idx), ``idx[k]`` the slot of t_k v for the k-th site t_k of E_n:
-    the inner site or the class it heads, else the zero slot ``size`` where
-    t_k v lies on C_(n+m_w) and ``size + 1`` for a class's other nodes.  It
-    computes each entry when it reaches it.  The sites are in canonical
-    order, or in the order :func:`_mma_reads` was given.
-    """
-
-    scale: float
-    size: int
-    classes: list
-    sphere: np.ndarray  # the positions of the sites of C_n with a positive outer weight
-    sigma: np.ndarray  # their scales sigma_t
-    reads: np.ndarray  # per site of E_n: its entries that read a slot below ``size``
-    entries: tuple  # ((v, value), ...) in table order
-    slots: partial  # v -> idx over E_n
-
-    @property
-    def gathers(self):
-        return ((val, self.slots(v)) for v, val in self.entries)
 
 
 class _MMAPlan:
@@ -101,8 +80,10 @@ class _MMAPlan:
     order, atom by atom, then sigma_t Z'_t, and no +0.0 of an entry that
     reads nothing.  At n = 8 for the level-symmetric radius-2 kernel (d = 2)
     that is 118,081 gathered cells over E_6, C_7 and C_8, against 17 |E_8|
-    = 223,057 for one gather per entry over E_n.  The plan keeps none of
-    the per-entry reads of :func:`_mma_reads`.
+    = 223,057 for one gather per entry over E_n.  The build takes each
+    group's slot table of :func:`_mma_slots` once, C_n's first, while no
+    other block is held, and keeps none of them.  The groups partition the
+    sites, so their order changes no float.
 
     ``__call__`` returns the field in canonical order.  A draw fills the
     plan's buffers, so a plan serves one draw at a time; the field it
@@ -118,7 +99,7 @@ class _MMAPlan:
         self.inv = np.empty_like(order)
         self.inv[order] = np.arange(len(order))
         edges = np.cumsum(np.bincount(depth)).tolist()  # |E_0|, ..., |E_n|
-        self.parts = [_read_blocks(reads, edges) for reads in _mma_reads(model, n, order)]
+        self.parts = [_read_blocks(atom, edges, alpha) for atom in _mma_slots(model, n, order)]
         self.noise = np.empty(max((p.size + 1 + p.outer for p in self.parts), default=1))
         # the gathered terms of a block, taken in chunks of whole rows of at most 3 |E_n| terms
         blocks = [s.shape for p in self.parts for _, s, _ in p.groups]
@@ -158,95 +139,97 @@ class _MMAPlan:
         return np.take(acc, self.inv)
 
 
-def _mma_reads(model: MixedMovingAverage, n: int, order=None):
-    """The :class:`_MMAReads` of each atom over E_n, one atom at a time; its
-    k-th site is the ``order[k]``-th of E_n in canonical order, or the k-th
-    if ``order`` is None."""
-    return (_atom_reads(model, n, w, entries, order) for w, entries in model.f_table)
+def _mma_slots(model: MixedMovingAverage, n: int, order=None):
+    """Per atom w in turn: (scale, size, classes, values, reach, table) over E_n.
 
-
-def _atom_reads(model: MixedMovingAverage, n: int, w: str, entries: tuple, order) -> _MMAReads:
-    """Atom w's :class:`_MMAReads`: a function of its own, so that its layout
-    masks and outer-shell hits go when it returns."""
-    table, alpha = dict(entries), model.alpha
-    radius = n + max(map(len, table), default=0)
-    # a layout holding the inner noise E_(radius-1) and the sites E_n, in one preorder
-    lay = ball_layout(model.d, max(radius - 1, n))
-    sites = np.flatnonzero(lay.depth <= n)
-    if order is not None:
-        sites = sites[order]
-    sphere = np.flatnonzero(lay.depth[sites] == n)
-    inner = np.flatnonzero(lay.depth < min(radius, n + 1))
-    heads = _class_heads(lay, sites[sphere], n, table)  # {class size: first nodes}
-    size = len(inner) + sum(map(len, heads.values()))
-    # each node's slot: its own, or its class's if it heads one; ``size + 1`` for the
-    # other nodes of E_(radius-1) and ``size`` on C_radius, whose nodes past the layout
-    # are products -1 and read the extra last entry
-    remap = np.full(lay.size + 1, size, dtype=np.int32)
-    remap[:-1][lay.depth < radius] = size + 1
-    remap[inner] = np.arange(len(inner), dtype=np.int32)
-    classes, lo = [], len(inner)
-    for c, first in heads.items():
-        remap[first] = np.arange(lo, lo + len(first), dtype=np.int32)
-        classes.append((lo, lo + len(first), c, c ** (1.0 / alpha)))
-        lo += len(first)
-    slots = partial(_right_products, lay, sites, remap)
-    reads = np.zeros(len(sites), dtype=np.int32)
-    hits = np.empty((len(sphere), len(entries)), dtype=bool)  # the entries reaching C_radius
-    for j, (v, _) in enumerate(entries):
-        idx = slots(v)
-        reads += idx < size
-        np.equal(idx[sphere], size, out=hits[:, j])
-    scale = model.noise_scale(w)
-    sigma = _outer_scales(hits, [val for _, val in entries], alpha, scale)
-    keep = sigma > 0.0
-    return _MMAReads(scale, size, classes, sphere[keep], sigma[keep], reads, entries, slots)
-
-
-def _read_blocks(reads: _MMAReads, edges: list) -> _MMAAtom:
-    """The :class:`_MMAAtom` of ``reads``, its blocks filled one entry at a time.
-
-    ``reads`` lists the sites in depth-major order, and ``edges`` holds
-    |E_0|, ..., |E_n|.  Past the first group, the groups share one slot and
-    one value buffer, and a cursor per site holds the cell of its next
-    read, one block row (the group's site count) past its last.
+    ``scale`` is noise_scale(w).  The slots below ``size`` hold the inner
+    sites, then the classes; ``classes`` lists per class size c, increasing,
+    (first slot, end slot, c, c^(1/alpha)).  ``values`` holds the entries'
+    values in table order and ``reach`` is m_w.  ``table(a, b)`` is the
+    (entries, b - a) int32 table of the slots the a-th to (b-1)-th sites
+    read, entry by entry: the slot of t v, its inner site or the class it
+    heads, else the zero slot ``size`` where t v lies on C_(n+m_w) and
+    ``size + 1`` for the other nodes.  The k-th site is the ``order[k]``-th
+    of E_n in canonical order, or the k-th if ``order`` is None.
     """
+    for w, entries in model.f_table:
+        kernel = dict(entries)
+        reach = max(map(len, kernel), default=0)
+        radius = n + reach
+        # a layout holding the inner noise E_(radius-1) and the sites E_n, in one preorder
+        lay = ball_layout(model.d, max(radius - 1, n))
+        sites = np.flatnonzero(lay.depth <= n)
+        if order is not None:
+            sites = sites[order]
+        inner = np.flatnonzero(lay.depth < min(radius, n + 1))
+        heads = _class_heads(lay, np.flatnonzero(lay.depth == n), n, kernel)  # {size: first nodes}
+        size = len(inner) + sum(map(len, heads.values()))
+        # each node's slot: its own, or its class's if it heads one; ``size + 1`` for the
+        # other nodes of E_(radius-1) and ``size`` on C_radius, whose nodes past the layout
+        # are products -1 and read the extra last entry
+        remap = np.full(lay.size + 1, size, dtype=np.int32)
+        remap[:-1][lay.depth < radius] = size + 1
+        remap[inner] = np.arange(len(inner), dtype=np.int32)
+        classes, lo = [], len(inner)
+        for c, first in heads.items():
+            remap[first] = np.arange(lo, lo + len(first), dtype=np.int32)
+            classes.append((lo, lo + len(first), c, c ** (1.0 / model.alpha)))
+            lo += len(first)
+        slots = partial(_slot_table, lay, sites, remap, kernel)
+        yield model.noise_scale(w), size, classes, [val for _, val in entries], reach, slots
+
+
+def _read_blocks(atom: tuple, edges: list, alpha: float) -> _MMAAtom:
+    """The :class:`_MMAAtom` of one atom of :func:`_mma_slots`, its sites in
+    depth-major order; ``edges`` holds |E_0|, ..., |E_n|.
+
+    Each group takes its slot table once.  C_n goes first, while no other
+    block is held, and its sites read their sigma_t Z'_t.
+    """
+    scale, size, classes, values, reach, table = atom
     n = len(edges) - 1
-    split = n - max(max((len(v) for v, _ in reads.entries), default=0), 1)
-    lo = edges[split] if split >= 0 else 0  # E_split, where every entry reads an inner site
-    count = reads.reads[lo:].copy()  # the nonzero reads of each site past it, Z'_t included
-    count[reads.sphere - lo] += 1
-    ends = np.array(edges[max(split + 1, 0) :]) - lo  # the sphere groups past E_split
-    rows = np.diff(ends, prepend=0)
-    starts = ends - rows
-    heights = np.maximum.reduceat(count, starts)  # K per group
-    cells = heights * rows
-    blocks = np.cumsum(cells) - cells  # where each group's cells begin
-    slots = np.full(cells.sum(), reads.size, dtype=np.intp)
-    values = np.zeros(cells.sum())
-    cursor = count  # the counts' buffer now holds each site's next cell
-    cursor[:] = np.arange(ends[-1]) + (blocks - starts).repeat(rows)
-    spans = list(zip(starts.tolist(), ends.tolist(), rows.tolist()))
-    head = np.empty((len(reads.entries), lo), dtype=np.intp)
-    for j, (val, idx) in enumerate(reads.gathers):
-        head[j] = idx[:lo]
-        for a, b, r in spans:  # group by group, to keep each entry's index arrays small
-            tail, here = idx[lo + a : lo + b], cursor[a:b]
-            hit = np.flatnonzero(tail < reads.size)
-            at = here[hit]
-            slots[at] = tail[hit]
-            values[at] = val
-            at += r
-            here[hit] = at
-    at = cursor[reads.sphere - lo]
-    slots[at] = np.arange(reads.size + 1, reads.size + 1 + len(at))
-    values[at] = reads.sigma
-    groups = [(0, head, np.array([val for _, val in reads.entries])[:, None])] if head.size else []
-    for a, r, k, b in zip(starts.tolist(), rows.tolist(), heights.tolist(), blocks.tolist()):
-        if k:
-            block = slice(b, b + k * r)
-            groups.append((lo + a, slots[block].reshape(k, r), values[block].reshape(k, r)))
-    return _MMAAtom(reads.scale, reads.size, reads.classes, len(reads.sphere), groups)
+    split = n - max(reach, 1)  # E_split, where every entry reads an inner site
+    groups, outer = [], 0
+    for k in range(n, max(split, -1), -1):  # C_n, then each shallower sphere past E_split
+        start = edges[k - 1] if k else 0
+        shell = (alpha, scale) if k == n else None
+        block, cells, drawn = _sphere_block(table(start, edges[k]), values, size, shell)
+        outer += drawn
+        if len(block):
+            groups.append((start, block, cells))
+    lo = edges[split] if split >= 0 else 0
+    if lo and values:
+        groups.append((0, table(0, lo).astype(np.intp), np.array(values)[:, None]))
+    return _MMAAtom(scale, size, classes, outer, groups)
+
+
+def _sphere_block(slots: np.ndarray, values: list, size: int, shell=None) -> tuple:
+    """One group's (K, rows) blocks of slots and values from its (entries,
+    rows) slot table, and how many outer-shell variates it reads.
+
+    K is the sites' largest count of reads below ``size``, and the blocks
+    are filled entry by entry, with a cursor per site holding the row of its
+    next read.  With ``shell`` = (alpha, scale), on C_n, each site t with
+    sigma_t > 0 then reads sigma_t Z'_t, the i-th such site from slot
+    ``size + 1 + i``.  A function of its own, so that the table and the
+    cursors go before the next group's table is taken.
+    """
+    count = np.count_nonzero(slots < size, axis=0)
+    scales = np.zeros(len(count)) if shell is None else _outer_scales(slots == size, values, *shell)
+    last = np.flatnonzero(scales > 0.0)
+    count[last] += 1
+    block = np.full((count.max(), len(count)), size, dtype=np.intp)
+    cells = np.zeros(block.shape)
+    cursor = np.zeros_like(count)
+    for row, val in zip(slots, values):
+        hit = np.flatnonzero(row < size)
+        at = cursor[hit]
+        block[at, hit] = row[hit]
+        cells[at, hit] = val
+        cursor[hit] = at + 1
+    block[cursor[last], last] = np.arange(size + 1, size + 1 + len(last))
+    cells[cursor[last], last] = scales[last]
+    return block, cells, len(last)
 
 
 def _noise_classes(d: int, n: int, table: dict) -> dict:
@@ -305,37 +288,42 @@ def _class_heads(lay, sphere, n: int, table: dict) -> dict:
     return {c: np.sort(np.concatenate(heads[c])) for c in sorted(heads)}
 
 
-def _right_products(lay, sites, remap: np.ndarray, v: Word) -> np.ndarray:
-    """``remap`` at the index in ``lay`` of t v for each node t at ``sites``, at -1
-    where t v lies outside.
+def _slot_table(lay, sites, remap: np.ndarray, kernel: dict, a: int, b: int) -> np.ndarray:
+    """``remap`` at the index in ``lay`` of t v, per entry v of ``kernel`` and node t
+    at ``sites[a:b]``, at -1 where t v lies outside: an (entries, b - a) table.
 
     For |t| + |v| at most one past the layout's radius: every proper prefix
     v' of v keeps t v' inside, so only the last letter can step out.
     """
-    if v.letters:
-        sites = lay.right_translate(sites, Word(v.rank, v.letters[:-1]))
-        sites = lay.right_mul[sites, letter_rank(v.letters[-1])]
-    return remap.take(sites)
+    out = np.empty((len(kernel), b - a), dtype=remap.dtype)
+    for row, v in zip(out, kernel):
+        ts = sites[a:b]
+        if v.letters:
+            ts = lay.right_translate(ts, Word(v.rank, v.letters[:-1]))
+            ts = lay.right_mul[ts, letter_rank(v.letters[-1])]
+        remap.take(ts, out=row)
+    return out
 
 
 def _outer_scales(hits: np.ndarray, values: list, alpha: float, scale: float) -> np.ndarray:
-    """sigma_t per row of ``hits``, the sites of C_n by the entries that reach the
-    outer shell from them: ``scale`` times the alpha-norm of those entries'
-    values, 0 where none does.
+    """sigma_t per column of ``hits``, the entries by the sites of C_n, true
+    where the entry reaches the outer shell from the site: ``scale`` times
+    the alpha-norm of those entries' values, 0 where none does.
 
     The entries a site reaches the outer shell through depend on its last
     letter only, so the sites fall into a few patterns; each pattern's
     |value|^alpha are summed once, by ``math.fsum``.
     """
     if not values:
-        return np.zeros(len(hits))
-    # each row's bits as one opaque key: np.unique then sorts bytes, not columns
-    keys = np.packbits(hits, axis=1)
+        return np.zeros(hits.shape[1])
+    # each site's bits as one opaque key: np.unique then sorts bytes, not rows
+    keys = np.packbits(hits, axis=0).T.copy()
     _, first, which = np.unique(
         keys.view(f"V{keys.shape[1]}").ravel(), return_index=True, return_inverse=True
     )
     terms = [abs(val) ** alpha for val in values]
     sigma = [
-        scale * math.fsum(t for t, hit in zip(terms, hits[i]) if hit) ** (1.0 / alpha) for i in first
+        scale * math.fsum(t for t, hit in zip(terms, hits[:, i]) if hit) ** (1.0 / alpha)
+        for i in first
     ]
     return np.array(sigma)[which]

@@ -76,6 +76,11 @@ def mma_from_levels(d: int, alpha: float, levels: dict, mass: float = 1.0) -> Mi
     return MixedMovingAverage.from_tables(d, alpha, {"w0": mass}, {"w0": tab})
 
 
+def kernel_table(model: MixedMovingAverage, w: str) -> dict:
+    """Atom w's kernel {Word: value}, in table order."""
+    return dict(dict(model.f_table)[w])
+
+
 def determining_steps(level: int, m: int) -> int:
     """Shortest path length whose prefix decides the subgraph's trace on E_m.
 
@@ -194,7 +199,7 @@ def level_sum_exact(model: MixedMovingAverage, per_atom) -> Fraction:
     columns = []
     for w in model.atoms:
         col = [Fraction(0)] * lay.size
-        for t, v in model.table(w).items():
+        for t, v in kernel_table(model, w).items():
             col[lay.word_to_index(t.inverse())] = Fraction(v)
         columns.append((Fraction(model.mass(w)), col))
     total = Fraction(0)
@@ -477,7 +482,7 @@ def mma_full_noise_reference(model, n: int):
             model.noise_scale(w),
             [
                 (val, lay.right_translate(sites, v).astype(np.intp))
-                for v, val in model.table(w).items()
+                for v, val in kernel_table(model, w).items()
             ],
         )
         for w in model.atoms
@@ -526,7 +531,7 @@ def mma_values_reference(model, n: int):
     sites = list(enumerate_ball(d, n))
     plans = []
     for w in model.atoms:
-        table = model.table(w)
+        table = kernel_table(model, w)
         radius = n + max((len(v) for v in table), default=0)
         own = min(n, radius - 1)
         own_index = ball_layout(d, own).word_to_index if own >= 0 else None

@@ -43,6 +43,7 @@ from oracles import (
     boundary_cylinder_sums,
     boundary_values_loop_reference,
     boundary_values_reference,
+    kernel_table,
     mma_from_levels,
     mma_full_noise_reference,
     mma_values_reference,
@@ -558,13 +559,16 @@ def test_mma_plan_blocks_hold_only_the_nonzero_reads(make, n):
     plan = mma_plan._MMAPlan(model, n)
     order = np.argsort(plan.inv)  # the canonical position of each depth-major one
     cells = 0
-    for part, reads in zip(plan.parts, mma_plan._mma_reads(model, n)):
+    sphere = np.flatnonzero(ball_layout(model.d, n).depth == n)
+    for part, (scale, size, _, entries, _, table) in zip(plan.parts, mma_plan._mma_slots(model, n)):
+        reads = table(0, len(order))
         want = [[] for _ in order]
-        for val, idx in reads.gathers:
-            for k in np.flatnonzero(idx < reads.size).tolist():
+        for val, idx in zip(entries, reads):
+            for k in np.flatnonzero(idx < size).tolist():
                 want[k].append((int(idx[k]), val))
-        for i, (k, sigma) in enumerate(zip(reads.sphere.tolist(), reads.sigma.tolist())):
-            want[k].append((part.size + 1 + i, sigma))
+        sigma = mma_plan._outer_scales(reads[:, sphere] == size, entries, model.alpha, scale)
+        for i, (k, s) in enumerate(zip(sphere[sigma > 0].tolist(), sigma[sigma > 0].tolist())):
+            want[k].append((part.size + 1 + i, s))
         seen = set()
         for start, slots, values in part.groups:
             values = np.broadcast_to(values, slots.shape)
@@ -656,7 +660,7 @@ def brute_norming(model, n):
         bests = []
         for u in enumerate_ball(model.d, n + model.support_radius):
             best = 0.0
-            for v, val in model.table(w).items():
+            for v, val in kernel_table(model, w).items():
                 if len(multiply(u, v.inverse())) <= n:
                     best = max(best, abs(val) ** model.alpha)
             bests.append(best)
@@ -665,7 +669,7 @@ def brute_norming(model, n):
 
 
 def brute_level_profile(model, w):
-    tab = model.table(w)
+    tab = kernel_table(model, w)
     m = max(len(t) for t in tab)
     levels = {}
     for j in range(m + 1):
@@ -695,6 +699,25 @@ def test_norming_and_level_profile_match_word_loops():
     assert kernels[2].level_profiles[0] is None and not kernels[2].is_level_symmetric
 
 
+def _small_for_words(case):
+    make, n = getattr(case, "values", case)
+    return n + make().support_radius <= 4
+
+
+@pytest.mark.parametrize("make,n", filter(_small_for_words, MMA_PLAN_CASES))
+def test_mma_norming_matches_word_loop(make, n):
+    # the plan cases with n + m <= 4 for support radius m: classes and empty tables included
+    model = make()
+    assert model.norming_constant(n) == brute_norming(model, n)
+
+
+def test_mma_norming_past_the_site_budget():
+    # the pp-mma kernel at n = 11 lays out E_12
+    model = mma_from_levels(2, 1.0, {0: 1.0, 1: 0.6, 2: 0.3})
+    with pytest.raises(ResourceBudgetError, match=r"^\|E_12\| = 1062881 exceeds site budget 1000000$"):
+        model.norming_constant(11)
+
+
 words_up_to_2 = st.lists(st.sampled_from(letters_in_order(2)), max_size=2).map(
     lambda letters: word(2, letters)
 )
@@ -709,22 +732,22 @@ def test_mma_plan_matches_word_products(tab_a, tab_b, n):
     # every read, or the zero slot ``size + 1``
     model = MixedMovingAverage.from_tables(2, 1.0, {"a": 1.0, "b": 2.0}, {"a": tab_a, "b": tab_b})
     sites = list(enumerate_ball(2, n))
-    for w, part in zip(model.atoms, mma_plan._mma_reads(model, n)):
-        radius = n + max(len(v) for v in model.table(w))
+    for w, (_, size, classes, values, _, table) in zip(model.atoms, mma_plan._mma_slots(model, n)):
+        radius = n + max(len(v) for v in kernel_table(model, w))
         own = ball_size(2, min(n, radius - 1)) if radius else 0
-        assert part.size == own + sum(hi - lo for lo, hi, _, _ in part.classes)
-        assert [val for val, _ in part.gathers] == list(model.table(w).values())
+        assert size == own + sum(hi - lo for lo, hi, _, _ in classes)
+        assert values == list(kernel_table(model, w).values())
         heads = {}
-        for (v, _), (_, idx) in zip(model.table(w).items(), part.gathers):
+        for v, idx in zip(kernel_table(model, w), table(0, len(sites))):
             for t, i in zip(sites, idx.tolist()):
                 u = multiply(t, v)
                 if len(u) <= min(n, radius - 1):
                     assert i == ball_layout(2, min(n, radius - 1)).word_to_index(u)
                 elif len(u) == radius:
-                    assert i == part.size
-                elif i != part.size + 1:
-                    assert own <= i < part.size and heads.setdefault(i, u) == u
-        assert len(heads) == part.size - own
+                    assert i == size
+                elif i != size + 1:
+                    assert own <= i < size and heads.setdefault(i, u) == u
+        assert len(heads) == size - own
 
 
 def random_kernel(d, alpha, radii, rng):
@@ -754,23 +777,30 @@ def test_mma_outer_shell_lemma(d):
             model = random_kernel(d, alpha, radii, rng)
             assert all(prof is None for prof, r in zip(model.level_profiles, radii) if r)
             sites = list(enumerate_ball(d, n))
-            for w, part in zip(model.atoms, mma_plan._mma_reads(model, n)):
-                table = model.table(w)
+            plan = mma_plan._MMAPlan(model, n)
+            order = np.argsort(plan.inv)  # the canonical position of each depth-major one
+            atoms = zip(model.atoms, plan.parts, mma_plan._mma_slots(model, n))
+            for w, part, (scale, size, _, values, _, slot_table) in atoms:
+                table, slots = kernel_table(model, w), slot_table(0, len(sites))
                 radius = n + max(len(v) for v in table)
                 reached = {}
                 for k, t in enumerate(sites):
-                    for (v, _), (_, idx) in zip(table.items(), part.gathers):
+                    for v, idx in zip(table, slots):
                         u = multiply(t, v)
-                        assert (idx[k] == part.size) == (len(u) == radius)
+                        assert (idx[k] == size) == (len(u) == radius)
                         if len(u) == radius:
                             reached.setdefault(u, []).append(t)
                 for u, ts in reached.items():
                     assert ts == [Word(d, u.letters[:n])]
-                sigma = dict(zip(part.sphere.tolist(), part.sigma.tolist()))
+                # sigma_t is the value of the plan's read of a slot past ``size``
+                sigma = {}
+                for start, block, cells in part.groups:
+                    for r, c in zip(*np.nonzero(block > size)):
+                        sigma[int(order[start + c])] = float(cells[r, c])
                 total = sum(abs(val) ** alpha for val in table.values())
                 for k in range(len(sites)):
-                    inner = sum(abs(val) ** alpha for val, idx in part.gathers if idx[k] != part.size)
-                    outer = (sigma.get(k, 0.0) / part.scale) ** alpha
+                    inner = sum(abs(val) ** alpha for val, idx in zip(values, slots) if idx[k] != size)
+                    outer = (sigma.get(k, 0.0) / scale) ** alpha
                     assert inner + outer == pytest.approx(total, rel=1e-12)
 
 
@@ -795,8 +825,8 @@ def test_mma_noise_class_lemma(d):
     for m in range(4):
         for n in range(4):
             model = random_kernel(d, [0.7, 1.0, 1.6][(m + n) % 3], [m, int(rng.integers(0, m + 1))], rng)
-            for w, part in zip(model.atoms, mma_plan._mma_reads(model, n)):
-                table = model.table(w)
+            for w, (_, _, part_classes, _, _, _) in zip(model.atoms, mma_plan._mma_slots(model, n)):
+                table = kernel_table(model, w)
                 m_w = max(len(v) for v in table)
                 offsets = [x for x in enumerate_ball(d, m_w - 1) if x.letters] if m_w >= 2 else []
                 classes = mma_plan._noise_classes(d, n, table)
@@ -815,13 +845,13 @@ def test_mma_noise_class_lemma(d):
                     for depth in range(n + 1, n + m_w):
                         by_depth.append({columns[u] for u in read if len(u) == depth})
                 assert any(len(cs) > 1 for cs in by_depth) == (m_w >= 2)
-                assert {c: hi - lo for lo, hi, c, _ in part.classes} == Counter(map(len, groups))
+                assert {c: hi - lo for lo, hi, c, _ in part_classes} == Counter(map(len, groups))
     # a full-support level-symmetric kernel of radius m draws |E_n| + m |C_n| variates, n >= m
     for m in range(4):
         for n in range(m, 4):
             model = mma_from_levels(d, 1.3, {j: 1.0 / (j + 1) for j in range(m + 1)})
-            (part,) = mma_plan._mma_reads(model, n)
-            assert part.size + len(part.sphere) == ball_size(d, n) + m * sphere_size(d, n)
+            (part,) = mma_plan._MMAPlan(model, n).parts
+            assert part.size + part.outer == ball_size(d, n) + m * sphere_size(d, n)
 
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -323,22 +323,42 @@ def test_boundary_maxima_csv_pinned(tmp_path):
     assert digest == BOUNDARY_MAXIMA_CSV_SHA256
 
 
+# a two-atom kernel at d = 3 that is not level-symmetric, of radii 2 and 1; atom "a" reads
+# noise classes between C_n and its outer shell
+D3_R2 = {
+    "variant": "mma", "d": 3, "w_masses": {"a": 1.0, "b": 0.5},
+    "f_table": {
+        "a": {"e": 1.0, "a1": 0.6, "a3": 0.6, "a2^-1": -0.4, "a1.a3": 0.3, "a3^-1.a2^-1": 0.2},
+        "b": {"a3": 0.7, "a2^-1": -0.5},
+    },
+}
 # the radius-3 MMA configs of CI's records checks at alpha = 1.3: simulate-pp at n=4, 20 reps,
 # and simulate-maxima at n=4, 40 reps on one worker, both seed 1; written by the draw that read
-# every kernel entry over all of E_n, so any change to an MMA draw's floats shows
-MMA_CSV_SHA256 = {
-    "pp": "604ee6f76774c675a84a9c41d297f6459b10eb1ee58df2880fe4df62117e5c06",
-    "maxima": "b669065e397ff27c426de84c89db5407c1d5203a826e10962e456581fe24fbe2",
+# every kernel entry over all of E_n, so any change to an MMA draw's floats shows.  The d = 3
+# config, simulate-pp at alpha = 0.8, n=3, 20 reps, seed 1, was written by the grouped draw
+# whose build derived each entry's slot table twice
+MMA_CSV_CASES = {
+    "d2-pp": (
+        "pp", {**LEVELS_M3, "alpha": 1.3}, 4, 20, {},
+        "604ee6f76774c675a84a9c41d297f6459b10eb1ee58df2880fe4df62117e5c06",
+    ),
+    "d2-maxima": (
+        "maxima", {**LEVELS_M3, "alpha": 1.3}, 4, 40, {"workers": 1},
+        "b669065e397ff27c426de84c89db5407c1d5203a826e10962e456581fe24fbe2",
+    ),
+    "d3-pp": (
+        "pp", {**D3_R2, "alpha": 0.8}, 3, 20, {},
+        "53465420993eaa8d24a453eaedd9a4e0c42841ff92c41a39c9ad7cccb117012d",
+    ),
 }
 
 
-@pytest.mark.parametrize("kind,reps,params", [("pp", 20, {}), ("maxima", 40, {"workers": 1})])
-def test_mma_csv_pinned(kind, reps, params, tmp_path):
-    cfg = ExperimentConfig(
-        kind=kind, model={**LEVELS_M3, "alpha": 1.3}, n=4, reps=reps, seed=1, params=params
-    )
+@pytest.mark.parametrize("case", sorted(MMA_CSV_CASES))
+def test_mma_csv_pinned(case, tmp_path):
+    kind, model, n, reps, params, digest = MMA_CSV_CASES[case]
+    cfg = ExperimentConfig(kind=kind, model=model, n=n, reps=reps, seed=1, params=params)
     run(cfg).write_csv(tmp_path / "out.csv")
-    assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == MMA_CSV_SHA256[kind]
+    assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == digest
 
 
 def _assert_csv_matches_row_writer(result, rows, tmp_path):
