@@ -206,18 +206,17 @@ def verify_weakly_wandering(d: int, depth_cap: int) -> WeaklyWanderingReport:
     """
     if depth_cap < 1:
         raise ValueError("depth_cap must be >= 1")
-    base = CylinderSet.from_words(d, [Word(d, (-1,))])
+    base = Word(d, (-1,))
     by_len = _cover_index_words(d, depth_cap)
     all_words = []
     covered_by_cap = []
     total = Fraction(0)
     for cap in range(depth_cap + 1):
         for s in by_len[cap]:
-            img = act_on_cylinder(s.inverse(), base)
-            assert len(img.words) == 1
-            w = img.words[0]
-            expected = multiply(s, Word(d, (-1,)))
-            assert w == expected and len(w) == cap + 1
+            img = _image_words(s.inverse(), base)
+            assert len(img) == 1
+            w = img[0]
+            assert w == multiply(s, base) and len(w) == cap + 1
             all_words.append(w)
         # every translate at this cap is one cylinder of length cap + 1
         total += len(by_len[cap]) * Fraction(1, 2 * d * (2 * d - 1) ** cap)

@@ -26,8 +26,11 @@ Four models are provided.
   shell C_(n+m_w) is read by one site each, so each site of C_n draws its
   terms from that shell as one SaS variate, with their alpha-norm as scale.
   The other noise nodes outside E_n fall into classes that the sites read
-  alike, and each class draws its sum as one SaS variate.  The draw plan
-  lives in ``mma_plan``.
+  alike, and each class draws its sum as one SaS variate.  A draw is
+  X = B Z with Z one vector of iid SaS(1) slots for all atoms, filled by
+  one ``sample_sas`` call: the noise scale, |class|^(1/alpha) and the
+  outer-shell alpha-norms all live in the values B reads the slots at.
+  The draw plan lives in ``mma_plan``.
 
 Each model carries its own behaviour: the scale of the ball maximum, its
 truncated series if it has one (``series``), the exact norming constant
@@ -301,7 +304,8 @@ class MixedMovingAverage(FieldModel):
             slots = table(0, ball_size(self.d, n))
             terms = [abs(val) ** self.alpha for val in values]
             best = np.zeros(size + 2)
-            np.maximum.at(best, slots, np.array(terms)[:, None])
+            for row, term in zip(slots, terms):  # a scalar per row keeps ufunc.at on its fast path
+                np.maximum.at(best, row, term)
             outer = map(repeat, terms, np.count_nonzero(slots == size, axis=1).tolist())
             own = size - sum(hi - lo for lo, hi, _, _ in classes)
             members = [best[lo:hi].repeat(c).tolist() for lo, hi, c, _ in classes]

@@ -1,7 +1,7 @@
-"""The exact mixed-moving-average draw over E_n: :class:`_MMAPlan` and the
-per-atom slot tables of :func:`_mma_slots` that it is built from, each
-group's table taken once, C_n's first; the groups partition the sites, so
-their order changes no float.
+"""The exact mixed-moving-average draw over E_n as X = B Z: :class:`_MMAPlan`,
+its sparse map B with every constant in the values it reads its SaS(1)
+slots Z at, and the per-atom slot tables of :func:`_mma_slots` that it is
+built from, each group's table taken once, C_n's first.
 
 ``fields`` imports this module.  They are two modules because Python
 compiles a module's source in one piece, so the memory an import peaks at
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,36 +23,22 @@ if TYPE_CHECKING:
     from .fields import MixedMovingAverage
 
 
-class _MMAAtom(NamedTuple):
-    """One kernel atom's share of an :class:`_MMAPlan`.
-
-    Per group of sites, ``groups`` holds its first depth-major position, a
-    (K, rows) block of slots and the values they are read at, (K, rows) or
-    one (K, 1) column: column c holds the c-th site's nonzero reads in
-    table order, padded with the zero slot ``size`` at value 0.  The groups
-    run from C_n up, E_(n-max(m_w, 1)) last; they partition the sites, so
-    their order changes no float.
-    """
-
-    scale: float  # the SaS scale of one noise site, noise_scale(w)
-    size: int  # slots drawn at ``scale``: one per inner site, then one per class; ``size`` holds 0
-    classes: list  # per class size c, increasing: (first slot, end slot, c, c^(1/alpha))
-    outer: int  # outer-shell variates, in slots size + 1, ..., size + outer
-    groups: list
-
-
 class _MMAPlan:
     """Exact mixed-moving-average draw over E_n, built once per simulator.
 
-    An atom w whose entries reach radius m_w reads noise on E_(n+m_w).  Its
-    noise nodes fall into three kinds, each drawn as few times as the
-    joint law over E_n allows.
+    A draw is X = B Z over E_n: Z is one vector of iid SaS(1) slots shared
+    by all atoms, and every constant lives in the sparse map B, as c Z is
+    SaS(|c|) (Samorodnitsky and Taqqu 1994, Props. 1.2.1 and 1.2.3).  An atom w
+    whose entries reach radius m_w reads noise on E_(n+m_w), of scale
+    noise_scale(w) per node.  Its noise nodes fall into three kinds, each
+    drawn as few times as the joint law over E_n allows.
 
-    * The inner sites, E_n (E_(n-1) when m_w = 0): one variate each.
+    * The inner sites, E_n (E_(n-1) when m_w = 0): one slot each, read
+      through the entry v at f(w, v) noise_scale(w).
     * The outer shell C_(n+m_w): a node there is read by one site only, its
       depth-n ancestor t, through the entry v = t^-1 u.  As sum c_i Z_i of
       iid SaS(1) variables has the law of (sum |c_i|^alpha)^(1/alpha) Z,
-      t's terms from that shell are drawn as one variate sigma_t Z'_t, with
+      t's terms from that shell take one slot, read at
 
           sigma_t = noise_scale(w) (sum_(v : |t v| = n + m_w) |f(w, v)|^alpha)^(1/alpha)
 
@@ -60,30 +46,31 @@ class _MMAPlan:
     * The nodes in between, below a site A of C_n: a class is a set of them
       below the same A with the same reader column {(t, f(w, t^-1 u)) : t in
       E_n}.  Each reader takes c_t sum_u Z_u from a class, and that sum has
-      the law of |class|^(1/alpha) Z, so the class draws one variate, read
-      through its first node in canonical order; its other nodes, and the
-      nodes no site reads, have no slot.  :func:`_noise_classes` finds the
-      classes at kernel size.
+      the law of |class|^(1/alpha) Z, so the class takes one slot, read
+      through its first node in canonical order at f(w, v) noise_scale(w)
+      |class|^(1/alpha); its other nodes, and the nodes no site reads, have
+      no slot.  :func:`_noise_classes` finds the classes at kernel size.
 
     No two kinds share noise and no two classes share a node, so the joint
     law over E_n is exact.
 
-    The slots hold the inner sites in canonical order, then the classes by
-    size, each size in the canonical order of their first nodes, then 0,
-    then Z'_t for the t with sigma_t > 0, in canonical order.  Per atom a
-    draw fills the slots before the 0 in one ``sample_sas`` call, scales a
-    class by |class|^(1/alpha), and fills the Z'_t in a second call.  The
-    field sums in depth-major order, E_k in the first |E_k| places, by
-    groups: E_(n-max(m_w, 1)), where every entry reads an inner site, then
-    each deeper sphere.  A group gathers only its sites' nonzero reads, in
-    one 2-D block, and adds it row by row: a site adds its terms in table
-    order, atom by atom, then sigma_t Z'_t, and no +0.0 of an entry that
-    reads nothing.  At n = 8 for the level-symmetric radius-2 kernel (d = 2)
-    that is 118,081 gathered cells over E_6, C_7 and C_8, against 17 |E_8|
-    = 223,057 for one gather per entry over E_n.  The build takes each
-    group's slot table of :func:`_mma_slots` once, C_n's first, while no
-    other block is held, and keeps none of them.  The groups partition the
-    sites, so their order changes no float.
+    Slot 0 holds 0.  Atom by atom the slots then hold the inner sites in
+    canonical order, the classes by size, each size in the canonical order
+    of their first nodes, and the t with sigma_t > 0, in canonical order.
+    A draw fills every slot past 0 in one ``sample_sas`` call at scale 1.
+    The field sums in depth-major order, E_k in the first |E_k| places, by
+    groups: per atom, E_(n-max(m_w, 1)), where every entry reads an inner
+    site, then each deeper sphere.  A group gathers only its sites' nonzero
+    reads, in one 2-D block of slots and the values they are read at, and
+    adds it row by row: a site adds its terms (f(w, v) noise_scale(w))
+    |class|^(1/alpha) Z in table order, then sigma_t Z, atom by atom, and
+    a padding cell reads slot 0 at value 0.  At n = 8 for the
+    level-symmetric radius-2 kernel (d = 2) that is 118,081 gathered
+    cells over E_6, C_7 and C_8, against 17 |E_8| = 223,057 for one
+    gather per entry over E_n.  The build takes each group's slot table of
+    :func:`_mma_slots` once, C_n's first, while no other block is held,
+    and keeps none of them.  An atom's groups partition the sites, so
+    their order changes no float.
 
     ``__call__`` returns the field in canonical order.  A draw fills the
     plan's buffers, so a plan serves one draw at a time; the field it
@@ -99,43 +86,37 @@ class _MMAPlan:
         self.inv = np.empty_like(order)
         self.inv[order] = np.arange(len(order))
         edges = np.cumsum(np.bincount(depth)).tolist()  # |E_0|, ..., |E_n|
-        self.parts = [_read_blocks(atom, edges, alpha) for atom in _mma_slots(model, n, order)]
-        self.noise = np.empty(max((p.size + 1 + p.outer for p in self.parts), default=1))
-        # the gathered terms of a block, taken in chunks of whole rows of at most 3 |E_n| terms
-        blocks = [s.shape for p in self.parts for _, s, _ in p.groups]
-        chunks = (min(k, 3 * edges[-1] // rows) * rows for k, rows in blocks)
-        self.terms = np.empty(max(chunks, default=0))
-        drawn = max((max(p.size, p.outer) for p in self.parts), default=0)
+        self.groups, end = [], 1  # (first depth-major position, slots, values); slot 0 holds 0
+        for atom in _mma_slots(model, n, order):
+            groups, end = _read_blocks(atom, edges, alpha, end)
+            self.groups += groups
+        atom = None  # the last atom's table, with its sites and remap, goes before the buffers come
+        self.noise = np.zeros(end)
         # the uniforms, exponentials and scratch terms of sample_sas, which alpha = 1 does without
-        self.work = None if alpha == 1.0 else np.empty((3, drawn))
+        self.work = None if alpha == 1.0 else np.empty((3, end - 1))
+        # the gathered terms of a block, taken in chunks of whole rows of at most 3 |E_n| terms
+        chunks = (min(len(s), 3 * edges[-1] // s.shape[1]) * s.shape[1] for _, s, _ in self.groups)
+        self.terms = np.empty(max(chunks, default=0))
         self.acc = np.empty(edges[-1])  # the field in depth-major order
 
     def __call__(self, rng: np.random.Generator) -> np.ndarray:
         """One exact replication over E_n, in canonical order."""
         acc = self.acc
         acc[:] = 0.0
-        for part in self.parts:
-            noise = self.noise[: part.size + 1 + part.outer]
-            work = None if self.work is None else self.work[:, : part.size]
-            sample_sas(rng, self.alpha, part.scale, size=part.size, out=noise[: part.size], work=work)
-            noise[part.size] = 0.0
-            if part.outer:
-                work = None if self.work is None else self.work[:, : part.outer]
-                sample_sas(rng, self.alpha, 1.0, size=part.outer, out=noise[part.size + 1 :], work=work)
-            for lo, hi, _, factor in part.classes:
-                noise[lo:hi] *= factor
-            for start, slots, values in part.groups:
-                sites = acc[start : start + slots.shape[1]]
-                step = len(self.terms) // len(sites)
-                for r in range(0, len(slots), step):
-                    block = slots[r : r + step]
-                    terms = self.terms[: block.size].reshape(block.shape)
-                    # the slots lie in the buffer by construction; mode="raise" would
-                    # gather through a temporary copy
-                    np.take(noise, block, out=terms, mode="clip")
-                    terms *= values[r : r + step]
-                    for row in terms:
-                        sites += row
+        noise = self.noise
+        sample_sas(rng, self.alpha, 1.0, size=len(noise) - 1, out=noise[1:], work=self.work)
+        for start, slots, values in self.groups:
+            sites = acc[start : start + slots.shape[1]]
+            step = len(self.terms) // len(sites)
+            for r in range(0, len(slots), step):
+                block = slots[r : r + step]
+                terms = self.terms[: block.size].reshape(block.shape)
+                # the slots lie in the buffer by construction; mode="raise" would
+                # gather through a temporary copy
+                np.take(noise, block, out=terms, mode="clip")
+                terms *= values[r : r + step]
+                for row in terms:
+                    sites += row
         return np.take(acc, self.inv)
 
 
@@ -179,56 +160,66 @@ def _mma_slots(model: MixedMovingAverage, n: int, order=None):
         yield model.noise_scale(w), size, classes, [val for _, val in entries], reach, slots
 
 
-def _read_blocks(atom: tuple, edges: list, alpha: float) -> _MMAAtom:
-    """The :class:`_MMAAtom` of one atom of :func:`_mma_slots`, its sites in
-    depth-major order; ``edges`` holds |E_0|, ..., |E_n|.
+def _read_blocks(atom: tuple, edges: list, alpha: float, base: int) -> tuple:
+    """The groups (first depth-major position, slots, values) of one atom of
+    :func:`_mma_slots`, its sites in depth-major order and its slots from
+    ``base`` on, and the end of its slots; ``edges`` holds |E_0|, ..., |E_n|.
 
     Each group takes its slot table once.  C_n goes first, while no other
-    block is held, and its sites read their sigma_t Z'_t.
+    block is held, and its sites read their sigma_t slots.
     """
     scale, size, classes, values, reach, table = atom
     n = len(edges) - 1
     split = n - max(reach, 1)  # E_split, where every entry reads an inner site
-    groups, outer = [], 0
+    groups, end = [], base + size
     for k in range(n, max(split, -1), -1):  # C_n, then each shallower sphere past E_split
         start = edges[k - 1] if k else 0
-        shell = (alpha, scale) if k == n else None
-        block, cells, drawn = _sphere_block(table(start, edges[k]), values, size, shell)
-        outer += drawn
+        shell = alpha if k == n else None  # C_n reads the outer shell
+        block, cells, drawn = _sphere_block(table(start, edges[k]), atom[:4], base, shell)
+        end += drawn
         if len(block):
             groups.append((start, block, cells))
     lo = edges[split] if split >= 0 else 0
     if lo and values:
-        groups.append((0, table(0, lo).astype(np.intp), np.array(values)[:, None]))
-    return _MMAAtom(scale, size, classes, outer, groups)
+        slots = table(0, lo).astype(np.intp)
+        slots += base
+        groups.append((0, slots, np.array([val * scale for val in values])[:, None]))
+    return groups, end
 
 
-def _sphere_block(slots: np.ndarray, values: list, size: int, shell=None) -> tuple:
+def _sphere_block(slots: np.ndarray, atom: tuple, base: int, alpha=None) -> tuple:
     """One group's (K, rows) blocks of slots and values from its (entries,
-    rows) slot table, and how many outer-shell variates it reads.
+    rows) slot table, and how many outer-shell slots it reads.
 
-    K is the sites' largest count of reads below ``size``, and the blocks
-    are filled entry by entry, with a cursor per site holding the row of its
-    next read.  With ``shell`` = (alpha, scale), on C_n, each site t with
-    sigma_t > 0 then reads sigma_t Z'_t, the i-th such site from slot
-    ``size + 1 + i``.  A function of its own, so that the table and the
-    cursors go before the next group's table is taken.
+    ``atom`` holds (scale, size, classes, values) of :func:`_mma_slots`,
+    whose slot s is the plan's ``base + s``.  K is the sites' largest count
+    of reads below ``size``.  The blocks are filled entry by entry at
+    f(w, v) noise_scale(w), with a cursor per site holding the row of its
+    next read, and padded with slot 0 at value 0; then one masked multiply
+    per class scales the cells that read it by |class|^(1/alpha).  With
+    ``alpha``, on C_n, each site t with sigma_t > 0 then reads slot
+    ``base + size + i`` at sigma_t, the i-th such site.  A function of its
+    own, so that the table and the cursors go before the next group's table
+    is taken.
     """
+    scale, size, classes, values = atom
     count = np.count_nonzero(slots < size, axis=0)
-    scales = np.zeros(len(count)) if shell is None else _outer_scales(slots == size, values, *shell)
-    last = np.flatnonzero(scales > 0.0)
+    sigma = np.zeros(len(count)) if alpha is None else _outer_scales(slots == size, values, alpha, scale)
+    last = np.flatnonzero(sigma > 0.0)
     count[last] += 1
-    block = np.full((count.max(), len(count)), size, dtype=np.intp)
+    block = np.zeros((count.max(), len(count)), dtype=np.intp)
     cells = np.zeros(block.shape)
     cursor = np.zeros_like(count)
     for row, val in zip(slots, values):
         hit = np.flatnonzero(row < size)
         at = cursor[hit]
-        block[at, hit] = row[hit]
-        cells[at, hit] = val
+        block[at, hit] = row[hit] + base
+        cells[at, hit] = val * scale
         cursor[hit] = at + 1
-    block[cursor[last], last] = np.arange(size + 1, size + 1 + len(last))
-    cells[cursor[last], last] = scales[last]
+    for lo, hi, _, factor in classes:
+        np.multiply(cells, factor, out=cells, where=(block >= base + lo) & (block < base + hi))
+    block[cursor[last], last] = np.arange(base + size, base + size + len(last))
+    cells[cursor[last], last] = sigma[last]
     return block, cells, len(last)
 
 

@@ -509,33 +509,34 @@ def mma_values_reference(model, n: int):
     """The grouped mixed-moving-average draw over E_n, word by word, as a function of the generator.
 
     The loop reference for ``mma_plan._MMAPlan``.  Per atom w, with m_w its
-    largest entry length and r = n + m_w:
-    * the inner sites E_(min(n, r-1)), in canonical order, one variate each;
+    largest entry length and r = n + m_w, its slots in turn:
+    * the inner sites E_(min(n, r-1)), in canonical order;
     * the nodes u with n < |u| < r, in canonical order, each with its reader
       column {(t, f(w, t^-1 u)) : t in E_n}, found from ``multiply(u, v^-1)``
       over the entries v; the nodes with the same depth-n ancestor and the
       same nonempty column form a class, which takes a slot at its first
-      node, and the variate there is multiplied by |class|^(1/alpha); the
-      class slots follow the inner sites, by size, each size in the order of
+      node, read at |class|^(1/alpha) times the entry's value; the class
+      slots follow the inner sites, by size, each size in the order of
       first nodes;
-    * one SaS(1) variate Z'_t per site t of C_n, in canonical order, for the
-      t with a positive weight W_t = fsum |f(w, t^-1 u)|^alpha over the
-      depth-r descendants u of t; t gets sigma_t Z'_t,
-      sigma_t = noise_scale(w) W_t^(1/alpha).
-    The inner sites and classes draw in one call, at scale noise_scale(w).
-    A site t reads ``t v`` through each entry, in table order: the slot of an
-    inner site or of the node that opens a class, and nothing otherwise.
-    Atom by atom.
+    * one slot per site t of C_n, in canonical order, for the t with a
+      positive weight W_t = fsum |f(w, t^-1 u)|^alpha over the depth-r
+      descendants u of t, read at sigma_t = noise_scale(w) W_t^(1/alpha).
+    All slots of all atoms draw in one SaS(1) call.  A site t reads ``t v``
+    through each entry, in table order, at (f(w, v) noise_scale(w)) times
+    the class factor: the slot of an inner site or of the node that opens a
+    class, and nothing otherwise; then its sigma_t slot.  Atom by atom.
     """
     d, alpha = model.d, model.alpha
     sites = list(enumerate_ball(d, n))
-    plans = []
+    reads = [[] for _ in sites]  # per site, (value, slot) in the order it adds them
+    base = 0
     for w in model.atoms:
         table = kernel_table(model, w)
+        scale = model.noise_scale(w)
         radius = n + max((len(v) for v in table), default=0)
         own = min(n, radius - 1)
         own_index = ball_layout(d, own).word_to_index if own >= 0 else None
-        slots = {}  # the node that opens each class, its slot and its factor
+        size = ball_size(d, own) if own >= 0 else 0
         classes = {}
         for u in enumerate_ball(d, radius - 1) if radius - 1 > n else ():
             if len(u) <= n:
@@ -547,21 +548,18 @@ def mma_values_reference(model, n: int):
                     column.append((t.letters, val))
             if column:
                 classes.setdefault((u.letters[:n], tuple(sorted(column))), []).append(u)
-        base = ball_size(d, own) if own >= 0 else 0
-        for k, members in enumerate(sorted(classes.values(), key=len)):
-            slots[members[0]] = (base + k, len(members) ** (1.0 / alpha))
-        reads = []
-        for t in sites:
-            site_reads = []
+        slots = {}  # the node that opens each class: its slot and its factor
+        for members in sorted(classes.values(), key=len):
+            slots[members[0]] = (base + size, len(members) ** (1.0 / alpha))
+            size += 1
+        outer = base + size
+        for k, t in enumerate(sites):
             for v, val in table.items():
                 u = multiply(t, v)
                 if len(u) <= own:
-                    site_reads.append((val, own_index(u)))
+                    reads[k].append((val * scale, base + own_index(u)))
                 elif u in slots:
-                    site_reads.append((val, slots[u][0]))
-            reads.append(site_reads)
-        scales = []
-        for k, t in enumerate(sites):
+                    reads[k].append((val * scale * slots[u][1], slots[u][0]))
             if len(t) < n:
                 continue
             descendants = (multiply(t, v) for v in enumerate_sphere(d, radius - n))
@@ -572,23 +570,16 @@ def mma_values_reference(model, n: int):
             ]
             weight = math.fsum(terms)
             if weight > 0.0:
-                scales.append((k, model.noise_scale(w) * weight ** (1.0 / alpha)))
-        factors = sorted(slots.values())
-        plans.append((model.noise_scale(w), base + len(factors), factors, reads, scales))
+                reads[k].append((scale * weight ** (1.0 / alpha), outer))
+                outer += 1
+        base = outer
 
     def draw(rng):
+        z = sample_sas(rng, alpha, 1.0, size=base).tolist()
         out = [0.0] * len(sites)
-        for scale, size, factors, reads, scales in plans:
-            z = sample_sas(rng, alpha, scale, size=size).tolist()
-            for i, factor in factors:
-                z[i] *= factor
-            for k, site_reads in enumerate(reads):
-                for val, i in site_reads:
-                    out[k] += val * z[i]
-            if scales:
-                extra = sample_sas(rng, alpha, 1.0, size=len(scales)).tolist()
-                for (k, sigma), x in zip(scales, extra):
-                    out[k] += sigma * x
+        for k, site_reads in enumerate(reads):
+            for val, i in site_reads:
+                out[k] += val * z[i]
         return np.array(out)
 
     return draw

@@ -552,38 +552,98 @@ def test_mma_plan_matches_loop_reference(make, n):
 
 @pytest.mark.parametrize("make,n", MMA_PLAN_CASES)
 def test_mma_plan_blocks_hold_only_the_nonzero_reads(make, n):
-    # per site, its block column holds the entries' reads of a drawn slot in table order, then
-    # its outer-shell variate, then only padding: the zero slot at value 0, and no row of a
-    # block is padding throughout
+    # per atom and site, its block column holds the entries' reads of a drawn slot in table
+    # order, at f(w, v) noise_scale(w), times |class|^(1/alpha) for a class slot, then its
+    # outer-shell slot at sigma_t, then only padding: slot 0 at value 0; the atoms' slots
+    # follow slot 0 in turn, their groups come atom by atom, and no row of a block is
+    # padding throughout
     model = make()
     plan = mma_plan._MMAPlan(model, n)
     order = np.argsort(plan.inv)  # the canonical position of each depth-major one
     cells = 0
     sphere = np.flatnonzero(ball_layout(model.d, n).depth == n)
-    for part, (scale, size, _, entries, _, table) in zip(plan.parts, mma_plan._mma_slots(model, n)):
-        reads = table(0, len(order))
-        want = [[] for _ in order]
+    bases, want = [1], []  # per atom: its first slot, and each site's (slot, value) reads
+    for scale, size, classes, entries, _, table in mma_plan._mma_slots(model, n):
+        base, reads = bases[-1], table(0, len(order))
+        factors = {i: f for lo, hi, _, f in classes for i in range(lo, hi)}
+        want.append([[] for _ in order])
         for val, idx in zip(entries, reads):
             for k in np.flatnonzero(idx < size).tolist():
-                want[k].append((int(idx[k]), val))
+                i = int(idx[k])
+                want[-1][k].append((base + i, val * scale * factors.get(i, 1.0)))
         sigma = mma_plan._outer_scales(reads[:, sphere] == size, entries, model.alpha, scale)
         for i, (k, s) in enumerate(zip(sphere[sigma > 0].tolist(), sigma[sigma > 0].tolist())):
-            want[k].append((part.size + 1 + i, s))
-        seen = set()
-        for start, slots, values in part.groups:
-            values = np.broadcast_to(values, slots.shape)
-            widths = []
-            for c in range(slots.shape[1]):
-                k = int(order[start + c])
-                col = list(zip(slots[:, c].tolist(), values[:, c].tolist()))
-                assert col == want[k] + [(part.size, 0.0)] * (len(col) - len(want[k]))
-                widths.append(len(want[k]))
-                seen.add(k)
-            assert max(widths) == len(slots)
-            cells += slots.size
-        assert all(not want[k] for k in set(range(len(order))) - seen)
+            want[-1][k].append((base + size + i, s))
+        bases.append(base + size + int(np.count_nonzero(sigma)))
+    assert len(plan.noise) == bases[-1] and plan.noise[0] == 0.0
+    seen, atom = set(), 0
+    for start, slots, values in plan.groups:
+        values = np.broadcast_to(values, slots.shape)
+        j = int(np.searchsorted(bases, slots.max(), side="right")) - 1  # the atom of the group
+        assert j >= atom
+        atom, widths = j, []
+        for c in range(slots.shape[1]):
+            k = int(order[start + c])
+            col = list(zip(slots[:, c].tolist(), values[:, c].tolist()))
+            assert col == want[j][k] + [(0, 0.0)] * (len(col) - len(want[j][k]))
+            widths.append(len(want[j][k]))
+            assert (j, k) not in seen
+            seen.add((j, k))
+        assert max(widths) == len(slots)
+        cells += slots.size
+    assert all(not want[j][k] for j in range(len(want)) for k in range(len(order)) if (j, k) not in seen)
     if model.support_radius == 2 and n == 8:
         assert cells == 118_081  # against 17 |E_8| = 223,057 for one gather per entry
+
+
+@pytest.mark.parametrize("make,n", MMA_PLAN_CASES)
+def test_mma_plan_joint_law_is_exact(make, n):
+    # no Monte Carlo: an SaS vector's law is fixed by the scale of theta . X over all theta.
+    # The plan draws X = B Z from iid SaS(1) slots, so theta . X has the alpha-th power of its
+    # scale sum_slot |sum_t theta_t B(t, slot)|^alpha, slot 0 left out; the full noise gives
+    # sum_w noise_scale(w)^alpha sum_u |sum_t theta_t f(w, t^-1 u)|^alpha, word by word.  A
+    # class factor |class| in place of |class|^(1/alpha), two atoms on shared slots or a
+    # dropped sigma_t each break the equality at a random theta
+    first = make()
+    sites = list(enumerate_ball(first.d, n))
+    theta = np.random.default_rng([9_203, first.d, n]).standard_normal(len(sites))
+    sums = []  # per atom, sum_t theta_t f(w, t^-1 u) per noise node u that a site reads
+    for w in first.atoms:
+        column = {}
+        for t, weight in zip(sites, theta.tolist()):
+            for v, val in kernel_table(first, w).items():
+                u = multiply(t, v)
+                column[u] = column.get(u, 0.0) + weight * val
+        sums.append(list(column.values()))
+    for alpha in (0.8, 1.3):
+        model = MixedMovingAverage(first.d, alpha, first.w_masses, first.f_table)
+        plan = mma_plan._MMAPlan(model, n)
+        by_depth = theta[np.argsort(plan.inv)]  # theta at each depth-major position
+        coef = np.zeros(len(plan.noise))
+        for start, slots, values in plan.groups:
+            weights = by_depth[start : start + slots.shape[1]]
+            np.add.at(coef, slots, np.broadcast_to(values, slots.shape) * weights)
+        got = math.fsum((np.abs(coef[1:]) ** alpha).tolist())
+        want = math.fsum(
+            model.noise_scale(w) ** alpha * math.fsum(abs(c) ** alpha for c in column)
+            for w, column in zip(model.atoms, sums)
+        )
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_mma_draw_is_one_sample_sas_call(monkeypatch):
+    # the slots of both atoms, inner, class and outer-shell, fill in one SaS(1) call per draw
+    calls = []
+
+    def counted(rng, alpha, scale=1.0, **kwargs):
+        calls.append((scale, kwargs["size"]))
+        return sample_sas(rng, alpha, scale, **kwargs)
+
+    monkeypatch.setattr(mma_plan, "sample_sas", counted)
+    plan = two_atom_kernel().draw(3, None)
+    for rep in range(3):
+        plan(substream(2024, "calls", rep))
+    assert calls == [(1.0, len(plan.noise) - 1)] * 3
 
 
 PINNED_DRAWS = [
@@ -596,8 +656,9 @@ PINNED_DRAWS = [
     ("pareto", lambda: ParetoField(2, 1.0, 3.0), 5, 25_000, 25_000,
      7.856828007847996,
      [31.13669199605587, 18.709904882518916, 17.032973137388584, 21.5093807105853]),
+    # one SaS(1) call for the slots of both atoms, every constant in the read values
     ("mma", two_atom_kernel, 3, None, None, 12.619700538305079,
-     [-4.655434348280473, 40.34582566899591, -19.387198939394388, -24.7163513785348]),
+     [0.8319273224893897, -30.625775564100092, -11.265208317134816, 2.2622608049753126]),
 ]
 
 
@@ -779,8 +840,8 @@ def test_mma_outer_shell_lemma(d):
             sites = list(enumerate_ball(d, n))
             plan = mma_plan._MMAPlan(model, n)
             order = np.argsort(plan.inv)  # the canonical position of each depth-major one
-            atoms = zip(model.atoms, plan.parts, mma_plan._mma_slots(model, n))
-            for w, part, (scale, size, _, values, _, slot_table) in atoms:
+            base = 1  # the atom's first slot
+            for w, (scale, size, _, values, _, slot_table) in zip(model.atoms, mma_plan._mma_slots(model, n)):
                 table, slots = kernel_table(model, w), slot_table(0, len(sites))
                 radius = n + max(len(v) for v in table)
                 reached = {}
@@ -792,11 +853,13 @@ def test_mma_outer_shell_lemma(d):
                             reached.setdefault(u, []).append(t)
                 for u, ts in reached.items():
                     assert ts == [Word(d, u.letters[:n])]
-                # sigma_t is the value of the plan's read of a slot past ``size``
-                sigma = {}
-                for start, block, cells in part.groups:
-                    for r, c in zip(*np.nonzero(block > size)):
+                # sigma_t is the value of the plan's read of one of the atom's slots past ``size``
+                sigma, end = {}, base + size + np.count_nonzero((slots == size).any(axis=0))
+                for start, block, cells in plan.groups:
+                    for r, c in zip(*np.nonzero((block >= base + size) & (block < end))):
                         sigma[int(order[start + c])] = float(cells[r, c])
+                assert len(sigma) == end - base - size
+                base = end
                 total = sum(abs(val) ** alpha for val in table.values())
                 for k in range(len(sites)):
                     inner = sum(abs(val) ** alpha for val, idx in zip(values, slots) if idx[k] != size)
@@ -850,8 +913,8 @@ def test_mma_noise_class_lemma(d):
     for m in range(4):
         for n in range(m, 4):
             model = mma_from_levels(d, 1.3, {j: 1.0 / (j + 1) for j in range(m + 1)})
-            (part,) = mma_plan._MMAPlan(model, n).parts
-            assert part.size + part.outer == ball_size(d, n) + m * sphere_size(d, n)
+            plan = mma_plan._MMAPlan(model, n)
+            assert len(plan.noise) - 1 == ball_size(d, n) + m * sphere_size(d, n)
 
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> np.ndarray:

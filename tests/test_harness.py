@@ -333,22 +333,22 @@ D3_R2 = {
     },
 }
 # the radius-3 MMA configs of CI's records checks at alpha = 1.3: simulate-pp at n=4, 20 reps,
-# and simulate-maxima at n=4, 40 reps on one worker, both seed 1; written by the draw that read
-# every kernel entry over all of E_n, so any change to an MMA draw's floats shows.  The d = 3
-# config, simulate-pp at alpha = 0.8, n=3, 20 reps, seed 1, was written by the grouped draw
-# whose build derived each entry's slot table twice
+# and simulate-maxima at n=4, 40 reps on one worker, both seed 1, and the d = 3 config,
+# simulate-pp at alpha = 0.8, n=3, 20 reps, seed 1; written by the draw of one SaS(1) call
+# per replication with every constant in the read values, so any change to an MMA draw's
+# floats shows
 MMA_CSV_CASES = {
     "d2-pp": (
         "pp", {**LEVELS_M3, "alpha": 1.3}, 4, 20, {},
-        "604ee6f76774c675a84a9c41d297f6459b10eb1ee58df2880fe4df62117e5c06",
+        "374716bb553fe1d42cfdc107c0cb2ac5552c7dba59c4a58adb464cfc4ecdffef",
     ),
     "d2-maxima": (
         "maxima", {**LEVELS_M3, "alpha": 1.3}, 4, 40, {"workers": 1},
-        "b669065e397ff27c426de84c89db5407c1d5203a826e10962e456581fe24fbe2",
+        "ee54c0f505f430ac0cec3918398f6f28bb0b2dcff69f626baf68530ad0a8c9c5",
     ),
     "d3-pp": (
         "pp", {**D3_R2, "alpha": 0.8}, 3, 20, {},
-        "53465420993eaa8d24a453eaedd9a4e0c42841ff92c41a39c9ad7cccb117012d",
+        "937e1f5acceea369bb24f486787bbff20bb50e365f5863042ff3cc1d585a9044",
     ),
 }
 
