@@ -65,7 +65,9 @@ from .stable import (
 from .stats import empirical_cdf_table, ks_distance, quantiles
 
 DEFAULT_SITE_BUDGET = 1_000_000  # largest ball a draw lays out, E_(max(n + m - 1, n)) for radius m
-MAXIMA_BATCH = 8  # replications per FieldSimulator.maxima call in a maxima run, for every model
+# replications per FieldSimulator.maxima call in a maxima run, for every model; at n = 8 the
+# boundary plan's 16 rows of 13,121 levels fit a 2 MB L2, and 32 rows were slower
+MAXIMA_BATCH = 16
 
 
 class FieldModel:
@@ -298,9 +300,10 @@ class MixedMovingAverage(FieldModel):
         _check_site_budget(self, n)
         # noise site u takes the largest |f(w, v)|^alpha over the v with u = t v, t in E_n;
         # a class's nodes share its slot's largest term, and a site of the outer shell,
-        # read through the zero slot ``size``, has one such v
+        # read through the zero slot ``size``, has one such v; an atom with no entry adds 0
         total = 0.0
-        for w, (_, size, classes, values, _, table) in zip(self.atoms, _mma_slots(self, n)):
+        atoms = (w for w, entries in self.f_table if entries)
+        for w, (_, size, classes, values, _, table) in zip(atoms, _mma_slots(self, n)):
             slots = table(0, ball_size(self.d, n))
             terms = [abs(val) ** self.alpha for val in values]
             best = np.zeros(size + 2)
@@ -370,7 +373,10 @@ class _BoundaryPlan:
     the leaves of every row of a pass, each row from its own replication's
     generator; the level work then runs once for the whole pass.  Every
     step acts on each row alone, element by element, so a replication's
-    values do not depend on the other rows of its pass.
+    values do not depend on the other rows of its pass.  A maxima run
+    passes ``MAXIMA_BATCH`` = 16 replications at a time, so the fixed cost
+    of each numpy call of a pass, most of the cost on the small top levels,
+    is paid once per 16 replications; at n = 8 the 16 rows take 1.7 MB.
 
     ``__call__`` scatters one replication into canonical preorder through
     the plan's ``order``.  ``maxima`` reads the row maxima of |X| as

@@ -319,13 +319,19 @@ class BallLayout:
         """
         return self._built()[2]
 
+    def right_mul_at(self, idx, r: int) -> np.ndarray:
+        """``right_mul[idx, r]``, taken from the table's flat view at ``idx * 2d + r``
+        (in intp, which int32 indices times 2d may overflow): one ``np.take``,
+        faster than indexing the 2-D table."""
+        return self.right_mul.ravel().take(np.asarray(idx) * np.intp(2 * self.d) + r)
+
     def right_translate(self, idx, w: Word) -> np.ndarray:
         """Indices of t * w for the nodes t at ``idx``, one table lookup per letter."""
         if w.rank != self.d:
             raise RankMismatchError(f"rank mismatch: {w.rank} != {self.d}")
         out = np.asarray(idx)
         for g in w.letters:
-            out = self.right_mul[out, letter_rank(g)]
+            out = self.right_mul_at(out, letter_rank(g))
             if (out < 0).any():
                 raise ValueError(
                     f"product with {format_word(w)} leaves the ball of radius {self.n}"

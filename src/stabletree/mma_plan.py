@@ -52,7 +52,8 @@ class _MMAPlan:
       no slot.  :func:`_noise_classes` finds the classes at kernel size.
 
     No two kinds share noise and no two classes share a node, so the joint
-    law over E_n is exact.
+    law over E_n is exact.  An atom whose table holds only zeros reads no
+    noise and has no slot.
 
     Slot 0 holds 0.  Atom by atom the slots then hold the inner sites in
     canonical order, the classes by size, each size in the canonical order
@@ -121,7 +122,8 @@ class _MMAPlan:
 
 
 def _mma_slots(model: MixedMovingAverage, n: int, order=None):
-    """Per atom w in turn: (scale, size, classes, values, reach, table) over E_n.
+    """Per atom w with a nonzero entry, in turn: (scale, size, classes, values,
+    reach, table) over E_n.  An atom with none reads no noise and gets no slot.
 
     ``scale`` is noise_scale(w).  The slots below ``size`` hold the inner
     sites, then the classes; ``classes`` lists per class size c, increasing,
@@ -134,8 +136,10 @@ def _mma_slots(model: MixedMovingAverage, n: int, order=None):
     of E_n in canonical order, or the k-th if ``order`` is None.
     """
     for w, entries in model.f_table:
+        if not entries:
+            continue
         kernel = dict(entries)
-        reach = max(map(len, kernel), default=0)
+        reach = max(map(len, kernel))
         radius = n + reach
         # a layout holding the inner noise E_(radius-1) and the sites E_n, in one preorder
         lay = ball_layout(model.d, max(radius - 1, n))
@@ -180,7 +184,7 @@ def _read_blocks(atom: tuple, edges: list, alpha: float, base: int) -> tuple:
         if len(block):
             groups.append((start, block, cells))
     lo = edges[split] if split >= 0 else 0
-    if lo and values:
+    if lo:
         slots = table(0, lo).astype(np.intp)
         slots += base
         groups.append((0, slots, np.array([val * scale for val in values])[:, None]))
@@ -291,7 +295,7 @@ def _slot_table(lay, sites, remap: np.ndarray, kernel: dict, a: int, b: int) -> 
         ts = sites[a:b]
         if v.letters:
             ts = lay.right_translate(ts, Word(v.rank, v.letters[:-1]))
-            ts = lay.right_mul[ts, letter_rank(v.letters[-1])]
+            ts = lay.right_mul_at(ts, letter_rank(v.letters[-1]))
         remap.take(ts, out=row)
     return out
 
@@ -305,8 +309,6 @@ def _outer_scales(hits: np.ndarray, values: list, alpha: float, scale: float) ->
     letter only, so the sites fall into a few patterns; each pattern's
     |value|^alpha are summed once, by ``math.fsum``.
     """
-    if not values:
-        return np.zeros(hits.shape[1])
     # each site's bits as one opaque key: np.unique then sorts bytes, not rows
     keys = np.packbits(hits, axis=0).T.copy()
     _, first, which = np.unique(

@@ -10,8 +10,10 @@ The stream of (seed, key) is ``Philox(SeedSequence(seed, spawn_key=key
 words))``.  Its Philox key is derived here, bit for bit as numpy's
 ``SeedSequence`` derives it (whose output numpy keeps stable across
 releases), without building one per stream: the entropy pool before the
-last key word is kept once per (seed, other key words), and each stream
-mixes in its last word.
+last key word, with the hash steps that mix a further word into it, and
+the spawn words of the other key parts are kept once per (seed, other key
+parts) in an ``lru_cache``, so a stream of a replication loop hashes only
+its last word, in one loop over the four pool words.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ def _mix(x: int, y: int) -> int:
 _KEY_STEPS = tuple(islice(_hash_steps(_INIT_B, _MULT_B), _POOL_SIZE))
 
 
-@lru_cache(maxsize=64)
 def _mixed(words: tuple) -> tuple:
     """SeedSequence's mix_entropy of ``words``.
 
@@ -89,16 +90,16 @@ def _mixed(words: tuple) -> tuple:
     return tuple(zip(pool, steps))
 
 
-def _philox_key(mixed: tuple, word=None) -> tuple:
-    """generate_state(2, uint64) of the pool, after mixing in ``word`` past the pool size if given.
-
-    The four pool words, hashed, are read as two little-endian uint64.
-    """
-    state = [
-        _hash(x if word is None else _mix(x, _hash(word, step)), key_step)
-        for (x, step), key_step in zip(mixed, _KEY_STEPS)
-    ]
-    return state[0] | state[1] << 32, state[2] | state[3] << 32
+@lru_cache(maxsize=64)
+def _prefix_pool(seed: int, prefix: tuple) -> tuple:
+    """The streams (seed, *prefix, last): per pool word its value before
+    ``last`` and the two hash steps that mix ``last`` into it and then read
+    it out, with the spawn words of ``prefix``."""
+    words = _seed_words(seed)
+    spawn = tuple(map(_key_word, prefix))
+    words += [0] * (_POOL_SIZE - len(words))  # SeedSequence pads the seed before a spawn key
+    mixed = _mixed((*words, *spawn))
+    return tuple((x, *step, *key_step) for (x, step), key_step in zip(mixed, _KEY_STEPS)), spawn
 
 
 @lru_cache(maxsize=1)
@@ -148,12 +149,21 @@ def substream(seed: int, *key) -> np.random.Generator:
     as that one does.
     """
     seed = int(seed)
-    words = _seed_words(seed)
-    spawn_key = tuple(map(_key_word, key))
-    if key:
-        words += [0] * (_POOL_SIZE - len(words))  # SeedSequence pads the seed before a spawn key
-        words += spawn_key
-    split = max(_POOL_SIZE, len(words) - 1)  # the pool before the last word past the pool size
-    philox_key = _philox_key(_mixed(tuple(words[:split])), *words[split:])
+    # generate_state(2, uint64): the four pool words, hashed, read as two little-endian uint64
+    if not key:
+        mixed = _mixed(tuple(_seed_words(seed)))
+        state = [_hash(x, key_step) for (x, _), key_step in zip(mixed, _KEY_STEPS)]
+        spawn_key = ()
+    else:
+        pool, spawn = _prefix_pool(seed, key[:-1])
+        word = _key_word(key[-1])
+        state = []
+        for x, xor, mult, key_xor, key_mult in pool:  # _mix(x, _hash(word)), hashed once more
+            h = (word ^ xor) * mult & _MASK
+            r = (_MIX_L * x - _MIX_R * (h ^ h >> 16)) & _MASK
+            v = (r ^ r >> 16 ^ key_xor) * key_mult & _MASK
+            state.append(v ^ v >> 16)
+        spawn_key = (*spawn, word)
+    philox_key = state[0] | state[1] << 32, state[2] | state[3] << 32
     seed_seq = _keyed_seed_class()(philox_key, seed, spawn_key)
     return np.random.Generator(np.random.Philox(seed_seq))

@@ -93,28 +93,30 @@ def sample_sas(rng, alpha: float, scale: float = 1.0, size=None, out=None, work=
     u *= math.pi
     u += -math.pi / 2
     if alpha == 1.0:
-        return np.multiply(scale, np.tan(u, out=out), out=out)
-    # operation by operation as written above, so the same doubles; u and e
-    # stay intact for the repair
-    with np.errstate(all="ignore"):  # entries that leave the float range are redone below
-        np.sin(np.multiply(alpha, u, out=out), out=out)
-        np.cos(u, out=tmp)
-        tmp **= 1.0 / alpha
-        out /= tmp
-        np.cos(np.multiply(1.0 - alpha, u, out=tmp), out=tmp)
-        tmp /= e
-        tmp **= (1.0 - alpha) / alpha
-        out *= tmp
-        bad = ~np.isfinite(out) | (out == 0.0)
-        if bad.any():
-            ub, eb = u[bad], e[bad]
-            log_x = (
-                np.log(np.abs(np.sin(alpha * ub)))
-                - np.log(np.cos(ub)) / alpha
-                + (1.0 - alpha) / alpha * (np.log(np.cos((1.0 - alpha) * ub)) - np.log(eb))
-            )
-            out[bad] = np.sign(np.sin(alpha * ub)) * np.exp(log_x)
-    return np.multiply(scale, out, out=out)
+        np.tan(u, out=out)
+    else:
+        # operation by operation as written above, so the same doubles; u and e
+        # stay intact for the repair
+        with np.errstate(all="ignore"):  # entries that leave the float range are redone below
+            np.sin(np.multiply(alpha, u, out=out), out=out)
+            np.cos(u, out=tmp)
+            tmp **= 1.0 / alpha
+            out /= tmp
+            np.cos(np.multiply(1.0 - alpha, u, out=tmp), out=tmp)
+            tmp /= e
+            tmp **= (1.0 - alpha) / alpha
+            out *= tmp
+            bad = ~np.isfinite(out) | (out == 0.0)
+            if bad.any():
+                ub, eb = u[bad], e[bad]
+                log_x = (
+                    np.log(np.abs(np.sin(alpha * ub)))
+                    - np.log(np.cos(ub)) / alpha
+                    + (1.0 - alpha) / alpha * (np.log(np.cos((1.0 - alpha) * ub)) - np.log(eb))
+                )
+                out[bad] = np.sign(np.sin(alpha * ub)) * np.exp(log_x)
+    # x * 1.0 == x for every double, so scale 1 skips the pass
+    return out if scale == 1.0 else np.multiply(scale, out, out=out)
 
 
 def stable_tail_constant(alpha: float) -> float:

@@ -508,8 +508,9 @@ def mma_full_noise_reference(model, n: int):
 def mma_values_reference(model, n: int):
     """The grouped mixed-moving-average draw over E_n, word by word, as a function of the generator.
 
-    The loop reference for ``mma_plan._MMAPlan``.  Per atom w, with m_w its
-    largest entry length and r = n + m_w, its slots in turn:
+    The loop reference for ``mma_plan._MMAPlan``.  Per atom w with a nonzero
+    entry, with m_w its largest entry length and r = n + m_w, its slots in
+    turn:
     * the inner sites E_(min(n, r-1)), in canonical order;
     * the nodes u with n < |u| < r, in canonical order, each with its reader
       column {(t, f(w, t^-1 u)) : t in E_n}, found from ``multiply(u, v^-1)``
@@ -532,6 +533,8 @@ def mma_values_reference(model, n: int):
     base = 0
     for w in model.atoms:
         table = kernel_table(model, w)
+        if not table:  # an atom that reads no noise has no slot
+            continue
         scale = model.noise_scale(w)
         radius = n + max((len(v) for v in table), default=0)
         own = min(n, radius - 1)

@@ -304,12 +304,13 @@ def test_boundary_plan_serves_passes_of_any_size(d, alpha):
 
 def test_boundary_batched_maxima_match_one_per_pass(monkeypatch):
     # a replication's maxima do not depend on the others drawn in its pass
-    # (37 reps: four full passes and a short one) nor on the worker count
+    # (two full passes and a short one) nor on the worker count
     model = BoundaryField(2, 1.3)
-    batched = maxima_experiment(model, 5, 37, None, seed=533)
-    workers = maxima_experiment(model, 5, 37, None, seed=533, workers=2)
+    reps = 2 * fields.MAXIMA_BATCH + 5
+    batched = maxima_experiment(model, 5, reps, None, seed=533)
+    workers = maxima_experiment(model, 5, reps, None, seed=533, workers=2)
     monkeypatch.setattr(fields, "MAXIMA_BATCH", 1)
-    single = maxima_experiment(model, 5, 37, None, seed=533)
+    single = maxima_experiment(model, 5, reps, None, seed=533)
     assert batched.records == single.records == workers.records
 
 
@@ -512,14 +513,17 @@ def irregular_kernel(d, m, n):
 IRREGULAR = [(d, m, n) for d in (2, 3) for m in range(4) for n in range(4)]
 MMA_PLAN_CASES = [
     (lambda: mma_from_levels(2, 1.0, {0: 1.0, 1: 0.6, 2: 0.3}), 8),
+    # full support on E_3: below each site of C_n, classes of 2d - 1 and (2d - 1)^2 nodes
+    pytest.param(lambda: mma_from_levels(2, 1.0, {0: 1.0, 1: 0.6, 2: 0.3, 3: 0.2}), 2, id="d2-levels3"),
+    pytest.param(lambda: mma_from_levels(3, 1.0, {0: 1.0, 1: 0.6, 2: 0.3, 3: 0.2}), 1, id="d3-levels3"),
     (lambda: two_atom_kernel(1.3), 4),
     (lambda: mma_point_mass(2, 0.7), 5),
 ] + [
     pytest.param(lambda d=d, m=m, n=n: irregular_kernel(d, m, n), n, id=f"d{d}-m{m}-n{n}")
     for d, m, n in IRREGULAR
 ] + [
-    # atoms whose tables hold only zeros, which ``from_tables`` drops: they draw their inner
-    # noise and read none of it
+    # atoms whose tables hold only zeros, which ``from_tables`` drops: they read no noise and
+    # get no slot
     pytest.param(
         lambda: MixedMovingAverage.from_tables(2, 1.3, {"w0": 1.0}, {"w0": {}}), 2, id="empty"
     ),
@@ -644,6 +648,24 @@ def test_mma_draw_is_one_sample_sas_call(monkeypatch):
     for rep in range(3):
         plan(substream(2024, "calls", rep))
     assert calls == [(1.0, len(plan.noise) - 1)] * 3
+
+
+def test_mma_atom_without_entries_gets_no_slot():
+    # an atom whose table holds only zeros draws nothing: alone its field is 0 with no
+    # variate drawn, and beside another atom the field and b_n are that atom's alone
+    empty = MixedMovingAverage.from_tables(2, 1.3, {"w0": 1.0}, {"w0": {}})
+    plan = empty.draw(2, None)
+    assert len(plan.noise) - 1 == 0
+    assert not plan(substream(77, "empty", 0)).any()
+    e = word(2, [])
+    beside = MixedMovingAverage.from_tables(2, 1.3, {"w0": 1.0, "w1": 1.0}, {"w0": {}, "w1": {e: 1.0}})
+    alone = MixedMovingAverage.from_tables(2, 1.3, {"w1": 1.0}, {"w1": {e: 1.0}})
+    plans = beside.draw(2, None), alone.draw(2, None)
+    assert len(plans[0].noise) == len(plans[1].noise) == 1 + 17
+    for rep in range(3):
+        got, want = (p(substream(77, "empty", rep)) for p in plans)
+        assert got.tobytes() == want.tobytes()
+    assert beside.norming_constant(2) == alone.norming_constant(2)
 
 
 PINNED_DRAWS = [

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabletree import rng
 from stabletree.rng import substream
 
 from oracles import substream_reference
@@ -77,3 +78,15 @@ def test_substream_keys_are_not_shared():
     assert isinstance(a, np.random.Generator)
     # Philox takes the derived key; no SeedSequence is built for it
     assert a.bit_generator.seed_seq._sequence is None
+
+
+def test_substream_after_its_pool_left_the_cache():
+    # more (seed, key prefix) pools than the cache holds, then the first again, rebuilt
+    first = (3, "maxima", 0)
+    assert_same_stream(substream(*first), substream_reference(*first))
+    for i in range(rng._prefix_pool.cache_info().maxsize + 5):
+        key = (3 + i % 2, "pp", i, 7)
+        assert_same_stream(substream(*key), substream_reference(*key))
+    misses = rng._prefix_pool.cache_info().misses
+    assert_same_stream(substream(*first), substream_reference(*first))
+    assert rng._prefix_pool.cache_info().misses == misses + 1
