@@ -12,10 +12,6 @@ class PrefixTooShortError(ValueError):
     """
 
 
-class PathTooShortError(ValueError):
-    """A ray path is too short to decide membership; extend and retry."""
-
-
 class ResourceBudgetError(RuntimeError):
     """An enumeration or simulation would exceed the configured budget."""
 

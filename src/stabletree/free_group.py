@@ -106,12 +106,6 @@ def multiply(u: Word, v: Word) -> Word:
     return Word(u.rank, a[:i] + b[j:])
 
 
-def distance(u: Word, v: Word) -> int:
-    """Graph distance on the Cayley tree: |u^-1 v|."""
-    _check_ranks(u, v)
-    return len(u) + len(v) - 2 * common_prefix_length(u, v)
-
-
 def common_prefix_length(u: Word, v: Word) -> int:
     a, b = u.letters, v.letters
     c = 0

@@ -27,52 +27,28 @@ order, and it depends on the path only through x: t is a member iff
 :func:`enumerate_ray_paths` lists C_m and :func:`sample_ray_path` draws
 from it, as layout indices.  Only x's ancestor on C_K,
 K = clip(ceil((m + ell)/2), 0, m), matters: one class table per (d, m)
-holds every level (:func:`trace_masks`).  ``Word`` paths (``RayPath``,
-``membership``) remain the brute-force sphere-count oracle.
+holds every level (:func:`trace_masks`).
+
+The sphere-count lemma is checked by brute force on the same index arrays
+(:func:`check_sphere_counts`), without that closed form: a level >= 1 path
+is the prefixes v_k = omega[:ell + k] of one ray omega, lcp(t, omega) comes
+from range checks on the preorder (:func:`ray_lcp`), and
+:func:`membership` evaluates min_k d(t, v_k) - k <= 0 over the whole path
+for every t of the sphere.  ``Word`` appears only as the drawn ray.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import PathTooShortError, ResourceBudgetError
-from .free_group import Word, ball_layout, ball_size, distance, enumerate_sphere, sphere_size
+from .errors import ResourceBudgetError
+from .free_group import (
+    ENUMERATION_BUDGET, BallLayout, Word, ball_layout, ball_size, letter_rank, sphere_size
+)
 from .rng import substream
-
-
-@dataclass(frozen=True)
-class RayPath:
-    """Finite-resolution representative of a ray subgraph."""
-
-    level: int  # signed anchor level
-    rank: int
-    vertices: tuple  # (v_0, ..., v_K)
-
-    def __post_init__(self):
-        ell, d = self.level, self.rank
-        vs = self.vertices
-        if not vs:
-            raise ValueError("empty path")
-        if len(set(vs)) != len(vs):
-            raise ValueError("path is not self-avoiding")
-        for k, v in enumerate(vs):
-            if len(v) != _expected_level(ell, k):
-                raise ValueError(
-                    f"vertex {k} has level {len(v)}, expected {_expected_level(ell, k)}"
-                )
-        for a, b in zip(vs, vs[1:]):
-            if distance(a, b) != 1:
-                raise ValueError("consecutive path vertices must be adjacent")
-
-
-def _expected_level(ell: int, k: int) -> int:
-    if ell >= 0:
-        return ell + k
-    return abs(ell) - k if k <= abs(ell) else k - abs(ell)
 
 
 def enumerate_ray_paths(m: int, d: int) -> np.ndarray:
@@ -102,35 +78,6 @@ def required_steps(t_len: int, level: int) -> int:
     return t_len + 2 * abs(level) + 2
 
 
-def membership(t: Word, xi: RayPath) -> bool:
-    """Whether t belongs to the subgraph represented by the path.
-
-    True iff min_k (d(t, v_k) - k) <= 0.  The sequence decreases by 0 or 2
-    per step until it turns constant, so the scan stops at the first
-    repeated value; a path shorter than the decision bound raises.
-    """
-    if t.rank != xi.rank:
-        raise ValueError("rank mismatch")
-    steps, need = len(xi.vertices) - 1, required_steps(len(t), xi.level)
-    if steps < need:
-        raise PathTooShortError(
-            f"path with {steps} steps cannot decide membership of a "
-            f"length-{len(t)} word at level {xi.level}; need {need}"
-        )
-    best = None
-    prev = None
-    for k, v in enumerate(xi.vertices):
-        f = distance(t, v) - k
-        if f <= 0:
-            return True
-        if prev is not None and f == prev and k > abs(xi.level):
-            break  # constant from the projection onwards
-        prev = f
-        if best is None or f < best:
-            best = f
-    return False
-
-
 def subgraph_sphere_count(level: int, offset: int, d: int) -> int:
     """Exact number of subgraph vertices on the sphere C_{level+offset}.
 
@@ -146,63 +93,86 @@ def subgraph_sphere_count(level: int, offset: int, d: int) -> int:
     return (2 * d - 1) ** (offset // 2)
 
 
-SPHERE_COUNT_BUDGET = 500_000  # words of one sphere checked by brute-force membership
+def ray_lcp(lay: BallLayout, letters, idx) -> np.ndarray:
+    """lcp(t, omega) for the nodes t at layout indices ``idx``, as int16.
 
-
-def count_sphere_members(xi: RayPath, sphere_level: int) -> int:
-    """|xi intersect C_s| by brute-force membership over the whole sphere.
-
-    The caller checks the sphere against ``SPHERE_COUNT_BUDGET`` first.
+    ``letters`` starts the reduced word omega.  Its prefix of length
+    j <= ``lay.n`` heads the preorder interval [b_j, b_j + subtree[j]) of
+    its subtree, so lcp(t, omega) is the number of these nested intervals
+    that hold t: one range check per prefix.
     """
-    return sum(1 for t in enumerate_sphere(xi.rank, sphere_level) if membership(t, xi))
+    idx = np.asarray(idx)
+    lcp = np.zeros(idx.shape, dtype=np.int16)
+    b = 0
+    for j, g in enumerate(letters[: lay.n], start=1):
+        b = int(lay.right_mul[b, letter_rank(g)])
+        lcp += (idx >= b) & (idx < b + lay.subtree[j])
+    return lcp
 
 
-def word_ray_path(level: int, d: int, steps: int, rng: np.random.Generator) -> RayPath:
-    """A ``Word`` path at level >= 1: the prefixes of a uniform reduced word.
+def membership(t_len, lcp, path_lens) -> np.ndarray:
+    """Whether each t belongs to the subgraph of a path of prefixes of one ray.
 
-    v_k is the prefix of length level + k, so the anchor is uniform on
-    C_level and every step uniform over its 2d - 1 continuations: the
-    path-uniform law.
+    The path's vertex v_k is the prefix of length ``path_lens[k]`` of a ray
+    omega, and t enters through |t| = ``t_len`` and lcp(t, omega)
+    (:func:`ray_lcp`), so d(t, v_k) = |t| + |v_k| - 2 min(lcp, |v_k|).  The
+    definition: t is a member iff min_k d(t, v_k) - k <= 0, over every
+    vertex of the path.
     """
-    if level < 1:
-        raise ValueError("paths from reduced-word prefixes need level >= 1")
-    from .boundary import sample_boundary  # only the sphere-count oracle draws Word paths
+    dist = (t_len + v - k - 2 * np.minimum(lcp, v) for k, v in enumerate(path_lens))
+    return functools.reduce(np.minimum, dist) <= 0
 
-    letters = sample_boundary(d, level + steps, rng).letters
-    return RayPath(level, d, tuple(Word(d, letters[:j]) for j in range(level, len(letters) + 1)))
+
+def sphere_member_count(level: int, sphere_level: int, omega: Word) -> int:
+    """|xi intersect C_s|, s = ``sphere_level``, by membership over the whole sphere.
+
+    xi is the level >= 1 path v_k = omega[:level + k] through every prefix
+    of ``omega`` from length ``level`` on.  C_s is taken as layout indices
+    of ``ball_layout(d, s)``, and no ``Word`` is built per vertex.
+    """
+    lay = ball_layout(omega.rank, sphere_level)
+    sphere = np.flatnonzero(lay.depth == sphere_level)
+    lcp = ray_lcp(lay, omega.letters, sphere)
+    return int(membership(sphere_level, lcp, range(level, len(omega) + 1)).sum())
 
 
 def check_sphere_counts(d: int, ell_max: int, k_max: int, samples: int, seed: int) -> list:
-    """The sphere-count lemma on sampled ``Word`` paths, by brute-force membership.
+    """The sphere-count lemma on sampled paths, by membership over whole spheres.
 
-    For every level in 1..ell_max and k in 0..k_max, ``samples`` paths
-    (stream ``substream(seed, "lemma", level, k, s)``) are checked for
-    |xi intersect C_level+k| = :func:`subgraph_sphere_count`.  Returns rows
-    {level, k, expected, all_match}.  The largest sphere is checked against
-    ``SPHERE_COUNT_BUDGET`` before any path is drawn.  A call that would
-    check nothing (``ell_max < 1``, ``k_max < 0`` or ``samples < 1``) is a
-    ``ValueError``.
+    For every level in 1..ell_max and k in 0..k_max, ``samples`` paths are
+    checked for |xi intersect C_level+k| = :func:`subgraph_sphere_count` by
+    :func:`sphere_member_count`.  Path s takes its ray from
+    ``sample_boundary`` on stream ``substream(seed, "lemma", level, k, s)``
+    and runs ``required_steps(level + k, level)`` steps.  Returns rows
+    {level, k, expected, all_match}.  The ball E_(ell_max + k_max) of the
+    largest sphere is checked against ``ENUMERATION_BUDGET`` before any
+    layout is built or path drawn.  A call that would check nothing
+    (``ell_max < 1``, ``k_max < 0`` or ``samples < 1``) or a negative seed is
+    a ``ValueError``.
     """
-    if ell_max < 1 or k_max < 0 or samples < 1:
+    if ell_max < 1 or k_max < 0 or samples < 1 or seed < 0:
         raise ValueError(
-            f"need ell_max >= 1, k_max >= 0 and samples >= 1, got {ell_max}, {k_max}, {samples}"
+            "need ell_max >= 1, k_max >= 0, samples >= 1 and seed >= 0, "
+            f"got {ell_max}, {k_max}, {samples} and {seed}"
         )
-    largest = sphere_size(d, ell_max + k_max)
-    if largest > SPHERE_COUNT_BUDGET:
+    top = ell_max + k_max
+    if ball_size(d, top) > ENUMERATION_BUDGET:
         raise ResourceBudgetError(
-            f"sphere C_{ell_max + k_max} has {largest} words, "
-            f"above the brute-force budget of {SPHERE_COUNT_BUDGET}"
+            f"sphere C_{top} needs the layout of E_{top}, {ball_size(d, top):,} words, "
+            f"above the budget of {ENUMERATION_BUDGET:,}"
         )
+    from .boundary import sample_boundary  # only this check draws Word rays
+
     rows = []
     for level in range(1, ell_max + 1):
         for k in range(k_max + 1):
             expected = subgraph_sphere_count(level, k, d)
-            steps = required_steps(level + k, level)
-            paths = (
-                word_ray_path(level, d, steps, substream(seed, "lemma", level, k, s))
+            length = level + required_steps(level + k, level)
+            rays = (
+                sample_boundary(d, length, substream(seed, "lemma", level, k, s))
                 for s in range(samples)
             )
-            ok = all(count_sphere_members(xi, level + k) == expected for xi in paths)
+            ok = all(sphere_member_count(level, level + k, omega) == expected for omega in rays)
             rows.append({"level": level, "k": k, "expected": expected, "all_match": ok})
     return rows
 

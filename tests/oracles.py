@@ -5,25 +5,28 @@ import functools
 import math
 import zlib
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy import stats as sstats
 
-from stabletree.errors import PathTooShortError, PrefixTooShortError, ResourceBudgetError
+from stabletree.boundary import sample_boundary
+from stabletree.errors import PrefixTooShortError, RankMismatchError, ResourceBudgetError
 from stabletree.fields import MixedMovingAverage
 from stabletree.free_group import (
     Word,
     allowed_next_letters,
     ball_layout,
     ball_size,
+    common_prefix_length,
     enumerate_ball,
     enumerate_sphere,
     multiply,
 )
 from stabletree.stable import sample_sas, stable_tail_constant
 from stabletree.stats import batch_mean_ci
-from stabletree.subgraphs import _expected_level
+from stabletree.subgraphs import required_steps
 
 
 def min_busemann_over_ball(d: int, n: int, omega_prefix: Word) -> int:
@@ -79,6 +82,100 @@ def mma_from_levels(d: int, alpha: float, levels: dict, mass: float = 1.0) -> Mi
 def kernel_table(model: MixedMovingAverage, w: str) -> dict:
     """Atom w's kernel {Word: value}, in table order."""
     return dict(dict(model.f_table)[w])
+
+
+class PathTooShortError(ValueError):
+    """A ray path is too short to decide membership; extend and retry."""
+
+
+def distance(u: Word, v: Word) -> int:
+    """Graph distance on the Cayley tree: |u^-1 v|."""
+    if u.rank != v.rank:
+        raise RankMismatchError(f"rank mismatch: {u.rank} != {v.rank}")
+    return len(u) + len(v) - 2 * common_prefix_length(u, v)
+
+
+def _expected_level(ell: int, k: int) -> int:
+    if ell >= 0:
+        return ell + k
+    return abs(ell) - k if k <= abs(ell) else k - abs(ell)
+
+
+@dataclass(frozen=True)
+class RayPath:
+    """A ray path of ``Word`` vertices (v_0, ..., v_K) at a signed anchor level.
+
+    The ``Word`` oracle of ray subgraphs: the constructor checks the
+    distance-to-root profile, self-avoidance and adjacency.
+    """
+
+    level: int
+    rank: int
+    vertices: tuple
+
+    def __post_init__(self):
+        ell, vs = self.level, self.vertices
+        if not vs:
+            raise ValueError("empty path")
+        if len(set(vs)) != len(vs):
+            raise ValueError("path is not self-avoiding")
+        for k, v in enumerate(vs):
+            if len(v) != _expected_level(ell, k):
+                raise ValueError(
+                    f"vertex {k} has level {len(v)}, expected {_expected_level(ell, k)}"
+                )
+        for a, b in zip(vs, vs[1:]):
+            if distance(a, b) != 1:
+                raise ValueError("consecutive path vertices must be adjacent")
+
+
+def membership(t: Word, xi: RayPath) -> bool:
+    """Whether t belongs to the subgraph of the path, walking ``Word`` distances.
+
+    The reference for ``subgraphs.membership``: True iff
+    min_k (d(t, v_k) - k) <= 0.  The sequence decreases by 0 or 2 per step
+    until it turns constant, so the scan stops at the first repeated value;
+    a path shorter than ``required_steps`` raises.
+    """
+    if t.rank != xi.rank:
+        raise ValueError("rank mismatch")
+    steps, need = len(xi.vertices) - 1, required_steps(len(t), xi.level)
+    if steps < need:
+        raise PathTooShortError(
+            f"path with {steps} steps cannot decide membership of a "
+            f"length-{len(t)} word at level {xi.level}; need {need}"
+        )
+    prev = None
+    for k, v in enumerate(xi.vertices):
+        f = distance(t, v) - k
+        if f <= 0:
+            return True
+        if prev is not None and f == prev and k > abs(xi.level):
+            break  # constant from the projection onwards
+        prev = f
+    return False
+
+
+def word_ray_path(level: int, d: int, steps: int, rng: np.random.Generator) -> RayPath:
+    """A ``Word`` path at level >= 1: the prefixes of a uniform reduced word.
+
+    v_k is the prefix of length level + k, so the anchor is uniform on
+    C_level and every step uniform over its 2d - 1 continuations: the
+    path-uniform law.  It draws the letters ``subgraphs.check_sphere_counts``
+    draws from the same stream.
+    """
+    if level < 1:
+        raise ValueError("paths from reduced-word prefixes need level >= 1")
+    letters = sample_boundary(d, level + steps, rng).letters
+    return RayPath(level, d, tuple(Word(d, letters[:j]) for j in range(level, len(letters) + 1)))
+
+
+def count_sphere_members(xi: RayPath, sphere_level: int) -> int:
+    """|xi intersect C_s| by ``Word`` membership over the whole sphere.
+
+    The reference for ``subgraphs.sphere_member_count``.
+    """
+    return sum(1 for t in enumerate_sphere(xi.rank, sphere_level) if membership(t, xi))
 
 
 def determining_steps(level: int, m: int) -> int:

@@ -43,14 +43,18 @@ from stabletree.stats import ks_distance
 from stabletree.subgraphs import (
     anchor_pmf,
     anchor_pmf_tail,
-    membership,
     required_steps,
     sample_anchor,
     subgraph_sphere_count,
-    word_ray_path,
 )
 
-from oracles import chi2_pvalue, min_busemann_over_ball, mma_from_levels
+from oracles import (
+    chi2_pvalue,
+    membership,
+    min_busemann_over_ball,
+    mma_from_levels,
+    word_ray_path,
+)
 
 
 def _verdict(tag, ok, detail):

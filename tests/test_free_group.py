@@ -14,7 +14,6 @@ from stabletree.free_group import (
     ball_size,
     busemann,
     confluent_length,
-    distance,
     enumerate_ball,
     enumerate_sphere,
     format_word,
@@ -29,7 +28,7 @@ from stabletree.free_group import (
 )
 from stabletree.rng import substream
 
-from oracles import min_busemann_over_ball
+from oracles import distance, min_busemann_over_ball
 
 
 def naive_product(u, v):

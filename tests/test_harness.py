@@ -484,12 +484,18 @@ def test_cli_verify_lemma(capsys):
 
 
 def test_cli_verify_lemma_budget_exits_3_at_once(capsys):
-    # the largest sphere, C_12, has 708,588 words: above the brute-force budget
+    # the largest sphere, C_13, lies in E_13 of 3,188,645 words: above the layout budget
     t0 = time.perf_counter()
-    code = cli_main(["verify-lemma", "--d", "2", "--ell-max", "4", "--k-max", "8"])
+    code = cli_main(["verify-lemma", "--d", "2", "--ell-max", "4", "--k-max", "9"])
     assert code == 3
     assert time.perf_counter() - t0 < 0.5
-    assert "C_12" in capsys.readouterr().err
+    assert "C_13" in capsys.readouterr().err
+
+
+def test_cli_verify_lemma_rejects_negative_seed(capsys):
+    # checked with the other arguments, before any layout is built or stream derived
+    assert cli_main(["verify-lemma", "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_cli_verify_boundary(capsys):

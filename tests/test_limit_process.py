@@ -10,15 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    PathTooShortError,
+    RayPath,
     ball_traces,
     determining_steps,
     enumerate_ray_paths_reference,
     level_sum_exact,
+    membership,
     mma_from_levels,
     nu_alpha_integral_midpoints,
 )
 from stabletree import limit_process
-from stabletree.errors import PathTooShortError, ResourceBudgetError
+from stabletree.errors import ResourceBudgetError
 from stabletree.fields import MixedMovingAverage, mma_point_mass
 from stabletree.free_group import (
     BallLayout,
@@ -47,8 +50,6 @@ from stabletree.limit_process import (
 )
 from stabletree.rng import substream
 from stabletree.subgraphs import (
-    RayPath,
-    membership,
     required_steps,
     subgraph_sphere_count,
     trace_masks,

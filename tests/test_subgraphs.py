@@ -9,16 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    PathTooShortError,
+    RayPath,
     ball_traces,
     chi2_pvalue,
+    count_sphere_members,
     determining_steps,
     enumerate_ray_paths_reference,
+    membership,
     ray_path_count,
     ray_path_radius,
     sample_ray_path_reference,
+    word_ray_path,
 )
 from stabletree.boundary import sample_boundary
-from stabletree.errors import PathTooShortError, ResourceBudgetError
+from stabletree.errors import ResourceBudgetError
 from stabletree.free_group import (
     Word,
     ball_layout,
@@ -30,18 +35,16 @@ from stabletree.free_group import (
 )
 from stabletree.rng import substream
 from stabletree.subgraphs import (
-    RayPath,
     anchor_pmf,
     anchor_pmf_tail,
     check_sphere_counts,
     enumerate_ray_paths,
-    membership,
     required_steps,
     sample_anchor,
     sample_ray_path,
+    sphere_member_count,
     subgraph_sphere_count,
     trace_masks,
-    word_ray_path,
 )
 
 
@@ -172,6 +175,18 @@ def test_sphere_counts_match_closed_form():
             for k in range(k_max + 1)
         ]
         assert all(r["all_match"] for r in rows)
+
+
+@pytest.mark.parametrize("d, ell_max, k_max, samples", [(2, 3, 4, 3), (3, 2, 2, 3)])
+def test_index_array_counts_match_word_oracle(d, ell_max, k_max, samples):
+    # path by path, on the rays check_sphere_counts draws: layout indices against Word membership
+    for level in range(1, ell_max + 1):
+        for k in range(k_max + 1):
+            steps = required_steps(level + k, level)
+            for s in range(samples):
+                xi = word_ray_path(level, d, steps, substream(416, "lemma", level, k, s))
+                got = sphere_member_count(level, level + k, xi.vertices[-1])
+                assert got == count_sphere_members(xi, level + k), (level, k, s)
 
 
 def test_word_ray_path_law():
